@@ -7,12 +7,18 @@ initial difference vanishes exactly) and the difference norms are accumulated
 from states sampled at identical times.  Time derivatives entering the
 maximal-regularity norms are the semi-discrete right-hand sides, not finite
 differences.
+
+In the hydrostatic modes the limit system (PE_H) has neither eps nor delta,
+so every point of a sweep compares against the same PE_H trajectory.  A
+family of points therefore advances one PE_H reference and, in lockstep with
+it, one anisotropic run per point.
 """
 from __future__ import annotations
 
 import math
 import time as _time
-from dataclasses import dataclass
+from contextlib import contextmanager
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -29,6 +35,8 @@ from ..solvers import (
 )
 from ..spectral import EVEN, ODD, Grid, SpectralField, make_grid
 from .initial_data import generate_initial_data
+
+HYDROSTATIC_MODES = ("eps_delta_to_zero", "gamma_scan")
 
 
 @dataclass(frozen=True)
@@ -83,152 +91,254 @@ def run_matched_pair(
     baroclinic parts against 2D Navier-Stokes and the exact scaled Stokes
     flow; accumulates the maximal-regularity norm of the barotropic
     difference and the L4-in-time H^{3/2} norm of the baroclinic part.
+
+    This is a family of one point (see run_matched_family); an error that
+    stops the point is raised.
     """
-    eps, delta = point
+    (out,) = _run_points([(point[0], point[1], gamma)], base, mode)
+    if isinstance(out, Exception):
+        raise out
+    return out
+
+
+def run_matched_family(
+    points: list[tuple[float, float, float | None]],
+    base: SimConfig,
+    mode: str,
+) -> list[list[NormRow]]:
+    """Norm rows of every (eps, delta, gamma) point, in the order given.
+
+    In the hydrostatic modes the points share one grid, one set of initial
+    data and one PE_H reference trajectory, computed once per step; each
+    point advances its own anisotropic run in the calling thread.  The rows
+    of a point equal those of run_matched_pair at that point.  A point that
+    blows up stops alone; a blowup of the reference stops every point still
+    running, all flagged as blown up.  In mode "delta_to_infty" the
+    reference depends on delta, so the points share nothing and run one
+    after another.
+
+    A point stopped by an error gets a single FAILED row instead of raising,
+    so one bad point does not lose the others.
+    """
+    return [
+        [NormRow(mode, pt[0], pt[1], pt[2], "FAILED", float("nan"), True, 0)]
+        if isinstance(out, Exception) else out
+        for pt, out in zip(points, _run_points(points, base, mode))
+    ]
+
+
+def _run_points(points, base: SimConfig, mode: str) -> list:
+    """Rows of every point, or the exception that stopped it."""
+    if mode in HYDROSTATIC_MODES:
+        return _hydrostatic_family(points, base, mode)
+    if mode == "delta_to_infty":
+        out = []
+        for pt in points:
+            try:
+                out.append(_large_delta_pair(pt, base, mode))
+            except Exception as exc:  # reported as the point's outcome
+                out.append(exc)
+        return out
+    raise ValueError(f"unknown mode {mode!r}")
+
+
+class _HydrostaticMember:
+    """One anisotropic run of a hydrostatic family and its difference norms."""
+
+    def __init__(self, point: tuple[float, float, float | None]):
+        self.eps, self.delta, self.gamma = point
+        self.running = True
+        self.blowup = False
+        self.error: Exception | None = None
+
+    @contextmanager
+    def guard(self):
+        """Stop this member alone when its own work blows up or raises."""
+        try:
+            yield
+        except BlowupDetected:
+            self.stop(blowup=True)
+        except Exception as exc:  # reported as this member's outcome
+            self.stop(error=exc)
+
+    def stop(self, blowup: bool = False, error: Exception | None = None) -> None:
+        self.running = False
+        self.blowup = blowup
+        self.error = error
+
+    def start(self, base: SimConfig, grid: Grid, data) -> None:
+        # the point must be a valid simulation setup on its own
+        replace(base, eps=self.eps, delta=self.delta, gamma=None)
+        eps = self.eps
+        self.ns = NavierStokesStepper(grid, eps, self.delta, base.dt)
+        self.U = np.stack((data.v1.coeffs, data.v2.coeffs, eps * data.w.coeffs))
+        self.accs = {
+            "EHdelta": NormAccumulator("EHdelta", delta=self.delta),
+            "Ez": NormAccumulator("Ez"),
+            "EH": NormAccumulator("EHdelta", delta=0.0),
+        }
+        self.t_prev = None
+
+    def sample(self, grid: Grid, t: float, ref) -> np.ndarray:
+        """Fold the difference at time t into the norms; return N(U)."""
+        V, w, rhs_pe, dw = ref
+        U, eps = self.U, self.eps
+        N_ns = self.ns.nonlinear(U)
+        rhs_ns = self.ns.rhs(U, N_ns)
+        diff = np.stack((U[0] - V[0], U[1] - V[1], U[2] - eps * w))
+        ddiff = np.stack(
+            (rhs_ns[0] - rhs_pe[0], rhs_ns[1] - rhs_pe[1], rhs_ns[2] - eps * dw)
+        )
+        df = _fields(grid, diff, (EVEN, EVEN, ODD))
+        ddf = _fields(grid, ddiff, (EVEN, EVEN, ODD))
+        inc = None if self.t_prev is None else t - self.t_prev
+        for key in self.accs:
+            self.accs[key] = accumulate(self.accs[key], df, ddf, inc)
+        self.t_prev = t
+        return N_ns
+
+    def advance(self, grid: Grid, N_ns: np.ndarray | None, t_next: float) -> None:
+        if N_ns is None:
+            self.U = self.ns.step(self.U)
+        else:
+            self.U = self.ns.advance(self.U, N_ns)
+        _check_blowup(grid, self.U, t_next)
+
+    def rows(self, mode: str, wall_ms: int) -> list[NormRow]:
+        return _finalize_rows(
+            mode, self.eps, self.delta, self.gamma, list(self.accs.items()),
+            self.blowup, wall_ms,
+        )
+
+
+def _hydrostatic_family(points, base: SimConfig, mode: str) -> list:
+    t0 = _time.perf_counter()
+    members = [_HydrostaticMember(pt) for pt in points]
+    try:
+        grid = make_grid(base.nx, base.ny, base.nz)
+        data = generate_initial_data(base.recipe, base.seed, grid)
+        dt = base.dt
+        n_steps = base.n_steps
+        pe = PrimitiveStepper(grid, 0.0, dt)
+        V = np.stack((data.v1.coeffs, data.v2.coeffs))
+        for m in members:
+            with m.guard():
+                m.start(base, grid, data)
+        for n in range(n_steps + 1):
+            t = n * dt
+            record = n % base.record_every == 0 or n == n_steps
+            N_pe = pe.nonlinear(V)
+            if record:
+                rhs_pe = pe.rhs(V, N_pe)
+                ref = (V, _raw_w_from_v(grid, V), rhs_pe, _raw_w_from_v(grid, rhs_pe))
+            for m in members:
+                if not m.running:
+                    continue
+                with m.guard():
+                    N_ns = m.sample(grid, t, ref) if record else None
+                    if n < n_steps:
+                        m.advance(grid, N_ns, t + dt)
+            if n == n_steps or not any(m.running for m in members):
+                break
+            V = pe.advance(V, N_pe)
+            _check_blowup(grid, V, t + dt)
+    except BlowupDetected:
+        for m in members:
+            if m.running:
+                m.stop(blowup=True)
+    except Exception as exc:  # fails every member still running
+        for m in members:
+            if m.running:
+                m.stop(error=exc)
+    wall = int(1000 * (_time.perf_counter() - t0))
+    return [m.error if m.error is not None else m.rows(mode, wall) for m in members]
+
+
+def _large_delta_pair(point, base: SimConfig, mode: str) -> list[NormRow]:
+    eps, delta, gamma = point
+    replace(base, eps=eps, delta=delta, gamma=None)  # a valid setup on its own
     t0 = _time.perf_counter()
     grid = make_grid(base.nx, base.ny, base.nz)
     data = generate_initial_data(base.recipe, base.seed, grid)
     dt = base.dt
-    n_steps = int(round(base.t_end / dt))
-    rec_every = base.record_every
+    segments = _stiff_segments(base.t_end, dt, delta)
 
-    if mode in ("eps_delta_to_zero", "gamma_scan"):
-        ns = NavierStokesStepper(grid, eps, delta, dt)
-        pe = PrimitiveStepper(grid, 0.0, dt)
-        U = np.stack((data.v1.coeffs, data.v2.coeffs, eps * data.w.coeffs))
-        V = np.stack((data.v1.coeffs, data.v2.coeffs))
+    U = np.stack((data.v1.coeffs, data.v2.coeffs, eps * data.w.coeffs))
+    B = U[:2].copy()
+    B[..., 1:] = 0.0  # barotropic plane only
+    S = np.stack(
+        (U[0] - B[0], U[1] - B[1], data.w.coeffs)
+    )  # baroclinic (vtilde, w), exact Stokes comparison flow
 
-        accs = {
-            "EHdelta": NormAccumulator("EHdelta", delta=delta),
-            "EH": NormAccumulator("EHdelta", delta=0.0),
-            "Ez": NormAccumulator("Ez"),
-        }
-        blowup = False
-        t_prev = None
-        try:
-            for n in range(n_steps + 1):
-                t = n * dt
-                record = n % rec_every == 0 or n == n_steps
-                if record:
-                    N_ns = ns.nonlinear(U)
-                    N_pe = pe.nonlinear(V)
-                    rhs_ns = ns.rhs(U, N_ns)
-                    rhs_pe = pe.rhs(V, N_pe)
-                    diff = np.stack(
-                        (U[0] - V[0], U[1] - V[1],
-                         U[2] - eps * _raw_w_from_v(grid, V))
-                    )
-                    ddiff = np.stack(
-                        (rhs_ns[0] - rhs_pe[0], rhs_ns[1] - rhs_pe[1],
-                         rhs_ns[2] - eps * _raw_w_from_v(grid, rhs_pe))
-                    )
-                    df = _fields(grid, diff, (EVEN, EVEN, ODD))
-                    ddf = _fields(grid, ddiff, (EVEN, EVEN, ODD))
-                    inc = None if t_prev is None else t - t_prev
-                    for key in accs:
-                        accs[key] = accumulate(accs[key], df, ddf, inc)
-                    t_prev = t
-                if n == n_steps:
-                    break
-                if record:
-                    U = ns.advance(U, N_ns)
-                    V = pe.advance(V, N_pe)
-                else:
-                    U = ns.step(U)
-                    V = pe.step(V)
-                _check_blowup(grid, U, t + dt)
-                _check_blowup(grid, V, t + dt)
-        except BlowupDetected:
-            blowup = True
-        wall = int(1000 * (_time.perf_counter() - t0))
-        return _finalize_rows(
-            mode, eps, delta, gamma,
-            [("EHdelta", accs["EHdelta"]), ("Ez", accs["Ez"]),
-             ("EH", accs["EH"])],
-            blowup, wall,
+    accs = {
+        "E1_bar_diff": NormAccumulator("EHdelta", delta=1.0),
+        "L4H32_tilde": NormAccumulator("L4H32"),
+        "L4H32_tilde_stokes": NormAccumulator("L4H32"),
+    }
+    blowup = False
+    t_prev = None
+    t = 0.0
+
+    def sample(inc, N_ns, N_2d):
+        rhs_ns = ns.rhs(U, N_ns)
+        rhs_2d = ns2d.rhs(B, N_2d)
+        bar_diff = U[:2].copy()
+        bar_diff[..., 1:] = 0.0
+        bar_diff -= B
+        dbar_diff = rhs_ns[:2].copy()
+        dbar_diff[..., 1:] = 0.0
+        dbar_diff -= rhs_2d
+        tilde = U.copy()
+        tilde[0, :, :, 0] = 0.0
+        tilde[1, :, :, 0] = 0.0
+        tilde[2] = _raw_w_from_v(grid, U[:2])  # physical w
+        accs["E1_bar_diff"] = accumulate(
+            accs["E1_bar_diff"],
+            _fields(grid, bar_diff, (EVEN, EVEN)),
+            _fields(grid, dbar_diff, (EVEN, EVEN)),
+            inc,
+        )
+        accs["L4H32_tilde"] = accumulate(
+            accs["L4H32_tilde"], _fields(grid, tilde, (EVEN, EVEN, ODD)),
+            None, inc,
+        )
+        accs["L4H32_tilde_stokes"] = accumulate(
+            accs["L4H32_tilde_stokes"], _fields(grid, S, (EVEN, EVEN, ODD)),
+            None, inc,
         )
 
-    if mode == "delta_to_infty":
-        segments = _stiff_segments(base.t_end, dt, delta)
-
-        U = np.stack((data.v1.coeffs, data.v2.coeffs, eps * data.w.coeffs))
-        B = U[:2].copy()
-        B[..., 1:] = 0.0  # barotropic plane only
-        S = np.stack(
-            (U[0] - B[0], U[1] - B[1], data.w.coeffs)
-        )  # baroclinic (vtilde, w), exact Stokes comparison flow
-
-        accs = {
-            "E1_bar_diff": NormAccumulator("EHdelta", delta=1.0),
-            "L4H32_tilde": NormAccumulator("L4H32"),
-            "L4H32_tilde_stokes": NormAccumulator("L4H32"),
-        }
-        blowup = False
-        t_prev = None
-        t = 0.0
-
-        def sample(inc, N_ns, N_2d):
-            rhs_ns = ns.rhs(U, N_ns)
-            rhs_2d = ns2d.rhs(B, N_2d)
-            bar_diff = U[:2].copy()
-            bar_diff[..., 1:] = 0.0
-            bar_diff -= B
-            dbar_diff = rhs_ns[:2].copy()
-            dbar_diff[..., 1:] = 0.0
-            dbar_diff -= rhs_2d
-            tilde = U.copy()
-            tilde[0, :, :, 0] = 0.0
-            tilde[1, :, :, 0] = 0.0
-            tilde[2] = _raw_w_from_v(grid, U[:2])  # physical w
-            accs["E1_bar_diff"] = accumulate(
-                accs["E1_bar_diff"],
-                _fields(grid, bar_diff, (EVEN, EVEN)),
-                _fields(grid, dbar_diff, (EVEN, EVEN)),
-                inc,
-            )
-            accs["L4H32_tilde"] = accumulate(
-                accs["L4H32_tilde"], _fields(grid, tilde, (EVEN, EVEN, ODD)),
-                None, inc,
-            )
-            accs["L4H32_tilde_stokes"] = accumulate(
-                accs["L4H32_tilde_stokes"], _fields(grid, S, (EVEN, EVEN, ODD)),
-                None, inc,
-            )
-
-        try:
-            for seg_dt, seg_steps in segments:
-                ns = NavierStokesStepper(grid, eps, delta, seg_dt)
-                ns2d = NavierStokes2DStepper(grid, seg_dt)
-                stokes = StokesScaledStepper(grid, delta, seg_dt)
-                for _ in range(seg_steps):
-                    N_ns = ns.nonlinear(U)
-                    N_2d = ns2d.nonlinear(B)
-                    sample(None if t_prev is None else t - t_prev, N_ns, N_2d)
-                    t_prev = t
-                    U = ns.advance(U, N_ns)
-                    B = ns2d.advance(B, N_2d)
-                    S = stokes.advance(S)
-                    t += seg_dt
-                    _check_blowup(grid, U, t)
-            sample(t - t_prev, ns.nonlinear(U), ns2d.nonlinear(B))
-        except BlowupDetected:
-            blowup = True
-        wall = int(1000 * (_time.perf_counter() - t0))
-        extra = []
-        try:
-            extra.append(NormRow(
-                mode, eps, delta, gamma, "L4H32_tilde_stokes",
-                finalize(accs["L4H32_tilde_stokes"]), blowup, wall))
-        except Exception:
-            pass
-        return _finalize_rows(
-            mode, eps, delta, gamma,
-            [("E1_bar_diff", accs["E1_bar_diff"]),
-             ("L4H32_tilde", accs["L4H32_tilde"])],
-            blowup, wall, extra,
-        )
-
-    raise ValueError(f"unknown mode {mode!r}")
+    try:
+        for seg_dt, seg_steps in segments:
+            ns = NavierStokesStepper(grid, eps, delta, seg_dt)
+            ns2d = NavierStokes2DStepper(grid, seg_dt)
+            stokes = StokesScaledStepper(grid, delta, seg_dt)
+            for _ in range(seg_steps):
+                N_ns = ns.nonlinear(U)
+                N_2d = ns2d.nonlinear(B)
+                sample(None if t_prev is None else t - t_prev, N_ns, N_2d)
+                t_prev = t
+                U = ns.advance(U, N_ns)
+                B = ns2d.advance(B, N_2d)
+                S = stokes.advance(S)
+                t += seg_dt
+                _check_blowup(grid, U, t)
+        sample(t - t_prev, ns.nonlinear(U), ns2d.nonlinear(B))
+    except BlowupDetected:
+        blowup = True
+    wall = int(1000 * (_time.perf_counter() - t0))
+    extra = []
+    try:
+        extra.append(NormRow(
+            mode, eps, delta, gamma, "L4H32_tilde_stokes",
+            finalize(accs["L4H32_tilde_stokes"]), blowup, wall))
+    except Exception:
+        pass
+    return _finalize_rows(
+        mode, eps, delta, gamma,
+        [("E1_bar_diff", accs["E1_bar_diff"]),
+         ("L4H32_tilde", accs["L4H32_tilde"])],
+        blowup, wall, extra,
+    )
 
 
 def _stiff_segments(T: float, dt: float, delta: float) -> list[tuple[float, int]]:

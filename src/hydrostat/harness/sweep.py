@@ -1,7 +1,10 @@
 """Sweep orchestration over (eps, delta) or gamma, rate regression, CSV output.
 
-Rows are produced concurrently (each parameter point is an independent pure
-computation), then sorted deterministically, so repeated sweeps from the same
+The points of a sweep are grouped into families (see run_matched_family):
+in the hydrostatic modes every point compares against the same PE_H
+reference, so the whole sweep is one family run in lockstep; delta_to_infty
+points share nothing and run on the --jobs pool, one family each.  Rows are
+then sorted deterministically, so repeated sweeps from the same
 configuration produce byte-identical CSV files.  Wall-clock timings are
 reported as zero unless explicitly requested, to keep the output bytes
 reproducible.
@@ -17,7 +20,7 @@ import numpy as np
 
 from ..errors import ConfigError, InsufficientData
 from ..solvers import SimConfig
-from .pairs import NormRow, run_matched_pair
+from .pairs import HYDROSTATIC_MODES, NormRow, run_matched_family
 
 MODES = ("eps_delta_to_zero", "delta_to_infty", "gamma_scan")
 
@@ -155,25 +158,19 @@ def format_csv(rows: list[NormRow]) -> str:
 def run_sweep(cfg: SweepConfig, write_plots: bool = False) -> SweepResult:
     """Evaluate every sweep point, fit rates, and persist CSV (and SVG)."""
     pts = cfg.points()
+    families = [pts] if cfg.mode in HYDROSTATIC_MODES else [[pt] for pt in pts]
 
-    def one(pt):
-        eps, delta, gamma = pt
-        base = replace(cfg.base, eps=eps, delta=delta, gamma=None)
-        try:
-            return run_matched_pair((eps, delta), base, cfg.mode, gamma)
-        except Exception:  # point failures must not lose the rest of the sweep
-            return [
-                NormRow(cfg.mode, eps, delta, gamma, "FAILED", float("nan"), True, 0)
-            ]
+    def one(family):
+        return run_matched_family(family, cfg.base, cfg.mode)
 
-    result = SweepResult()
     if cfg.jobs > 1:
         with ThreadPoolExecutor(max_workers=cfg.jobs) as ex:
-            for rows in ex.map(one, pts):
-                result.rows.extend(rows)
+            outcomes = list(ex.map(one, families))
     else:
-        for pt in pts:
-            result.rows.extend(one(pt))
+        outcomes = [one(family) for family in families]
+    result = SweepResult(
+        rows=[row for family in outcomes for rows in family for row in rows]
+    )
 
     if not cfg.timing:
         result.rows = [replace(r, wall_ms=0) for r in result.rows]

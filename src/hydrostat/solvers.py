@@ -87,6 +87,11 @@ class SimConfig:
             raise InvalidParameter(f"unknown system {self.system!r}")
         if self.dt <= 0 or self.t_end <= 0 or self.dt > self.t_end:
             raise InvalidParameter("need 0 < dt <= t_end")
+        steps = self.t_end / self.dt
+        if not np.isfinite(steps) or abs(steps - round(steps)) > 1e-9 * steps:
+            raise InvalidParameter(
+                f"t_end={self.t_end} is not a whole number of dt={self.dt} steps"
+            )
         if self.eps <= 0:
             raise InvalidParameter(f"eps must be > 0, got {self.eps}")
         if self.record_every < 1:
@@ -419,7 +424,8 @@ def run_simulation(cfg: SimConfig) -> TrajectoryRecord:
         raise InvalidParameter(cfg.system)
 
     rec = TrajectoryRecord(samples={"l2": [], "h1": []})
-    kmax = np.pi * max(cfg.nx, cfg.ny, cfg.nz) // 3
+    # the largest wavenumber the 2/3 mask keeps
+    kmax = np.pi * (max(cfg.nx, cfg.ny, cfg.nz) // 3)
     warned = False
 
     def record(t: float, U: np.ndarray) -> None:

@@ -9,7 +9,7 @@ import time
 import numpy as np
 import pytest
 
-from hydrostat.harness.pairs import run_matched_pair
+from hydrostat.harness.pairs import run_matched_family, run_matched_pair
 from hydrostat.harness.sweep import SweepConfig, fit_rate, run_sweep
 from hydrostat.solvers import SimConfig
 
@@ -32,11 +32,11 @@ def _report(criterion: str, passed: bool, detail: str) -> None:
 
 @pytest.fixture(scope="module")
 def hydrostatic_rate_rows():
-    rows = {}
-    for e in (0.2, 0.1, 0.05, 0.025):
-        got = run_matched_pair((e, e), _base(), "eps_delta_to_zero")
-        rows[e] = {r.norm_name: r for r in got}
-    return rows
+    eps_values = (0.2, 0.1, 0.05, 0.025)
+    family = run_matched_family(
+        [(e, e, None) for e in eps_values], _base(), "eps_delta_to_zero"
+    )
+    return {e: {r.norm_name: r for r in got} for e, got in zip(eps_values, family)}
 
 
 def test_criterion_1_rate_hydrostatic_limit(hydrostatic_rate_rows):
@@ -110,10 +110,12 @@ def _gamma_rates(gamma: float) -> tuple[float, float]:
 
 
 def _gamma_slope(gamma: float) -> tuple[float, str]:
+    eps_values = (0.2, 0.1, 0.05)
+    family = run_matched_family(
+        [(e, e ** (gamma - 2.0), gamma) for e in eps_values], _base(), "gamma_scan"
+    )
     pts = []
-    for e in (0.2, 0.1, 0.05):
-        d = e ** (gamma - 2.0)
-        got = run_matched_pair((e, d), _base(), "gamma_scan", gamma)
+    for e, got in zip(eps_values, family):
         rows = {r.norm_name: r.value for r in got}
         pts.append((e, rows["total"]))
     slope, _, r2 = fit_rate(pts)

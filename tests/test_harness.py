@@ -19,7 +19,7 @@ from hydrostat.harness.config import (
     sweep_config_from_dict,
 )
 from hydrostat.harness.initial_data import generate_initial_data
-from hydrostat.harness.pairs import run_matched_pair
+from hydrostat.harness.pairs import run_matched_family, run_matched_pair
 from hydrostat.harness.snapshots import load_snapshot, save_snapshot
 from hydrostat.harness.sweep import SweepConfig, fit_rate, run_sweep
 from hydrostat.norms import norm_sobolev
@@ -248,6 +248,25 @@ def _tiny_sweep_cfg(out_dir=None, jobs=1):
     )
 
 
+def _fault_nonlinear(monkeypatch, fault):
+    """Pass the nonlinear term of every anisotropic run of a family through
+    fault(eps, N), which may raise or poison it."""
+    import hydrostat.harness.pairs as pairs_mod
+
+    class Faulty(pairs_mod.NavierStokesStepper):
+        def nonlinear(self, U):
+            return fault(self.eps, super().nonlinear(U))
+
+    monkeypatch.setattr(pairs_mod, "NavierStokesStepper", Faulty)
+
+
+def _values_except(res, eps):
+    """(eps, norm) -> (value, blowup) of every sweep point but one."""
+    return {
+        (r.eps, r.norm_name): (r.value, r.blowup) for r in res.rows if r.eps != eps
+    }
+
+
 class TestSweep:
     def test_rows_and_fits(self, tmp_path):
         res = run_sweep(_tiny_sweep_cfg(str(tmp_path)))
@@ -263,19 +282,21 @@ class TestSweep:
         assert (d1 / "results.csv").read_bytes() == (d2 / "results.csv").read_bytes()
 
     def test_failed_marker_row(self, tmp_path, monkeypatch):
-        import hydrostat.harness.sweep as sweep_mod
+        clean = _values_except(run_sweep(_tiny_sweep_cfg()), eps=0.1)
 
-        def boom(point, base, mode, gamma=None):
-            if point[0] == 0.1:
+        def boom(eps, N):
+            if eps == 0.1:
                 raise RuntimeError("synthetic failure")
-            return run_matched_pair(point, base, mode, gamma)
+            return N
 
-        monkeypatch.setattr(sweep_mod, "run_matched_pair", boom)
+        _fault_nonlinear(monkeypatch, boom)
         res = run_sweep(_tiny_sweep_cfg(str(tmp_path)))
         failed = [r for r in res.rows if r.norm_name == "FAILED"]
         assert len(failed) == 1 and failed[0].eps == 0.1
         text = (tmp_path / "results.csv").read_text()
         assert "FAILED" in text
+        # the other members of the family are unaffected
+        assert _values_except(res, eps=0.1) == clean
 
     def test_plots_written(self, tmp_path):
         run_sweep(_tiny_sweep_cfg(str(tmp_path)), write_plots=True)
@@ -283,18 +304,11 @@ class TestSweep:
         assert svg.startswith("<svg") and "polyline" in svg
 
     def test_blowup_threshold_reported(self, monkeypatch):
-        import hydrostat.harness.sweep as sweep_mod
-        from hydrostat.harness.pairs import NormRow
-
-        def fake(point, base, mode, gamma=None):
-            eps, delta = point
-            blown = eps >= 0.2
-            return [NormRow(mode, eps, delta, gamma, "total",
-                            float("nan") if blown else eps, blown, 0)]
-
-        monkeypatch.setattr(sweep_mod, "run_matched_pair", fake)
+        clean = _values_except(run_sweep(_tiny_sweep_cfg()), eps=0.2)
+        _fault_nonlinear(monkeypatch, lambda eps, N: N * np.nan if eps >= 0.2 else N)
         res = run_sweep(_tiny_sweep_cfg())
         assert res.blowup_threshold == pytest.approx(0.4)  # eps + delta
+        assert _values_except(res, eps=0.2) == clean
 
     def test_self_difference_degenerate_split(self):
         """z-independent data: both slots of the large-delta comparison run
@@ -336,6 +350,51 @@ class TestSweep:
         ez_int = math.sqrt((1 + PI**2) * int_v)
         ez_sup = math.sqrt(1 + PI**2) * abs(decay[-1])
         assert vals["Ez"] == pytest.approx(amp * (ez_int + ez_sup), rel=1e-10)
+
+
+def _family_points(mode):
+    if mode == "gamma_scan":
+        return [(e, e ** (g - 2.0), g) for g in (3.0, 4.0) for e in (0.2, 0.1, 0.05)]
+    return [(e, e, None) for e in (0.2, 0.1, 0.05)]
+
+
+def _cells(rows):
+    return [(r.mode, r.eps, r.delta, r.gamma, r.norm_name, r.value, r.blowup)
+            for r in rows]
+
+
+class TestMatchedFamily:
+    @pytest.mark.parametrize(
+        "mode, record_every", [("gamma_scan", 1), ("eps_delta_to_zero", 3)]
+    )
+    def test_rows_equal_matched_pairs(self, mode, record_every):
+        """Sharing one PE_H reference changes no bit of any point's rows;
+        record_every = 3 also covers the steps that record nothing."""
+        base = SimConfig(
+            "NS_eps_delta", 16, 16, 16, 1e-3, 0.02,
+            recipe="bandlimited_random", seed=42, record_every=record_every,
+        )
+        points = _family_points(mode)
+        family = run_matched_family(points, base, mode)
+        assert len(family) == len(points)
+        for (eps, delta, gamma), rows in zip(points, family):
+            pair = run_matched_pair((eps, delta), base, mode, gamma)
+            assert _cells(rows) == _cells(pair)
+
+    def test_reference_blowup_stops_every_member(self, monkeypatch):
+        import hydrostat.harness.pairs as pairs_mod
+
+        class Blowing(pairs_mod.PrimitiveStepper):
+            def nonlinear(self, V):
+                return super().nonlinear(V) * np.nan
+
+        monkeypatch.setattr(pairs_mod, "PrimitiveStepper", Blowing)
+        base = SimConfig("NS_eps_delta", 8, 8, 8, 2e-3, 0.02, seed=5)
+        mode = "eps_delta_to_zero"
+        family = run_matched_family(_family_points(mode), base, mode)
+        rows = [r for point_rows in family for r in point_rows]
+        assert len(family) == 3
+        assert all(r.blowup and r.norm_name != "FAILED" for r in rows)
 
 
 class TestCli:

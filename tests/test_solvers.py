@@ -1,5 +1,6 @@
 """Time integrators: exact-solution oracles, structure preservation, order."""
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -61,6 +62,7 @@ class TestSimConfig:
             dict(delta=-0.5),
             dict(record_every=0),
             dict(system="PE_H", delta=1.0),
+            dict(dt=3e-3, t_end=0.1),  # 33.3 steps
         ],
     )
     def test_validation(self, kw):
@@ -264,6 +266,29 @@ class TestRunSimulation:
             assert np.all(np.isfinite(vals))
         # either completed or flagged, never silently wrong
         assert rec.blowup_flag or rec.final_state is not None
+
+    def test_cfl_warning_uses_largest_kept_wavenumber(self):
+        """The CFL number is dt * max|u| * pi * (n // 3), the largest
+        wavenumber the 2/3 mask keeps.  The PE_H heat mode is stationary, so
+        max|u| is its initial value throughout."""
+        from hydrostat.harness.initial_data import generate_initial_data
+        from hydrostat.spectral import _raw_to_phys
+
+        grid = make_grid(8, 8, 8)
+        st = generate_initial_data("heat_mode", 0, grid)
+        phys = _raw_to_phys(grid, np.stack((st.v1.coeffs, st.v2.coeffs, st.w.coeffs)))
+        umax = float(np.max(np.abs(phys)))
+
+        def run(cfl):
+            dt = cfl / (umax * PI * (8 // 3))
+            return run_simulation(SimConfig("PE_H", 8, 8, 8, dt, 4 * dt, recipe="heat_mode"))
+
+        # 0.45 would read 0.45 * 8 / (2 pi) = 0.57 with kmax = (pi * 8) // 3
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            run(0.45)
+        with pytest.warns(RuntimeWarning, match="CFL"):
+            run(0.55)
 
     def test_deterministic(self):
         cfg = SimConfig(
