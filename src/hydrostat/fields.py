@@ -25,6 +25,7 @@ from .spectral import (
     NONE,
     ODD,
     Grid,
+    Plane,
     SpectralField,
     _lap_delta_mult,
     _raw_deriv,
@@ -115,19 +116,22 @@ def _raw_project_eps(grid: Grid, U: np.ndarray, eps: float) -> np.ndarray:
     return np.stack((U[0] - t[0] * s, U[1] - t[1] * s, U[2] - t[2] * s))
 
 
-def _raw_project_hydro(grid: Grid, V: np.ndarray) -> np.ndarray:
-    """Remove the z-independent horizontal gradient driven by div of the
-    vertical average; acts only on the kz=0 coefficient plane."""
+def _raw_project_hydro_plane(grid: Grid | Plane, P: np.ndarray) -> np.ndarray:
+    """2D Leray projection of a pair of kz=0 coefficient planes, shape
+    (2, nx, ny): removes the horizontal gradient driven by their divergence."""
     kx = grid.kx[:, None]
     ky = grid.ky[None, :]
     k2 = kx**2 + ky**2
     k2 = np.where(k2 == 0.0, 1.0, k2)
-    v1bar = V[0][:, :, 0]
-    v2bar = V[1][:, :, 0]
-    s = (kx * v1bar + ky * v2bar) / k2
+    s = (kx * P[0] + ky * P[1]) / k2
+    return np.stack((P[0] - kx * s, P[1] - ky * s))
+
+
+def _raw_project_hydro(grid: Grid, V: np.ndarray) -> np.ndarray:
+    """Remove the z-independent horizontal gradient driven by div of the
+    vertical average; acts only on the kz=0 coefficient plane."""
     out = V.copy()
-    out[0][:, :, 0] -= kx * s
-    out[1][:, :, 0] -= ky * s
+    out[..., 0] = _raw_project_hydro_plane(grid, V[..., 0])
     return out
 
 
@@ -151,16 +155,19 @@ def _raw_div_eps_defect(grid: Grid, U: np.ndarray, eps: float) -> float:
     return float(np.max(np.abs(d)))
 
 
-def _raw_advect(grid: Grid, u_phys: Sequence[np.ndarray], T: np.ndarray) -> np.ndarray:
+def _raw_advect(
+    grid: Grid | Plane, u_phys: Sequence[np.ndarray], T: np.ndarray
+) -> np.ndarray:
     """Convective derivative sum_j u_j d_j T_i for a stack of targets T.
 
     u_phys has 2 (horizontal transport only) or 3 physical components; the
     result is returned in spectral space, dealiased.  Transforms are batched
-    over all component/axis pairs.
+    over all component/axis pairs.  On a Plane, T holds kz=0 planes and the
+    transport is horizontal.
     """
     m = T.shape[0]
     naxes = len(u_phys)
-    ks = (grid.kx3, grid.ky3, grid.kz3)[:naxes]
+    ks = np.ix_(*grid.wavenumbers)[:naxes]
     dT = np.empty((m, naxes, *grid.shape), dtype=np.complex128)
     for i in range(m):
         for j, k in enumerate(ks):
@@ -265,19 +272,10 @@ def barotropic_split(
     return SplitState(bars[0], bars[1], tildes[0], tildes[1], w)
 
 
-def split_velocity_state(state: VelocityState) -> SplitState:
-    return barotropic_split(state.horizontal(), state.w)
-
-
 def divergence_defect(state: VelocityState) -> float:
     """Max coefficient magnitude of div(v1, v2, w) (unscaled divergence)."""
     U = np.stack([c.coeffs for c in state.components()])
     return _raw_div_eps_defect(state.grid, U, 1.0)
-
-
-def div_eps_defect(state: VelocityState, eps: float) -> float:
-    U = np.stack([c.coeffs for c in state.components()])
-    return _raw_div_eps_defect(state.grid, U, eps)
 
 
 def _pe_h_time_derivative(grid: Grid, V: np.ndarray) -> np.ndarray:

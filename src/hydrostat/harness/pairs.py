@@ -33,7 +33,7 @@ from ..solvers import (
     SimConfig,
     _check_blowup,
 )
-from ..spectral import EVEN, ODD, Grid, SpectralField, make_grid
+from ..spectral import EVEN, ODD, Grid, SpectralField, _raw_embed_plane, make_grid
 from .initial_data import generate_initial_data
 
 HYDROSTATIC_MODES = ("eps_delta_to_zero", "gamma_scan")
@@ -51,6 +51,8 @@ class NormRow:
     value: float
     blowup: bool
     wall_ms: int
+    # (exception type, message) of a FAILED row
+    error: tuple[str, str] | None = None
 
 
 def _fields(grid: Grid, stack: np.ndarray, parities) -> list[SpectralField]:
@@ -117,11 +119,13 @@ def run_matched_family(
     reference depends on delta, so the points share nothing and run one
     after another.
 
-    A point stopped by an error gets a single FAILED row instead of raising,
-    so one bad point does not lose the others.
+    A point stopped by an error gets a single FAILED row, which carries the
+    exception's type and message, instead of raising, so one bad point does
+    not lose the others.
     """
     return [
-        [NormRow(mode, pt[0], pt[1], pt[2], "FAILED", float("nan"), True, 0)]
+        [NormRow(mode, pt[0], pt[1], pt[2], "FAILED", float("nan"), True, 0,
+                 (type(out).__name__, str(out)))]
         if isinstance(out, Exception) else out
         for pt, out in zip(points, _run_points(points, base, mode))
     ]
@@ -264,11 +268,10 @@ def _large_delta_pair(point, base: SimConfig, mode: str) -> list[NormRow]:
     segments = _stiff_segments(base.t_end, dt, delta)
 
     U = np.stack((data.v1.coeffs, data.v2.coeffs, eps * data.w.coeffs))
-    B = U[:2].copy()
-    B[..., 1:] = 0.0  # barotropic plane only
-    S = np.stack(
-        (U[0] - B[0], U[1] - B[1], data.w.coeffs)
-    )  # baroclinic (vtilde, w), exact Stokes comparison flow
+    B = U[:2, :, :, 0].copy()  # barotropic plane, stepped by NS2D
+    # baroclinic (vtilde, w), exact Stokes comparison flow
+    S = np.stack((U[0], U[1], data.w.coeffs))
+    S[:2, :, :, 0] = 0.0
 
     accs = {
         "E1_bar_diff": NormAccumulator("EHdelta", delta=1.0),
@@ -282,12 +285,8 @@ def _large_delta_pair(point, base: SimConfig, mode: str) -> list[NormRow]:
     def sample(inc, N_ns, N_2d):
         rhs_ns = ns.rhs(U, N_ns)
         rhs_2d = ns2d.rhs(B, N_2d)
-        bar_diff = U[:2].copy()
-        bar_diff[..., 1:] = 0.0
-        bar_diff -= B
-        dbar_diff = rhs_ns[:2].copy()
-        dbar_diff[..., 1:] = 0.0
-        dbar_diff -= rhs_2d
+        bar_diff = _raw_embed_plane(grid, U[:2, :, :, 0] - B)
+        dbar_diff = _raw_embed_plane(grid, rhs_ns[:2, :, :, 0] - rhs_2d)
         tilde = U.copy()
         tilde[0, :, :, 0] = 0.0
         tilde[1, :, :, 0] = 0.0

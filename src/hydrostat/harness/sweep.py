@@ -7,10 +7,12 @@ points share nothing and run on the --jobs pool, one family each.  Rows are
 then sorted deterministically, so repeated sweeps from the same
 configuration produce byte-identical CSV files.  Wall-clock timings are
 reported as zero unless explicitly requested, to keep the output bytes
-reproducible.
+reproducible.  Next to results.csv, failures.json lists every point that an
+exception stopped, with the exception's type and message.
 """
 from __future__ import annotations
 
+import json
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
@@ -124,19 +126,14 @@ def _abscissa(mode: str, row: NormRow) -> float:
     return row.delta
 
 
+def _row_order(r: NormRow):
+    return (r.gamma if r.gamma is not None else -1.0, r.eps, r.delta, r.norm_name)
+
+
 def format_csv(rows: list[NormRow]) -> str:
     """Deterministic CSV text: sorted rows, '.' decimals, LF endings."""
-    ordered = sorted(
-        rows,
-        key=lambda r: (
-            r.gamma if r.gamma is not None else -1.0,
-            r.eps,
-            r.delta,
-            r.norm_name,
-        ),
-    )
     lines = [CSV_HEADER]
-    for r in ordered:
+    for r in sorted(rows, key=_row_order):
         gamma = "" if r.gamma is None else format(r.gamma, ".17g")
         lines.append(
             ",".join(
@@ -153,6 +150,16 @@ def format_csv(rows: list[NormRow]) -> str:
             )
         )
     return "\n".join(lines) + "\n"
+
+
+def format_failures(rows: list[NormRow]) -> str:
+    """JSON list of the FAILED points, in CSV order; "[]" when none failed."""
+    failures = [
+        {"mode": r.mode, "eps": r.eps, "delta": r.delta, "gamma": r.gamma,
+         "type": r.error[0], "message": r.error[1]}
+        for r in sorted(rows, key=_row_order) if r.norm_name == "FAILED"
+    ]
+    return json.dumps(failures, indent=2) + "\n"
 
 
 def run_sweep(cfg: SweepConfig, write_plots: bool = False) -> SweepResult:
@@ -199,6 +206,9 @@ def run_sweep(cfg: SweepConfig, write_plots: bool = False) -> SweepResult:
         csv_path = os.path.join(cfg.out_dir, "results.csv")
         with open(csv_path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(format_csv(result.rows))
+        failures_path = os.path.join(cfg.out_dir, "failures.json")
+        with open(failures_path, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(format_failures(result.rows))
         if write_plots:
             from .plots import write_loglog_svg
 

@@ -9,7 +9,7 @@ NS_eps_delta   rescaled anisotropic Navier-Stokes; integrated in the scaled
 PE_delta       primitive equations with anisotropic viscosity (vertical
                velocity diagnostic); PE_H is the delta = 0 case
 NS2D           two-dimensional Navier-Stokes on the horizontal square,
-               represented as z-independent fields on the 3D grid
+               stepped on the kz=0 coefficient plane (spectral.Plane)
 StokesScaled   linear scaled Stokes flow on vertically mean-free data,
                integrated exactly per mode
 
@@ -22,7 +22,8 @@ delta, which a trapezoidal implicit step would not.
 
 Every step re-enforces parity and the system's divergence constraint; both
 are Fourier-diagonal projections that commute with the propagator, so this
-only removes rounding drift.
+only removes rounding drift.  The kz=0 plane is even in z by construction,
+so the 2D stepper has no parity pass.
 """
 from __future__ import annotations
 
@@ -40,14 +41,17 @@ from .fields import (
     _raw_div_eps_defect,
     _raw_project_eps,
     _raw_project_hydro,
+    _raw_project_hydro_plane,
     _raw_w_from_v,
 )
 from .spectral import (
     EVEN,
     ODD,
     Grid,
+    Plane,
     SpectralField,
     _lap_delta_mult,
+    _raw_embed_plane,
     _raw_inner,
     _raw_parity_project,
     _raw_to_phys,
@@ -132,7 +136,7 @@ class TrajectoryRecord:
     blowup_reason: str = ""
 
 
-def _check_blowup(grid: Grid, U: np.ndarray, t: float) -> None:
+def _check_blowup(grid: Grid | Plane, U: np.ndarray, t: float) -> None:
     if not np.all(np.isfinite(U)):
         raise BlowupDetected(t, "non-finite coefficients")
     l2 = np.sqrt(_raw_inner(grid, U, U))
@@ -144,12 +148,13 @@ class _ExpAB2:
     """Integrating-factor stepper with AB2 extrapolation of the nonlinearity.
 
     Subclasses provide the projected, dealiased nonlinear term and the
-    structural postprocessing (parity + constraint projection).
+    structural postprocessing (parity + constraint projection).  A stepper
+    on a Plane declares no parities.
     """
 
     parities: tuple[str, ...] = ()
 
-    def __init__(self, grid: Grid, lam: np.ndarray, dt: float):
+    def __init__(self, grid: Grid | Plane, lam: np.ndarray, dt: float):
         self.grid = grid
         self.dt = dt
         self.lam = lam
@@ -178,12 +183,13 @@ class _ExpAB2:
             B = U + self.dt * (1.5 * N - 0.5 * self.propagator * self._n_prev)
         self._n_prev = N
         out = self.propagator * B
-        out = np.stack(
-            [
-                _raw_parity_project(self.grid, out[i], p)
-                for i, p in enumerate(self.parities)
-            ]
-        )
+        if self.parities:
+            out = np.stack(
+                [
+                    _raw_parity_project(self.grid, out[i], p)
+                    for i, p in enumerate(self.parities)
+                ]
+            )
         return self.constrain(out) * self.grid.dealias_mask
 
     def step(self, U: np.ndarray) -> np.ndarray:
@@ -237,19 +243,22 @@ class PrimitiveStepper(_ExpAB2):
 
 
 class NavierStokes2DStepper(_ExpAB2):
-    """2D Navier-Stokes on z-independent fields (kz = 0 coefficient plane)."""
+    """2D Navier-Stokes on the kz=0 coefficient plane of a grid.
 
-    parities = (EVEN, EVEN)
+    The state is the horizontal pair's plane, shape (2, nx, ny) (see
+    spectral.Plane); self.grid is that plane.
+    """
 
     def __init__(self, grid: Grid, dt: float):
-        super().__init__(grid, -grid.k2h, dt)
+        plane = grid.plane
+        super().__init__(plane, -plane.k2h, dt)
 
     def nonlinear(self, V: np.ndarray) -> np.ndarray:
         up = self._phys((V[0], V[1]))
-        return _raw_project_hydro(self.grid, -_raw_advect(self.grid, up, V))
+        return _raw_project_hydro_plane(self.grid, -_raw_advect(self.grid, up, V))
 
     def constrain(self, V: np.ndarray) -> np.ndarray:
-        return _raw_project_hydro(self.grid, V)
+        return _raw_project_hydro_plane(self.grid, V)
 
 
 class StokesScaledStepper(_ExpAB2):
@@ -274,6 +283,12 @@ def _require_mean_free(U: np.ndarray, what: str, tol: float = 1e-12) -> None:
     m = float(np.max(np.abs(U[..., 0])))
     if m > tol:
         raise CompatibilityError(f"{what} is not vertically mean-free: {m:.3e}", m)
+
+
+def _require_z_independent(U: np.ndarray, what: str, tol: float = 1e-12) -> None:
+    m = float(np.max(np.abs(U[..., 1:])))
+    if m > tol:
+        raise CompatibilityError(f"{what} is not z-independent: {m:.3e}", m)
 
 
 def _state_fields(grid: Grid, U: np.ndarray, parities: Sequence[str]):
@@ -331,13 +346,20 @@ def step_pe(state: VelocityState, cfg: SimConfig) -> VelocityState:
 def step_ns2d(
     v: Sequence[SpectralField], cfg: SimConfig
 ) -> tuple[SpectralField, SpectralField]:
-    """One 2D Navier-Stokes step on a z-independent horizontal pair."""
+    """One 2D Navier-Stokes step on a z-independent horizontal pair.
+
+    The step acts on the kz=0 coefficient plane; the returned pair is
+    z-independent (its kz != 0 coefficients are exactly zero).  A pair with
+    kz != 0 content is rejected rather than truncated.
+    """
     grid = v[0].grid
     V = np.stack((v[0].coeffs, v[1].coeffs))
+    _require_z_independent(V, "2D state")
+    V = V[..., 0]
     stepper = NavierStokes2DStepper(grid, cfg.dt)
     V1 = stepper.step(V)
-    _check_blowup(grid, V1, cfg.dt)
-    f1, f2 = _state_fields(grid, V1, (EVEN, EVEN))
+    _check_blowup(stepper.grid, V1, cfg.dt)
+    f1, f2 = _state_fields(grid, _raw_embed_plane(grid, V1), (EVEN, EVEN))
     return (f1, f2)
 
 
@@ -363,7 +385,7 @@ def step_stokes_scaled(state: VelocityState, cfg: SimConfig) -> VelocityState:
 # full trajectories
 # ---------------------------------------------------------------------------
 
-def _l2_h1(grid: Grid, U: np.ndarray) -> tuple[float, float]:
+def _l2_h1(grid: Grid | Plane, U: np.ndarray) -> tuple[float, float]:
     e = np.sum(np.abs(U) ** 2, axis=0)
     l2 = float(np.sqrt(np.sum(e) * 8.0))
     h1 = float(np.sqrt(np.sum((1.0 + grid.ksq) * e) * 8.0))
@@ -397,17 +419,12 @@ def run_simulation(cfg: SimConfig) -> TrajectoryRecord:
 
     elif cfg.system == "NS2D":
         stepper = NavierStokes2DStepper(grid, cfg.dt)
-        bar1 = np.zeros(grid.shape, dtype=np.complex128)
-        bar2 = np.zeros(grid.shape, dtype=np.complex128)
-        bar1[:, :, 0] = state0.v1.coeffs[:, :, 0]
-        bar2[:, :, 0] = state0.v2.coeffs[:, :, 0]
-        U = np.stack((bar1, bar2))
+        U = np.stack((state0.v1.coeffs[:, :, 0], state0.v2.coeffs[:, :, 0]))
 
         def unpack(U, t):
-            v1, v2 = _state_fields(grid, U, (EVEN, EVEN))
-            return VelocityState(
-                v1, v2, SpectralField(grid, np.zeros_like(U[0]), ODD), cfg.system, t
-            )
+            v1, v2 = _state_fields(grid, _raw_embed_plane(grid, U), (EVEN, EVEN))
+            w = np.zeros(grid.shape, dtype=np.complex128)
+            return VelocityState(v1, v2, SpectralField(grid, w, ODD), cfg.system, t)
 
     elif cfg.system == "StokesScaled":
         U = np.stack((state0.v1.coeffs, state0.v2.coeffs, state0.w.coeffs))
@@ -424,12 +441,13 @@ def run_simulation(cfg: SimConfig) -> TrajectoryRecord:
         raise InvalidParameter(cfg.system)
 
     rec = TrajectoryRecord(samples={"l2": [], "h1": []})
+    space = stepper.grid  # the grid, or its kz=0 plane for NS2D
     # the largest wavenumber the 2/3 mask keeps
     kmax = np.pi * (max(cfg.nx, cfg.ny, cfg.nz) // 3)
-    warned = False
+    cfl_max, cfl_t = 0.0, 0.0
 
     def record(t: float, U: np.ndarray) -> None:
-        l2, h1 = _l2_h1(grid, U)
+        l2, h1 = _l2_h1(space, U)
         rec.times.append(t)
         rec.samples["l2"].append(l2)
         rec.samples["h1"].append(h1)
@@ -441,15 +459,12 @@ def run_simulation(cfg: SimConfig) -> TrajectoryRecord:
             if n % cfg.record_every == 0:
                 record(t, U)
             U = stepper.step(U)
+            # last_umax is max |u| of the state at t, which the step advected
+            cfl = cfg.dt * stepper.last_umax * kmax
+            if cfl > cfl_max:
+                cfl_max, cfl_t = cfl, t
             t = (n + 1) * cfg.dt
-            _check_blowup(grid, U, t)
-            if not warned and cfg.dt * stepper.last_umax * kmax > CFL_LIMIT:
-                warnings.warn(
-                    f"advective CFL number {cfg.dt * stepper.last_umax * kmax:.2f} "
-                    f"exceeds {CFL_LIMIT}; results may be underresolved in time",
-                    RuntimeWarning,
-                )
-                warned = True
+            _check_blowup(space, U, t)
         record(t, U)
         rec.final_state = unpack(U, t)
     except BlowupDetected as exc:
@@ -457,4 +472,10 @@ def run_simulation(cfg: SimConfig) -> TrajectoryRecord:
         rec.blowup_time = exc.time
         rec.blowup_reason = exc.reason
         rec.final_state = None
+    if cfl_max > CFL_LIMIT:
+        warnings.warn(
+            f"largest advective CFL number {cfl_max:.2f} (at t={cfl_t:.6g}) "
+            f"exceeds {CFL_LIMIT}; results may be underresolved in time",
+            RuntimeWarning,
+        )
     return rec

@@ -13,9 +13,11 @@ class.
 """
 from __future__ import annotations
 
+import operator
 import os
 from dataclasses import dataclass, field
-from typing import Callable, Iterable
+from functools import cached_property, reduce
+from typing import Callable
 
 import numpy as np
 import scipy.fft as _fft
@@ -81,6 +83,19 @@ class Grid:
     def kz3(self) -> np.ndarray:
         return self.kz[None, None, :]
 
+    @property
+    def wavenumbers(self) -> tuple[np.ndarray, ...]:
+        return (self.kx, self.ky, self.kz)
+
+    @cached_property
+    def plane(self) -> "Plane":
+        """The kz=0 coefficient plane of this grid."""
+        mask = np.ascontiguousarray(self.dealias_mask[:, :, 0])
+        k2h = np.ascontiguousarray(self.k2h[:, :, 0])
+        for a in (mask, k2h):
+            a.setflags(write=False)
+        return Plane(self.nx, self.ny, self.kx, self.ky, mask, k2h)
+
     def cached(self, key, build):
         out = self._cache.get(key)
         if out is None:
@@ -88,6 +103,46 @@ class Grid:
             out.setflags(write=False)
             self._cache[key] = out
         return out
+
+
+@dataclass(frozen=True)
+class Plane:
+    """The kz=0 coefficient plane of a grid.
+
+    A z-independent field is stored as the (nx, ny) array of its kz=0
+    coefficients, with the grid's phase and normalization: plane[i, j] is
+    cube[i, j, 0], and the 2D transforms over (nx, ny) give the field's values
+    on the horizontal lattice.  The transforms, _raw_inner and
+    fields._raw_advect accept a Plane in place of a Grid; the Parseval
+    weight stays the box volume 8.
+    """
+
+    nx: int
+    ny: int
+    kx: np.ndarray
+    ky: np.ndarray
+    dealias_mask: np.ndarray
+    # |k_H|^2 (nx, ny), which is |k|^2 at kz = 0
+    k2h: np.ndarray = field(repr=False, compare=False)
+    _cache: dict = field(repr=False, compare=False, default_factory=dict)
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return (self.nx, self.ny)
+
+    @property
+    def size(self) -> int:
+        return self.nx * self.ny
+
+    @property
+    def wavenumbers(self) -> tuple[np.ndarray, ...]:
+        return (self.kx, self.ky)
+
+    @property
+    def ksq(self) -> np.ndarray:
+        return self.k2h
+
+    cached = Grid.cached
 
 
 def make_grid(nx: int, ny: int, nz: int) -> Grid:
@@ -202,30 +257,40 @@ def zero_field(grid: Grid, parity: str = NONE) -> SpectralField:
 # raw-array kernels (shared by fields/solvers; coefficient convention as above)
 # ---------------------------------------------------------------------------
 
-def _lattice_phase(grid: Grid) -> np.ndarray:
+def _lattice_phase(grid: Grid | Plane) -> np.ndarray:
     """(-1)^(mx+my+mz): relates FFT output on the lattice starting at -1 to
-    true Fourier coefficients with respect to exp(i k . x)."""
+    true Fourier coefficients with respect to exp(i k . x).  On a plane mz = 0,
+    so its phase is the grid's kz=0 slice."""
 
     def build():
         signs = []
-        for k in (grid.kx, grid.ky, grid.kz):
+        for k in grid.wavenumbers:
             m = np.rint(k / PI).astype(np.int64)
             signs.append(np.where(m % 2 == 0, 1.0, -1.0))
-        return (
-            signs[0][:, None, None] * signs[1][None, :, None] * signs[2][None, None, :]
-        )
+        return reduce(operator.mul, np.ix_(*signs))
 
     return grid.cached(("phase",), build)
 
 
-def _raw_to_phys(grid: Grid, c: np.ndarray) -> np.ndarray:
-    ph = _lattice_phase(grid)
-    return _fft.ifftn(c * ph, axes=(-3, -2, -1), workers=FFT_WORKERS).real * grid.size
+def _axes(grid: Grid | Plane) -> tuple[int, ...]:
+    return tuple(range(-len(grid.shape), 0))
 
 
-def _raw_to_spec(grid: Grid, p: np.ndarray) -> np.ndarray:
+def _raw_to_phys(grid: Grid | Plane, c: np.ndarray) -> np.ndarray:
     ph = _lattice_phase(grid)
-    return _fft.fftn(p, axes=(-3, -2, -1), workers=FFT_WORKERS) * (ph / grid.size)
+    return _fft.ifftn(c * ph, axes=_axes(grid), workers=FFT_WORKERS).real * grid.size
+
+
+def _raw_to_spec(grid: Grid | Plane, p: np.ndarray) -> np.ndarray:
+    ph = _lattice_phase(grid)
+    return _fft.fftn(p, axes=_axes(grid), workers=FFT_WORKERS) * (ph / grid.size)
+
+
+def _raw_embed_plane(grid: Grid, P: np.ndarray) -> np.ndarray:
+    """Coefficient cubes of the z-independent fields whose kz=0 planes are P."""
+    out = np.zeros((*P.shape[:-2], *grid.shape), dtype=np.complex128)
+    out[..., 0] = P
+    return out
 
 
 _AXIS_INDEX = {"x": 0, "y": 1, "z": 2}
@@ -325,22 +390,9 @@ def inner_l2(a: SpectralField, b: SpectralField) -> float:
     return _raw_inner(a.grid, a.coeffs, b.coeffs)
 
 
-def is_conjugate_symmetric(F: SpectralField, tol: float = 1e-12) -> bool:
-    c = F.coeffs
-    flipped = c
-    for ax, n in zip(range(3), F.grid.shape):
-        idx = (-np.arange(n)) % n
-        flipped = np.take(flipped, idx, axis=ax)
-    return bool(np.max(np.abs(np.conj(flipped) - c)) <= tol)
-
-
 def parity_defect(F: SpectralField) -> float:
     """Max-norm distance of the coefficients from the declared parity class."""
     if F.parity == NONE:
         return 0.0
     proj = _raw_parity_project(F.grid, F.coeffs, F.parity)
     return float(np.max(np.abs(F.coeffs - proj)))
-
-
-def fields_as_stack(fields: Iterable[SpectralField]) -> np.ndarray:
-    return np.stack([f.coeffs for f in fields])

@@ -1,4 +1,5 @@
 """Harness: initial data, rate fitting, persistence, config, sweep, CLI."""
+import json
 import math
 import os
 
@@ -274,6 +275,7 @@ class TestSweep:
         assert {"EHdelta", "Ez", "EH", "total"} <= names
         assert "total" in res.fits
         assert (tmp_path / "results.csv").exists()
+        assert json.loads((tmp_path / "failures.json").read_text()) == []
 
     def test_csv_deterministic_across_jobs(self, tmp_path):
         d1, d2 = tmp_path / "a", tmp_path / "b"
@@ -295,6 +297,10 @@ class TestSweep:
         assert len(failed) == 1 and failed[0].eps == 0.1
         text = (tmp_path / "results.csv").read_text()
         assert "FAILED" in text
+        failures = json.loads((tmp_path / "failures.json").read_text())
+        assert len(failures) == 1 and failures[0]["eps"] == 0.1
+        assert failures[0]["type"] == "RuntimeError"
+        assert failures[0]["message"] == "synthetic failure"
         # the other members of the family are unaffected
         assert _values_except(res, eps=0.1) == clean
 

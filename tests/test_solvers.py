@@ -7,8 +7,11 @@ import pytest
 
 from hydrostat.errors import CompatibilityError, InvalidParameter
 from hydrostat.fields import VelocityState, _raw_w_from_v, divergence_defect
+from hydrostat.harness.initial_data import generate_initial_data
 from hydrostat.solvers import (
     NavierStokes2DStepper,
+    NavierStokesStepper,
+    PrimitiveStepper,
     SimConfig,
     run_simulation,
     step_ns2d,
@@ -20,6 +23,8 @@ from hydrostat.spectral import (
     EVEN,
     ODD,
     SpectralField,
+    _raw_embed_plane,
+    _raw_to_phys,
     field_from_function,
     make_grid,
     zero_field,
@@ -170,6 +175,35 @@ class TestNs2dStepper:
         out = step_ns2d(v, cfg)
         assert np.max(np.abs(out[0].coeffs)) == 0.0
 
+    def test_rejects_z_dependent_pair(self, grid16):
+        cfg = SimConfig("NS2D", 16, 16, 16, 1e-3, 0.1)
+        with pytest.raises(CompatibilityError, match="z-independent"):
+            step_ns2d(_heat_state(grid16).horizontal(), cfg)
+
+    def test_plane_matches_3d_steppers(self):
+        """On z-independent random data, whose nonlinearity (unlike
+        Taylor-Green's) is not a pure gradient, the plane stepper follows the
+        anisotropic and the hydrostatic 3D steppers."""
+        grid = make_grid(16, 16, 8)
+        dt, steps = 1e-3, 20
+        data = generate_initial_data("bandlimited_random", 4, grid)
+        B0 = np.stack((data.v1.coeffs[:, :, 0], data.v2.coeffs[:, :, 0]))
+        V = _raw_embed_plane(grid, B0)
+        U = np.concatenate((V, np.zeros_like(V[:1])))
+        ns = NavierStokesStepper(grid, 0.7, 0.3, dt)
+        pe = PrimitiveStepper(grid, 0.3, dt)
+        n2 = NavierStokes2DStepper(grid, dt)
+        B = B0
+        for _ in range(steps):
+            U, V, B = ns.step(U), pe.step(V), n2.step(B)
+        B3 = _raw_embed_plane(grid, B)
+        assert np.max(np.abs(U[:2] - B3)) < 1e-12
+        assert np.max(np.abs(U[2])) < 1e-12
+        assert np.max(np.abs(V - B3)) < 1e-12
+        # the advection moved the state away from pure viscous decay
+        heat = np.exp(-grid.plane.k2h * steps * dt) * B0
+        assert np.max(np.abs(B - heat)) > 1e-4 * np.max(np.abs(B0))
+
 
 class TestStokesStepper:
     def test_exact_mode_decay(self, grid16):
@@ -290,6 +324,53 @@ class TestRunSimulation:
         with pytest.warns(RuntimeWarning, match="CFL"):
             run(0.55)
 
+    def test_ns2d_final_state_is_z_independent(self):
+        cfg = SimConfig("NS2D", 16, 16, 8, 1e-3, 0.01, seed=2)
+        st = run_simulation(cfg).final_state
+        for f in st.components():
+            assert np.all(f.coeffs[:, :, 1:] == 0.0)
+        assert np.max(np.abs(st.v1.coeffs[:, :, 0])) > 0.0
+
+    def test_cfl_warning_reports_maximum_through_ns2d(self):
+        """The plane stepper sets last_umax, so an NS2D run past the limit
+        warns.  The Taylor-Green vortex only decays, so the largest CFL
+        number is at t = 0."""
+        grid = make_grid(16, 16, 4)
+        st = generate_initial_data("taylor_green_3d", 0, grid)
+        plane = np.stack((st.v1.coeffs[:, :, 0], st.v2.coeffs[:, :, 0]))
+        umax = float(np.max(np.abs(_raw_to_phys(grid.plane, plane))))
+        dt = 0.6 / (umax * PI * (16 // 3))
+        cfg = SimConfig("NS2D", 16, 16, 4, dt, 5 * dt, recipe="taylor_green_3d")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rec = run_simulation(cfg)
+        cfl = [str(w.message) for w in caught if "CFL" in str(w.message)]
+        assert len(cfl) == 1
+        assert "CFL number 0.60 (at t=0)" in cfl[0]
+        assert not rec.blowup_flag
+
+    def test_cfl_warning_reports_the_largest_crossing(self, monkeypatch):
+        """Not the first crossing: with max |u| growing 1, 2, 3, 4 over the
+        steps, the one warning names the fourth step's CFL number."""
+        import hydrostat.solvers as solvers_mod
+
+        class Growing(solvers_mod.NavierStokes2DStepper):
+            def nonlinear(self, V):
+                N = super().nonlinear(V)
+                self.calls = getattr(self, "calls", 0) + 1
+                self.last_umax = float(self.calls)
+                return N
+
+        monkeypatch.setattr(solvers_mod, "NavierStokes2DStepper", Growing)
+        dt = 0.3 / (PI * (16 // 3))  # CFL number 0.3 * max|u|
+        cfg = SimConfig("NS2D", 16, 16, 4, dt, 4 * dt, recipe="taylor_green_3d")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            run_simulation(cfg)
+        cfl = [str(w.message) for w in caught if "CFL" in str(w.message)]
+        assert len(cfl) == 1
+        assert f"CFL number 1.20 (at t={3 * dt:.6g})" in cfl[0]
+
     def test_deterministic(self):
         cfg = SimConfig(
             "NS_eps_delta", 16, 16, 16, 1e-3, 0.02, eps=0.3, delta=0.2, seed=9
@@ -317,7 +398,7 @@ class TestSchemeOrder:
         v = project_hydrostatic(
             (SpectralField(grid, c1 * keep, EVEN), SpectralField(grid, c2 * keep, EVEN))
         )
-        V0 = np.stack((v[0].coeffs, v[1].coeffs))
+        V0 = np.stack((v[0].coeffs, v[1].coeffs))[..., 0]
         V0 = 2.0 * V0 / np.sqrt(np.sum(np.abs(V0) ** 2) * 8.0)
 
         def advance(dt, T=0.1):
