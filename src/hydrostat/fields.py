@@ -27,6 +27,7 @@ from .spectral import (
     Grid,
     Plane,
     SpectralField,
+    _deriv_mult,
     _lap_delta_mult,
     _raw_deriv,
     _raw_parity_project,
@@ -167,11 +168,11 @@ def _raw_advect(
     """
     m = T.shape[0]
     naxes = len(u_phys)
-    ks = np.ix_(*grid.wavenumbers)[:naxes]
+    iks = [_deriv_mult(grid, j, 1) for j in range(naxes)]
     dT = np.empty((m, naxes, *grid.shape), dtype=np.complex128)
     for i in range(m):
-        for j, k in enumerate(ks):
-            dT[i, j] = (1j * k) * T[i]
+        for j, ik in enumerate(iks):
+            dT[i, j] = ik * T[i]
     dTp = _raw_to_phys(grid, dT)
     acc = np.empty((m, *grid.shape), dtype=np.float64)
     for i in range(m):

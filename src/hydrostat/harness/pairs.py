@@ -22,7 +22,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from ..errors import BlowupDetected
+from ..errors import BlowupDetected, InsufficientData
 from ..fields import _raw_w_from_v
 from ..norms import NormAccumulator, accumulate, finalize
 from ..solvers import (
@@ -51,7 +51,7 @@ class NormRow:
     value: float
     blowup: bool
     wall_ms: int
-    # (exception type, message) of a FAILED row
+    # (exception type, message) of a FAILED row or of a NaN norm
     error: tuple[str, str] | None = None
 
 
@@ -60,19 +60,24 @@ def _fields(grid: Grid, stack: np.ndarray, parities) -> list[SpectralField]:
     return [SpectralField._wrap(grid, stack[i], p) for i, p in enumerate(parities)]
 
 
-def _finalize_rows(mode, eps, delta, gamma, accs, blowup, wall_ms, extra=()):
+def _finalize_rows(mode, eps, delta, gamma, accs, blowup, wall_ms):
+    """One row per accumulated norm plus their "total".  A norm that cannot
+    be finalized gets a NaN row carrying the reason, and makes the total NaN."""
     rows = []
     total = 0.0
     for name, acc in accs:
+        error = None
         try:
             val = finalize(acc)
-        except Exception:
+        except InsufficientData as exc:
             val = float("nan")
+            error = (type(exc).__name__, str(exc))
         if name in ("EHdelta", "Ez", "E1_bar_diff", "L4H32_tilde"):
             total += val
-        rows.append(NormRow(mode, eps, delta, gamma, name, val, blowup, wall_ms))
+        rows.append(
+            NormRow(mode, eps, delta, gamma, name, val, blowup, wall_ms, error)
+        )
     rows.append(NormRow(mode, eps, delta, gamma, "total", total, blowup, wall_ms))
-    rows.extend(extra)
     return rows
 
 
@@ -325,19 +330,7 @@ def _large_delta_pair(point, base: SimConfig, mode: str) -> list[NormRow]:
     except BlowupDetected:
         blowup = True
     wall = int(1000 * (_time.perf_counter() - t0))
-    extra = []
-    try:
-        extra.append(NormRow(
-            mode, eps, delta, gamma, "L4H32_tilde_stokes",
-            finalize(accs["L4H32_tilde_stokes"]), blowup, wall))
-    except Exception:
-        pass
-    return _finalize_rows(
-        mode, eps, delta, gamma,
-        [("E1_bar_diff", accs["E1_bar_diff"]),
-         ("L4H32_tilde", accs["L4H32_tilde"])],
-        blowup, wall, extra,
-    )
+    return _finalize_rows(mode, eps, delta, gamma, list(accs.items()), blowup, wall)
 
 
 def _stiff_segments(T: float, dt: float, delta: float) -> list[tuple[float, int]]:

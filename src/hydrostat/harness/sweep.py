@@ -8,7 +8,8 @@ then sorted deterministically, so repeated sweeps from the same
 configuration produce byte-identical CSV files.  Wall-clock timings are
 reported as zero unless explicitly requested, to keep the output bytes
 reproducible.  Next to results.csv, failures.json lists every point that an
-exception stopped, with the exception's type and message.
+exception stopped and every norm that could not be finalized, with the
+exception's type and message.
 """
 from __future__ import annotations
 
@@ -153,11 +154,12 @@ def format_csv(rows: list[NormRow]) -> str:
 
 
 def format_failures(rows: list[NormRow]) -> str:
-    """JSON list of the FAILED points, in CSV order; "[]" when none failed."""
+    """JSON list of the rows that carry an error (FAILED points and norms
+    that could not be finalized), in CSV order; "[]" when there are none."""
     failures = [
         {"mode": r.mode, "eps": r.eps, "delta": r.delta, "gamma": r.gamma,
-         "type": r.error[0], "message": r.error[1]}
-        for r in sorted(rows, key=_row_order) if r.norm_name == "FAILED"
+         "norm_name": r.norm_name, "type": r.error[0], "message": r.error[1]}
+        for r in sorted(rows, key=_row_order) if r.error is not None
     ]
     return json.dumps(failures, indent=2) + "\n"
 

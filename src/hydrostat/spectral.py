@@ -6,6 +6,14 @@ in numpy FFT ordering and normalized so that coeff[0,0,0] is the mean of the
 field; with that convention the Parseval weight for integrals over the box is
 the domain volume 8.
 
+Every field is real, so its coefficients are conjugate-symmetric:
+c[-k] = conj(c[k]).  They are stored as the full complex cube (one layout),
+but the inverse transform reads only the kz >= 0 half of it (a half-spectrum
+irfftn) and takes the other half from that symmetry.  Its input must
+therefore be the coefficients of real fields; the forward transform is a full
+complex fftn.  Odd-order derivatives zero the Nyquist modes of their axis,
+where (i k) c is not the coefficient of any real field.
+
 Vertical parity (even/odd in z) is a structural property of every velocity
 component here and is tracked on each field.  Parity is enforced by orthogonal
 projection rather than assumed, so rounding drift cannot leave the symmetry
@@ -277,8 +285,18 @@ def _axes(grid: Grid | Plane) -> tuple[int, ...]:
 
 
 def _raw_to_phys(grid: Grid | Plane, c: np.ndarray) -> np.ndarray:
-    ph = _lattice_phase(grid)
-    return _fft.ifftn(c * ph, axes=_axes(grid), workers=FFT_WORKERS).real * grid.size
+    """Lattice values of (stacks of) real fields from their coefficients.
+
+    Reads only the kz >= 0 half of c (on a Plane, the ky >= 0 half) and
+    assumes the rest is its conjugate mirror, so c must hold the coefficients
+    of real fields.
+    """
+    h = grid.shape[-1] // 2 + 1  # the kz >= 0 half, Nyquist included
+    ph = grid.cached(("phase_half",), lambda: _lattice_phase(grid)[..., :h].copy())
+    return _fft.irfftn(
+        c[..., :h] * ph, s=grid.shape, axes=_axes(grid), workers=FFT_WORKERS,
+        norm="forward",
+    )
 
 
 def _raw_to_spec(grid: Grid | Plane, p: np.ndarray) -> np.ndarray:
@@ -296,9 +314,27 @@ def _raw_embed_plane(grid: Grid, P: np.ndarray) -> np.ndarray:
 _AXIS_INDEX = {"x": 0, "y": 1, "z": 2}
 
 
+def _deriv_mult(grid: Grid | Plane, axis: int, order: int) -> np.ndarray:
+    """(i k)^order along one axis, broadcastable over the grid.
+
+    For odd orders the Nyquist mode is zeroed: there -k is k itself, so
+    (i k) c is not conjugate-symmetric, and no real field has it as its
+    coefficient.
+    """
+
+    def build():
+        k = grid.wavenumbers[axis].copy()
+        if order % 2 == 1:
+            k[len(k) // 2] = 0.0
+        shape = [1] * len(grid.shape)
+        shape[axis] = len(k)
+        return (1j * k.reshape(shape)) ** order
+
+    return grid.cached(("deriv", axis, order), build)
+
+
 def _raw_deriv(grid: Grid, c: np.ndarray, axis: str, order: int = 1) -> np.ndarray:
-    k = (grid.kx3, grid.ky3, grid.kz3)[_AXIS_INDEX[axis]]
-    return c * (1j * k) ** order
+    return c * _deriv_mult(grid, _AXIS_INDEX[axis], order)
 
 
 def _raw_parity_project(grid: Grid, c: np.ndarray, parity: str) -> np.ndarray:
@@ -329,6 +365,9 @@ def forward_transform(f: PhysicalField) -> SpectralField:
 
 
 def inverse_transform(F: SpectralField) -> PhysicalField:
+    """Coefficients -> collocation values.  Reads only the kz >= 0 half of
+    F.coeffs, which must be the (conjugate-symmetric) coefficients of a real
+    field."""
     return PhysicalField(F.grid, _raw_to_phys(F.grid, F.coeffs))
 
 

@@ -79,7 +79,7 @@ def test_criterion_2_large_delta_bound():
         f"values={[f'{v:.3e}' for v in seq]}, scaled="
         f"{[f'{scaled[d]:.3e}' for d in deltas]}, bound={bound:.3e}, "
         f"eps-uniformity max dev="
-        f"{max(abs(totals[0.25][d] - totals[0.5][d]) / totals[0.5][d] for d in deltas):.2%}"
+        f"{max(abs(totals[0.25][d] - totals[0.5][d]) / totals[0.5][d] for d in deltas):.2e}"
     )
     ok = nonincreasing and bounded and uniform
     _report("2 large-delta bound", ok, detail)

@@ -299,6 +299,7 @@ class TestSweep:
         assert "FAILED" in text
         failures = json.loads((tmp_path / "failures.json").read_text())
         assert len(failures) == 1 and failures[0]["eps"] == 0.1
+        assert failures[0]["norm_name"] == "FAILED"
         assert failures[0]["type"] == "RuntimeError"
         assert failures[0]["message"] == "synthetic failure"
         # the other members of the family are unaffected
@@ -309,12 +310,40 @@ class TestSweep:
         svg = (tmp_path / "rates.svg").read_text()
         assert svg.startswith("<svg") and "polyline" in svg
 
-    def test_blowup_threshold_reported(self, monkeypatch):
+    def test_blowup_threshold_reported(self, tmp_path, monkeypatch):
         clean = _values_except(run_sweep(_tiny_sweep_cfg()), eps=0.2)
         _fault_nonlinear(monkeypatch, lambda eps, N: N * np.nan if eps >= 0.2 else N)
-        res = run_sweep(_tiny_sweep_cfg())
+        res = run_sweep(_tiny_sweep_cfg(str(tmp_path)))
         assert res.blowup_threshold == pytest.approx(0.4)  # eps + delta
         assert _values_except(res, eps=0.2) == clean
+        # the blown-up member has one sample: its norms keep the reason
+        blown = {r.norm_name: r for r in res.rows if r.eps == 0.2}
+        assert set(blown) == {"EHdelta", "Ez", "EH", "total"}
+        for name in ("EHdelta", "Ez", "EH"):
+            assert np.isnan(blown[name].value) and blown[name].blowup
+            assert blown[name].error[0] == "InsufficientData"
+        assert np.isnan(blown["total"].value)
+        failures = json.loads((tmp_path / "failures.json").read_text())
+        assert sorted(f["norm_name"] for f in failures) == ["EH", "EHdelta", "Ez"]
+        assert all(f["eps"] == 0.2 and f["type"] == "InsufficientData"
+                   for f in failures)
+
+    def test_large_delta_blowup_keeps_every_norm_row(self, monkeypatch):
+        """A pair that blows up after one sample still reports the Stokes
+        comparison norm, as NaN with its reason, like the other norms."""
+        _fault_nonlinear(monkeypatch, lambda eps, N: N * np.nan)
+        base = SimConfig(
+            "NS_eps_delta", 8, 8, 8, 2e-3, 0.02,
+            recipe="bandlimited_random", seed=5,
+        )
+        rows = {r.norm_name: r for r in
+                run_matched_pair((0.5, 4.0), base, "delta_to_infty")}
+        assert set(rows) == {
+            "E1_bar_diff", "L4H32_tilde", "L4H32_tilde_stokes", "total",
+        }
+        for name in ("E1_bar_diff", "L4H32_tilde", "L4H32_tilde_stokes"):
+            assert np.isnan(rows[name].value) and rows[name].blowup
+            assert rows[name].error[0] == "InsufficientData"
 
     def test_self_difference_degenerate_split(self):
         """z-independent data: both slots of the large-delta comparison run

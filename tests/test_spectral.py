@@ -1,7 +1,8 @@
 """Spectral core: grids, transforms, derivatives, dealiasing, parity."""
 import numpy as np
 import pytest
-from hypothesis import given, settings
+import scipy.fft
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hydrostat.errors import InvalidGrid, InvalidParameter, ShapeError
@@ -67,13 +68,36 @@ class TestTransforms:
         assert f.coeffs[ix_plus, 0, 0] == pytest.approx(-0.5j, abs=1e-14)
         assert f.coeffs[ix_minus, 0, 0] == pytest.approx(0.5j, abs=1e-14)
 
-    @given(seed=st.integers(0, 10_000))
+    @given(
+        seed=st.integers(0, 10_000),
+        shape=st.tuples(*[st.sampled_from(range(4, 17, 2))] * 3),
+    )
+    @example(seed=0, shape=(16, 16, 4))
     @settings(max_examples=25, deadline=None)
-    def test_round_trip_band_limited(self, seed):
-        g = make_grid(16, 16, 16)
+    def test_round_trip_band_limited(self, seed, shape):
+        g = make_grid(*shape)
         f = random_band_field(g, seed)
         back = forward_transform(inverse_transform(f))
         assert np.max(np.abs(back.coeffs - f.coeffs)) < 1e-12
+
+    @pytest.mark.parametrize("shape", [(8, 8, 8), (16, 16, 8), (64, 64, 4), (6, 4, 10)])
+    @pytest.mark.parametrize("on_plane", [False, True])
+    def test_half_spectrum_inverse_matches_full_complex(self, shape, on_plane):
+        """The inverse reads only the kz >= 0 half; on the coefficients of
+        real fields, Nyquist planes included, it equals the real part of the
+        full complex inverse."""
+        from hydrostat.spectral import _lattice_phase, _raw_to_phys, _raw_to_spec
+
+        g = make_grid(*shape)
+        g = g.plane if on_plane else g
+        rng = np.random.default_rng(11)
+        c = _raw_to_spec(g, rng.standard_normal((3, *g.shape)))
+        axes = tuple(range(-len(g.shape), 0))
+        full = scipy.fft.ifftn(c * _lattice_phase(g), axes=axes).real * g.size
+        got = _raw_to_phys(g, c)
+        assert got.shape == (3, *g.shape) and got.dtype == np.float64
+        assert got.flags.c_contiguous
+        assert np.max(np.abs(got - full)) <= 1e-13 * np.max(np.abs(full))
 
     def test_shape_mismatch(self, grid8, grid16):
         with pytest.raises(ShapeError):
@@ -116,6 +140,24 @@ class TestDerivative:
         a = spectral_derivative(enforce_parity(f, EVEN), "z")
         b = enforce_parity(spectral_derivative(f, "z"), ODD)
         assert np.max(np.abs(a.coeffs - b.coeffs)) < 1e-14
+
+    @pytest.mark.parametrize("shape", [(6, 4, 10), (16, 16, 8)])
+    @pytest.mark.parametrize("order", [1, 2, 3])
+    @pytest.mark.parametrize("axis", ["x", "y", "z"])
+    def test_derivative_of_unmasked_field_stays_real(self, shape, axis, order):
+        """Odd orders drop the Nyquist mode of their axis, where (i k) c is
+        the coefficient of no real field: the lattice values equal the real
+        part of the full complex inverse of (i k)^order c."""
+        from hydrostat.spectral import _lattice_phase
+
+        g = make_grid(*shape)
+        f = random_band_field(g, 12, band=np.ones(g.shape, dtype=bool))
+        k = (g.kx3, g.ky3, g.kz3)["xyz".index(axis)]
+        full = scipy.fft.ifftn(
+            (1j * k) ** order * f.coeffs * _lattice_phase(g)
+        ).real * g.size
+        got = inverse_transform(spectral_derivative(f, axis, order)).values
+        assert np.max(np.abs(got - full)) <= 1e-13 * np.max(np.abs(full))
 
     @pytest.mark.parametrize("axis,order", [("q", 1), ("x", 0), ("x", -2)])
     def test_invalid_arguments(self, grid8, axis, order):
