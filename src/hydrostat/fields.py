@@ -165,6 +165,10 @@ def _raw_advect(
     result is returned in spectral space, dealiased.  Transforms are batched
     over all component/axis pairs.  On a Plane, T holds kz=0 planes and the
     transport is horizontal.
+
+    Only for transports that are not divergence-free (the horizontal
+    transports of baroclinic_rhs, the cross terms of diff_rhs_F); the
+    steppers' self-advection uses the cheaper _raw_advect_div.
     """
     m = T.shape[0]
     naxes = len(u_phys)
@@ -181,6 +185,37 @@ def _raw_advect(
             a += u_phys[j] * dTp[i, j]
         acc[i] = a
     return _raw_to_spec(grid, acc) * grid.dealias_mask
+
+
+def _raw_advect_div(
+    grid: Grid | Plane, u_phys: np.ndarray, scale: Sequence[float]
+) -> np.ndarray:
+    """Self-advection in divergence form: component i < len(scale) is
+    scale[i] * sum_j d_j (u_i u_j), in spectral space, dealiased.
+
+    u_phys is the stack of physical transport components (3 on a Grid, 2 on
+    a Plane).  For a divergence-free u this equals the convective
+    (u . grad) (scale * u), at one forward transform per distinct product
+    u_i u_j and no inverse transform.
+    """
+    m, n = len(scale), len(u_phys)
+    pairs = [(i, j) for i in range(m) for j in range(i, n)]
+    prod = np.empty((len(pairs), *grid.shape))
+    for k, (i, j) in enumerate(pairs):
+        np.multiply(u_phys[i], u_phys[j], out=prod[k])
+    P = _raw_to_spec(grid, prod)
+    iks = [_deriv_mult(grid, j, 1) for j in range(n)]
+    out = np.empty((m, *grid.shape), dtype=np.complex128)
+    tmp = np.empty(grid.shape, dtype=np.complex128)
+    for i in range(m):
+        np.multiply(iks[0], P[pairs.index((0, i))], out=out[i])
+        for j in range(1, n):
+            np.multiply(iks[j], P[pairs.index((min(i, j), max(i, j)))], out=tmp)
+            out[i] += tmp
+        if scale[i] != 1:
+            out[i] *= scale[i]
+    out *= grid.dealias_mask
+    return out
 
 
 def _raw_zaverage_plane(c: np.ndarray) -> np.ndarray:
@@ -281,12 +316,11 @@ def divergence_defect(state: VelocityState) -> float:
 
 def _pe_h_time_derivative(grid: Grid, V: np.ndarray) -> np.ndarray:
     """Semi-discrete time derivative of the horizontal-viscosity limit system:
-    horizontal diffusion plus projected, dealiased advection by (v, w(v))."""
-    w = _raw_w_from_v(grid, V)
-    u_phys = [_raw_to_phys(grid, c) for c in (V[0], V[1], w)]
-    adv = _raw_advect(grid, u_phys, V)
-    rhs = -grid.k2h * V - _raw_project_hydro(grid, adv)
-    return rhs
+    horizontal diffusion plus projected, dealiased advection by (v, w(v)),
+    in the divergence form the PE_H stepper uses."""
+    u_phys = _raw_to_phys(grid, np.stack((V[0], V[1], _raw_w_from_v(grid, V))))
+    adv = _raw_advect_div(grid, u_phys, (1.0, 1.0))
+    return -grid.k2h * V - _raw_project_hydro(grid, adv)
 
 
 def diff_rhs_F(

@@ -20,6 +20,12 @@ the first step).  The scheme is second order in dt, has no splitting error
 for pure heat modes, and damps stiff vertical modes monotonically for large
 delta, which a trapezoidal implicit step would not.
 
+The advection is computed in divergence form, sum_j d_j (u_i u_j)
+(fields._raw_advect_div).  That equals (u . grad) u_i only because every
+stepper's advecting velocity is divergence-free: w is recovered from div_H v
+at kz != 0, and the projections hold div_H of the vertical average (and of
+the NS2D plane) at zero.
+
 Every step re-enforces parity and the system's divergence constraint; both
 are Fourier-diagonal projections that commute with the propagator, so this
 only removes rounding drift.  The kz=0 plane is even in z by construction,
@@ -36,7 +42,7 @@ import numpy as np
 from .errors import BlowupDetected, CompatibilityError, InvalidParameter
 from .fields import (
     VelocityState,
-    _raw_advect,
+    _raw_advect_div,
     _raw_divH_bar_defect,
     _raw_div_eps_defect,
     _raw_project_eps,
@@ -206,7 +212,9 @@ class NavierStokesStepper(_ExpAB2):
 
     The advecting vertical velocity is recovered from incompressibility, so
     no 1/eps division appears; on the constraint manifold this equals the
-    third state component divided by eps.
+    third state component divided by eps.  The nonlinear term relies on
+    this: it advects eps * w(v) in place of U[2], which _raw_project_eps
+    re-imposes on every step.
     """
 
     parities = (EVEN, EVEN, ODD)
@@ -218,7 +226,7 @@ class NavierStokesStepper(_ExpAB2):
     def nonlinear(self, U: np.ndarray) -> np.ndarray:
         w = _raw_w_from_v(self.grid, U[:2])
         up = self._phys((U[0], U[1], w))
-        N = -_raw_advect(self.grid, up, U)
+        N = -_raw_advect_div(self.grid, up, (1.0, 1.0, self.eps))
         return _raw_project_eps(self.grid, N, self.eps)
 
     def constrain(self, U: np.ndarray) -> np.ndarray:
@@ -236,7 +244,9 @@ class PrimitiveStepper(_ExpAB2):
     def nonlinear(self, V: np.ndarray) -> np.ndarray:
         w = _raw_w_from_v(self.grid, V)
         up = self._phys((V[0], V[1], w))
-        return _raw_project_hydro(self.grid, -_raw_advect(self.grid, up, V))
+        return _raw_project_hydro(
+            self.grid, -_raw_advect_div(self.grid, up, (1.0, 1.0))
+        )
 
     def constrain(self, V: np.ndarray) -> np.ndarray:
         return _raw_project_hydro(self.grid, V)
@@ -255,7 +265,9 @@ class NavierStokes2DStepper(_ExpAB2):
 
     def nonlinear(self, V: np.ndarray) -> np.ndarray:
         up = self._phys((V[0], V[1]))
-        return _raw_project_hydro_plane(self.grid, -_raw_advect(self.grid, up, V))
+        return _raw_project_hydro_plane(
+            self.grid, -_raw_advect_div(self.grid, up, (1.0, 1.0))
+        )
 
     def constrain(self, V: np.ndarray) -> np.ndarray:
         return _raw_project_hydro_plane(self.grid, V)
@@ -442,8 +454,6 @@ def run_simulation(cfg: SimConfig) -> TrajectoryRecord:
 
     rec = TrajectoryRecord(samples={"l2": [], "h1": []})
     space = stepper.grid  # the grid, or its kz=0 plane for NS2D
-    # the largest wavenumber the 2/3 mask keeps
-    kmax = np.pi * (max(cfg.nx, cfg.ny, cfg.nz) // 3)
     cfl_max, cfl_t = 0.0, 0.0
 
     def record(t: float, U: np.ndarray) -> None:
@@ -460,7 +470,7 @@ def run_simulation(cfg: SimConfig) -> TrajectoryRecord:
                 record(t, U)
             U = stepper.step(U)
             # last_umax is max |u| of the state at t, which the step advected
-            cfl = cfg.dt * stepper.last_umax * kmax
+            cfl = cfg.dt * stepper.last_umax * grid.kmax
             if cfl > cfl_max:
                 cfl_max, cfl_t = cfl, t
             t = (n + 1) * cfg.dt

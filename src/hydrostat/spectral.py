@@ -96,6 +96,12 @@ class Grid:
         return (self.kx, self.ky, self.kz)
 
     @cached_property
+    def kmax(self) -> float:
+        """The largest wavenumber magnitude the dealias mask keeps."""
+        return max(float(np.max(np.abs(k) * self.dealias_mask))
+                   for k in (self.kx3, self.ky3, self.kz3))
+
+    @cached_property
     def plane(self) -> "Plane":
         """The kz=0 coefficient plane of this grid."""
         mask = np.ascontiguousarray(self.dealias_mask[:, :, 0])
@@ -120,9 +126,10 @@ class Plane:
     A z-independent field is stored as the (nx, ny) array of its kz=0
     coefficients, with the grid's phase and normalization: plane[i, j] is
     cube[i, j, 0], and the 2D transforms over (nx, ny) give the field's values
-    on the horizontal lattice.  The transforms, _raw_inner and
-    fields._raw_advect accept a Plane in place of a Grid; the Parseval
-    weight stays the box volume 8.
+    on the horizontal lattice.  The transforms, _raw_inner and the
+    advection kernels of fields (fields._raw_advect_div is the NS2D
+    stepper's) accept a Plane in place of a Grid; the Parseval weight stays
+    the box volume 8.
     """
 
     nx: int
@@ -156,8 +163,10 @@ class Plane:
 def make_grid(nx: int, ny: int, nz: int) -> Grid:
     """Build a grid with pi-based wavenumbers and the symmetric 2/3-rule mask.
 
-    The mask keeps mode m on an axis of size n exactly when |m| <= n//3, so
-    quadratic products of masked fields are alias-free on the kept modes.
+    The mask keeps mode m on an axis of size n exactly when 3|m| < n, so
+    quadratic products of masked fields are alias-free on the kept modes
+    for every n: the sum of two kept modes is below 2n/3 in size, and its
+    alias, n away, is above n/3.
     """
     for n in (nx, ny, nz):
         if not isinstance(n, (int, np.integer)):
@@ -170,7 +179,7 @@ def make_grid(nx: int, ny: int, nz: int) -> Grid:
     for n in (nx, ny, nz):
         m = _mode_numbers(n)
         axes.append(PI * m)
-        keeps.append(np.abs(m) <= n // 3)
+        keeps.append(3 * np.abs(m) < n)
     mask = keeps[0][:, None, None] & keeps[1][None, :, None] & keeps[2][None, None, :]
 
     zflip = (-np.arange(nz)) % nz
@@ -300,8 +309,10 @@ def _raw_to_phys(grid: Grid | Plane, c: np.ndarray) -> np.ndarray:
 
 
 def _raw_to_spec(grid: Grid | Plane, p: np.ndarray) -> np.ndarray:
-    ph = _lattice_phase(grid)
-    return _fft.fftn(p, axes=_axes(grid), workers=FFT_WORKERS) * (ph / grid.size)
+    """Coefficients of (stacks of) real fields from their lattice values."""
+    out = _fft.fftn(p, axes=_axes(grid), workers=FFT_WORKERS, norm="forward")
+    out *= _lattice_phase(grid)
+    return out
 
 
 def _raw_embed_plane(grid: Grid, P: np.ndarray) -> np.ndarray:

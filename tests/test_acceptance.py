@@ -109,26 +109,34 @@ def _gamma_rates(gamma: float) -> tuple[float, float]:
     return min(gamma - 2.0, 2.0), min(gamma - 2.0, 1.0)
 
 
-def _gamma_slope(gamma: float) -> tuple[float, str]:
-    eps_values = (0.2, 0.1, 0.05)
+GAMMA_EPS = (0.2, 0.1, 0.05)
+
+
+def _gamma_totals(gamma: float) -> dict[float, float]:
     family = run_matched_family(
-        [(e, e ** (gamma - 2.0), gamma) for e in eps_values], _base(), "gamma_scan"
+        [(e, e ** (gamma - 2.0), gamma) for e in GAMMA_EPS], _base(), "gamma_scan"
     )
-    pts = []
-    for e, got in zip(eps_values, family):
-        rows = {r.norm_name: r.value for r in got}
-        pts.append((e, rows["total"]))
+    return {
+        e: {r.norm_name: r.value for r in got}["total"]
+        for e, got in zip(GAMMA_EPS, family)
+    }
+
+
+def _gamma_slope(gamma: float, totals: dict[float, float]) -> tuple[float, str]:
+    pts = [(e, totals[e]) for e in GAMMA_EPS]
     slope, _, r2 = fit_rate(pts)
     return slope, f"gamma={gamma:g}: slope={slope:.4f}, r2={r2:.5f}, points=" + ", ".join(
         f"{h:g}:{v:.3e}" for h, v in pts
     )
 
 
-def _check_gamma_regime(criterion: str, gamma: float) -> None:
+def _check_gamma_regime(
+    criterion: str, gamma: float, totals: dict[float, float]
+) -> None:
     """Fitted slope within SLOPE_TOL of the expected rate and no more than
     SLOPE_TOL below the paper's floor."""
     expected, floor = _gamma_rates(gamma)
-    slope, detail = _gamma_slope(gamma)
+    slope, detail = _gamma_slope(gamma, totals)
     detail += (
         f"; expected rate {expected:g} (need |slope - {expected:g}| <= {SLOPE_TOL}),"
         f" floor {floor:g} (need slope >= {floor - SLOPE_TOL:g})"
@@ -140,17 +148,22 @@ def _check_gamma_regime(criterion: str, gamma: float) -> None:
     assert centred, f"slope off the expected rate: {detail}"
 
 
-def test_criterion_3_gamma_regime_slope_gamma3():
+def test_criterion_3_gamma_regime_slope_gamma3(hydrostatic_rate_rows):
     """gamma = 3 (delta = eps): slope in [0.75, 1.25] around the rate
-    min(gamma-2, 2) = 1, which here equals the paper's floor."""
-    _check_gamma_regime("3a gamma=3 regime", 3.0)
+    min(gamma-2, 2) = 1, which here equals the paper's floor.
+
+    Its points (e, e ** 1.0 = e) are criterion 1's first three, and the rows
+    of a family member do not depend on its family or its mode's name
+    (TestMatchedFamily), so it reads them from criterion 1's runs."""
+    totals = {e: hydrostatic_rate_rows[e]["total"].value for e in GAMMA_EPS}
+    _check_gamma_regime("3a gamma=3 regime", 3.0, totals)
 
 
 def test_criterion_3_gamma_regime_slope_gamma4():
     """gamma = 4 (delta = eps^2): slope in [1.75, 2.25] around the rate
     min(gamma-2, 2) = 2, and at least 0.75, the paper's floor
     min(gamma-2, 1) = 1 less the tolerance (see _gamma_rates)."""
-    _check_gamma_regime("3b gamma=4 regime", 4.0)
+    _check_gamma_regime("3b gamma=4 regime", 4.0, _gamma_totals(4.0))
 
 
 def test_criterion_4_exact_solution_oracles():

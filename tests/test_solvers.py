@@ -205,6 +205,67 @@ class TestNs2dStepper:
         assert np.max(np.abs(B - heat)) > 1e-4 * np.max(np.abs(B0))
 
 
+def _nonlinear_cases(grid, eps=0.3):
+    """(stepper, divergence-free state, the convective-form nonlinear term)
+    for each advecting stepper, on bandlimited random data."""
+    from hydrostat.fields import (
+        _raw_advect,
+        _raw_project_eps,
+        _raw_project_hydro,
+        _raw_project_hydro_plane,
+    )
+
+    data = generate_initial_data("bandlimited_random", 7, grid)
+    V = np.stack((data.v1.coeffs, data.v2.coeffs))
+    U = np.concatenate((V, eps * data.w.coeffs[None]))
+    up = _raw_to_phys(grid, np.concatenate((V, _raw_w_from_v(grid, V)[None])))
+    plane = grid.plane
+    B = V[..., 0]
+    return {
+        "NS": (NavierStokesStepper(grid, eps, 0.1, 1e-3), U,
+               _raw_project_eps(grid, -_raw_advect(grid, up, U), eps)),
+        "PE": (PrimitiveStepper(grid, 0.0, 1e-3), V,
+               _raw_project_hydro(grid, -_raw_advect(grid, up, V))),
+        "NS2D": (NavierStokes2DStepper(grid, 1e-3), B, _raw_project_hydro_plane(
+            plane, -_raw_advect(plane, _raw_to_phys(plane, B), B))),
+    }
+
+
+class TestNonlinearTerms:
+    @pytest.mark.parametrize("system", ["NS", "PE", "NS2D"])
+    def test_matches_convective_form(self, grid16, system):
+        """On its own divergence-free state each stepper's divergence-form
+        nonlinear term equals the convective (u . grad) u."""
+        stepper, U, conv = _nonlinear_cases(grid16)[system]
+        N = stepper.nonlinear(U)
+        assert np.max(np.abs(N - conv)) <= 1e-12 * np.max(np.abs(conv))
+
+    @pytest.mark.parametrize(
+        "system, inverse, forward", [("NS", 3, 6), ("PE", 3, 5), ("NS2D", 2, 3)]
+    )
+    def test_transform_budget(self, grid16, monkeypatch, system, inverse, forward):
+        """Fields transformed by one nonlinear evaluation: the velocity once
+        to the lattice, and each distinct product u_i u_j once back."""
+        from hydrostat import fields, solvers, spectral
+
+        stepper, U, _ = _nonlinear_cases(grid16)[system]
+        counts = {"_raw_to_phys": 0, "_raw_to_spec": 0}
+
+        def counted(name, fn):
+            def wrapper(grid, arr):
+                counts[name] += arr.size // grid.size
+                return fn(grid, arr)
+            return wrapper
+
+        for name in counts:
+            wrapper = counted(name, getattr(spectral, name))
+            for module in (spectral, fields, solvers):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, wrapper)
+        stepper.nonlinear(U)
+        assert counts == {"_raw_to_phys": inverse, "_raw_to_spec": forward}
+
+
 class TestStokesStepper:
     def test_exact_mode_decay(self, grid16):
         dt, delta = 0.01, 3.0
