@@ -100,9 +100,9 @@ def _peps_tables(grid: Grid, eps: float):
         inv = 1.0 / np.where(norm2 == 0.0, 1.0, norm2)
         return np.stack(
             (
-                np.broadcast_to(grid.kx3, grid.shape),
-                np.broadcast_to(grid.ky3, grid.shape),
-                np.broadcast_to(kz, grid.shape),
+                np.broadcast_to(grid.kx3, grid.spec_shape),
+                np.broadcast_to(grid.ky3, grid.spec_shape),
+                np.broadcast_to(kz, grid.spec_shape),
                 inv,
             )
         )
@@ -138,7 +138,11 @@ def _raw_project_hydro(grid: Grid, V: np.ndarray) -> np.ndarray:
 
 def _raw_w_from_v(grid: Grid, V: np.ndarray) -> np.ndarray:
     """Vertical velocity from incompressibility: the odd antiderivative of
-    -div_H v.  kz=0 plane is zero (oddness); kz != 0 modes divide by kz."""
+    -div_H v.  kz=0 plane is zero (oddness); kz != 0 modes divide by kz.
+
+    On the Nyquist plane kz is +pi nz/2, the sign of the stored half.  The
+    sign does not matter: the dealiased velocities passed in have no content
+    on that plane."""
     num = grid.kx3 * V[0] + grid.ky3 * V[1]
     kz = np.where(grid.kz3 == 0.0, 1.0, grid.kz3)
     w = -num / kz
@@ -173,7 +177,7 @@ def _raw_advect(
     m = T.shape[0]
     naxes = len(u_phys)
     iks = [_deriv_mult(grid, j, 1) for j in range(naxes)]
-    dT = np.empty((m, naxes, *grid.shape), dtype=np.complex128)
+    dT = np.empty((m, naxes, *grid.spec_shape), dtype=np.complex128)
     for i in range(m):
         for j, ik in enumerate(iks):
             dT[i, j] = ik * T[i]
@@ -205,8 +209,8 @@ def _raw_advect_div(
         np.multiply(u_phys[i], u_phys[j], out=prod[k])
     P = _raw_to_spec(grid, prod)
     iks = [_deriv_mult(grid, j, 1) for j in range(n)]
-    out = np.empty((m, *grid.shape), dtype=np.complex128)
-    tmp = np.empty(grid.shape, dtype=np.complex128)
+    out = np.empty((m, *grid.spec_shape), dtype=np.complex128)
+    tmp = np.empty(grid.spec_shape, dtype=np.complex128)
     for i in range(m):
         np.multiply(iks[0], P[pairs.index((0, i))], out=out[i])
         for j in range(1, n):

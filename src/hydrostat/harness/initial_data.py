@@ -87,7 +87,7 @@ def generate_initial_data(recipe: str, seed: int, grid: Grid) -> VelocityState:
     if recipe == "heat_mode":
         _, _, Z = _lattice(grid)
         v1 = _raw_to_spec(grid, np.cos(np.pi * Z))
-        v2 = np.zeros(grid.shape, dtype=np.complex128)
+        v2 = np.zeros(grid.spec_shape, dtype=np.complex128)
         return _normalized_state(grid, v1, v2, recipe)
 
     raise InvalidParameter(f"unknown initial-data recipe {recipe!r}")

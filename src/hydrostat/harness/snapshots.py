@@ -12,6 +12,11 @@ Layout (all integers little-endian):
         kx-major (C) order, nx*ny*nz entries
     crc u32          CRC32 of the payload (everything after the magic)
 
+The coefficients on disk are the full cube in numpy FFT order on every axis.
+In memory a field holds only its kz >= 0 half, so save_snapshot writes that
+half together with its conjugate mirror, and load_snapshot keeps the first
+nz//2 + 1 kz planes.
+
 The simulation time rides along as an extra field named "time" (parity
 "none") whose first coefficient holds the value, so the stated layout covers
 the whole state.
@@ -25,7 +30,7 @@ import numpy as np
 
 from ..errors import FormatError
 from ..fields import VelocityState
-from ..spectral import NONE, SpectralField, make_grid
+from ..spectral import NONE, Grid, SpectralField, _raw_hflip, make_grid
 
 MAGIC = b"HSN1"
 VERSION = 1
@@ -47,15 +52,22 @@ def _encode_field(name: str, parity: str, coeffs: np.ndarray) -> bytes:
     )
 
 
+def _full_cube(grid: Grid, c: np.ndarray) -> np.ndarray:
+    """The (nx, ny, nz) coefficients of a real field from its kz >= 0 half:
+    mode -kz at index nz - kz is conj(c[-kx, -ky, kz])."""
+    mirror = np.conjugate(_raw_hflip(grid, c[..., 1:-1]))[..., ::-1]
+    return np.concatenate((c, mirror), axis=-1)
+
+
 def save_snapshot(state: VelocityState, path: str) -> None:
     """Write the state (coefficients, parity flags, grid, time) to path."""
     g = state.grid
     tfield = np.zeros(g.shape, dtype=np.complex128)
     tfield.flat[0] = state.time
     fields = [
-        ("v1", state.v1.parity, state.v1.coeffs),
-        ("v2", state.v2.parity, state.v2.coeffs),
-        ("w", state.w.parity, state.w.coeffs),
+        ("v1", state.v1.parity, _full_cube(g, state.v1.coeffs)),
+        ("v2", state.v2.parity, _full_cube(g, state.v2.coeffs)),
+        ("w", state.w.parity, _full_cube(g, state.w.coeffs)),
         (TIME_FIELD, NONE, tfield),
     ]
     payload = struct.pack("<IIIII", VERSION, g.nx, g.ny, g.nz, len(fields))
@@ -108,11 +120,12 @@ def load_snapshot(path: str) -> VelocityState:
             raise FormatError(f"bad parity code {pcode}", off - 1)
         raw = _need(buf, off, 16 * n_coeff)
         off += 16 * n_coeff
-        coeffs = np.frombuffer(raw, dtype="<c16").reshape(nx, ny, nz).copy()
+        coeffs = np.frombuffer(raw, dtype="<c16").reshape(nx, ny, nz)
         if name == TIME_FIELD:
             time = float(coeffs.flat[0].real)
         else:
-            fields[name] = SpectralField(grid, coeffs, _PARITY_NAME[pcode])
+            half = coeffs[..., : nz // 2 + 1].copy()
+            fields[name] = SpectralField(grid, half, _PARITY_NAME[pcode])
     if off != len(buf) - 4:
         raise FormatError(f"{len(buf) - 4 - off} unexpected trailing bytes", off)
     for required in ("v1", "v2", "w"):

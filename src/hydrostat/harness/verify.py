@@ -45,6 +45,7 @@ from ..spectral import (
     _raw_embed_plane,
     _raw_inner,
     _raw_parity_project,
+    _raw_wsum,
     field_from_function,
     make_grid,
 )
@@ -98,7 +99,7 @@ def check_heat_mode_decay(system: str, delta: float, eps: float = 0.5,
     """Single vertical cosine mode decays like exp(-delta pi^2 t)."""
     grid = make_grid(16, 16, 16)
     v1 = field_from_function(grid, lambda x, y, z: np.cos(np.pi * z), EVEN)
-    zero = np.zeros(grid.shape, dtype=np.complex128)
+    zero = np.zeros(grid.spec_shape, dtype=np.complex128)
     n = int(round(T / dt))
     if system == "NS_eps_delta":
         stepper = NavierStokesStepper(grid, eps, delta, dt)
@@ -124,7 +125,7 @@ def check_pe_h_stationary(dt: float = 1e-3, steps: int = 100) -> CheckResult:
     limit system."""
     grid = make_grid(16, 16, 16)
     v1 = field_from_function(grid, lambda x, y, z: np.cos(np.pi * z), EVEN)
-    zero = np.zeros(grid.shape, dtype=np.complex128)
+    zero = np.zeros(grid.spec_shape, dtype=np.complex128)
     stepper = PrimitiveStepper(grid, 0.0, dt)
     U = np.stack((v1.coeffs, zero))
     for _ in range(steps):
@@ -205,8 +206,8 @@ def _run_ns_with_audit(nx=32, steps=50, eps=0.5, delta=0.5, dt=1e-3, seed=7):
         W = N if st._n_prev is None else 1.5 * N - 0.5 * st.propagator * st._n_prev
         B = U + dt * W
         U1 = st.advance(U, N)
-        dE = float(np.sum(np.abs(U1) ** 2 - np.abs(U) ** 2) * 8.0)
-        D_lin = float(np.sum(two_lam * np.abs(B) ** 2) * 8.0)
+        dE = _raw_wsum(grid, np.abs(U1) ** 2 - np.abs(U) ** 2)
+        D_lin = _raw_wsum(grid, two_lam * np.abs(B) ** 2)
         work = 2 * dt * _raw_inner(grid, W, U) + dt**2 * _raw_inner(grid, W, W)
         scale = max(abs(dE), D_lin, 1e-300)
         energy_resid.append(abs(dE + D_lin - work) / scale)
@@ -252,7 +253,7 @@ def check_stokes_energy_balance(delta: float = 2.0) -> CheckResult:
     for _ in range(20):
         U1 = st.advance(U)
         dE = _raw_inner(grid, U1, U1) - _raw_inner(grid, U, U)
-        D = float(np.sum((1.0 - np.exp(2.0 * st.lam * dt)) * np.abs(U) ** 2) * 8.0)
+        D = _raw_wsum(grid, (1.0 - np.exp(2.0 * st.lam * dt)) * np.abs(U) ** 2)
         worst = max(worst, abs(dE + D) / max(_raw_inner(grid, U, U), 1e-300))
         U = U1
     return CheckResult(
@@ -302,7 +303,7 @@ def check_2d_embedding(steps: int = 100) -> CheckResult:
     hydrostatic-limit, and 2D steppers."""
     grid = make_grid(16, 16, 8)
     v1, v2 = _taylor_green_pair(grid)
-    zero = np.zeros(grid.shape, dtype=np.complex128)
+    zero = np.zeros(grid.spec_shape, dtype=np.complex128)
     dt = 1e-3
     ns = NavierStokesStepper(grid, 0.7, 0.3, dt)
     pe = PrimitiveStepper(grid, 0.3, dt)

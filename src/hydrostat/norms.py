@@ -1,10 +1,12 @@
 """Discrete anisotropic Sobolev norms and space-time norm accumulation.
 
-Spatial norms are Fourier-multiplier sums with the Parseval weight 8 (the
-volume of the box), so analytic values of simple trigonometric fields are
-reproduced exactly.  Space-time norms are accumulated along a trajectory with
-trapezoidal quadrature on the solver's own samples; the supremum parts track
-running maxima over the sampled instants.
+Spatial norms are Fourier-multiplier sums over the stored kz >= 0 half of
+the coefficients with the grid's Parseval weight (the volume 8 of the box,
+doubled on the planes that stand for their kz < 0 mirror), so analytic
+values of simple trigonometric fields are reproduced exactly; every cached
+multiplier here carries that weight.  Space-time norms are accumulated along
+a trajectory with trapezoidal quadrature on the solver's own samples; the
+supremum parts track running maxima over the sampled instants.
 
 Accumulator kinds
 -----------------
@@ -25,18 +27,21 @@ from typing import Sequence
 import numpy as np
 
 from .errors import InsufficientData, InvalidParameter, OrderingError
-from .spectral import DOMAIN_VOLUME, SpectralField, _lap_delta_mult
+from .spectral import SpectralField, _lap_delta_mult
 
 KINDS = ("E0", "EHdelta", "Ez", "L4H32")
 
 
 def _sobolev_mult(g, s: float) -> np.ndarray:
-    return g.cached(("sobolev", float(s)), lambda: (1.0 + g.ksq) ** s)
+    return g.cached(
+        ("sobolev", float(s)), lambda: g.parseval_weight * (1.0 + g.ksq) ** s
+    )
 
 
 def _aniso_mult(g, r: int, s: int) -> np.ndarray:
     return g.cached(
-        ("aniso", r, s), lambda: (1.0 + g.kz3**2) ** r * (1.0 + g.k2h) ** s
+        ("aniso", r, s),
+        lambda: g.parseval_weight * (1.0 + g.kz3**2) ** r * (1.0 + g.k2h) ** s,
     )
 
 
@@ -44,20 +49,14 @@ def norm_sobolev(F: SpectralField, s: float) -> float:
     """Isotropic H^s norm via the multiplier (1 + |k|^2)^{s/2}."""
     if s < 0:
         raise InvalidParameter(f"s must be >= 0, got {s}")
-    g = F.grid
-    return float(
-        np.sqrt(np.sum(_sobolev_mult(g, s) * np.abs(F.coeffs) ** 2) * DOMAIN_VOLUME)
-    )
+    return float(np.sqrt(_sq((F,), _sobolev_mult(F.grid, s))))
 
 
 def norm_aniso(F: SpectralField, r: int, s: int) -> float:
     """Mixed-regularity norm H^r in z, H^s in the horizontal (q = p = 2)."""
     if r not in (0, 1, 2, 3) or s not in (0, 1):
         raise InvalidParameter(f"unsupported anisotropic exponents (r={r}, s={s})")
-    g = F.grid
-    return float(
-        np.sqrt(np.sum(_aniso_mult(g, r, s) * np.abs(F.coeffs) ** 2) * DOMAIN_VOLUME)
-    )
+    return float(np.sqrt(_sq((F,), _aniso_mult(F.grid, r, s))))
 
 
 def norm_l2_barotropic(F: SpectralField) -> float:
@@ -67,9 +66,8 @@ def norm_l2_barotropic(F: SpectralField) -> float:
 
 
 def _sq(fields: Sequence[SpectralField], mult: np.ndarray) -> float:
-    return float(
-        sum(np.sum(mult * np.abs(f.coeffs) ** 2) for f in fields) * DOMAIN_VOLUME
-    )
+    """Sum of the squared mult-norms; mult carries the Parseval weight."""
+    return float(sum(np.sum(mult * np.abs(f.coeffs) ** 2) for f in fields))
 
 
 def _components(u) -> tuple[SpectralField, ...]:
@@ -106,22 +104,21 @@ class NormAccumulator:
         return 3 if self.kind == "EHdelta" else 1
 
 
-_ONES = np.ones((1, 1, 1))
-
-
 def _integrands(acc: NormAccumulator, u, dudt) -> tuple[float, ...]:
     uc = _components(u)
     g = uc[0].grid
     if acc.kind == "E0":
-        return (_sq(uc, _ONES),)
+        return (_sq(uc, g.parseval_weight),)
     if acc.kind == "EHdelta":
         dc = _components(dudt)
         if len(dc) != len(uc):
             raise InvalidParameter("EHdelta accumulation needs du/dt samples")
         lap = g.cached(
-            ("lap_sq", acc.delta), lambda: _lap_delta_mult(g, acc.delta) ** 2
+            ("lap_sq", acc.delta),
+            lambda: g.parseval_weight * _lap_delta_mult(g, acc.delta) ** 2,
         )
-        return (_sq(uc, _ONES), _sq(dc, _ONES), _sq(uc, lap))
+        w = g.parseval_weight
+        return (_sq(uc, w), _sq(dc, w), _sq(uc, lap))
     if acc.kind == "Ez":
         return (_sq(uc, _aniso_mult(g, 1, 1)),)
     # L4H32: fourth power of the H^{3/2} norm

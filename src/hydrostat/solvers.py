@@ -61,6 +61,7 @@ from .spectral import (
     _raw_inner,
     _raw_parity_project,
     _raw_to_phys,
+    _raw_wsum,
     make_grid,
 )
 
@@ -399,8 +400,8 @@ def step_stokes_scaled(state: VelocityState, cfg: SimConfig) -> VelocityState:
 
 def _l2_h1(grid: Grid | Plane, U: np.ndarray) -> tuple[float, float]:
     e = np.sum(np.abs(U) ** 2, axis=0)
-    l2 = float(np.sqrt(np.sum(e) * 8.0))
-    h1 = float(np.sqrt(np.sum((1.0 + grid.ksq) * e) * 8.0))
+    l2 = float(np.sqrt(_raw_wsum(grid, e)))
+    h1 = float(np.sqrt(_raw_wsum(grid, (1.0 + grid.ksq) * e)))
     return l2, h1
 
 
@@ -435,7 +436,7 @@ def run_simulation(cfg: SimConfig) -> TrajectoryRecord:
 
         def unpack(U, t):
             v1, v2 = _state_fields(grid, _raw_embed_plane(grid, U), (EVEN, EVEN))
-            w = np.zeros(grid.shape, dtype=np.complex128)
+            w = np.zeros(grid.spec_shape, dtype=np.complex128)
             return VelocityState(v1, v2, SpectralField(grid, w, ODD), cfg.system, t)
 
     elif cfg.system == "StokesScaled":

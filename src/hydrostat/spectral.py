@@ -1,18 +1,20 @@
 """Fourier representation of periodic fields on the box (-1,1)^3.
 
 All fields live on the period-2 torus in each direction, so the fundamental
-wavenumber is pi and mode m carries wavenumber pi*m.  Coefficients are stored
-in numpy FFT ordering and normalized so that coeff[0,0,0] is the mean of the
-field; with that convention the Parseval weight for integrals over the box is
-the domain volume 8.
+wavenumber is pi and mode m carries wavenumber pi*m.  Coefficients are
+normalized so that coeff[0,0,0] is the mean of the field; with that
+convention the Parseval weight for integrals over the box is the domain
+volume 8.
 
 Every field is real, so its coefficients are conjugate-symmetric:
-c[-k] = conj(c[k]).  They are stored as the full complex cube (one layout),
-but the inverse transform reads only the kz >= 0 half of it (a half-spectrum
-irfftn) and takes the other half from that symmetry.  Its input must
-therefore be the coefficients of real fields; the forward transform is a full
-complex fftn.  Odd-order derivatives zero the Nyquist modes of their axis,
-where (i k) c is not the coefficient of any real field.
+c[-k] = conj(c[k]).  A field on a Grid therefore stores only the kz >= 0
+half, shape grid.spec_shape = (nx, ny, nz//2 + 1), Nyquist plane included:
+the layout scipy.fft.rfftn returns, with kx and ky in numpy FFT order.  The
+kz < 0 half is the conjugate mirror c[kx, ky, -kz] = conj(c[-kx, -ky, kz]).
+A sum over all modes is a sum over the stored planes in which each plane
+with 0 < kz < nz/2 counts twice (Grid.parseval_weight).  Odd-order
+derivatives zero the Nyquist modes of their axis, where (i k) c is not the
+coefficient of any real field.
 
 Vertical parity (even/odd in z) is a structural property of every velocity
 component here and is tracked on each field.  Parity is enforced by orthogonal
@@ -53,7 +55,12 @@ def _mode_numbers(n: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Grid:
-    """Immutable spectral grid: sizes, wavenumber tables, dealias mask."""
+    """Immutable spectral grid: sizes, wavenumber tables, dealias mask.
+
+    shape is the physical lattice; coefficient arrays have spec_shape, the
+    kz >= 0 half.  kz holds only those nz//2 + 1 wavenumbers, so every table
+    built from kz3 has the coefficient shape.
+    """
 
     nx: int
     ny: int
@@ -62,9 +69,7 @@ class Grid:
     ky: np.ndarray
     kz: np.ndarray
     dealias_mask: np.ndarray
-    # z-axis index permutation sending mode m to -m (for parity projections)
-    zflip: np.ndarray = field(repr=False, compare=False, default=None)
-    # precomputed |k_H|^2 (nx, ny, 1) and |k|^2 (nx, ny, nz)
+    # precomputed |k_H|^2 (nx, ny, 1) and |k|^2 (nx, ny, nz//2 + 1)
     k2h: np.ndarray = field(repr=False, compare=False, default=None)
     ksq: np.ndarray = field(repr=False, compare=False, default=None)
     # scratch cache for derived multiplier arrays keyed by (tag, params)
@@ -75,8 +80,22 @@ class Grid:
         return (self.nx, self.ny, self.nz)
 
     @property
+    def spec_shape(self) -> tuple[int, int, int]:
+        return (self.nx, self.ny, self.nz // 2 + 1)
+
+    @property
     def size(self) -> int:
         return self.nx * self.ny * self.nz
+
+    @cached_property
+    def parseval_weight(self) -> np.ndarray:
+        """Per-kz-plane weight of a sum over the stored coefficients: the box
+        volume, doubled on the planes 0 < kz < nz/2 that also stand for
+        their kz < 0 mirror."""
+        w = np.full(self.nz // 2 + 1, 2.0 * DOMAIN_VOLUME)
+        w[0] = w[-1] = DOMAIN_VOLUME
+        w.setflags(write=False)
+        return w
 
     # broadcastable wavenumber arrays
     @property
@@ -123,7 +142,7 @@ class Grid:
 class Plane:
     """The kz=0 coefficient plane of a grid.
 
-    A z-independent field is stored as the (nx, ny) array of its kz=0
+    A z-independent field is stored as the full (nx, ny) array of its kz=0
     coefficients, with the grid's phase and normalization: plane[i, j] is
     cube[i, j, 0], and the 2D transforms over (nx, ny) give the field's values
     on the horizontal lattice.  The transforms, _raw_inner and the
@@ -145,9 +164,18 @@ class Plane:
     def shape(self) -> tuple[int, int]:
         return (self.nx, self.ny)
 
+    spec_shape = shape
+
     @property
     def size(self) -> int:
         return self.nx * self.ny
+
+    @cached_property
+    def parseval_weight(self) -> np.ndarray:
+        """Per-ky weight of a sum over the plane: the box volume."""
+        w = np.full(self.ny, DOMAIN_VOLUME)
+        w.setflags(write=False)
+        return w
 
     @property
     def wavenumbers(self) -> tuple[np.ndarray, ...]:
@@ -163,6 +191,9 @@ class Plane:
 def make_grid(nx: int, ny: int, nz: int) -> Grid:
     """Build a grid with pi-based wavenumbers and the symmetric 2/3-rule mask.
 
+    kx and ky are in numpy FFT order; kz = pi * [0, 1, ..., nz/2], the
+    non-negative half that indexes the stored coefficients.
+
     The mask keeps mode m on an axis of size n exactly when 3|m| < n, so
     quadratic products of masked fields are alias-free on the kept modes
     for every n: the sum of two kept modes is below 2n/3 in size, and its
@@ -174,21 +205,17 @@ def make_grid(nx: int, ny: int, nz: int) -> Grid:
         if n < 4 or n % 2 != 0:
             raise InvalidGrid(f"grid sizes must be even and >= 4, got {n}")
 
-    axes = []
-    keeps = []
-    for n in (nx, ny, nz):
-        m = _mode_numbers(n)
-        axes.append(PI * m)
-        keeps.append(3 * np.abs(m) < n)
+    modes = (_mode_numbers(nx), _mode_numbers(ny), np.arange(nz // 2 + 1.0))
+    axes = [PI * m for m in modes]
+    keeps = [3 * np.abs(m) < n for m, n in zip(modes, (nx, ny, nz))]
     mask = keeps[0][:, None, None] & keeps[1][None, :, None] & keeps[2][None, None, :]
 
-    zflip = (-np.arange(nz)) % nz
     k2h = axes[0][:, None, None] ** 2 + axes[1][None, :, None] ** 2
     ksq = k2h + axes[2][None, None, :] ** 2
-    arrays = [*axes, mask, zflip, k2h, ksq]
+    arrays = [*axes, mask, k2h, ksq]
     for a in arrays:
         a.setflags(write=False)
-    return Grid(nx, ny, nz, axes[0], axes[1], axes[2], mask, zflip, k2h, ksq)
+    return Grid(nx, ny, nz, axes[0], axes[1], axes[2], mask, k2h, ksq)
 
 
 @dataclass(frozen=True)
@@ -212,16 +239,22 @@ class PhysicalField:
 
 @dataclass(frozen=True)
 class SpectralField:
-    """Complex Fourier coefficients of a real scalar field with z-parity tag."""
+    """Complex Fourier coefficients of a real scalar field with z-parity tag.
+
+    coeffs holds the kz >= 0 half, shape grid.spec_shape; a full (nx, ny, nz)
+    cube is rejected rather than read as a half.
+    """
 
     grid: Grid
     coeffs: np.ndarray
     parity: str = NONE
 
     def __post_init__(self):
-        if self.coeffs.shape != self.grid.shape:
+        if self.coeffs.shape != self.grid.spec_shape:
             raise ShapeError(
-                f"coeffs shape {self.coeffs.shape} != grid shape {self.grid.shape}"
+                f"coeffs shape {self.coeffs.shape} != {self.grid.spec_shape}: "
+                f"a field on the {self.grid.shape} grid stores the kz >= 0 half "
+                "of its coefficients"
             )
         if self.parity not in _PARITY_CODES:
             raise InvalidParameter(f"unknown parity {self.parity!r}")
@@ -267,7 +300,7 @@ class SpectralField:
 
 
 def zero_field(grid: Grid, parity: str = NONE) -> SpectralField:
-    return SpectralField(grid, np.zeros(grid.shape, dtype=np.complex128), parity)
+    return SpectralField(grid, np.zeros(grid.spec_shape, dtype=np.complex128), parity)
 
 
 # ---------------------------------------------------------------------------
@@ -276,8 +309,9 @@ def zero_field(grid: Grid, parity: str = NONE) -> SpectralField:
 
 def _lattice_phase(grid: Grid | Plane) -> np.ndarray:
     """(-1)^(mx+my+mz): relates FFT output on the lattice starting at -1 to
-    true Fourier coefficients with respect to exp(i k . x).  On a plane mz = 0,
-    so its phase is the grid's kz=0 slice."""
+    true Fourier coefficients with respect to exp(i k . x), in the shape of
+    the stored coefficients.  On a plane mz = 0, so its phase is the grid's
+    kz=0 slice."""
 
     def build():
         signs = []
@@ -296,28 +330,28 @@ def _axes(grid: Grid | Plane) -> tuple[int, ...]:
 def _raw_to_phys(grid: Grid | Plane, c: np.ndarray) -> np.ndarray:
     """Lattice values of (stacks of) real fields from their coefficients.
 
-    Reads only the kz >= 0 half of c (on a Plane, the ky >= 0 half) and
-    assumes the rest is its conjugate mirror, so c must hold the coefficients
-    of real fields.
+    An irfftn of the last axis's non-negative half: all of c on a Grid, the
+    ky >= 0 half on a Plane, whose other half must be its conjugate mirror.
     """
-    h = grid.shape[-1] // 2 + 1  # the kz >= 0 half, Nyquist included
-    ph = grid.cached(("phase_half",), lambda: _lattice_phase(grid)[..., :h].copy())
+    h = grid.shape[-1] // 2 + 1
     return _fft.irfftn(
-        c[..., :h] * ph, s=grid.shape, axes=_axes(grid), workers=FFT_WORKERS,
-        norm="forward",
+        c[..., :h] * _lattice_phase(grid)[..., :h], s=grid.shape,
+        axes=_axes(grid), workers=FFT_WORKERS, norm="forward",
     )
 
 
 def _raw_to_spec(grid: Grid | Plane, p: np.ndarray) -> np.ndarray:
-    """Coefficients of (stacks of) real fields from their lattice values."""
-    out = _fft.fftn(p, axes=_axes(grid), workers=FFT_WORKERS, norm="forward")
+    """Coefficients of (stacks of) real fields from their lattice values:
+    the kz >= 0 half on a Grid (rfftn), the full plane on a Plane."""
+    fft = _fft.rfftn if isinstance(grid, Grid) else _fft.fftn
+    out = fft(p, axes=_axes(grid), workers=FFT_WORKERS, norm="forward")
     out *= _lattice_phase(grid)
     return out
 
 
 def _raw_embed_plane(grid: Grid, P: np.ndarray) -> np.ndarray:
-    """Coefficient cubes of the z-independent fields whose kz=0 planes are P."""
-    out = np.zeros((*P.shape[:-2], *grid.shape), dtype=np.complex128)
+    """Coefficients of the z-independent fields whose kz=0 planes are P."""
+    out = np.zeros((*P.shape[:-2], *grid.spec_shape), dtype=np.complex128)
     out[..., 0] = P
     return out
 
@@ -330,13 +364,14 @@ def _deriv_mult(grid: Grid | Plane, axis: int, order: int) -> np.ndarray:
 
     For odd orders the Nyquist mode is zeroed: there -k is k itself, so
     (i k) c is not conjugate-symmetric, and no real field has it as its
-    coefficient.
+    coefficient.  Its index is n//2 for an axis of n points: the middle of
+    kx and ky, the last entry of the half-length kz.
     """
 
     def build():
         k = grid.wavenumbers[axis].copy()
         if order % 2 == 1:
-            k[len(k) // 2] = 0.0
+            k[grid.shape[axis] // 2] = 0.0
         shape = [1] * len(grid.shape)
         shape[axis] = len(k)
         return (1j * k.reshape(shape)) ** order
@@ -348,16 +383,47 @@ def _raw_deriv(grid: Grid, c: np.ndarray, axis: str, order: int = 1) -> np.ndarr
     return c * _deriv_mult(grid, _AXIS_INDEX[axis], order)
 
 
+def _raw_hflip(grid: Grid, c: np.ndarray) -> np.ndarray:
+    """c[..., -kx, -ky, :], a new array."""
+
+    def build():
+        ix = (-np.arange(grid.nx)) % grid.nx
+        iy = (-np.arange(grid.ny)) % grid.ny
+        return (ix[:, None] * grid.ny + iy[None, :]).ravel()
+
+    flat = c.reshape(*c.shape[:-3], grid.nx * grid.ny, c.shape[-1])
+    out = np.take(flat, grid.cached(("hflip",), build), axis=-2)
+    return out.reshape(c.shape)
+
+
 def _raw_parity_project(grid: Grid, c: np.ndarray, parity: str) -> np.ndarray:
-    reflected = c[..., grid.zflip]
+    """Orthogonal projection onto the even or odd functions of z.
+
+    Reflecting z sends the coefficient at kz to the one at -kz, which this
+    layout stores as conj(c[-kx, -ky, kz]).  The kz=0 and Nyquist planes are
+    their own reflection, so an odd field vanishes there; they are written
+    as exact zeros rather than as the rounding residue of that difference.
+    """
+    out = np.conjugate(_raw_hflip(grid, c))
     if parity == EVEN:
-        return 0.5 * (c + reflected)
-    return 0.5 * (c - reflected)
+        out += c
+    else:
+        np.subtract(c, out, out=out)
+        out[..., 0] = 0.0
+        out[..., -1] = 0.0
+    out *= 0.5
+    return out
 
 
-def _raw_inner(grid: Grid, a: np.ndarray, b: np.ndarray) -> float:
+def _raw_wsum(grid: Grid | Plane, x: np.ndarray) -> float:
+    """Integral over the box that a sum of x over all modes represents: the
+    sum over the stored coefficients with grid.parseval_weight."""
+    return float(np.sum(x @ grid.parseval_weight))
+
+
+def _raw_inner(grid: Grid | Plane, a: np.ndarray, b: np.ndarray) -> float:
     """L2(Omega) pairing of (stacks of) real fields from their coefficients."""
-    return float(np.real(np.sum(np.conj(a) * b)) * DOMAIN_VOLUME)
+    return _raw_wsum(grid, (np.conj(a) * b).real)
 
 
 def _lap_delta_mult(grid: Grid, delta: float) -> np.ndarray:
@@ -376,9 +442,7 @@ def forward_transform(f: PhysicalField) -> SpectralField:
 
 
 def inverse_transform(F: SpectralField) -> PhysicalField:
-    """Coefficients -> collocation values.  Reads only the kz >= 0 half of
-    F.coeffs, which must be the (conjugate-symmetric) coefficients of a real
-    field."""
+    """Coefficients -> collocation values."""
     return PhysicalField(F.grid, _raw_to_phys(F.grid, F.coeffs))
 
 
@@ -420,7 +484,7 @@ def dealias(F: SpectralField) -> SpectralField:
 def enforce_parity(F: SpectralField, parity: str) -> SpectralField:
     """Orthogonal projection onto the declared z-parity subspace.
 
-    Odd parity zeroes the kz=0 plane automatically (c - c)/2 there.
+    Odd parity zeroes the kz=0 and Nyquist planes exactly.
     """
     if parity not in (EVEN, ODD):
         raise InvalidParameter(f"parity must be even or odd, got {parity!r}")

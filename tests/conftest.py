@@ -32,3 +32,32 @@ def random_band_field(grid, seed, parity=None, band=None):
 @pytest.fixture
 def rand_even(grid16):
     return random_band_field(grid16, 1, EVEN)
+
+
+def full_cube(grid, c):
+    """The (nx, ny, nz) coefficients, in numpy FFT order on every axis, of
+    real fields from their stored kz >= 0 half, by c[-k] = conj(c[k]).
+    Test helper, written independently of the library's own mirror."""
+    flipped = np.take(c, (-np.arange(grid.nx)) % grid.nx, axis=-3)
+    flipped = np.take(flipped, (-np.arange(grid.ny)) % grid.ny, axis=-2)
+    out = np.empty((*c.shape[:-3], *grid.shape), dtype=np.complex128)
+    h = grid.nz // 2 + 1
+    out[..., :h] = c
+    for j in range(h, grid.nz):
+        out[..., j] = np.conj(flipped[..., grid.nz - j])
+    return out
+
+
+def full_wavenumbers(grid):
+    """pi * m for every mode of the full cube, m in numpy FFT order, as
+    broadcastable (kx, ky, kz)."""
+    return tuple(
+        np.pi * np.fft.fftfreq(n, 1.0 / n).reshape([-1 if i == ax else 1 for i in range(3)])
+        for ax, n in enumerate(grid.shape)
+    )
+
+
+def full_phase(grid):
+    """(-1)^(mx+my+mz) on the full cube."""
+    m = sum(np.rint(k / np.pi).astype(int) for k in full_wavenumbers(grid))
+    return np.where(m % 2 == 0, 1.0, -1.0)

@@ -1,12 +1,14 @@
 """Field assembly: projections, vertical velocity, splitting, difference RHS."""
 import numpy as np
 import pytest
+import scipy.fft
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hydrostat.errors import CompatibilityError, InvalidParameter, ShapeError
 from hydrostat.fields import (
     VelocityState,
+    _raw_advect_div,
     _raw_project_eps,
     _raw_w_from_v,
     barotropic_split,
@@ -22,6 +24,8 @@ from hydrostat.spectral import (
     EVEN,
     ODD,
     SpectralField,
+    _raw_parity_project,
+    _raw_to_spec,
     field_from_function,
     inner_l2,
     inverse_transform,
@@ -30,7 +34,7 @@ from hydrostat.spectral import (
     zero_field,
 )
 
-from conftest import random_band_field
+from conftest import full_phase, full_wavenumbers, random_band_field
 
 PI = np.pi
 
@@ -73,7 +77,7 @@ class TestScaledProjection:
         assert np.max(np.abs(div)) < 1e-12
 
     def test_single_mode_example(self, grid16):
-        c = np.zeros(grid16.shape, dtype=complex)
+        c = np.zeros(grid16.spec_shape, dtype=complex)
         c[1, 0, 1] = 1.0  # k = (pi, 0, pi)
         u = (SpectralField(grid16, c), zero_field(grid16), zero_field(grid16))
         out = project_div_free_scaled(u, 1.0)
@@ -116,7 +120,7 @@ class TestScaledProjection:
 class TestHydrostaticProjection:
     def test_z_independent_gradient_annihilated(self, grid16):
         phi = random_band_field(grid16, 21, EVEN)
-        bar = np.zeros(grid16.shape, dtype=complex)
+        bar = np.zeros(grid16.spec_shape, dtype=complex)
         bar[:, :, 0] = phi.coeffs[:, :, 0]
         gx = SpectralField(grid16, 1j * grid16.kx3 * bar, EVEN)
         gy = SpectralField(grid16, 1j * grid16.ky3 * bar, EVEN)
@@ -435,3 +439,66 @@ class TestAdvectionForms:
         grid = make_grid(16, 12, 4)
         U = np.stack([random_band_field(grid, s).coeffs[..., 0] for s in (64, 65)])
         self._check(grid.plane, U, (1.0, 1.0))
+
+
+class TestHalfLayoutEquivalence:
+    """Each kernel on the stored kz >= 0 half equals that half of the
+    full-cube formula it replaced, on masked random real fields."""
+
+    @pytest.fixture(params=[(16, 16, 16), (6, 4, 10)], ids=["16^3", "6x4x10"])
+    def case(self, request):
+        g = make_grid(*request.param)
+        k = full_wavenumbers(g)
+        keep = 1.0
+        for ki, n in zip(k, g.shape):
+            keep = keep * (3 * np.abs(np.rint(ki / PI)) < n)
+        phase = full_phase(g)
+        p = np.random.default_rng(31).standard_normal((3, *g.shape))
+        C = scipy.fft.fftn(p, axes=(-3, -2, -1), norm="forward") * phase * keep
+        u = np.real(scipy.fft.ifftn(C * phase, axes=(-3, -2, -1), norm="forward"))
+        c = _raw_to_spec(g, u)
+        return g, k, keep, phase, C, c, u
+
+    @staticmethod
+    def _assert_half_of(g, got, full):
+        want = full[..., : g.nz // 2 + 1]
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+    def test_parity(self, case):
+        g, _, _, _, C, c, _ = case
+        zflip = (-np.arange(g.nz)) % g.nz
+        for i, (parity, sign) in enumerate(((EVEN, 1.0), (ODD, -1.0))):
+            full = 0.5 * (C[i] + sign * C[i][..., zflip])
+            self._assert_half_of(g, _raw_parity_project(g, c[i], parity), full)
+
+    def test_project_eps(self, case):
+        g, (kx, ky, kz), _, _, C, c, _ = case
+        eps = 0.3
+        kze = kz / eps
+        norm2 = kx**2 + ky**2 + kze**2
+        s = (kx * C[0] + ky * C[1] + kze * C[2]) / np.where(norm2 == 0, 1.0, norm2)
+        full = np.stack((C[0] - kx * s, C[1] - ky * s, C[2] - kze * s))
+        self._assert_half_of(g, _raw_project_eps(g, c, eps), full)
+
+    def test_w_from_v(self, case):
+        g, (kx, ky, kz), _, _, C, c, _ = case
+        full = -(kx * C[0] + ky * C[1]) / np.where(kz == 0, 1.0, kz)
+        full[:, :, 0] = 0.0
+        self._assert_half_of(g, _raw_w_from_v(g, c[:2]), full)
+
+    def test_advect_div(self, case):
+        g, k, keep, phase, _, _, u = case
+        scale = (1.0, 1.0, 0.4)
+        ik = []
+        for ki, n in zip(k, g.shape):
+            ki = ki.copy()
+            ki[np.rint(np.abs(ki) / PI) == n // 2] = 0.0  # odd order: no Nyquist
+            ik.append(1j * ki)
+        full = np.stack([
+            scale[i] * keep * sum(
+                ik[j] * scipy.fft.fftn(u[i] * u[j], norm="forward") * phase
+                for j in range(3)
+            )
+            for i in range(3)
+        ])
+        self._assert_half_of(g, _raw_advect_div(g, u, scale), full)

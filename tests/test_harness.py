@@ -33,11 +33,12 @@ PI = np.pi
 class TestInitialData:
     def test_heat_mode_shape(self, grid16):
         st = generate_initial_data("heat_mode", 0, grid16)
-        # single vertical cosine in the first component, w = 0
+        # single vertical cosine in the first component, w = 0; its mode
+        # at kz = -pi is the conjugate mirror of the stored kz = pi
         c = st.v1.coeffs
         assert abs(c[0, 0, 1]) > 0
         other = c.copy()
-        other[0, 0, 1] = other[0, 0, grid16.nz - 1] = 0
+        other[0, 0, 1] = 0
         assert np.max(np.abs(other)) < 1e-14
         assert np.max(np.abs(st.w.coeffs)) == 0.0
 
@@ -165,6 +166,32 @@ class TestSnapshots:
         with pytest.raises(FormatError) as exc:
             load_snapshot(str(path))
         assert "CRC" in str(exc.value)
+
+    def test_hand_built_full_cube_loads_its_kz_half(self, tmp_path):
+        """HSN1 bytes written from the documented layout, with the full
+        complex cube of a real field, load as that cube's kz >= 0 half."""
+        import struct
+        import zlib
+
+        nx, ny, nz = 6, 4, 10
+        rng = np.random.default_rng(5)
+        cubes = [np.fft.fftn(rng.standard_normal((nx, ny, nz))) / (nx * ny * nz)
+                 for _ in range(3)]
+        t = np.zeros((nx, ny, nz), dtype=np.complex128)
+        t[0, 0, 0] = 0.25
+        payload = struct.pack("<IIIII", 1, nx, ny, nz, 4)
+        for name, code, cube in (
+            ("v1", 2, cubes[0]), ("v2", 2, cubes[1]), ("w", 2, cubes[2]),
+            ("time", 2, t),
+        ):
+            payload += struct.pack("<I", len(name)) + name.encode()
+            payload += struct.pack("<B", code) + cube.astype("<c16").tobytes()
+        path = tmp_path / "hand.hsn"
+        path.write_bytes(b"HSN1" + payload + struct.pack("<I", zlib.crc32(payload)))
+        back = load_snapshot(str(path))
+        for f, cube in zip(back.components(), cubes):
+            assert np.array_equal(f.coeffs, cube[..., : nz // 2 + 1])
+        assert back.time == 0.25
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "junk.hsn"

@@ -23,6 +23,26 @@ from conftest import random_band_field
 PI = np.pi
 
 
+class TestParsevalWeight:
+    @pytest.mark.parametrize("shape", [(8, 8, 8), (6, 4, 10), (16, 16, 4)])
+    def test_sums_over_the_half_match_the_lattice(self, shape):
+        """Every sum over the stored kz >= 0 half counts the planes
+        0 < kz < nz/2 twice: the squared L2 norm of a real field, Nyquist
+        planes included, is 8 mean(p^2) of its lattice values p."""
+        from hydrostat.solvers import _l2_h1
+        from hydrostat.spectral import _raw_inner, _raw_to_spec
+
+        g = make_grid(*shape)
+        p = np.random.default_rng(sum(shape)).standard_normal(g.shape)
+        c = _raw_to_spec(g, p)
+        exact = 8.0 * np.mean(p**2)
+        assert _raw_inner(g, c, c) == pytest.approx(exact, rel=1e-13)
+        assert norm_sobolev(SpectralField(g, c), 0.0) ** 2 == pytest.approx(
+            exact, rel=1e-13
+        )
+        assert _l2_h1(g, c[None])[0] ** 2 == pytest.approx(exact, rel=1e-13)
+
+
 class TestSpatialNorms:
     def test_constant(self, grid16):
         one = field_from_function(grid16, lambda x, y, z: np.ones_like(x))

@@ -252,8 +252,11 @@ class TestNonlinearTerms:
         counts = {"_raw_to_phys": 0, "_raw_to_spec": 0}
 
         def counted(name, fn):
+            # the inverse takes coefficients, the forward lattice values
+            shape = "spec_shape" if name == "_raw_to_phys" else "shape"
+
             def wrapper(grid, arr):
-                counts[name] += arr.size // grid.size
+                counts[name] += arr.size // math.prod(getattr(grid, shape))
                 return fn(grid, arr)
             return wrapper
 
@@ -451,7 +454,7 @@ class TestSchemeOrder:
 
         c1 = _raw_to_spec(grid, rng.standard_normal(grid.shape))
         c2 = _raw_to_spec(grid, rng.standard_normal(grid.shape))
-        keep = np.zeros(grid.shape, dtype=bool)
+        keep = np.zeros(grid.spec_shape, dtype=bool)
         keep[:4, :4, :1] = True
         keep[-3:, :4, :1] = True
         keep[:4, -3:, :1] = True

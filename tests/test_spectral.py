@@ -23,7 +23,7 @@ from hydrostat.spectral import (
     zero_field,
 )
 
-from conftest import random_band_field
+from conftest import full_cube, full_phase, full_wavenumbers, random_band_field
 
 PI = np.pi
 
@@ -46,7 +46,8 @@ class TestMakeGrid:
         """The dealiased square of a masked field equals the masked exact
         square, on every axis.  The field carries every mode up to n // 3,
         which |m| <= n // 3 would keep; for n a multiple of 3 the square of
-        mode n/3 aliases onto -n/3, so that rule is off by 0.25 there."""
+        mode n/3 aliases onto -n/3, so that rule is off by 0.25 there.
+        Both are compared as full cubes, so the z line has its kz < 0 modes."""
         from hydrostat.spectral import _raw_to_phys, _raw_to_spec
 
         q = n // 3
@@ -63,6 +64,7 @@ class TestMakeGrid:
                     for m in range(q + 1))
             c = _raw_to_spec(g, np.broadcast_to(f, g.shape)) * g.dealias_mask
             sq = _raw_to_spec(g, _raw_to_phys(g, c) ** 2) * g.dealias_mask
+            c, sq = full_cube(g, c), full_cube(g, sq)
             # exact square: convolution of the centred mode vectors of c
             modes = np.arange(-q, q + 1)
             conv = np.convolve(c[line][modes], c[line][modes])  # modes -2q..2q
@@ -114,17 +116,21 @@ class TestTransforms:
     @pytest.mark.parametrize("shape", [(8, 8, 8), (16, 16, 8), (64, 64, 4), (6, 4, 10)])
     @pytest.mark.parametrize("on_plane", [False, True])
     def test_half_spectrum_inverse_matches_full_complex(self, shape, on_plane):
-        """The inverse reads only the kz >= 0 half; on the coefficients of
-        real fields, Nyquist planes included, it equals the real part of the
-        full complex inverse."""
+        """The inverse is an irfftn of the kz >= 0 half (on a Plane, of the
+        ky >= 0 half); on the coefficients of real fields, Nyquist planes
+        included, it equals the real part of the full complex inverse of
+        their full cube."""
         from hydrostat.spectral import _lattice_phase, _raw_to_phys, _raw_to_spec
 
-        g = make_grid(*shape)
-        g = g.plane if on_plane else g
+        grid = make_grid(*shape)
+        g = grid.plane if on_plane else grid
         rng = np.random.default_rng(11)
         c = _raw_to_spec(g, rng.standard_normal((3, *g.shape)))
         axes = tuple(range(-len(g.shape), 0))
-        full = scipy.fft.ifftn(c * _lattice_phase(g), axes=axes).real * g.size
+        cube = c * _lattice_phase(g)
+        if not on_plane:
+            cube = full_cube(grid, cube)
+        full = scipy.fft.ifftn(cube, axes=axes).real * g.size
         got = _raw_to_phys(g, c)
         assert got.shape == (3, *g.shape) and got.dtype == np.float64
         assert got.flags.c_contiguous
@@ -135,12 +141,19 @@ class TestTransforms:
             PhysicalField(grid8, np.zeros(grid16.shape))
 
     def test_conjugate_symmetry_of_real_fields(self, grid16):
-        """A real field's coefficient at -k is the conjugate of the one at k."""
-        c = random_band_field(grid16, 3).coeffs
-        flipped = c
-        for ax, n in enumerate(grid16.shape):
-            flipped = np.take(flipped, (-np.arange(n)) % n, axis=ax)
-        assert np.max(np.abs(np.conj(flipped) - c)) <= 1e-12
+        """A real field's coefficient at -k is the conjugate of the one at k:
+        its stored kz >= 0 half, completed by that rule, is the full complex
+        transform of its values."""
+        f = random_band_field(grid16, 3)
+        p = inverse_transform(f).values
+        fft = scipy.fft.fftn(p, norm="forward") * full_phase(grid16)
+        assert np.max(np.abs(full_cube(grid16, f.coeffs) - fft)) <= 1e-12
+
+    def test_full_cube_rejected(self, grid8):
+        """Coefficients in the full (nx, ny, nz) layout are not read as a
+        kz >= 0 half."""
+        with pytest.raises(ShapeError, match=r"\(8, 8, 8\).*\(8, 8, 5\).*kz >= 0 half"):
+            SpectralField(grid8, np.zeros(grid8.shape, dtype=complex))
 
 
 class TestDerivative:
@@ -182,10 +195,10 @@ class TestDerivative:
         from hydrostat.spectral import _lattice_phase
 
         g = make_grid(*shape)
-        f = random_band_field(g, 12, band=np.ones(g.shape, dtype=bool))
-        k = (g.kx3, g.ky3, g.kz3)["xyz".index(axis)]
+        f = random_band_field(g, 12, band=np.ones(g.spec_shape, dtype=bool))
+        k = full_wavenumbers(g)["xyz".index(axis)]
         full = scipy.fft.ifftn(
-            (1j * k) ** order * f.coeffs * _lattice_phase(g)
+            (1j * k) ** order * full_cube(g, f.coeffs * _lattice_phase(g))
         ).real * g.size
         got = inverse_transform(spectral_derivative(f, axis, order)).values
         assert np.max(np.abs(got - full)) <= 1e-13 * np.max(np.abs(full))
@@ -200,7 +213,7 @@ class TestDerivative:
 class TestDealias:
     def test_mask_examples(self):
         g = make_grid(8, 8, 8)
-        c = np.zeros(g.shape, dtype=complex)
+        c = np.zeros(g.spec_shape, dtype=complex)
         c[3, 0, 0] = 1.0  # mode m=(3,0,0): outside the kept band
         c[1, 1, 1] = 2.0
         out = dealias(SpectralField(g, c))
@@ -208,8 +221,8 @@ class TestDealias:
         assert out.coeffs[1, 1, 1] == 2.0
 
     def test_idempotent_and_self_adjoint(self, grid16):
-        a = random_band_field(grid16, 4, band=np.ones(grid16.shape, dtype=bool))
-        b = random_band_field(grid16, 5, band=np.ones(grid16.shape, dtype=bool))
+        a = random_band_field(grid16, 4, band=np.ones(grid16.spec_shape, dtype=bool))
+        b = random_band_field(grid16, 5, band=np.ones(grid16.spec_shape, dtype=bool))
         da = dealias(a)
         assert np.array_equal(dealias(da).coeffs, da.coeffs)
         assert inner_l2(dealias(a), b) == pytest.approx(inner_l2(a, dealias(b)), rel=1e-12)
@@ -273,7 +286,7 @@ class TestParity:
 
 class TestLaplacianDelta:
     def test_single_mode_multipliers(self, grid16):
-        c = np.zeros(grid16.shape, dtype=complex)
+        c = np.zeros(grid16.spec_shape, dtype=complex)
         c[1, 0, 2] = 1.0  # mode (pi, 0, 2 pi)
         f = SpectralField(grid16, c)
         out = laplacian_delta(f, 1.0)
@@ -294,7 +307,7 @@ class TestLaplacianDelta:
             assert q <= 1e-12
         # kernel for delta > 0 is exactly the constant mode
         mult = np.abs(laplacian_delta(
-            SpectralField(grid16, np.ones(grid16.shape, dtype=complex)), 1.0
+            SpectralField(grid16, np.ones(grid16.spec_shape, dtype=complex)), 1.0
         ).coeffs)
         assert mult[0, 0, 0] == 0.0
         mult[0, 0, 0] = 1.0
@@ -319,4 +332,4 @@ def test_field_arithmetic_and_immutability(grid8):
     with pytest.raises(ValueError):
         a.coeffs[0, 0, 0] = 1.0
     with pytest.raises(InvalidParameter):
-        SpectralField(grid8, np.full(grid8.shape, np.nan, dtype=complex))
+        SpectralField(grid8, np.full(grid8.spec_shape, np.nan, dtype=complex))
