@@ -30,20 +30,12 @@ from .fields import (
     barotropic_split,
     baroclinic_rhs,
     diff_rhs_F,
-    divergence_defect,
-    project_div_free_scaled,
-    project_hydrostatic,
-    vertical_velocity_from_v,
 )
 from .norms import NormAccumulator, accumulate, finalize, norm_aniso, norm_sobolev
 from .solvers import (
     SimConfig,
     TrajectoryRecord,
     run_simulation,
-    step_ns2d,
-    step_ns_eps_delta,
-    step_pe,
-    step_stokes_scaled,
 )
 from .spectral import (
     EVEN,

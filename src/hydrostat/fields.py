@@ -22,7 +22,6 @@ import numpy as np
 from .errors import CompatibilityError, InvalidParameter, ShapeError
 from .spectral import (
     EVEN,
-    NONE,
     ODD,
     Grid,
     Plane,
@@ -34,9 +33,6 @@ from .spectral import (
     _raw_to_phys,
     _raw_to_spec,
 )
-
-DIV_COMPAT_TOL = 1e-10
-
 
 @dataclass(frozen=True)
 class VelocityState:
@@ -150,11 +146,6 @@ def _raw_w_from_v(grid: Grid, V: np.ndarray) -> np.ndarray:
     return w
 
 
-def _raw_divH_bar_defect(grid: Grid, V: np.ndarray) -> float:
-    d = grid.kx[:, None] * V[0][:, :, 0] + grid.ky[None, :] * V[1][:, :, 0]
-    return float(np.max(np.abs(d)))
-
-
 def _raw_div_eps_defect(grid: Grid, U: np.ndarray, eps: float) -> float:
     d = grid.kx3 * U[0] + grid.ky3 * U[1] + (grid.kz3 / eps) * U[2]
     return float(np.max(np.abs(d)))
@@ -233,70 +224,6 @@ def _raw_zaverage_plane(c: np.ndarray) -> np.ndarray:
 # public operations
 # ---------------------------------------------------------------------------
 
-def project_div_free_scaled(u, eps: float):
-    """Project a velocity triple onto the scaled divergence-free subspace.
-
-    Per mode k with k_eps = (kx, ky, kz/eps) the coefficients map to
-    u - k_eps (k_eps . u)/|k_eps|^2; the zero mode is untouched.  Accepts a
-    VelocityState or a 3-tuple of SpectralFields and returns the same kind.
-    The components are interpreted verbatim as the projected triple.
-    """
-    if eps <= 0:
-        raise InvalidParameter(f"eps must be > 0, got {eps}")
-    state = isinstance(u, VelocityState)
-    comps = u.components() if state else tuple(u)
-    if len(comps) != 3:
-        raise ShapeError("expected three velocity components")
-    grid = comps[0].grid
-    U = np.stack([c.coeffs for c in comps])
-    P = _raw_project_eps(grid, U, eps)
-    out = tuple(
-        SpectralField(grid, P[i], comps[i].parity) for i in range(3)
-    )
-    if state:
-        return replace(u, v1=out[0], v2=out[1], w=out[2])
-    return out
-
-
-def project_hydrostatic(
-    f: Sequence[SpectralField],
-) -> tuple[SpectralField, SpectralField]:
-    """Remove the z-independent horizontal pressure gradient from a pair.
-
-    Solves the horizontal Poisson problem on the vertical average and
-    subtracts its gradient, so the output's vertical average is
-    2D-divergence-free.  The zero horizontal mode is untouched.
-    """
-    f1, f2 = f
-    grid = f1.grid
-    V = np.stack((f1.coeffs, f2.coeffs))
-    P = _raw_project_hydro(grid, V)
-    return (
-        SpectralField(grid, P[0], f1.parity),
-        SpectralField(grid, P[1], f2.parity),
-    )
-
-
-def vertical_velocity_from_v(
-    v: Sequence[SpectralField], tol: float = DIV_COMPAT_TOL
-) -> SpectralField:
-    """Recover the odd vertical velocity with w(-1) = 0 from incompressibility.
-
-    Requires the vertical average of the horizontal divergence to vanish;
-    otherwise no periodic odd antiderivative exists and a CompatibilityError
-    carrying the defect is raised.
-    """
-    v1, v2 = v
-    grid = v1.grid
-    V = np.stack((v1.coeffs, v2.coeffs))
-    defect = _raw_divH_bar_defect(grid, V)
-    if defect > tol:
-        raise CompatibilityError(
-            f"div_H of the vertical average is {defect:.3e} > {tol:.0e}", defect
-        )
-    return SpectralField(grid, _raw_w_from_v(grid, V), ODD)
-
-
 def barotropic_split(
     v: Sequence[SpectralField], w: SpectralField | None = None
 ) -> SplitState:
@@ -310,12 +237,6 @@ def barotropic_split(
         bars.append(SpectralField(grid, bar, comp.parity))
         tildes.append(SpectralField(grid, comp.coeffs - bar, comp.parity))
     return SplitState(bars[0], bars[1], tildes[0], tildes[1], w)
-
-
-def divergence_defect(state: VelocityState) -> float:
-    """Max coefficient magnitude of div(v1, v2, w) (unscaled divergence)."""
-    U = np.stack([c.coeffs for c in state.components()])
-    return _raw_div_eps_defect(state.grid, U, 1.0)
 
 
 def _pe_h_time_derivative(grid: Grid, V: np.ndarray) -> np.ndarray:

@@ -69,18 +69,14 @@ def _cmd_verify(args) -> int:
 def _cmd_fit(args) -> int:
     import csv as _csv
 
-    from .sweep import fit_rate
+    from .sweep import abscissa, fit_rate
 
     points = []
     with open(args.csv, newline="", encoding="utf-8") as fh:
         for row in _csv.DictReader(fh):
             if row["norm_name"] != args.norm or row["blowup"] == "1":
                 continue
-            mode = row["mode"]
-            eps, delta = float(row["eps"]), float(row["delta"])
-            h = {"eps_delta_to_zero": eps + delta,
-                 "gamma_scan": eps,
-                 "delta_to_infty": delta}.get(mode, eps + delta)
+            h = abscissa(row["mode"], float(row["eps"]), float(row["delta"]))
             points.append((h, float(row["value"])))
     slope, intercept, r2 = fit_rate(points, drop_blowups=True)
     print(f"slope={slope:.6f} intercept={intercept:.6f} r2={r2:.6f} "

@@ -11,28 +11,28 @@ differences.
 In the hydrostatic modes the limit system (PE_H) has neither eps nor delta,
 so every point of a sweep compares against the same PE_H trajectory.  A
 family of points therefore advances one PE_H reference and, in lockstep with
-it, one anisotropic run per point.
+it, one anisotropic run per point.  In mode delta_to_infty a point runs the
+anisotropic system, its barotropic plane under NS2D and its baroclinic part
+under the exact Stokes flow, with the step schedule of _stiff_segments.
+
+Every run is a set of lanes driven by solvers.run_lanes, the time loop that
+run_simulation uses too; what is left here are the observers that fold the
+sampled differences into the norms.  A comparison lane (PE_H, NS2D, Stokes)
+is a reference lane: its failure stops every run it serves.
 """
 from __future__ import annotations
 
 import math
 import time as _time
-from contextlib import contextmanager
 from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 
-from ..errors import BlowupDetected, InsufficientData
+from ..errors import BlowupDetected, InsufficientData, InvalidParameter
 from ..fields import _raw_w_from_v
 from ..norms import NormAccumulator, accumulate, finalize
-from ..solvers import (
-    NavierStokes2DStepper,
-    NavierStokesStepper,
-    PrimitiveStepper,
-    StokesScaledStepper,
-    SimConfig,
-    _check_blowup,
-)
+from ..solvers import Lane, SimConfig, run_lanes, system_lane, warn_cfl
 from ..spectral import EVEN, ODD, Grid, SpectralField, _raw_embed_plane, make_grid
 from .initial_data import generate_initial_data
 
@@ -58,27 +58,6 @@ class NormRow:
 def _fields(grid: Grid, stack: np.ndarray, parities) -> list[SpectralField]:
     # hot loop: finiteness is guarded by the per-step blowup check
     return [SpectralField._wrap(grid, stack[i], p) for i, p in enumerate(parities)]
-
-
-def _finalize_rows(mode, eps, delta, gamma, accs, blowup, wall_ms):
-    """One row per accumulated norm plus their "total".  A norm that cannot
-    be finalized gets a NaN row carrying the reason, and makes the total NaN."""
-    rows = []
-    total = 0.0
-    for name, acc in accs:
-        error = None
-        try:
-            val = finalize(acc)
-        except InsufficientData as exc:
-            val = float("nan")
-            error = (type(exc).__name__, str(exc))
-        if name in ("EHdelta", "Ez", "E1_bar_diff", "L4H32_tilde"):
-            total += val
-        rows.append(
-            NormRow(mode, eps, delta, gamma, name, val, blowup, wall_ms, error)
-        )
-    rows.append(NormRow(mode, eps, delta, gamma, "total", total, blowup, wall_ms))
-    return rows
 
 
 def run_matched_pair(
@@ -122,7 +101,9 @@ def run_matched_family(
     blows up stops alone; a blowup of the reference stops every point still
     running, all flagged as blown up.  In mode "delta_to_infty" the
     reference depends on delta, so the points share nothing and run one
-    after another.
+    after another; a blowup of any of a point's three runs flags all its
+    rows.  When the largest advective CFL number of any run exceeds
+    solvers.CFL_LIMIT, one RuntimeWarning names it and its point.
 
     A point stopped by an error gets a single FAILED row, which carries the
     exception's type and message, instead of raising, so one bad point does
@@ -137,200 +118,166 @@ def run_matched_family(
 
 
 def _run_points(points, base: SimConfig, mode: str) -> list:
-    """Rows of every point, or the exception that stopped it."""
+    """Rows of every point, or the exception that stopped it; warns once if
+    the largest CFL number of any of their runs exceeds the limit."""
+    lanes: list[Lane] = []
     if mode in HYDROSTATIC_MODES:
-        return _hydrostatic_family(points, base, mode)
-    if mode == "delta_to_infty":
+        out = _hydrostatic_family(points, base, mode, lanes)
+    elif mode == "delta_to_infty":
         out = []
         for pt in points:
             try:
-                out.append(_large_delta_pair(pt, base, mode))
+                out.append(_large_delta_pair(pt, base, mode, lanes))
             except Exception as exc:  # reported as the point's outcome
                 out.append(exc)
-        return out
-    raise ValueError(f"unknown mode {mode!r}")
+    else:
+        raise ValueError(f"unknown mode {mode!r}")
+    warn_cfl(lanes)
+    return out
 
 
-class _HydrostaticMember:
-    """One anisotropic run of a hydrostatic family and its difference norms."""
+class _Norms(dict):
+    """A point's norm accumulators by name, each with its last sample time."""
 
-    def __init__(self, point: tuple[float, float, float | None]):
-        self.eps, self.delta, self.gamma = point
-        self.running = True
-        self.blowup = False
-        self.error: Exception | None = None
+    def __init__(self, **accs):
+        super().__init__((name, (acc, None)) for name, acc in accs.items())
 
-    @contextmanager
-    def guard(self):
-        """Stop this member alone when its own work blows up or raises."""
+    def fold(self, name: str, t: float, u, du=None) -> None:
+        acc, t_prev = self[name]
+        inc = None if t_prev is None else t - t_prev
+        self[name] = (accumulate(acc, u, du, inc), t)
+
+
+def _outcome(lane: Lane, norms: _Norms, point, mode: str, wall_ms: int):
+    """The exception that stopped a point's run, or the point's rows: one
+    per accumulated norm plus their "total", flagged as blown up when a
+    blowup stopped the run.  A norm that cannot be finalized gets a NaN row
+    carrying the reason, and makes the total NaN."""
+    if lane.failure is not None and not isinstance(lane.failure, BlowupDetected):
+        return lane.failure
+    row = partial(NormRow, mode, *point, blowup=lane.failure is not None,
+                  wall_ms=wall_ms)
+    rows = []
+    total = 0.0
+    for name, (acc, _) in norms.items():
+        error = None
         try:
-            yield
-        except BlowupDetected:
-            self.stop(blowup=True)
-        except Exception as exc:  # reported as this member's outcome
-            self.stop(error=exc)
+            val = finalize(acc)
+        except InsufficientData as exc:
+            val = float("nan")
+            error = (type(exc).__name__, str(exc))
+        if name in ("EHdelta", "Ez", "E1_bar_diff", "L4H32_tilde"):
+            total += val
+        rows.append(row(name, val, error=error))
+    rows.append(row("total", total))
+    return rows
 
-    def stop(self, blowup: bool = False, error: Exception | None = None) -> None:
-        self.running = False
-        self.blowup = blowup
-        self.error = error
 
-    def start(self, base: SimConfig, grid: Grid, data) -> None:
-        # the point must be a valid simulation setup on its own
-        replace(base, eps=self.eps, delta=self.delta, gamma=None)
-        eps = self.eps
-        self.ns = NavierStokesStepper(grid, eps, self.delta, base.dt)
-        self.U = np.stack((data.v1.coeffs, data.v2.coeffs, eps * data.w.coeffs))
-        self.accs = {
-            "EHdelta": NormAccumulator("EHdelta", delta=self.delta),
-            "Ez": NormAccumulator("Ez"),
-            "EH": NormAccumulator("EHdelta", delta=0.0),
-        }
-        self.t_prev = None
+def _hydrostatic_family(points, base: SimConfig, mode: str, lanes: list) -> list:
+    t0 = _time.perf_counter()
+    try:
+        grid = make_grid(base.nx, base.ny, base.nz)
+        data = generate_initial_data(base.recipe, base.seed, grid)
+    except Exception as exc:  # fails every point
+        return [exc] * len(points)
+    ref = {}
 
-    def sample(self, grid: Grid, t: float, ref) -> np.ndarray:
-        """Fold the difference at time t into the norms; return N(U)."""
-        V, w, rhs_pe, dw = ref
-        U, eps = self.U, self.eps
-        N_ns = self.ns.nonlinear(U)
-        rhs_ns = self.ns.rhs(U, N_ns)
+    def sample_reference(st, t, V, N):
+        rhs = st.rhs(V, N)
+        ref["now"] = (V, _raw_w_from_v(grid, V), rhs, _raw_w_from_v(grid, rhs))
+
+    def sample_member(eps, norms, st, t, U, N):
+        """Fold the difference at time t into the point's norms."""
+        V, w, rhs_pe, dw = ref["now"]
+        rhs_ns = st.rhs(U, N)
         diff = np.stack((U[0] - V[0], U[1] - V[1], U[2] - eps * w))
         ddiff = np.stack(
             (rhs_ns[0] - rhs_pe[0], rhs_ns[1] - rhs_pe[1], rhs_ns[2] - eps * dw)
         )
         df = _fields(grid, diff, (EVEN, EVEN, ODD))
         ddf = _fields(grid, ddiff, (EVEN, EVEN, ODD))
-        inc = None if self.t_prev is None else t - self.t_prev
-        for key in self.accs:
-            self.accs[key] = accumulate(self.accs[key], df, ddf, inc)
-        self.t_prev = t
-        return N_ns
+        for name in norms:
+            norms.fold(name, t, df, ddf)
 
-    def advance(self, grid: Grid, N_ns: np.ndarray | None, t_next: float) -> None:
-        if N_ns is None:
-            self.U = self.ns.step(self.U)
-        else:
-            self.U = self.ns.advance(self.U, N_ns)
-        _check_blowup(grid, self.U, t_next)
-
-    def rows(self, mode: str, wall_ms: int) -> list[NormRow]:
-        return _finalize_rows(
-            mode, self.eps, self.delta, self.gamma, list(self.accs.items()),
-            self.blowup, wall_ms,
-        )
-
-
-def _hydrostatic_family(points, base: SimConfig, mode: str) -> list:
-    t0 = _time.perf_counter()
-    members = [_HydrostaticMember(pt) for pt in points]
-    try:
-        grid = make_grid(base.nx, base.ny, base.nz)
-        data = generate_initial_data(base.recipe, base.seed, grid)
-        dt = base.dt
-        n_steps = base.n_steps
-        pe = PrimitiveStepper(grid, 0.0, dt)
-        V = np.stack((data.v1.coeffs, data.v2.coeffs))
-        for m in members:
-            with m.guard():
-                m.start(base, grid, data)
-        for n in range(n_steps + 1):
-            t = n * dt
-            record = n % base.record_every == 0 or n == n_steps
-            N_pe = pe.nonlinear(V)
-            if record:
-                rhs_pe = pe.rhs(V, N_pe)
-                ref = (V, _raw_w_from_v(grid, V), rhs_pe, _raw_w_from_v(grid, rhs_pe))
-            for m in members:
-                if not m.running:
-                    continue
-                with m.guard():
-                    N_ns = m.sample(grid, t, ref) if record else None
-                    if n < n_steps:
-                        m.advance(grid, N_ns, t + dt)
-            if n == n_steps or not any(m.running for m in members):
-                break
-            V = pe.advance(V, N_pe)
-            _check_blowup(grid, V, t + dt)
-    except BlowupDetected:
-        for m in members:
-            if m.running:
-                m.stop(blowup=True)
-    except Exception as exc:  # fails every member still running
-        for m in members:
-            if m.running:
-                m.stop(error=exc)
+    family = [system_lane("PE_H", data, 1.0, 0.0, observe=sample_reference,
+                          reference=True, label="PE_H reference")]
+    members = []
+    for eps, delta, gamma in points:
+        norms = _Norms(EHdelta=NormAccumulator("EHdelta", delta=delta),
+                       Ez=NormAccumulator("Ez"),
+                       EH=NormAccumulator("EHdelta", delta=0.0))
+        try:
+            # the point must be a valid simulation setup on its own
+            replace(base, eps=eps, delta=delta, gamma=None)
+            lane = system_lane("NS_eps_delta", data, eps, delta,
+                               observe=partial(sample_member, eps, norms),
+                               label=f"eps={eps:g}, delta={delta:g}")
+        except Exception as exc:  # reported as this point's outcome
+            members.append(exc)
+            continue
+        family.append(lane)
+        members.append((lane, norms, (eps, delta, gamma)))
+    lanes += family
+    run_lanes(family, [(base.dt, base.n_steps)], grid.kmax, base.record_every)
     wall = int(1000 * (_time.perf_counter() - t0))
-    return [m.error if m.error is not None else m.rows(mode, wall) for m in members]
+    return [m if isinstance(m, Exception) else _outcome(*m, mode, wall)
+            for m in members]
 
 
-def _large_delta_pair(point, base: SimConfig, mode: str) -> list[NormRow]:
+def _large_delta_pair(point, base: SimConfig, mode: str, lanes: list):
+    """The rows of a delta_to_infty point, or the exception that stopped it;
+    an invalid point raises."""
     eps, delta, gamma = point
+    if base.record_every != 1:
+        raise InvalidParameter(
+            f"delta_to_infty samples every step; record_every={base.record_every}"
+            " would be ignored"
+        )
     replace(base, eps=eps, delta=delta, gamma=None)  # a valid setup on its own
     t0 = _time.perf_counter()
     grid = make_grid(base.nx, base.ny, base.nz)
     data = generate_initial_data(base.recipe, base.seed, grid)
-    dt = base.dt
-    segments = _stiff_segments(base.t_end, dt, delta)
+    norms = _Norms(E1_bar_diff=NormAccumulator("EHdelta", delta=1.0),
+                   L4H32_tilde=NormAccumulator("L4H32"),
+                   L4H32_tilde_stokes=NormAccumulator("L4H32"))
+    bar = {}
 
-    U = np.stack((data.v1.coeffs, data.v2.coeffs, eps * data.w.coeffs))
-    B = U[:2, :, :, 0].copy()  # barotropic plane, stepped by NS2D
-    # baroclinic (vtilde, w), exact Stokes comparison flow
-    S = np.stack((U[0], U[1], data.w.coeffs))
-    S[:2, :, :, 0] = 0.0
-
-    accs = {
-        "E1_bar_diff": NormAccumulator("EHdelta", delta=1.0),
-        "L4H32_tilde": NormAccumulator("L4H32"),
-        "L4H32_tilde_stokes": NormAccumulator("L4H32"),
-    }
-    blowup = False
-    t_prev = None
-    t = 0.0
-
-    def sample(inc, N_ns, N_2d):
-        rhs_ns = ns.rhs(U, N_ns)
-        rhs_2d = ns2d.rhs(B, N_2d)
-        bar_diff = _raw_embed_plane(grid, U[:2, :, :, 0] - B)
-        dbar_diff = _raw_embed_plane(grid, rhs_ns[:2, :, :, 0] - rhs_2d)
+    def sample_ns(st, t, U, N):
+        # the barotropic planes of the state and its time derivative
+        bar["now"] = (U[:2, :, :, 0].copy(), st.rhs(U, N)[:2, :, :, 0].copy())
         tilde = U.copy()
-        tilde[0, :, :, 0] = 0.0
-        tilde[1, :, :, 0] = 0.0
+        tilde[:2, :, :, 0] = 0.0
         tilde[2] = _raw_w_from_v(grid, U[:2])  # physical w
-        accs["E1_bar_diff"] = accumulate(
-            accs["E1_bar_diff"],
-            _fields(grid, bar_diff, (EVEN, EVEN)),
-            _fields(grid, dbar_diff, (EVEN, EVEN)),
-            inc,
-        )
-        accs["L4H32_tilde"] = accumulate(
-            accs["L4H32_tilde"], _fields(grid, tilde, (EVEN, EVEN, ODD)),
-            None, inc,
-        )
-        accs["L4H32_tilde_stokes"] = accumulate(
-            accs["L4H32_tilde_stokes"], _fields(grid, S, (EVEN, EVEN, ODD)),
-            None, inc,
+        norms.fold("L4H32_tilde", t, _fields(grid, tilde, (EVEN, EVEN, ODD)))
+
+    def sample_2d(st, t, B, N):
+        U_bar, rhs_bar = bar["now"]
+        norms.fold(
+            "E1_bar_diff", t,
+            _fields(grid, _raw_embed_plane(grid, U_bar - B), (EVEN, EVEN)),
+            _fields(grid, _raw_embed_plane(grid, rhs_bar - st.rhs(B, N)),
+                    (EVEN, EVEN)),
         )
 
-    try:
-        for seg_dt, seg_steps in segments:
-            ns = NavierStokesStepper(grid, eps, delta, seg_dt)
-            ns2d = NavierStokes2DStepper(grid, seg_dt)
-            stokes = StokesScaledStepper(grid, delta, seg_dt)
-            for _ in range(seg_steps):
-                N_ns = ns.nonlinear(U)
-                N_2d = ns2d.nonlinear(B)
-                sample(None if t_prev is None else t - t_prev, N_ns, N_2d)
-                t_prev = t
-                U = ns.advance(U, N_ns)
-                B = ns2d.advance(B, N_2d)
-                S = stokes.advance(S)
-                t += seg_dt
-                _check_blowup(grid, U, t)
-        sample(t - t_prev, ns.nonlinear(U), ns2d.nonlinear(B))
-    except BlowupDetected:
-        blowup = True
+    def sample_stokes(st, t, S, N):
+        norms.fold("L4H32_tilde_stokes", t, _fields(grid, S, (EVEN, EVEN, ODD)))
+
+    where = f"eps={eps:g}, delta={delta:g}"
+    pair = [
+        system_lane("NS_eps_delta", data, eps, delta, observe=sample_ns,
+                    label=where),
+        # the barotropic plane, stepped by NS2D
+        system_lane("NS2D", data, eps, delta, observe=sample_2d,
+                    reference=True, label=where),
+        # the baroclinic (vtilde, w), exact Stokes comparison flow
+        system_lane("StokesScaled", data, eps, delta, observe=sample_stokes,
+                    reference=True, label=where),
+    ]
+    pair[2].U[:2, :, :, 0] = 0.0
+    lanes += pair
+    run_lanes(pair, _stiff_segments(base.t_end, base.dt, delta), grid.kmax)
     wall = int(1000 * (_time.perf_counter() - t0))
-    return _finalize_rows(mode, eps, delta, gamma, list(accs.items()), blowup, wall)
+    return _outcome(pair[0], norms, point, mode, wall)
 
 
 def _stiff_segments(T: float, dt: float, delta: float) -> list[tuple[float, int]]:

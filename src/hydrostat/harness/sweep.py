@@ -50,6 +50,10 @@ class SweepConfig:
             raise ConfigError("eps_values must be nonempty")
         if self.mode == "delta_to_infty" and not self.delta_values:
             raise ConfigError("delta_to_infty needs delta_values")
+        if self.mode == "delta_to_infty" and self.base.record_every != 1:
+            raise ConfigError(
+                "delta_to_infty samples every step; record_every must be 1"
+            )
         if self.mode == "gamma_scan":
             if not self.gamma_values:
                 raise ConfigError("gamma_scan needs gamma_values")
@@ -119,12 +123,13 @@ def fit_rate(
     return slope, float(intercept), float(r2)
 
 
-def _abscissa(mode: str, row: NormRow) -> float:
-    if mode == "eps_delta_to_zero":
-        return row.eps + row.delta
+def abscissa(mode: str, eps: float, delta: float) -> float:
+    """The parameter a rate is fitted against in each sweep mode."""
     if mode == "gamma_scan":
-        return row.eps
-    return row.delta
+        return eps
+    if mode == "delta_to_infty":
+        return delta
+    return eps + delta
 
 
 def _row_order(r: NormRow):
@@ -195,7 +200,8 @@ def run_sweep(cfg: SweepConfig, write_plots: bool = False) -> SweepResult:
         if r.norm_name == "FAILED" or r.blowup:
             continue
         key = (r.gamma, r.norm_name) if cfg.mode == "gamma_scan" else r.norm_name
-        by_key.setdefault(key, []).append((_abscissa(cfg.mode, r), r.value))
+        h = abscissa(cfg.mode, r.eps, r.delta)
+        by_key.setdefault(key, []).append((h, r.value))
     for key, pts_v in by_key.items():
         if len(pts_v) >= 3:
             try:
@@ -224,7 +230,7 @@ def run_sweep(cfg: SweepConfig, write_plots: bool = False) -> SweepResult:
                     else r.norm_name
                 )
                 series.setdefault(label, []).append(
-                    (_abscissa(cfg.mode, r), r.value)
+                    (abscissa(cfg.mode, r.eps, r.delta), r.value)
                 )
             write_loglog_svg(
                 os.path.join(cfg.out_dir, "rates.svg"), series, title=cfg.mode

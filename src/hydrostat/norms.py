@@ -99,10 +99,6 @@ class NormAccumulator:
         if self.kind == "EHdelta" and self.delta < 0:
             raise InvalidParameter("EHdelta accumulator needs delta >= 0")
 
-    @property
-    def n_parts(self) -> int:
-        return 3 if self.kind == "EHdelta" else 1
-
 
 def _integrands(acc: NormAccumulator, u, dudt) -> tuple[float, ...]:
     uc = _components(u)

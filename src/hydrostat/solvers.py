@@ -30,12 +30,21 @@ Every step re-enforces parity and the system's divergence constraint; both
 are Fourier-diagonal projections that commute with the propagator, so this
 only removes rounding drift.  The kz=0 plane is even in z by construction,
 so the 2D stepper has no parity pass.
+
+SYSTEMS maps each system name to its stepper and to the packing of a
+VelocityState into the stepper's state array and back.  run_lanes is the
+one time loop: it advances a set of lanes (a state and its stepper) in
+lockstep through a step schedule, samples them through observers and
+checks each for blowup.  run_simulation drives it with one lane; the
+matched-pair runs of harness.pairs drive it with their anisotropic runs
+and, as reference lanes, the limit-system runs those are compared with.
 """
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
-from typing import Sequence
+from functools import partial
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -43,8 +52,6 @@ from .errors import BlowupDetected, CompatibilityError, InvalidParameter
 from .fields import (
     VelocityState,
     _raw_advect_div,
-    _raw_divH_bar_defect,
-    _raw_div_eps_defect,
     _raw_project_eps,
     _raw_project_hydro,
     _raw_project_hydro_plane,
@@ -64,8 +71,6 @@ from .spectral import (
     _raw_wsum,
     make_grid,
 )
-
-SYSTEMS = ("NS_eps_delta", "PE_delta", "PE_H", "NS2D", "StokesScaled")
 
 BLOWUP_NORM_LIMIT = 1e8
 CFL_LIMIT = 0.5
@@ -154,9 +159,10 @@ def _check_blowup(grid: Grid | Plane, U: np.ndarray, t: float) -> None:
 class _ExpAB2:
     """Integrating-factor stepper with AB2 extrapolation of the nonlinearity.
 
-    Subclasses provide the projected, dealiased nonlinear term and the
-    structural postprocessing (parity + constraint projection).  A stepper
-    on a Plane declares no parities.
+    Subclasses provide nonlinear(U), the projected, dealiased nonlinear
+    term, and constrain(U), the constraint projection that follows the
+    parity projection in advance.  A stepper on a Plane declares no
+    parities.
     """
 
     parities: tuple[str, ...] = ()
@@ -169,14 +175,6 @@ class _ExpAB2:
         self._n_prev: np.ndarray | None = None
         self.last_umax = 0.0
 
-    # -- system hooks -------------------------------------------------------
-    def nonlinear(self, U: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
-
-    def constrain(self, U: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
-
-    # -- generic machinery --------------------------------------------------
     def rhs(self, U: np.ndarray, N: np.ndarray | None = None) -> np.ndarray:
         """Semi-discrete time derivative at the state U."""
         if N is None:
@@ -285,113 +283,172 @@ class StokesScaledStepper(_ExpAB2):
     def nonlinear(self, U: np.ndarray) -> np.ndarray:
         return np.zeros_like(U)
 
-    def constrain(self, U: np.ndarray) -> np.ndarray:
-        return U
-
     def advance(self, U: np.ndarray, N: np.ndarray | None = None) -> np.ndarray:
         return self.propagator * U
 
 
+
+
+# ---------------------------------------------------------------------------
+# the system table
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class System:
+    """How one system is stepped: stepper(grid, eps, delta, dt) builds its
+    stepper, pack(state, eps) its state array, unpack(grid, U) the (v1, v2, w)
+    coefficients of a state array; require(U, what) checks a precondition."""
+
+    stepper: Callable[[Grid, float, float, float], _ExpAB2]
+    pack: Callable[[VelocityState, float], np.ndarray]
+    unpack: Callable[[Grid, np.ndarray], tuple]
+    require: Callable[[np.ndarray, str], None] = lambda U, what: None
+
+
 def _require_mean_free(U: np.ndarray, what: str, tol: float = 1e-12) -> None:
-    m = float(np.max(np.abs(U[..., 0])))
+    m = float(np.max(np.abs(U[:2, ..., 0])))
     if m > tol:
         raise CompatibilityError(f"{what} is not vertically mean-free: {m:.3e}", m)
 
 
-def _require_z_independent(U: np.ndarray, what: str, tol: float = 1e-12) -> None:
-    m = float(np.max(np.abs(U[..., 1:])))
-    if m > tol:
-        raise CompatibilityError(f"{what} is not z-independent: {m:.3e}", m)
+_PE = System(
+    lambda g, eps, delta, dt: PrimitiveStepper(g, delta, dt),
+    lambda s, eps: np.stack((s.v1.coeffs, s.v2.coeffs)),
+    lambda g, V: (V[0], V[1], _raw_w_from_v(g, V)),
+)
 
-
-def _state_fields(grid: Grid, U: np.ndarray, parities: Sequence[str]):
-    return tuple(SpectralField(grid, U[i], p) for i, p in enumerate(parities))
-
-
-def _pack_ns(state: VelocityState, eps: float) -> np.ndarray:
-    return np.stack(
-        (state.v1.coeffs, state.v2.coeffs, eps * state.w.coeffs)
-    )
-
-
-def _unpack_ns(grid: Grid, U: np.ndarray, tag: str, t: float) -> VelocityState:
-    w = _raw_w_from_v(grid, U[:2])
-    v1, v2 = _state_fields(grid, U, (EVEN, EVEN))[:2]
-    return VelocityState(v1, v2, SpectralField(grid, w, ODD), tag, t)
+SYSTEMS = {
+    "NS_eps_delta": System(
+        lambda g, eps, delta, dt: NavierStokesStepper(g, eps, delta, dt),
+        lambda s, eps: np.stack((s.v1.coeffs, s.v2.coeffs, eps * s.w.coeffs)),
+        lambda g, U: (U[0], U[1], _raw_w_from_v(g, U[:2])),
+    ),
+    "PE_delta": _PE,
+    "PE_H": _PE,
+    "NS2D": System(
+        lambda g, eps, delta, dt: NavierStokes2DStepper(g, dt),
+        lambda s, eps: np.stack((s.v1.coeffs[:, :, 0], s.v2.coeffs[:, :, 0])),
+        lambda g, B: (*_raw_embed_plane(g, B), np.zeros(g.spec_shape, np.complex128)),
+    ),
+    "StokesScaled": System(
+        lambda g, eps, delta, dt: StokesScaledStepper(g, delta, dt),
+        lambda s, eps: np.stack((s.v1.coeffs, s.v2.coeffs, s.w.coeffs)),
+        lambda g, U: tuple(U),
+        _require_mean_free,
+    ),
+}
 
 
 # ---------------------------------------------------------------------------
-# single-step operations (fresh stepper => Euler bootstrap on the nonlinearity)
+# the time loop
 # ---------------------------------------------------------------------------
 
-def step_ns_eps_delta(state: VelocityState, cfg: SimConfig) -> VelocityState:
-    """One step of the rescaled anisotropic system."""
-    grid = state.grid
-    stepper = NavierStokesStepper(grid, cfg.eps, cfg.delta, cfg.dt)
-    U = _pack_ns(state, cfg.eps)
-    U1 = stepper.step(U)
-    t1 = state.time + cfg.dt
-    _check_blowup(grid, U1, t1)
-    return _unpack_ns(grid, U1, state.system_tag, t1)
+@dataclass(eq=False)
+class Lane:
+    """One trajectory of a lockstep run (see run_lanes).
 
-
-def step_pe(state: VelocityState, cfg: SimConfig) -> VelocityState:
-    """One step of the hydrostatic limit systems (delta >= 0 selects the
-    anisotropic or the horizontal-viscosity variant); w is recomputed from
-    the stepped horizontal pair."""
-    grid = state.grid
-    V = np.stack((state.v1.coeffs, state.v2.coeffs))
-    defect = _raw_divH_bar_defect(grid, V)
-    if defect > 1e-10:
-        raise CompatibilityError(
-            f"initial data violates the vertical-average constraint: {defect:.3e}",
-            defect,
-        )
-    stepper = PrimitiveStepper(grid, cfg.delta, cfg.dt)
-    V1 = stepper.step(V)
-    t1 = state.time + cfg.dt
-    _check_blowup(grid, V1, t1)
-    w = _raw_w_from_v(grid, V1)
-    v1, v2 = _state_fields(grid, V1, (EVEN, EVEN))
-    return VelocityState(v1, v2, SpectralField(grid, w, ODD), state.system_tag, t1)
-
-
-def step_ns2d(
-    v: Sequence[SpectralField], cfg: SimConfig
-) -> tuple[SpectralField, SpectralField]:
-    """One 2D Navier-Stokes step on a z-independent horizontal pair.
-
-    The step acts on the kz=0 coefficient plane; the returned pair is
-    z-independent (its kz != 0 coefficients are exactly zero).  A pair with
-    kz != 0 content is rejected rather than truncated.
+    make(dt) builds the lane's stepper for a step size.  observe(stepper, t,
+    U, N) sees the state at every recorded instant together with the
+    nonlinear term its step computed; N is None at the final instant, where
+    no step follows.  A reference lane serves the others: its failure stops
+    every lane, and it stops once no other lane is running.  A lane that
+    stops keeps the exception that stopped it in failure (None when it was
+    stopped for having no one left to serve).
     """
-    grid = v[0].grid
-    V = np.stack((v[0].coeffs, v[1].coeffs))
-    _require_z_independent(V, "2D state")
-    V = V[..., 0]
-    stepper = NavierStokes2DStepper(grid, cfg.dt)
-    V1 = stepper.step(V)
-    _check_blowup(stepper.grid, V1, cfg.dt)
-    f1, f2 = _state_fields(grid, _raw_embed_plane(grid, V1), (EVEN, EVEN))
-    return (f1, f2)
+
+    make: Callable[[float], _ExpAB2]
+    U: np.ndarray
+    observe: Callable[..., None] = lambda st, t, U, N: None
+    reference: bool = False
+    label: str = ""
+    running: bool = True
+    failure: Exception | None = None
+    cfl: float = 0.0
+    cfl_t: float = 0.0
+
+    def stop(self, failure: Exception | None) -> None:
+        if self.running:
+            self.running, self.failure = False, failure
 
 
-def step_stokes_scaled(state: VelocityState, cfg: SimConfig) -> VelocityState:
-    """Exact exponential update of the scaled Stokes system on mean-free data."""
-    grid = state.grid
-    U = np.stack((state.v1.coeffs, state.v2.coeffs, state.w.coeffs))
-    _require_mean_free(U[:2], "Stokes state")
-    Ueps = np.stack((U[0], U[1], cfg.eps * U[2]))
-    d = _raw_div_eps_defect(grid, Ueps, cfg.eps)
-    if d > 1e-10:
-        raise CompatibilityError(f"Stokes state is not divergence-free: {d:.3e}", d)
-    stepper = StokesScaledStepper(grid, cfg.delta, cfg.dt)
-    U1 = stepper.advance(U)
-    t1 = state.time + cfg.dt
-    v1, v2 = _state_fields(grid, U1, (EVEN, EVEN))[:2]
-    return VelocityState(
-        v1, v2, SpectralField(grid, U1[2], ODD), state.system_tag, t1
-    )
+def system_lane(
+    system: str, state: VelocityState, eps: float, delta: float, **kw
+) -> Lane:
+    """A lane of the named entry of SYSTEMS, starting from state."""
+    entry = SYSTEMS[system]
+    make = partial(entry.stepper, state.grid, eps, delta)
+    return Lane(make, entry.pack(state, eps), **kw)
+
+
+def _fail(lanes: list[Lane], lane: Lane, exc: Exception) -> None:
+    for other in lanes if lane.reference else (lane,):
+        other.stop(exc)
+    if not any(other.running for other in lanes if not other.reference):
+        for other in lanes:
+            other.stop(None)
+
+
+def run_lanes(
+    lanes: list[Lane],
+    schedule: Sequence[tuple[float, int]],
+    kmax: float,
+    record_every: int = 1,
+) -> None:
+    """Advance every lane in lockstep through the step schedule [(dt, n), ...].
+
+    Each segment of the schedule builds fresh steppers, so the nonlinearity
+    restarts with an Euler step there.  The j-th step of a segment that
+    starts at t0 starts at t = t0 + j dt.  On step n each running lane in
+    turn computes its nonlinear term, is observed when n % record_every
+    == 0, advances, and has its new state checked for blowup.  The run
+    ends early once no lane other than a reference is running.  The final
+    instant is always observed.  Each lane tracks its largest advective
+    CFL number dt max|u| kmax, and where it occurred.
+    """
+    t0, n = 0.0, 0
+    steppers: list[_ExpAB2] = []
+    for dt, steps in schedule:
+        steppers = [lane.make(dt) for lane in lanes]
+        for j in range(steps):
+            if not any(lane.running for lane in lanes if not lane.reference):
+                return
+            t = t0 + j * dt
+            for lane, st in zip(lanes, steppers):
+                if not lane.running:
+                    continue
+                try:
+                    N = st.nonlinear(lane.U)
+                    if n % record_every == 0:
+                        lane.observe(st, t, lane.U, N)
+                    lane.U = st.advance(lane.U, N)
+                    # last_umax is max |u| of the state at t, which the step advected
+                    cfl = dt * st.last_umax * kmax
+                    if cfl > lane.cfl:
+                        lane.cfl, lane.cfl_t = cfl, t
+                    _check_blowup(st.grid, lane.U, t0 + (j + 1) * dt)
+                except Exception as exc:  # the lane's outcome
+                    _fail(lanes, lane, exc)
+            n += 1
+        t0 += steps * dt
+    for lane, st in zip(lanes, steppers):
+        if lane.running:
+            try:
+                lane.observe(st, t0, lane.U, None)
+            except Exception as exc:  # the lane's outcome
+                _fail(lanes, lane, exc)
+
+
+def warn_cfl(lanes: Sequence[Lane]) -> None:
+    """One warning naming the largest CFL number of the lanes, if it
+    exceeds CFL_LIMIT."""
+    top = max(lanes, key=lambda lane: lane.cfl, default=None)
+    if top is not None and top.cfl > CFL_LIMIT:
+        where = f"t={top.cfl_t:.6g}" + (f", {top.label}" if top.label else "")
+        warnings.warn(
+            f"largest advective CFL number {top.cfl:.2f} (at {where}) "
+            f"exceeds {CFL_LIMIT}; results may be underresolved in time",
+            RuntimeWarning,
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -414,79 +471,31 @@ def run_simulation(cfg: SimConfig) -> TrajectoryRecord:
     """
     from .harness.initial_data import generate_initial_data
 
-    grid = make_grid(cfg.nx, cfg.ny, cfg.nz)
-    state0 = generate_initial_data(cfg.recipe, cfg.seed, grid)
-
-    if cfg.system == "NS_eps_delta":
-        stepper = NavierStokesStepper(grid, cfg.eps, cfg.delta, cfg.dt)
-        U = _pack_ns(state0, cfg.eps)
-        unpack = lambda U, t: _unpack_ns(grid, U, cfg.system, t)
-    elif cfg.system in ("PE_delta", "PE_H"):
-        stepper = PrimitiveStepper(grid, cfg.delta, cfg.dt)
-        U = np.stack((state0.v1.coeffs, state0.v2.coeffs))
-
-        def unpack(U, t):
-            w = _raw_w_from_v(grid, U)
-            v1, v2 = _state_fields(grid, U, (EVEN, EVEN))
-            return VelocityState(v1, v2, SpectralField(grid, w, ODD), cfg.system, t)
-
-    elif cfg.system == "NS2D":
-        stepper = NavierStokes2DStepper(grid, cfg.dt)
-        U = np.stack((state0.v1.coeffs[:, :, 0], state0.v2.coeffs[:, :, 0]))
-
-        def unpack(U, t):
-            v1, v2 = _state_fields(grid, _raw_embed_plane(grid, U), (EVEN, EVEN))
-            w = np.zeros(grid.spec_shape, dtype=np.complex128)
-            return VelocityState(v1, v2, SpectralField(grid, w, ODD), cfg.system, t)
-
-    elif cfg.system == "StokesScaled":
-        U = np.stack((state0.v1.coeffs, state0.v2.coeffs, state0.w.coeffs))
-        _require_mean_free(U[:2], f"recipe {cfg.recipe!r} data")
-        stepper = StokesScaledStepper(grid, cfg.delta, cfg.dt)
-
-        def unpack(U, t):
-            v1, v2 = _state_fields(grid, U, (EVEN, EVEN))[:2]
-            return VelocityState(
-                v1, v2, SpectralField(grid, U[2], ODD), cfg.system, t
-            )
-
-    else:  # pragma: no cover - SimConfig already validated
-        raise InvalidParameter(cfg.system)
-
     rec = TrajectoryRecord(samples={"l2": [], "h1": []})
-    space = stepper.grid  # the grid, or its kz=0 plane for NS2D
-    cfl_max, cfl_t = 0.0, 0.0
 
-    def record(t: float, U: np.ndarray) -> None:
-        l2, h1 = _l2_h1(space, U)
+    def record(st: _ExpAB2, t: float, U: np.ndarray, N) -> None:
+        l2, h1 = _l2_h1(st.grid, U)  # the grid, or its kz=0 plane for NS2D
         rec.times.append(t)
         rec.samples["l2"].append(l2)
         rec.samples["h1"].append(h1)
 
-    n_steps = cfg.n_steps
-    t = 0.0
-    try:
-        for n in range(n_steps):
-            if n % cfg.record_every == 0:
-                record(t, U)
-            U = stepper.step(U)
-            # last_umax is max |u| of the state at t, which the step advected
-            cfl = cfg.dt * stepper.last_umax * grid.kmax
-            if cfl > cfl_max:
-                cfl_max, cfl_t = cfl, t
-            t = (n + 1) * cfg.dt
-            _check_blowup(space, U, t)
-        record(t, U)
-        rec.final_state = unpack(U, t)
-    except BlowupDetected as exc:
+    system = SYSTEMS[cfg.system]
+    grid = make_grid(cfg.nx, cfg.ny, cfg.nz)
+    data = generate_initial_data(cfg.recipe, cfg.seed, grid)
+    lane = system_lane(cfg.system, data, cfg.eps, cfg.delta, observe=record)
+    system.require(lane.U, f"recipe {cfg.recipe!r} data")
+    run_lanes([lane], [(cfg.dt, cfg.n_steps)], grid.kmax, cfg.record_every)
+    if isinstance(lane.failure, BlowupDetected):
         rec.blowup_flag = True
-        rec.blowup_time = exc.time
-        rec.blowup_reason = exc.reason
-        rec.final_state = None
-    if cfl_max > CFL_LIMIT:
-        warnings.warn(
-            f"largest advective CFL number {cfl_max:.2f} (at t={cfl_t:.6g}) "
-            f"exceeds {CFL_LIMIT}; results may be underresolved in time",
-            RuntimeWarning,
+        rec.blowup_time = lane.failure.time
+        rec.blowup_reason = lane.failure.reason
+    elif lane.failure is not None:
+        raise lane.failure
+    else:
+        comps = system.unpack(grid, lane.U)
+        rec.final_state = VelocityState(
+            *(SpectralField(grid, c, p) for c, p in zip(comps, (EVEN, EVEN, ODD))),
+            cfg.system, cfg.n_steps * cfg.dt,
         )
+    warn_cfl([lane])
     return rec

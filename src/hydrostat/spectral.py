@@ -295,9 +295,6 @@ class SpectralField:
         if other.grid.shape != self.grid.shape:
             raise ShapeError("fields live on different grids")
 
-    def max_abs(self) -> float:
-        return float(np.max(np.abs(self.coeffs)))
-
 
 def zero_field(grid: Grid, parity: str = NONE) -> SpectralField:
     return SpectralField(grid, np.zeros(grid.spec_shape, dtype=np.complex128), parity)

@@ -5,31 +5,28 @@ import scipy.fft
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hydrostat.errors import CompatibilityError, InvalidParameter, ShapeError
+from hydrostat.errors import CompatibilityError, ShapeError
 from hydrostat.fields import (
-    VelocityState,
     _raw_advect_div,
+    _raw_div_eps_defect,
     _raw_project_eps,
+    _raw_project_hydro,
     _raw_w_from_v,
     barotropic_split,
     baroclinic_rhs,
     diff_rhs_F,
-    divergence_defect,
-    project_div_free_scaled,
-    project_hydrostatic,
-    vertical_velocity_from_v,
 )
 from hydrostat.norms import norm_l2_barotropic, norm_sobolev
 from hydrostat.spectral import (
     EVEN,
     ODD,
     SpectralField,
+    _lap_delta_mult,
+    _raw_inner,
     _raw_parity_project,
+    _raw_to_phys,
     _raw_to_spec,
     field_from_function,
-    inner_l2,
-    inverse_transform,
-    laplacian_delta,
     make_grid,
     zero_field,
 )
@@ -39,82 +36,67 @@ from conftest import full_phase, full_wavenumbers, random_band_field
 PI = np.pi
 
 
+def _stack(fields):
+    return np.stack([f.coeffs for f in fields])
+
+
 def _pair(grid, seeds):
     return tuple(random_band_field(grid, s, EVEN) for s in seeds)
 
 
 def _constrained_pair(grid, seeds):
     """Random even pair satisfying the vertical-average constraint."""
-    return project_hydrostatic(_pair(grid, seeds))
+    V = _raw_project_hydro(grid, _stack(_pair(grid, seeds)))
+    return tuple(SpectralField(grid, c, EVEN) for c in V)
+
+
+def _w(v):
+    """The vertical velocity field of a horizontal pair of fields."""
+    return SpectralField(v[0].grid, _raw_w_from_v(v[0].grid, _stack(v)), ODD)
 
 
 class TestScaledProjection:
     def test_annihilates_scaled_gradients(self, grid16):
-        phi = random_band_field(grid16, 40, EVEN)
+        phi = random_band_field(grid16, 40, EVEN).coeffs
         eps = 0.3
-        gx = SpectralField(grid16, 1j * grid16.kx3 * phi.coeffs, EVEN)
-        gy = SpectralField(grid16, 1j * grid16.ky3 * phi.coeffs, EVEN)
-        gz = SpectralField(grid16, 1j * grid16.kz3 / eps * phi.coeffs, ODD)
-        out = project_div_free_scaled((gx, gy, gz), eps)
-        assert max(np.max(np.abs(f.coeffs)) for f in out) < 1e-13
+        grad = np.stack(
+            (1j * grid16.kx3 * phi, 1j * grid16.ky3 * phi, 1j * grid16.kz3 / eps * phi)
+        )
+        out = _raw_project_eps(grid16, grad, eps)
+        assert np.max(np.abs(out)) < 1e-13
 
     def test_idempotent_and_divergence_free(self, grid16):
         eps = 0.25
-        u = tuple(
+        u = _stack(
             random_band_field(grid16, s, p)
             for s, p in ((1, EVEN), (2, EVEN), (3, ODD))
         )
-        once = project_div_free_scaled(u, eps)
-        twice = project_div_free_scaled(once, eps)
-        assert max(
-            np.max(np.abs(a.coeffs - b.coeffs)) for a, b in zip(once, twice)
-        ) < 1e-13
-        div = (
-            grid16.kx3 * once[0].coeffs
-            + grid16.ky3 * once[1].coeffs
-            + grid16.kz3 / eps * once[2].coeffs
-        )
-        assert np.max(np.abs(div)) < 1e-12
+        once = _raw_project_eps(grid16, u, eps)
+        twice = _raw_project_eps(grid16, once, eps)
+        assert np.max(np.abs(once - twice)) < 1e-13
+        assert _raw_div_eps_defect(grid16, once, eps) < 1e-12
 
     def test_single_mode_example(self, grid16):
-        c = np.zeros(grid16.spec_shape, dtype=complex)
-        c[1, 0, 1] = 1.0  # k = (pi, 0, pi)
-        u = (SpectralField(grid16, c), zero_field(grid16), zero_field(grid16))
-        out = project_div_free_scaled(u, 1.0)
-        assert out[0].coeffs[1, 0, 1] == pytest.approx(0.5)
-        assert out[1].coeffs[1, 0, 1] == pytest.approx(0.0)
-        assert out[2].coeffs[1, 0, 1] == pytest.approx(-0.5)
+        u = np.zeros((3, *grid16.spec_shape), dtype=complex)
+        u[0, 1, 0, 1] = 1.0  # k = (pi, 0, pi)
+        out = _raw_project_eps(grid16, u, 1.0)
+        assert out[0, 1, 0, 1] == pytest.approx(0.5)
+        assert out[1, 1, 0, 1] == pytest.approx(0.0)
+        assert out[2, 1, 0, 1] == pytest.approx(-0.5)
 
     def test_self_adjoint_and_commutes_with_laplacian(self, grid16):
         eps, delta = 0.4, 0.7
-        u = tuple(random_band_field(grid16, s) for s in (11, 12, 13))
-        v = tuple(random_band_field(grid16, s) for s in (14, 15, 16))
-        pu = project_div_free_scaled(u, eps)
-        pv = project_div_free_scaled(v, eps)
-        lhs = sum(inner_l2(a, b) for a, b in zip(pu, v))
-        rhs = sum(inner_l2(a, b) for a, b in zip(u, pv))
+        u = _stack(random_band_field(grid16, s) for s in (11, 12, 13))
+        v = _stack(random_band_field(grid16, s) for s in (14, 15, 16))
+        pu = _raw_project_eps(grid16, u, eps)
+        pv = _raw_project_eps(grid16, v, eps)
+        lhs = _raw_inner(grid16, pu, v)
+        rhs = _raw_inner(grid16, u, pv)
         assert lhs == pytest.approx(rhs, rel=1e-12)
-        a = project_div_free_scaled(tuple(laplacian_delta(f, delta) for f in u), eps)
-        b = tuple(laplacian_delta(f, delta) for f in project_div_free_scaled(u, eps))
-        assert max(np.max(np.abs(x.coeffs - y.coeffs)) for x, y in zip(a, b)) < 1e-12
-
-    def test_eps_validation(self, grid8):
-        u = (zero_field(grid8), zero_field(grid8), zero_field(grid8))
-        with pytest.raises(InvalidParameter):
-            project_div_free_scaled(u, 0.0)
-
-    def test_velocity_state_round_trip(self, grid16):
-        st_in = VelocityState(
-            random_band_field(grid16, 1, EVEN),
-            random_band_field(grid16, 2, EVEN),
-            random_band_field(grid16, 3, ODD),
-            "NS_eps_delta",
-            0.5,
-        )
-        out = project_div_free_scaled(st_in, 1.0)
-        assert isinstance(out, VelocityState)
-        assert out.time == 0.5
-        assert divergence_defect(out) < 1e-12
+        lap = _lap_delta_mult(grid16, delta)
+        a = _raw_project_eps(grid16, lap * u, eps)
+        b = lap * _raw_project_eps(grid16, u, eps)
+        assert np.max(np.abs(a - b)) < 1e-12
 
 
 class TestHydrostaticProjection:
@@ -122,28 +104,25 @@ class TestHydrostaticProjection:
         phi = random_band_field(grid16, 21, EVEN)
         bar = np.zeros(grid16.spec_shape, dtype=complex)
         bar[:, :, 0] = phi.coeffs[:, :, 0]
-        gx = SpectralField(grid16, 1j * grid16.kx3 * bar, EVEN)
-        gy = SpectralField(grid16, 1j * grid16.ky3 * bar, EVEN)
-        out = project_hydrostatic((gx, gy))
-        assert max(np.max(np.abs(f.coeffs)) for f in out) < 1e-13
+        grad = np.stack((1j * grid16.kx3 * bar, 1j * grid16.ky3 * bar))
+        out = _raw_project_hydro(grid16, grad)
+        assert np.max(np.abs(out)) < 1e-13
 
     def test_idempotent_on_range(self, grid16):
-        f = _constrained_pair(grid16, (22, 23))
-        again = project_hydrostatic(f)
-        assert max(
-            np.max(np.abs(a.coeffs - b.coeffs)) for a, b in zip(f, again)
-        ) < 1e-14
+        f = _stack(_constrained_pair(grid16, (22, 23)))
+        again = _raw_project_hydro(grid16, f)
+        assert np.max(np.abs(f - again)) < 1e-14
 
     def test_single_mode_example(self, grid16):
         f1 = field_from_function(grid16, lambda x, y, z: np.sin(PI * x), EVEN)
-        out = project_hydrostatic((f1, zero_field(grid16, EVEN)))
-        assert max(np.max(np.abs(f.coeffs)) for f in out) < 1e-13
+        out = _raw_project_hydro(grid16, _stack((f1, zero_field(grid16, EVEN))))
+        assert np.max(np.abs(out)) < 1e-13
 
     def test_average_divergence_free(self, grid16):
-        out = project_hydrostatic(_pair(grid16, (24, 25)))
+        out = _raw_project_hydro(grid16, _stack(_pair(grid16, (24, 25))))
         d = (
-            grid16.kx[:, None] * out[0].coeffs[:, :, 0]
-            + grid16.ky[None, :] * out[1].coeffs[:, :, 0]
+            grid16.kx[:, None] * out[0, :, :, 0]
+            + grid16.ky[None, :] * out[1, :, :, 0]
         )
         assert np.max(np.abs(d)) < 1e-13
 
@@ -153,40 +132,32 @@ class TestVerticalVelocity:
         v1 = field_from_function(
             grid16, lambda x, y, z: np.sin(PI * x) * np.cos(PI * z), EVEN
         )
-        w = vertical_velocity_from_v((v1, zero_field(grid16, EVEN)))
+        w = _raw_w_from_v(grid16, _stack((v1, zero_field(grid16, EVEN))))
         exact = field_from_function(
             grid16, lambda x, y, z: -np.cos(PI * x) * np.sin(PI * z), ODD
         )
-        assert np.max(np.abs(w.coeffs - exact.coeffs)) < 1e-13
-        assert w.parity == ODD
+        assert np.max(np.abs(w - exact.coeffs)) < 1e-13
+        assert np.all(w[:, :, 0] == 0.0)  # odd in z
 
     def test_divergence_free_input_gives_zero(self, grid16):
         v1 = field_from_function(
             grid16, lambda x, y, z: np.sin(PI * y) * np.cos(PI * z), EVEN
         )
-        w = vertical_velocity_from_v((v1, zero_field(grid16, EVEN)))
-        assert np.max(np.abs(w.coeffs)) < 1e-14
+        w = _raw_w_from_v(grid16, _stack((v1, zero_field(grid16, EVEN))))
+        assert np.max(np.abs(w)) < 1e-14
 
     @given(seed=st.integers(0, 5000))
     @settings(max_examples=20, deadline=None)
     def test_defining_relations(self, seed):
         grid = make_grid(16, 16, 16)
-        v = project_hydrostatic(
-            tuple(random_band_field(grid, seed + i, EVEN) for i in (0, 1))
-        )
-        w = vertical_velocity_from_v(v)
-        dzw = 1j * grid.kz3 * w.coeffs
-        divh = 1j * (grid.kx3 * v[0].coeffs + grid.ky3 * v[1].coeffs)
+        v = _raw_project_hydro(grid, _stack(_pair(grid, (seed, seed + 1))))
+        w = _raw_w_from_v(grid, v)
+        dzw = 1j * grid.kz3 * w
+        divh = 1j * (grid.kx3 * v[0] + grid.ky3 * v[1])
         assert np.max(np.abs(dzw + divh)) < 1e-12
         # boundary values vanish on the collocation plane z = -1
-        wphys = inverse_transform(w).values
+        wphys = _raw_to_phys(grid, w)
         assert np.max(np.abs(wphys[:, :, 0])) < 1e-12
-
-    def test_compatibility_error(self, grid16):
-        v1 = field_from_function(grid16, lambda x, y, z: np.sin(PI * x), EVEN)
-        with pytest.raises(CompatibilityError) as exc:
-            vertical_velocity_from_v((v1, zero_field(grid16, EVEN)))
-        assert exc.value.defect > 1e-10
 
 
 class TestBarotropicSplit:
@@ -218,16 +189,15 @@ class TestBarotropicSplit:
 class TestDiffRhs:
     def _limit_and_difference(self, grid, eps):
         v = _constrained_pair(grid, (41, 42))
-        w = vertical_velocity_from_v(v)
+        w = _w(v)
         V = _constrained_pair(grid, (43, 44))
-        Wc = eps * _raw_w_from_v(grid, np.stack((V[0].coeffs, V[1].coeffs)))
-        W = SpectralField(grid, Wc, ODD)
+        W = SpectralField(grid, eps * _w(V).coeffs, ODD)
         return v, w, V, W
 
     def test_vanishing_difference_leaves_residual_forcings(self, grid16):
         eps = 0.5
         v = _constrained_pair(grid16, (41, 42))
-        w = vertical_velocity_from_v(v)
+        w = _w(v)
         zero_pair = (zero_field(grid16, EVEN), zero_field(grid16, EVEN))
         Wz = zero_field(grid16, ODD)
         (fh1, fh2), fz = diff_rhs_F(v, w, zero_pair, Wz, eps, 0.0)
@@ -356,8 +326,7 @@ class TestDiffRhs:
 class TestBaroclinicRhs:
     def _split_state(self, grid, seeds):
         v = _constrained_pair(grid, seeds)
-        w = vertical_velocity_from_v(v)
-        s = barotropic_split(v, w)
+        s = barotropic_split(v, _w(v))
         return s
 
     def test_zero_baroclinic_part(self, grid16):

@@ -1,7 +1,10 @@
 """Harness: initial data, rate fitting, persistence, config, sweep, CLI."""
+import importlib.util
 import json
 import math
 import os
+import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,7 +15,7 @@ from hydrostat.errors import (
     InsufficientData,
     InvalidParameter,
 )
-from hydrostat.fields import divergence_defect
+from hydrostat.fields import _raw_div_eps_defect
 from hydrostat.harness.config import (
     load_config,
     parse_config_text,
@@ -20,11 +23,22 @@ from hydrostat.harness.config import (
     sweep_config_from_dict,
 )
 from hydrostat.harness.initial_data import generate_initial_data
-from hydrostat.harness.pairs import run_matched_family, run_matched_pair
+from hydrostat.harness.pairs import (
+    _stiff_segments,
+    run_matched_family,
+    run_matched_pair,
+)
 from hydrostat.harness.snapshots import load_snapshot, save_snapshot
 from hydrostat.harness.sweep import SweepConfig, fit_rate, run_sweep
 from hydrostat.norms import norm_sobolev
-from hydrostat.solvers import SimConfig
+from hydrostat.solvers import (
+    NavierStokes2DStepper,
+    NavierStokesStepper,
+    PrimitiveStepper,
+    SimConfig,
+    StokesScaledStepper,
+    run_simulation,
+)
 from hydrostat.spectral import make_grid, parity_defect
 
 PI = np.pi
@@ -55,7 +69,8 @@ class TestInitialData:
         st = generate_initial_data(recipe, 7, grid16)
         h1 = math.sqrt(sum(norm_sobolev(f, 1.0) ** 2 for f in st.components()))
         assert h1 == pytest.approx(1.0, abs=1e-10)
-        assert divergence_defect(st) < 1e-11
+        U = np.stack([f.coeffs for f in st.components()])
+        assert _raw_div_eps_defect(grid16, U, 1.0) < 1e-11
         for f in st.components():
             assert parity_defect(f) == 0.0
         # compatibility of the vertical average
@@ -276,16 +291,22 @@ def _tiny_sweep_cfg(out_dir=None, jobs=1):
     )
 
 
+def _fault(monkeypatch, cls, method, fault):
+    """Pass the result of cls.method of every stepper through fault(stepper,
+    result), which may raise or poison it."""
+    original = getattr(cls, method)
+
+    def faulty(self, *args):
+        return fault(self, original(self, *args))
+
+    monkeypatch.setattr(cls, method, faulty)
+
+
 def _fault_nonlinear(monkeypatch, fault):
     """Pass the nonlinear term of every anisotropic run of a family through
     fault(eps, N), which may raise or poison it."""
-    import hydrostat.harness.pairs as pairs_mod
-
-    class Faulty(pairs_mod.NavierStokesStepper):
-        def nonlinear(self, U):
-            return fault(self.eps, super().nonlinear(U))
-
-    monkeypatch.setattr(pairs_mod, "NavierStokesStepper", Faulty)
+    _fault(monkeypatch, NavierStokesStepper, "nonlinear",
+           lambda st, N: fault(st.eps, N))
 
 
 def _values_except(res, eps):
@@ -444,19 +465,131 @@ class TestMatchedFamily:
             assert _cells(rows) == _cells(pair)
 
     def test_reference_blowup_stops_every_member(self, monkeypatch):
-        import hydrostat.harness.pairs as pairs_mod
-
-        class Blowing(pairs_mod.PrimitiveStepper):
-            def nonlinear(self, V):
-                return super().nonlinear(V) * np.nan
-
-        monkeypatch.setattr(pairs_mod, "PrimitiveStepper", Blowing)
+        _fault(monkeypatch, PrimitiveStepper, "nonlinear", lambda st, N: N * np.nan)
         base = SimConfig("NS_eps_delta", 8, 8, 8, 2e-3, 0.02, seed=5)
         mode = "eps_delta_to_zero"
         family = run_matched_family(_family_points(mode), base, mode)
         rows = [r for point_rows in family for r in point_rows]
         assert len(family) == 3
         assert all(r.blowup and r.norm_name != "FAILED" for r in rows)
+
+
+def _count_nonlinear(monkeypatch) -> dict:
+    """Nonlinear evaluations per stepper class, counted from now on."""
+    counts: dict = {}
+
+    def count(st, N):
+        counts[type(st).__name__] = counts.get(type(st).__name__, 0) + 1
+        return N
+
+    for cls in (NavierStokesStepper, PrimitiveStepper, NavierStokes2DStepper):
+        _fault(monkeypatch, cls, "nonlinear", count)
+    return counts
+
+
+class TestLockstepRuns:
+    """run_simulation and both matched-pair modes share one time loop."""
+
+    BASE = SimConfig("NS_eps_delta", 8, 8, 8, 2e-3, 0.02, seed=5)  # 10 steps
+
+    def test_nonlinear_evaluations_per_run(self, monkeypatch):
+        """One per step; the final sample of a matched run needs one more for
+        its time derivative, the final sample of run_simulation none."""
+        counts = _count_nonlinear(monkeypatch)
+        run_simulation(self.BASE)
+        assert counts == {"NavierStokesStepper": 10}
+
+        counts.clear()
+        mode = "eps_delta_to_zero"
+        run_matched_family(_family_points(mode), self.BASE, mode)
+        assert counts == {"PrimitiveStepper": 11, "NavierStokesStepper": 3 * 11}
+
+        counts.clear()
+        segments = _stiff_segments(self.BASE.t_end, self.BASE.dt, 64.0)
+        assert len(segments) == 2  # the AB2 restart is covered
+        n = sum(steps for _, steps in segments)
+        run_matched_pair((0.5, 64.0), self.BASE, "delta_to_infty")
+        assert counts == {"NavierStokesStepper": n + 1, "NavierStokes2DStepper": n + 1}
+
+    @pytest.mark.parametrize(
+        "cls, method, poison",
+        [
+            (NavierStokes2DStepper, "nonlinear", lambda N: N * np.nan),
+            (StokesScaledStepper, "advance", lambda S: S + np.inf),
+        ],
+        ids=["ns2d-nan", "stokes-inf"],
+    )
+    def test_large_delta_comparison_blowup_flags_the_point(
+        self, monkeypatch, cls, method, poison
+    ):
+        """A blowup of the NS2D or the Stokes run of a delta_to_infty point is
+        a blowup of the point, not a silent NaN in its norms."""
+        _fault(monkeypatch, cls, method, lambda st, X: poison(X))
+        rows = run_matched_pair((0.5, 16.0), self.BASE, "delta_to_infty")
+        assert {r.norm_name for r in rows} == {
+            "E1_bar_diff", "L4H32_tilde", "L4H32_tilde_stokes", "total",
+        }
+        assert all(r.blowup for r in rows)
+
+    def test_delta_to_infty_sweep_rejects_record_every(self):
+        with pytest.raises(ConfigError, match="record_every"):
+            SweepConfig(
+                mode="delta_to_infty", base=replace(self.BASE, record_every=2),
+                eps_values=(0.5,), delta_values=(4.0,),
+            )
+
+    def test_delta_to_infty_point_reports_ignored_record_every(self):
+        base = replace(self.BASE, record_every=2)
+        (rows,) = run_matched_family([(0.5, 4.0, None)], base, "delta_to_infty")
+        assert [r.norm_name for r in rows] == ["FAILED"]
+        assert rows[0].error[0] == "InvalidParameter"
+        assert "record_every" in rows[0].error[1]
+
+    def test_family_warns_once_with_largest_cfl_and_its_point(self, monkeypatch):
+        """max |u| is faked to 1000 eps in every anisotropic run, so the
+        largest CFL number is the eps = 0.2 point's, at every step."""
+
+        def fake_umax(st, N):
+            st.last_umax = 1000.0 * st.eps
+            return N
+
+        _fault(monkeypatch, NavierStokesStepper, "nonlinear", fake_umax)
+        mode = "eps_delta_to_zero"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            run_matched_family(_family_points(mode), self.BASE, mode)
+        cfl = [str(w.message) for w in caught if "CFL" in str(w.message)]
+        expected = self.BASE.dt * 1000.0 * 0.2 * make_grid(8, 8, 8).kmax
+        assert len(cfl) == 1
+        assert f"CFL number {expected:.2f} (at t=0, eps=0.2, delta=0.2)" in cfl[0]
+
+    def test_large_dt_family_warns_once(self):
+        base = SimConfig("NS_eps_delta", 8, 8, 8, 0.5, 1.0, seed=5)
+        mode = "gamma_scan"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            run_matched_family(_family_points(mode), base, mode)
+        cfl = [str(w.message) for w in caught if "CFL" in str(w.message)]
+        assert len(cfl) == 1 and "exceeds 0.5" in cfl[0]
+
+
+class TestBenchmarkTracer:
+    def test_every_entry_point_exists(self):
+        """The benchmark's tracer wraps program functions and stepper methods
+        by name; one that is renamed away would null its per-layer metrics
+        without an error."""
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        spec = importlib.util.spec_from_file_location(
+            "perfbench_tracer", os.path.join(root, "perfbench", "tracer.py")
+        )
+        tracer = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(tracer)
+        t = tracer.Tracer()
+        t.install()
+        try:
+            assert t.missing == []
+        finally:
+            t.uninstall()
 
 
 class TestCli:

@@ -6,18 +6,15 @@ import numpy as np
 import pytest
 
 from hydrostat.errors import CompatibilityError, InvalidParameter
-from hydrostat.fields import VelocityState, _raw_w_from_v, divergence_defect
+from hydrostat.fields import VelocityState, _raw_div_eps_defect, _raw_w_from_v
 from hydrostat.harness.initial_data import generate_initial_data
 from hydrostat.solvers import (
+    SYSTEMS,
     NavierStokes2DStepper,
     NavierStokesStepper,
     PrimitiveStepper,
     SimConfig,
     run_simulation,
-    step_ns2d,
-    step_ns_eps_delta,
-    step_pe,
-    step_stokes_scaled,
 )
 from hydrostat.spectral import (
     EVEN,
@@ -44,6 +41,24 @@ def _tg_state(grid, tag="NS_eps_delta"):
     v1 = field_from_function(grid, lambda x, y, z: np.sin(PI * x) * np.cos(PI * y), EVEN)
     v2 = field_from_function(grid, lambda x, y, z: -np.cos(PI * x) * np.sin(PI * y), EVEN)
     return VelocityState(v1, v2, zero_field(grid, ODD), tag, 0.0)
+
+
+def _step(system, state, eps=1.0, delta=0.0, dt=1e-3):
+    """One step of a fresh stepper (an Euler step on the nonlinearity) from
+    a VelocityState, through the system table; the (v1, v2, w) coefficients."""
+    entry = SYSTEMS[system]
+    stepper = entry.stepper(state.grid, eps, delta, dt)
+    return entry.unpack(state.grid, stepper.step(entry.pack(state, eps)))
+
+
+def _steps(system, state, n, delta=0.0, dt=1e-3):
+    """n steps of one stepper; the (v1, v2, w) coefficients."""
+    entry = SYSTEMS[system]
+    stepper = entry.stepper(state.grid, 1.0, delta, dt)
+    U = entry.pack(state, 1.0)
+    for _ in range(n):
+        U = stepper.step(U)
+    return entry.unpack(state.grid, U)
 
 
 class TestSimConfig:
@@ -80,105 +95,78 @@ class TestSimConfig:
 class TestAnisotropicStepper:
     def test_heat_mode_single_step(self, grid16):
         dt, delta = 1e-3, 1.0
-        cfg = SimConfig("NS_eps_delta", 16, 16, 16, dt, 0.1, eps=0.7, delta=delta)
-        out = step_ns_eps_delta(_heat_state(grid16), cfg)
+        out = _step("NS_eps_delta", _heat_state(grid16), 0.7, delta, dt)
         exact = math.exp(-delta * PI**2 * dt)
-        got = out.v1.coeffs[0, 0, 1] / _heat_state(grid16).v1.coeffs[0, 0, 1]
+        got = out[0][0, 0, 1] / _heat_state(grid16).v1.coeffs[0, 0, 1]
         assert got == pytest.approx(exact, abs=1e-12)
-        assert np.max(np.abs(out.w.coeffs)) < 1e-15
+        assert np.max(np.abs(out[2])) < 1e-15
 
     def test_z_independent_matches_2d(self, grid16):
-        cfg = SimConfig("NS_eps_delta", 16, 16, 16, 1e-3, 0.1, eps=0.4, delta=0.3)
-        st3 = step_ns_eps_delta(_tg_state(grid16), cfg)
-        v2d = step_ns2d(_tg_state(grid16).horizontal(), cfg)
-        assert np.max(np.abs(st3.v1.coeffs - v2d[0].coeffs)) < 1e-12
-        assert np.max(np.abs(st3.v2.coeffs - v2d[1].coeffs)) < 1e-12
+        st3 = _step("NS_eps_delta", _tg_state(grid16), 0.4, 0.3)
+        v2d = _step("NS2D", _tg_state(grid16))
+        assert np.max(np.abs(st3[0] - v2d[0])) < 1e-12
+        assert np.max(np.abs(st3[1] - v2d[1])) < 1e-12
 
     def test_zero_fixed_point(self, grid16):
-        cfg = SimConfig("NS_eps_delta", 16, 16, 16, 1e-3, 0.1, eps=1.0, delta=1.0)
         z = VelocityState(
             zero_field(grid16, EVEN), zero_field(grid16, EVEN),
             zero_field(grid16, ODD), "NS_eps_delta", 0.0,
         )
-        out = step_ns_eps_delta(z, cfg)
-        assert np.max(np.abs(out.v1.coeffs)) == 0.0
-        assert divergence_defect(out) == 0.0
+        out = _step("NS_eps_delta", z, 1.0, 1.0)
+        assert np.max(np.abs(out[0])) == 0.0
+        assert _raw_div_eps_defect(grid16, np.stack(out), 1.0) == 0.0
 
 
 class TestPrimitiveStepper:
     def test_stationary_solution_horizontal_viscosity(self, grid16):
-        cfg = SimConfig("PE_H", 16, 16, 16, 1e-3, 0.1, delta=0.0)
-        state = _heat_state(grid16, "PE_H")
-        for _ in range(50):
-            state = step_pe(state, cfg)
-        drift = np.max(np.abs(state.v1.coeffs - _heat_state(grid16).v1.coeffs))
+        out = _steps("PE_H", _heat_state(grid16, "PE_H"), 50)
+        drift = np.max(np.abs(out[0] - _heat_state(grid16).v1.coeffs))
         assert drift < 1e-12
 
     def test_heat_decay_with_vertical_viscosity(self, grid16):
         dt = 1e-3
-        cfg = SimConfig("PE_delta", 16, 16, 16, dt, 0.1, delta=1.0)
         state = _heat_state(grid16, "PE_delta")
-        out = step_pe(state, cfg)
+        out = _step("PE_delta", state, delta=1.0, dt=dt)
         exact = math.exp(-(PI**2) * dt)
-        got = out.v1.coeffs[0, 0, 1] / state.v1.coeffs[0, 0, 1]
+        got = out[0][0, 0, 1] / state.v1.coeffs[0, 0, 1]
         assert got == pytest.approx(exact, abs=1e-12)
 
     def test_z_independent_matches_2d(self, grid16):
-        cfg = SimConfig("PE_delta", 16, 16, 16, 1e-3, 0.1, delta=0.6)
-        st3 = step_pe(_tg_state(grid16, "PE_delta"), cfg)
-        v2d = step_ns2d(_tg_state(grid16).horizontal(), cfg)
-        assert np.max(np.abs(st3.v1.coeffs - v2d[0].coeffs)) < 1e-12
-        assert np.max(np.abs(st3.w.coeffs)) < 1e-14
-
-    def test_compatibility_precondition(self, grid16):
-        bad = VelocityState(
-            field_from_function(grid16, lambda x, y, z: np.sin(PI * x), EVEN),
-            zero_field(grid16, EVEN), zero_field(grid16, ODD), "PE_H", 0.0,
-        )
-        cfg = SimConfig("PE_H", 16, 16, 16, 1e-3, 0.1)
-        with pytest.raises(CompatibilityError):
-            step_pe(bad, cfg)
+        st3 = _step("PE_delta", _tg_state(grid16, "PE_delta"), delta=0.6)
+        v2d = _step("NS2D", _tg_state(grid16))
+        assert np.max(np.abs(st3[0] - v2d[0])) < 1e-12
+        assert np.max(np.abs(st3[2])) < 1e-14
 
 
 class TestNs2dStepper:
     def test_taylor_green_decay(self):
         grid = make_grid(32, 32, 4)
-        dt = 1e-3
-        cfg = SimConfig("NS2D", 32, 32, 4, dt, 0.1)
-        v = _tg_state(grid).horizontal()
-        n = 100
-        for _ in range(n):
-            v = step_ns2d(v, cfg)
+        dt, n = 1e-3, 100
+        v = _steps("NS2D", _tg_state(grid), n, dt=dt)
         amp = math.exp(-2 * PI**2 * n * dt)
         exact = _tg_state(grid)
         err = max(
-            np.max(np.abs(v[0].coeffs - amp * exact.v1.coeffs)),
-            np.max(np.abs(v[1].coeffs - amp * exact.v2.coeffs)),
+            np.max(np.abs(v[0] - amp * exact.v1.coeffs)),
+            np.max(np.abs(v[1] - amp * exact.v2.coeffs)),
         )
         assert err < 1e-14
 
     def test_shear_mode_pure_decay(self):
         grid = make_grid(16, 16, 4)
         dt = 1e-3
-        cfg = SimConfig("NS2D", 16, 16, 4, dt, 0.1)
         v1 = field_from_function(grid, lambda x, y, z: np.sin(PI * y), EVEN)
-        v = (v1, zero_field(grid, EVEN))
-        for _ in range(60):
-            v = step_ns2d(v, cfg)
+        state = VelocityState(v1, zero_field(grid, EVEN), zero_field(grid, ODD))
+        v = _steps("NS2D", state, 60, dt=dt)
         amp = math.exp(-(PI**2) * 60 * dt)
-        assert np.max(np.abs(v[0].coeffs - amp * v1.coeffs)) < 1e-14
+        assert np.max(np.abs(v[0] - amp * v1.coeffs)) < 1e-14
 
     def test_zero(self):
         grid = make_grid(8, 8, 4)
-        cfg = SimConfig("NS2D", 8, 8, 4, 1e-3, 0.1)
-        v = (zero_field(grid, EVEN), zero_field(grid, EVEN))
-        out = step_ns2d(v, cfg)
-        assert np.max(np.abs(out[0].coeffs)) == 0.0
-
-    def test_rejects_z_dependent_pair(self, grid16):
-        cfg = SimConfig("NS2D", 16, 16, 16, 1e-3, 0.1)
-        with pytest.raises(CompatibilityError, match="z-independent"):
-            step_ns2d(_heat_state(grid16).horizontal(), cfg)
+        z = VelocityState(
+            zero_field(grid, EVEN), zero_field(grid, EVEN), zero_field(grid, ODD)
+        )
+        out = _step("NS2D", z)
+        assert np.max(np.abs(out[0])) == 0.0
 
     def test_plane_matches_3d_steppers(self):
         """On z-independent random data, whose nonlinearity (unlike
@@ -272,15 +260,13 @@ class TestNonlinearTerms:
 class TestStokesStepper:
     def test_exact_mode_decay(self, grid16):
         dt, delta = 0.01, 3.0
-        cfg = SimConfig("StokesScaled", 16, 16, 16, dt, 0.1, eps=0.5, delta=delta)
         state = _heat_state(grid16, "StokesScaled")
-        out = step_stokes_scaled(state, cfg)
-        factor = out.v1.coeffs[0, 0, 1] / state.v1.coeffs[0, 0, 1]
+        out = _step("StokesScaled", state, 0.5, delta, dt)
+        factor = out[0][0, 0, 1] / state.v1.coeffs[0, 0, 1]
         assert factor == pytest.approx(math.exp(-delta * PI**2 * dt), abs=1e-15)
 
     def test_isotropic_reduction_at_delta_one(self, grid16):
         dt = 0.01
-        cfg = SimConfig("StokesScaled", 16, 16, 16, dt, 0.1, eps=1.0, delta=1.0)
         v1 = field_from_function(
             grid16, lambda x, y, z: np.sin(PI * x) * np.cos(PI * z), EVEN
         )
@@ -288,15 +274,18 @@ class TestStokesStepper:
         w = SpectralField(
             grid16, _raw_w_from_v(grid16, np.stack((v1.coeffs, v2.coeffs))), ODD
         )
-        out = step_stokes_scaled(VelocityState(v1, v2, w, "StokesScaled"), cfg)
-        factor = out.v1.coeffs[1, 0, 1] / v1.coeffs[1, 0, 1]
+        state = VelocityState(v1, v2, w, "StokesScaled")
+        out = _step("StokesScaled", state, 1.0, 1.0, dt)
+        factor = out[0][1, 0, 1] / v1.coeffs[1, 0, 1]
         assert factor == pytest.approx(math.exp(-2 * PI**2 * dt), abs=1e-15)
 
-    def test_mean_free_precondition(self, grid16):
-        cfg = SimConfig("StokesScaled", 16, 16, 16, 1e-3, 0.1, delta=1.0)
-        bad = _tg_state(grid16, "StokesScaled")  # barotropic, not mean-free
-        with pytest.raises(CompatibilityError):
-            step_stokes_scaled(bad, cfg)
+    def test_mean_free_precondition(self):
+        cfg = SimConfig(  # z-independent data: barotropic, not mean-free
+            "StokesScaled", 16, 16, 16, 1e-3, 0.1, delta=1.0,
+            recipe="taylor_green_3d",
+        )
+        with pytest.raises(CompatibilityError, match="mean-free"):
+            run_simulation(cfg)
 
     def test_quarter_power_bound_in_delta(self, grid16):
         """Exact trajectories: the L4-in-time H^{3/2} norm decays at least
@@ -416,16 +405,15 @@ class TestRunSimulation:
     def test_cfl_warning_reports_the_largest_crossing(self, monkeypatch):
         """Not the first crossing: with max |u| growing 1, 2, 3, 4 over the
         steps, the one warning names the fourth step's CFL number."""
-        import hydrostat.solvers as solvers_mod
+        nonlinear = NavierStokes2DStepper.nonlinear
 
-        class Growing(solvers_mod.NavierStokes2DStepper):
-            def nonlinear(self, V):
-                N = super().nonlinear(V)
-                self.calls = getattr(self, "calls", 0) + 1
-                self.last_umax = float(self.calls)
-                return N
+        def growing(self, V):
+            N = nonlinear(self, V)
+            self.calls = getattr(self, "calls", 0) + 1
+            self.last_umax = float(self.calls)
+            return N
 
-        monkeypatch.setattr(solvers_mod, "NavierStokes2DStepper", Growing)
+        monkeypatch.setattr(NavierStokes2DStepper, "nonlinear", growing)
         dt = 0.3 / (PI * (16 // 3))  # CFL number 0.3 * max|u|
         cfg = SimConfig("NS2D", 16, 16, 4, dt, 4 * dt, recipe="taylor_green_3d")
         with warnings.catch_warnings(record=True) as caught:
@@ -449,7 +437,7 @@ class TestSchemeOrder:
         """Nonlinearly active 2D flow: halving dt shrinks the error ~4x."""
         grid = make_grid(16, 16, 4)
         rng = np.random.default_rng(3)
-        from hydrostat.fields import project_hydrostatic
+        from hydrostat.fields import _raw_project_hydro
         from hydrostat.spectral import _raw_to_spec
 
         c1 = _raw_to_spec(grid, rng.standard_normal(grid.shape))
@@ -459,10 +447,7 @@ class TestSchemeOrder:
         keep[-3:, :4, :1] = True
         keep[:4, -3:, :1] = True
         keep[-3:, -3:, :1] = True
-        v = project_hydrostatic(
-            (SpectralField(grid, c1 * keep, EVEN), SpectralField(grid, c2 * keep, EVEN))
-        )
-        V0 = np.stack((v[0].coeffs, v[1].coeffs))[..., 0]
+        V0 = _raw_project_hydro(grid, np.stack((c1 * keep, c2 * keep)))[..., 0]
         V0 = 2.0 * V0 / np.sqrt(np.sum(np.abs(V0) ** 2) * 8.0)
 
         def advance(dt, T=0.1):
