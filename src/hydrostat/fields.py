@@ -23,6 +23,7 @@ from .errors import CompatibilityError, InvalidParameter, ShapeError
 from .spectral import (
     EVEN,
     ODD,
+    Band,
     Grid,
     Plane,
     SpectralField,
@@ -89,7 +90,7 @@ class SplitState:
 # raw kernels on stacked coefficient arrays
 # ---------------------------------------------------------------------------
 
-def _peps_tables(grid: Grid, eps: float):
+def _peps_tables(grid: Grid | Band, eps: float):
     def build():
         kz = grid.kz3 / eps
         norm2 = grid.k2h + kz**2
@@ -106,25 +107,28 @@ def _peps_tables(grid: Grid, eps: float):
     return grid.cached(("peps", float(eps)), build)
 
 
-def _raw_project_eps(grid: Grid, U: np.ndarray, eps: float) -> np.ndarray:
+def _raw_project_eps(grid: Grid | Band, U: np.ndarray, eps: float) -> np.ndarray:
     """Leray projection with the scaled wavevector (kx, ky, kz/eps)."""
     t = _peps_tables(grid, eps)
     s = (t[0] * U[0] + t[1] * U[1] + t[2] * U[2]) * t[3]
     return np.stack((U[0] - t[0] * s, U[1] - t[1] * s, U[2] - t[2] * s))
 
 
-def _raw_project_hydro_plane(grid: Grid | Plane, P: np.ndarray) -> np.ndarray:
+def _raw_project_hydro_plane(grid: Grid | Plane | Band, P: np.ndarray) -> np.ndarray:
     """2D Leray projection of a pair of kz=0 coefficient planes, shape
     (2, nx, ny): removes the horizontal gradient driven by their divergence."""
     kx = grid.kx[:, None]
     ky = grid.ky[None, :]
-    k2 = kx**2 + ky**2
-    k2 = np.where(k2 == 0.0, 1.0, k2)
-    s = (kx * P[0] + ky * P[1]) / k2
+
+    def build():
+        k2 = kx**2 + ky**2
+        return np.where(k2 == 0.0, 1.0, k2)
+
+    s = (kx * P[0] + ky * P[1]) / grid.cached(("hproj_k2",), build)
     return np.stack((P[0] - kx * s, P[1] - ky * s))
 
 
-def _raw_project_hydro(grid: Grid, V: np.ndarray) -> np.ndarray:
+def _raw_project_hydro(grid: Grid | Band, V: np.ndarray) -> np.ndarray:
     """Remove the z-independent horizontal gradient driven by div of the
     vertical average; acts only on the kz=0 coefficient plane."""
     out = V.copy()
@@ -132,7 +136,7 @@ def _raw_project_hydro(grid: Grid, V: np.ndarray) -> np.ndarray:
     return out
 
 
-def _raw_w_from_v(grid: Grid, V: np.ndarray) -> np.ndarray:
+def _raw_w_from_v(grid: Grid | Band, V: np.ndarray) -> np.ndarray:
     """Vertical velocity from incompressibility: the odd antiderivative of
     -div_H v.  kz=0 plane is zero (oddness); kz != 0 modes divide by kz.
 
@@ -146,7 +150,7 @@ def _raw_w_from_v(grid: Grid, V: np.ndarray) -> np.ndarray:
     return w
 
 
-def _raw_div_eps_defect(grid: Grid, U: np.ndarray, eps: float) -> float:
+def _raw_div_eps_defect(grid: Grid | Band, U: np.ndarray, eps: float) -> float:
     d = grid.kx3 * U[0] + grid.ky3 * U[1] + (grid.kz3 / eps) * U[2]
     return float(np.max(np.abs(d)))
 
@@ -183,15 +187,16 @@ def _raw_advect(
 
 
 def _raw_advect_div(
-    grid: Grid | Plane, u_phys: np.ndarray, scale: Sequence[float]
+    grid: Grid | Plane | Band, u_phys: np.ndarray, scale: Sequence[float]
 ) -> np.ndarray:
     """Self-advection in divergence form: component i < len(scale) is
     scale[i] * sum_j d_j (u_i u_j), in spectral space, dealiased.
 
     u_phys is the stack of physical transport components (3 on a Grid, 2 on
-    a Plane).  For a divergence-free u this equals the convective
-    (u . grad) (scale * u), at one forward transform per distinct product
-    u_i u_j and no inverse transform.
+    a Plane, as on their Bands).  For a divergence-free u this equals the
+    convective (u . grad) (scale * u), at one forward transform per distinct
+    product u_i u_j and no inverse transform.  On a Band the result holds
+    only the kept modes, so it needs no mask.
     """
     m, n = len(scale), len(u_phys)
     pairs = [(i, j) for i in range(m) for j in range(i, n)]
@@ -209,7 +214,8 @@ def _raw_advect_div(
             out[i] += tmp
         if scale[i] != 1:
             out[i] *= scale[i]
-    out *= grid.dealias_mask
+    if not isinstance(grid, Band):
+        out *= grid.dealias_mask
     return out
 
 

@@ -17,7 +17,9 @@ under the exact Stokes flow, with the step schedule of _stiff_segments.
 
 Every run is a set of lanes driven by solvers.run_lanes, the time loop that
 run_simulation uses too; what is left here are the observers that fold the
-sampled differences into the norms.  A comparison lane (PE_H, NS2D, Stokes)
+sampled differences into the norms.  An observer sees a lane's state on its
+stepper's band (st.grid), and the norms are summed there: outside the band
+every state is zero.  A comparison lane (PE_H, NS2D, Stokes)
 is a reference lane: its failure stops every run it serves.
 """
 from __future__ import annotations
@@ -31,9 +33,9 @@ import numpy as np
 
 from ..errors import BlowupDetected, InsufficientData, InvalidParameter
 from ..fields import _raw_w_from_v
-from ..norms import NormAccumulator, accumulate, finalize
+from ..norms import Energies, NormAccumulator, accumulate, finalize
 from ..solvers import Lane, SimConfig, run_lanes, system_lane, warn_cfl
-from ..spectral import EVEN, ODD, Grid, SpectralField, _raw_embed_plane, make_grid
+from ..spectral import EVEN, ODD, Band, SpectralField, _raw_embed_plane, make_grid
 from .initial_data import generate_initial_data
 
 HYDROSTATIC_MODES = ("eps_delta_to_zero", "gamma_scan")
@@ -55,7 +57,7 @@ class NormRow:
     error: tuple[str, str] | None = None
 
 
-def _fields(grid: Grid, stack: np.ndarray, parities) -> list[SpectralField]:
+def _fields(grid: Band, stack: np.ndarray, parities) -> list[SpectralField]:
     # hot loop: finiteness is guarded by the per-step blowup check
     return [SpectralField._wrap(grid, stack[i], p) for i, p in enumerate(parities)]
 
@@ -175,32 +177,32 @@ def _outcome(lane: Lane, norms: _Norms, point, mode: str, wall_ms: int):
 
 def _hydrostatic_family(points, base: SimConfig, mode: str, lanes: list) -> list:
     t0 = _time.perf_counter()
-    try:
-        grid = make_grid(base.nx, base.ny, base.nz)
-        data = generate_initial_data(base.recipe, base.seed, grid)
-    except Exception as exc:  # fails every point
-        return [exc] * len(points)
     ref = {}
 
     def sample_reference(st, t, V, N):
         rhs = st.rhs(V, N)
-        ref["now"] = (V, _raw_w_from_v(grid, V), rhs, _raw_w_from_v(grid, rhs))
+        ref["now"] = (V, _raw_w_from_v(st.grid, V), rhs, _raw_w_from_v(st.grid, rhs))
 
     def sample_member(eps, norms, st, t, U, N):
-        """Fold the difference at time t into the point's norms."""
+        """Fold the difference at time t into the point's norms, which all
+        read it through one Energies."""
         V, w, rhs_pe, dw = ref["now"]
         rhs_ns = st.rhs(U, N)
-        diff = np.stack((U[0] - V[0], U[1] - V[1], U[2] - eps * w))
-        ddiff = np.stack(
-            (rhs_ns[0] - rhs_pe[0], rhs_ns[1] - rhs_pe[1], rhs_ns[2] - eps * dw)
+        sample = Energies.of(
+            st.grid,
+            (U[0] - V[0], U[1] - V[1], U[2] - eps * w),
+            (rhs_ns[0] - rhs_pe[0], rhs_ns[1] - rhs_pe[1], rhs_ns[2] - eps * dw),
         )
-        df = _fields(grid, diff, (EVEN, EVEN, ODD))
-        ddf = _fields(grid, ddiff, (EVEN, EVEN, ODD))
         for name in norms:
-            norms.fold(name, t, df, ddf)
+            norms.fold(name, t, sample)
 
-    family = [system_lane("PE_H", data, 1.0, 0.0, observe=sample_reference,
-                          reference=True, label="PE_H reference")]
+    try:
+        grid = make_grid(base.nx, base.ny, base.nz)
+        data = generate_initial_data(base.recipe, base.seed, grid)
+        family = [system_lane("PE_H", data, 1.0, 0.0, observe=sample_reference,
+                              reference=True, label="PE_H reference")]
+    except Exception as exc:  # fails every point
+        return [exc] * len(points)
     members = []
     for eps, delta, gamma in points:
         norms = _Norms(EHdelta=NormAccumulator("EHdelta", delta=delta),
@@ -237,6 +239,7 @@ def _large_delta_pair(point, base: SimConfig, mode: str, lanes: list):
     t0 = _time.perf_counter()
     grid = make_grid(base.nx, base.ny, base.nz)
     data = generate_initial_data(base.recipe, base.seed, grid)
+    band = grid.band
     norms = _Norms(E1_bar_diff=NormAccumulator("EHdelta", delta=1.0),
                    L4H32_tilde=NormAccumulator("L4H32"),
                    L4H32_tilde_stokes=NormAccumulator("L4H32"))
@@ -247,20 +250,21 @@ def _large_delta_pair(point, base: SimConfig, mode: str, lanes: list):
         bar["now"] = (U[:2, :, :, 0].copy(), st.rhs(U, N)[:2, :, :, 0].copy())
         tilde = U.copy()
         tilde[:2, :, :, 0] = 0.0
-        tilde[2] = _raw_w_from_v(grid, U[:2])  # physical w
-        norms.fold("L4H32_tilde", t, _fields(grid, tilde, (EVEN, EVEN, ODD)))
+        tilde[2] = _raw_w_from_v(st.grid, U[:2])  # physical w
+        norms.fold("L4H32_tilde", t, _fields(st.grid, tilde, (EVEN, EVEN, ODD)))
 
     def sample_2d(st, t, B, N):
+        # B is on the band of the plane, which is the kz=0 plane of the band
         U_bar, rhs_bar = bar["now"]
         norms.fold(
             "E1_bar_diff", t,
-            _fields(grid, _raw_embed_plane(grid, U_bar - B), (EVEN, EVEN)),
-            _fields(grid, _raw_embed_plane(grid, rhs_bar - st.rhs(B, N)),
+            _fields(band, _raw_embed_plane(band, U_bar - B), (EVEN, EVEN)),
+            _fields(band, _raw_embed_plane(band, rhs_bar - st.rhs(B, N)),
                     (EVEN, EVEN)),
         )
 
     def sample_stokes(st, t, S, N):
-        norms.fold("L4H32_tilde_stokes", t, _fields(grid, S, (EVEN, EVEN, ODD)))
+        norms.fold("L4H32_tilde_stokes", t, _fields(st.grid, S, (EVEN, EVEN, ODD)))
 
     where = f"eps={eps:g}, delta={delta:g}"
     pair = [

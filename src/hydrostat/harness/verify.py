@@ -52,7 +52,9 @@ class CheckResult:
 
 
 def _run(system, state, dt, n, eps=1.0, delta=0.0):
-    """The state array of system after n steps of one stepper from state.
+    """The state array of system after n steps of one stepper from state,
+    scattered from the stepper's band to the layout of the grid (or of its
+    plane for NS2D).
 
     The oracles check the stepper alone, so they step it directly: the
     per-step blowup check and CFL tracking of solvers.run_lanes would add
@@ -62,7 +64,7 @@ def _run(system, state, dt, n, eps=1.0, delta=0.0):
     U = entry.pack(state, eps)
     for _ in range(n):
         U = stepper.step(U)
-    return U
+    return stepper.grid.scatter(U)
 
 
 def _taylor_green_pair(grid):
@@ -147,13 +149,14 @@ def check_stokes_exact(delta: float = 4.0, eps: float = 0.5) -> CheckResult:
         grid, lambda x, y, z: np.cos(np.pi * z) * np.sin(np.pi * x), EVEN
     )
     v2 = field_from_function(grid, lambda x, y, z: np.cos(2 * np.pi * z), EVEN)
+    band = grid.band
     w = _raw_w_from_v(grid, np.stack((v1.coeffs, v2.coeffs)))
-    U0 = np.stack((v1.coeffs, v2.coeffs, w))
+    U0 = band.gather(np.stack((v1.coeffs, v2.coeffs, w)))
     dt = 0.02
     stepper = StokesScaledStepper(grid, delta, dt)
     U = U0.copy()
     worst = 0.0
-    lam = -(grid.k2h + delta * grid.kz3**2)
+    lam = -(band.k2h + delta * band.kz3**2)
     for n in range(1, 26):
         U = stepper.advance(U)
         exact = U0 * np.exp(lam * n * dt)
@@ -180,11 +183,12 @@ def oracle_suite() -> list[CheckResult]:
 # ---------------------------------------------------------------------------
 
 def _run_ns_with_audit(nx=32, steps=50, eps=0.5, delta=0.5, dt=1e-3, seed=7):
-    """Drive the anisotropic stepper and collect per-step diagnostics."""
-    grid = make_grid(nx, nx, nx)
-    data = generate_initial_data("bandlimited_random", seed, grid)
-    st = NavierStokesStepper(grid, eps, delta, dt)
-    U = np.stack((data.v1.coeffs, data.v2.coeffs, eps * data.w.coeffs))
+    """Drive the anisotropic stepper and collect per-step diagnostics, on
+    the band it holds its state on."""
+    data = generate_initial_data("bandlimited_random", seed, make_grid(nx, nx, nx))
+    st = NavierStokesStepper(data.grid, eps, delta, dt)
+    grid = st.grid
+    U = SYSTEMS["NS_eps_delta"].pack(data, eps)
     div_defects, parity_defects, neutrality, energy_resid = [], [], [], []
     two_lam = 1.0 - np.exp(2.0 * st.lam * dt)
     for _ in range(steps):
@@ -232,11 +236,11 @@ def check_ns_structural(nx: int = 32, steps: int = 50) -> list[CheckResult]:
 def check_stokes_energy_balance(delta: float = 2.0) -> CheckResult:
     """Exact integrator satisfies the energy equality with the analytically
     integrated dissipation to 1e-12 per step."""
-    grid = make_grid(16, 16, 16)
-    data = generate_initial_data("heat_mode", 0, grid)
+    data = generate_initial_data("heat_mode", 0, make_grid(16, 16, 16))
     dt = 1e-2
-    st = StokesScaledStepper(grid, delta, dt)
-    U = np.stack((data.v1.coeffs, data.v2.coeffs, data.w.coeffs))
+    st = StokesScaledStepper(data.grid, delta, dt)
+    grid = st.grid
+    U = SYSTEMS["StokesScaled"].pack(data, 1.0)
     worst = 0.0
     for _ in range(20):
         U1 = st.advance(U)

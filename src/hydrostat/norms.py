@@ -6,7 +6,11 @@ doubled on the planes that stand for their kz < 0 mirror), so analytic
 values of simple trigonometric fields are reproduced exactly; every cached
 multiplier here carries that weight.  Space-time norms are accumulated along
 a trajectory with trapezoidal quadrature on the solver's own samples; the
-supremum parts track running maxima over the sampled instants.
+supremum parts track running maxima over the sampled instants.  A sample
+enters every kind through two per-mode arrays only (Energies): the sum over
+its components of |u_i|^2 and of |du_i/dt|^2, so one sample folded into
+several accumulators is reduced once.  The sums may be on a grid or on the
+Band a stepper holds its state on.
 
 Accumulator kinds
 -----------------
@@ -80,6 +84,41 @@ def _components(u) -> tuple[SpectralField, ...]:
     return tuple(u)
 
 
+def _mode_sum(comps) -> np.ndarray:
+    """sum_i |c_i|^2 per mode of a sequence (or stack) of coefficient arrays."""
+    e = np.square(comps[0].real)
+    e += np.square(comps[0].imag)
+    for c in comps[1:]:
+        e += np.square(c.real)
+        e += np.square(c.imag)
+    return e
+
+
+@dataclass(frozen=True)
+class Energies:
+    """A sample reduced to what every accumulator kind reads of it: the
+    per-mode sums e = sum_i |u_i|^2 and, when the sample has a time
+    derivative, de = sum_i |du_i/dt|^2, on the grid (or band) of the
+    components.  Each part of a norm is one weighted sum of e or de."""
+
+    grid: object
+    e: np.ndarray
+    de: np.ndarray | None = None
+
+    @classmethod
+    def of(cls, grid, u, dudt=None) -> "Energies":
+        """From the coefficient arrays (or a stack) of u and of du/dt; a
+        dudt that does not match u is no time derivative of it."""
+        matched = dudt is not None and len(dudt) == len(u)
+        return cls(grid, _mode_sum(u), _mode_sum(dudt) if matched else None)
+
+
+def _wsum(mult: np.ndarray, e: np.ndarray) -> float:
+    # an elementwise product and a pairwise sum: no BLAS call, which would
+    # start a second thread for vectors of this size
+    return float(np.sum(mult * e))
+
+
 @dataclass(frozen=True)
 class NormAccumulator:
     """Running state of one space-time norm along a trajectory."""
@@ -100,25 +139,23 @@ class NormAccumulator:
             raise InvalidParameter("EHdelta accumulator needs delta >= 0")
 
 
-def _integrands(acc: NormAccumulator, u, dudt) -> tuple[float, ...]:
-    uc = _components(u)
-    g = uc[0].grid
+def _integrands(acc: NormAccumulator, s: Energies) -> tuple[float, ...]:
+    g = s.grid
     if acc.kind == "E0":
-        return (_sq(uc, g.parseval_weight),)
+        return (_wsum(g.parseval_weight, s.e),)
     if acc.kind == "EHdelta":
-        dc = _components(dudt)
-        if len(dc) != len(uc):
+        if s.de is None:
             raise InvalidParameter("EHdelta accumulation needs du/dt samples")
         lap = g.cached(
             ("lap_sq", acc.delta),
             lambda: g.parseval_weight * _lap_delta_mult(g, acc.delta) ** 2,
         )
         w = g.parseval_weight
-        return (_sq(uc, w), _sq(dc, w), _sq(uc, lap))
+        return (_wsum(w, s.e), _wsum(w, s.de), _wsum(lap, s.e))
     if acc.kind == "Ez":
-        return (_sq(uc, _aniso_mult(g, 1, 1)),)
+        return (_wsum(_aniso_mult(g, 1, 1), s.e),)
     # L4H32: fourth power of the H^{3/2} norm
-    return (_sq(uc, _sobolev_mult(g, 1.5)) ** 2,)
+    return (_wsum(_sobolev_mult(g, 1.5), s.e) ** 2,)
 
 
 def accumulate(
@@ -130,16 +167,20 @@ def accumulate(
     """Fold one trajectory sample into the accumulator (trapezoidal in time).
 
     The first call records the initial instant (dt ignored); later calls
-    require the positive time increment since the previous sample.  dudt is
-    the semi-discrete right-hand side at the same instant and is only needed
-    by the EHdelta kind.
+    require the positive time increment since the previous sample.  u is
+    the sample's fields, or its Energies, which then carry du/dt too; dudt
+    is the semi-discrete right-hand side at the same instant and is only
+    needed by the EHdelta kind.
     """
-    vals = _integrands(acc, u, dudt)
-    uc = _components(u)
+    if isinstance(u, Energies):
+        s = u
+    else:
+        uc, dc = _components(u), _components(dudt)
+        s = Energies.of(uc[0].grid, [f.coeffs for f in uc], [f.coeffs for f in dc])
+    vals = _integrands(acc, s)
     new_max = acc.running_max
     if acc.kind == "Ez":
-        g = uc[0].grid
-        new_max = max(new_max, float(np.sqrt(_sq(uc, _aniso_mult(g, 1, 0)))))
+        new_max = max(new_max, float(np.sqrt(_wsum(_aniso_mult(s.grid, 1, 0), s.e))))
 
     if acc.sample_count == 0:
         return replace(

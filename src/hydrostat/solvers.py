@@ -26,16 +26,22 @@ stepper's advecting velocity is divergence-free: w is recovered from div_H v
 at kz != 0, and the projections hold div_H of the vertical average (and of
 the NS2D plane) at zero.
 
+Every stepper holds its state on the Band of its grid (spectral.Band): only
+the modes that the 2/3 dealias mask keeps, so the mask is structural and no
+step multiplies by it.  The nonlinear term comes back from the forward
+transform already restricted to the band.
+
 Every step re-enforces parity and the system's divergence constraint; both
 are Fourier-diagonal projections that commute with the propagator, so this
 only removes rounding drift.  The kz=0 plane is even in z by construction,
 so the 2D stepper has no parity pass.
 
 SYSTEMS maps each system name to its stepper and to the packing of a
-VelocityState into the stepper's state array and back.  run_lanes is the
-one time loop: it advances a set of lanes (a state and its stepper) in
-lockstep through a step schedule, samples them through observers and
-checks each for blowup.  run_simulation drives it with one lane; the
+VelocityState into the stepper's state array and back: the one place where
+the band layout of the steppers meets the kz >= 0 layout of the fields.
+run_lanes is the one time loop: it advances a set of lanes (a state and its
+stepper) in lockstep through a step schedule, samples them through observers
+and checks each for blowup.  run_simulation drives it with one lane; the
 matched-pair runs of harness.pairs drive it with their anisotropic runs
 and, as reference lanes, the limit-system runs those are compared with.
 """
@@ -60,8 +66,9 @@ from .fields import (
 from .spectral import (
     EVEN,
     ODD,
+    PI,
+    Band,
     Grid,
-    Plane,
     SpectralField,
     _lap_delta_mult,
     _raw_embed_plane,
@@ -148,7 +155,7 @@ class TrajectoryRecord:
     blowup_reason: str = ""
 
 
-def _check_blowup(grid: Grid | Plane, U: np.ndarray, t: float) -> None:
+def _check_blowup(grid: Grid | Band, U: np.ndarray, t: float) -> None:
     if not np.all(np.isfinite(U)):
         raise BlowupDetected(t, "non-finite coefficients")
     l2 = np.sqrt(_raw_inner(grid, U, U))
@@ -159,15 +166,15 @@ def _check_blowup(grid: Grid | Plane, U: np.ndarray, t: float) -> None:
 class _ExpAB2:
     """Integrating-factor stepper with AB2 extrapolation of the nonlinearity.
 
-    Subclasses provide nonlinear(U), the projected, dealiased nonlinear
-    term, and constrain(U), the constraint projection that follows the
-    parity projection in advance.  A stepper on a Plane declares no
-    parities.
+    Subclasses provide nonlinear(U), the projected nonlinear term, and
+    constrain(U), the constraint projection that follows the parity
+    projection in advance.  self.grid is the Band the state lives on; a
+    stepper on the Band of a Plane declares no parities.
     """
 
     parities: tuple[str, ...] = ()
 
-    def __init__(self, grid: Grid | Plane, lam: np.ndarray, dt: float):
+    def __init__(self, grid: Band, lam: np.ndarray, dt: float):
         self.grid = grid
         self.dt = dt
         self.lam = lam
@@ -195,7 +202,7 @@ class _ExpAB2:
                     for i, p in enumerate(self.parities)
                 ]
             )
-        return self.constrain(out) * self.grid.dealias_mask
+        return self.constrain(out)
 
     def step(self, U: np.ndarray) -> np.ndarray:
         return self.advance(U, self.nonlinear(U))
@@ -219,7 +226,8 @@ class NavierStokesStepper(_ExpAB2):
     parities = (EVEN, EVEN, ODD)
 
     def __init__(self, grid: Grid, eps: float, delta: float, dt: float):
-        super().__init__(grid, _lap_delta_mult(grid, delta), dt)
+        band = grid.band
+        super().__init__(band, _lap_delta_mult(band, delta), dt)
         self.eps = eps
 
     def nonlinear(self, U: np.ndarray) -> np.ndarray:
@@ -238,7 +246,8 @@ class PrimitiveStepper(_ExpAB2):
     parities = (EVEN, EVEN)
 
     def __init__(self, grid: Grid, delta: float, dt: float):
-        super().__init__(grid, _lap_delta_mult(grid, delta), dt)
+        band = grid.band
+        super().__init__(band, _lap_delta_mult(band, delta), dt)
 
     def nonlinear(self, V: np.ndarray) -> np.ndarray:
         w = _raw_w_from_v(self.grid, V)
@@ -254,13 +263,14 @@ class PrimitiveStepper(_ExpAB2):
 class NavierStokes2DStepper(_ExpAB2):
     """2D Navier-Stokes on the kz=0 coefficient plane of a grid.
 
-    The state is the horizontal pair's plane, shape (2, nx, ny) (see
-    spectral.Plane); self.grid is that plane.
+    The state is the band of the horizontal pair's plane, shape (2, 2K+1,
+    2K+1) (see spectral.Plane and spectral.Band); self.grid is that band,
+    which is the kz=0 plane of the grid's band.
     """
 
     def __init__(self, grid: Grid, dt: float):
-        plane = grid.plane
-        super().__init__(plane, -plane.k2h, dt)
+        band = grid.plane.band
+        super().__init__(band, -band.k2h, dt)
 
     def nonlinear(self, V: np.ndarray) -> np.ndarray:
         up = self._phys((V[0], V[1]))
@@ -278,7 +288,8 @@ class StokesScaledStepper(_ExpAB2):
     parities = (EVEN, EVEN, ODD)
 
     def __init__(self, grid: Grid, delta: float, dt: float):
-        super().__init__(grid, _lap_delta_mult(grid, delta), dt)
+        band = grid.band
+        super().__init__(band, _lap_delta_mult(band, delta), dt)
 
     def nonlinear(self, U: np.ndarray) -> np.ndarray:
         return np.zeros_like(U)
@@ -296,8 +307,12 @@ class StokesScaledStepper(_ExpAB2):
 @dataclass(frozen=True)
 class System:
     """How one system is stepped: stepper(grid, eps, delta, dt) builds its
-    stepper, pack(state, eps) its state array, unpack(grid, U) the (v1, v2, w)
-    coefficients of a state array; require(U, what) checks a precondition."""
+    stepper, pack(state, eps) its state array on the stepper's band,
+    unpack(grid, U) the (v1, v2, w) coefficients of a state array in the
+    kz >= 0 layout of grid; require(U, what) checks a precondition.
+
+    pack raises CompatibilityError for a state with content outside the
+    band, which the stepper could not hold."""
 
     stepper: Callable[[Grid, float, float, float], _ExpAB2]
     pack: Callable[[VelocityState, float], np.ndarray]
@@ -311,29 +326,59 @@ def _require_mean_free(U: np.ndarray, what: str, tol: float = 1e-12) -> None:
         raise CompatibilityError(f"{what} is not vertically mean-free: {m:.3e}", m)
 
 
+def _to_band(band: Band, comps: Sequence[np.ndarray]) -> np.ndarray:
+    """The band's coefficients of a stack of parent-layout components.
+
+    Content outside the band would be dropped by the first step, so more
+    than rounding there (1e-12 of the largest coefficient) is an error."""
+    full = np.stack(comps)
+    inside = band.gather(full)
+    mag = np.abs(full - band.scatter(inside))
+    at = np.unravel_index(np.argmax(mag), mag.shape)
+    if mag[at] > 1e-12 * float(np.max(np.abs(full), initial=0.0)):
+        modes = tuple(int(np.rint(k[i] / PI))
+                      for k, i in zip(band.parent.wavenumbers, at[1:]))
+        raise CompatibilityError(
+            f"state has content outside the 2/3 dealias band: |c| = "
+            f"{mag[at]:.3e} in component {at[0]} at mode {modes}", float(mag[at])
+        )
+    return inside
+
+
+def _with_w(g: Grid, V: np.ndarray) -> tuple:
+    """(v1, v2, w) on g of a horizontal pair on its band, w recovered from
+    incompressibility."""
+    return tuple(g.band.scatter(np.concatenate((V, [_raw_w_from_v(g.band, V)]))))
+
+
 _PE = System(
     lambda g, eps, delta, dt: PrimitiveStepper(g, delta, dt),
-    lambda s, eps: np.stack((s.v1.coeffs, s.v2.coeffs)),
-    lambda g, V: (V[0], V[1], _raw_w_from_v(g, V)),
+    lambda s, eps: _to_band(s.grid.band, (s.v1.coeffs, s.v2.coeffs)),
+    _with_w,
 )
 
 SYSTEMS = {
     "NS_eps_delta": System(
         lambda g, eps, delta, dt: NavierStokesStepper(g, eps, delta, dt),
-        lambda s, eps: np.stack((s.v1.coeffs, s.v2.coeffs, eps * s.w.coeffs)),
-        lambda g, U: (U[0], U[1], _raw_w_from_v(g, U[:2])),
+        lambda s, eps: _to_band(
+            s.grid.band, (s.v1.coeffs, s.v2.coeffs, eps * s.w.coeffs)
+        ),
+        lambda g, U: _with_w(g, U[:2]),
     ),
     "PE_delta": _PE,
     "PE_H": _PE,
     "NS2D": System(
         lambda g, eps, delta, dt: NavierStokes2DStepper(g, dt),
-        lambda s, eps: np.stack((s.v1.coeffs[:, :, 0], s.v2.coeffs[:, :, 0])),
-        lambda g, B: (*_raw_embed_plane(g, B), np.zeros(g.spec_shape, np.complex128)),
+        lambda s, eps: _to_band(
+            s.grid.plane.band, (s.v1.coeffs[:, :, 0], s.v2.coeffs[:, :, 0])
+        ),
+        lambda g, B: (*_raw_embed_plane(g, g.plane.band.scatter(B)),
+                      np.zeros(g.spec_shape, np.complex128)),
     ),
     "StokesScaled": System(
         lambda g, eps, delta, dt: StokesScaledStepper(g, delta, dt),
-        lambda s, eps: np.stack((s.v1.coeffs, s.v2.coeffs, s.w.coeffs)),
-        lambda g, U: tuple(U),
+        lambda s, eps: _to_band(s.grid.band, (s.v1.coeffs, s.v2.coeffs, s.w.coeffs)),
+        lambda g, U: tuple(g.band.scatter(U)),
         _require_mean_free,
     ),
 }
@@ -455,7 +500,7 @@ def warn_cfl(lanes: Sequence[Lane]) -> None:
 # full trajectories
 # ---------------------------------------------------------------------------
 
-def _l2_h1(grid: Grid | Plane, U: np.ndarray) -> tuple[float, float]:
+def _l2_h1(grid: Grid | Band, U: np.ndarray) -> tuple[float, float]:
     e = np.sum(np.abs(U) ** 2, axis=0)
     l2 = float(np.sqrt(_raw_wsum(grid, e)))
     h1 = float(np.sqrt(_raw_wsum(grid, (1.0 + grid.ksq) * e)))
@@ -474,7 +519,7 @@ def run_simulation(cfg: SimConfig) -> TrajectoryRecord:
     rec = TrajectoryRecord(samples={"l2": [], "h1": []})
 
     def record(st: _ExpAB2, t: float, U: np.ndarray, N) -> None:
-        l2, h1 = _l2_h1(st.grid, U)  # the grid, or its kz=0 plane for NS2D
+        l2, h1 = _l2_h1(st.grid, U)  # the band of the grid, or of its plane
         rec.times.append(t)
         rec.samples["l2"].append(l2)
         rec.samples["h1"].append(h1)

@@ -16,6 +16,14 @@ with 0 < kz < nz/2 counts twice (Grid.parseval_weight).  Odd-order
 derivatives zero the Nyquist modes of their axis, where (i k) c is not the
 coefficient of any real field.
 
+The time steppers hold a second layout, a Band: only the modes that the 2/3
+dealias mask keeps, |m| < n/3 on every axis.  That set is a tensor product,
+so a band is a grid-like layout of its own, shape (2K+1, 2K+1, K+1) on a
+cube with K = (n-1)//3, kx and ky in FFT order and no Nyquist mode.  The
+transforms, the multipliers and the sums below accept a Band, or the Band of
+a Plane, in place of a Grid; Band.gather and Band.scatter convert between a
+band and its parent's layout.
+
 Vertical parity (even/odd in z) is a structural property of every velocity
 component here and is tracked on each field.  Parity is enforced by orthogonal
 projection rather than assumed, so rounding drift cannot leave the symmetry
@@ -51,6 +59,11 @@ _PARITY_FROM_CODE = {v: k for k, v in _PARITY_CODES.items()}
 def _mode_numbers(n: int) -> np.ndarray:
     # FFT-ordered integers [0, 1, ..., n/2-1, -n/2, ..., -1]
     return np.fft.fftfreq(n, d=1.0 / n)
+
+
+def _kept(m: np.ndarray, n: int) -> np.ndarray:
+    """The 2/3 rule: which modes m of an axis of n points the mask keeps."""
+    return 3 * np.abs(m) < n
 
 
 @dataclass(frozen=True)
@@ -129,6 +142,11 @@ class Grid:
             a.setflags(write=False)
         return Plane(self.nx, self.ny, self.kx, self.ky, mask, k2h)
 
+    @cached_property
+    def band(self) -> "Band":
+        """The modes of this grid that the dealias mask keeps."""
+        return Band.of(self)
+
     def cached(self, key, build):
         out = self._cache.get(key)
         if out is None:
@@ -146,9 +164,9 @@ class Plane:
     coefficients, with the grid's phase and normalization: plane[i, j] is
     cube[i, j, 0], and the 2D transforms over (nx, ny) give the field's values
     on the horizontal lattice.  The transforms, _raw_inner and the
-    advection kernels of fields (fields._raw_advect_div is the NS2D
-    stepper's) accept a Plane in place of a Grid; the Parseval weight stays
-    the box volume 8.
+    advection kernels of fields accept a Plane in place of a Grid; the
+    Parseval weight stays the box volume 8.  The NS2D stepper holds its
+    state on the plane's Band, which is the kz=0 plane of the grid's.
     """
 
     nx: int
@@ -185,6 +203,111 @@ class Plane:
     def ksq(self) -> np.ndarray:
         return self.k2h
 
+    @cached_property
+    def band(self) -> "Band":
+        """The modes of this plane that the dealias mask keeps: the kz=0
+        plane of the grid's band."""
+        return Band.of(self)
+
+    cached = Grid.cached
+
+
+@dataclass(frozen=True, eq=False)
+class Band:
+    """The modes of a Grid, or of a Plane, that the 2/3 dealias mask keeps.
+
+    Mode m on an axis of n points is kept when 3|m| < n, so the kept set is
+    the tensor product of one index set per axis and needs no mask: a band
+    array holds exactly the kept coefficients, shape spec_shape.  index[a]
+    lists their positions in the parent's coefficient layout along axis a:
+    on kx and ky (and on a plane's ky) the modes [0..K, -K..-1], which is
+    itself the FFT order of 2K+1 modes; on kz the prefix [0..K].  No kept
+    mode is a Nyquist mode, and the set is closed under k -> -k.
+
+    A band stands in for its parent wherever a grid-like object is read:
+    shape, nx, ny (nz on a cube) are the parent's physical sizes, so the
+    transforms map band coefficients to the full lattice and back, while the
+    wavenumbers, k2h, ksq, parseval_weight and the cached multipliers are
+    those of the kept modes.
+    """
+
+    parent: Grid | Plane
+    index: tuple[np.ndarray, ...]
+    wavenumbers: tuple[np.ndarray, ...]
+    k2h: np.ndarray = field(repr=False)
+    ksq: np.ndarray = field(repr=False)
+    _cache: dict = field(repr=False, default_factory=dict)
+
+    @classmethod
+    def of(cls, parent: Grid | Plane) -> "Band":
+        index = tuple(
+            np.flatnonzero(_kept(np.rint(k / PI), n))
+            for k, n in zip(parent.wavenumbers, parent.shape)
+        )
+        ks = tuple(k[i] for k, i in zip(parent.wavenumbers, index))
+        k2h = np.add.outer(ks[0] ** 2, ks[1] ** 2)
+        if len(ks) == 3:
+            k2h = k2h[:, :, None]
+            ksq = k2h + ks[2][None, None, :] ** 2
+        else:
+            ksq = k2h
+        for a in (*index, *ks, k2h, ksq):
+            a.setflags(write=False)
+        return cls(parent, index, ks, k2h, ksq)
+
+    shape = property(lambda self: self.parent.shape)
+    nx = property(lambda self: self.parent.nx)
+    ny = property(lambda self: self.parent.ny)
+    nz = property(lambda self: self.parent.nz)
+
+    @property
+    def spec_shape(self) -> tuple[int, ...]:
+        return tuple(len(i) for i in self.index)
+
+    kx = property(lambda self: self.wavenumbers[0])
+    ky = property(lambda self: self.wavenumbers[1])
+    kz = property(lambda self: self.wavenumbers[2])
+    kx3 = Grid.kx3
+    ky3 = Grid.ky3
+    kz3 = Grid.kz3
+
+    @cached_property
+    def parseval_weight(self) -> np.ndarray:
+        """The parent's weight on the kept planes of the last axis."""
+        w = self.parent.parseval_weight[self.index[-1]]
+        w.setflags(write=False)
+        return w
+
+    @cached_property
+    def _where(self) -> tuple:
+        """Index of the band in the parent's coefficient layout: the leading
+        axes by their positions, the last by a slice where it is a prefix
+        (half the cost of a third index array)."""
+        last = self.index[-1]
+        if np.array_equal(last, np.arange(len(last))):
+            return (Ellipsis, *np.ix_(*self.index[:-1]), slice(0, len(last)))
+        return (Ellipsis, *np.ix_(*self.index))
+
+    @cached_property
+    def _half(self) -> tuple[tuple, int]:
+        """(index in the parent's half spectrum, the inverse transform's
+        input, of the band modes with m >= 0 on the last axis; their number,
+        a prefix of the band's last axis)."""
+        n = int(np.count_nonzero(self.index[-1] <= self.shape[-1] // 2))
+        return (Ellipsis, *np.ix_(*self.index[:-1]), slice(0, n)), n
+
+    def gather(self, c: np.ndarray) -> np.ndarray:
+        """The band's coefficients of (stacks of) parent-layout arrays c."""
+        return c[self._where]
+
+    def scatter(self, b: np.ndarray) -> np.ndarray:
+        """The parent-layout coefficients of (stacks of) band arrays b: zero
+        outside the band."""
+        nd = len(self.index)
+        out = np.zeros((*b.shape[:-nd], *self.parent.spec_shape), dtype=np.complex128)
+        out[self._where] = b
+        return out
+
     cached = Grid.cached
 
 
@@ -207,7 +330,7 @@ def make_grid(nx: int, ny: int, nz: int) -> Grid:
 
     modes = (_mode_numbers(nx), _mode_numbers(ny), np.arange(nz // 2 + 1.0))
     axes = [PI * m for m in modes]
-    keeps = [3 * np.abs(m) < n for m, n in zip(modes, (nx, ny, nz))]
+    keeps = [_kept(m, n) for m, n in zip(modes, (nx, ny, nz))]
     mask = keeps[0][:, None, None] & keeps[1][None, :, None] & keeps[2][None, None, :]
 
     k2h = axes[0][:, None, None] ** 2 + axes[1][None, :, None] ** 2
@@ -304,7 +427,7 @@ def zero_field(grid: Grid, parity: str = NONE) -> SpectralField:
 # raw-array kernels (shared by fields/solvers; coefficient convention as above)
 # ---------------------------------------------------------------------------
 
-def _lattice_phase(grid: Grid | Plane) -> np.ndarray:
+def _lattice_phase(grid: Grid | Plane | Band) -> np.ndarray:
     """(-1)^(mx+my+mz): relates FFT output on the lattice starting at -1 to
     true Fourier coefficients with respect to exp(i k . x), in the shape of
     the stored coefficients.  On a plane mz = 0, so its phase is the grid's
@@ -320,33 +443,52 @@ def _lattice_phase(grid: Grid | Plane) -> np.ndarray:
     return grid.cached(("phase",), build)
 
 
-def _axes(grid: Grid | Plane) -> tuple[int, ...]:
+def _axes(grid: Grid | Plane | Band) -> tuple[int, ...]:
     return tuple(range(-len(grid.shape), 0))
 
 
-def _raw_to_phys(grid: Grid | Plane, c: np.ndarray) -> np.ndarray:
+def _raw_to_phys(grid: Grid | Plane | Band, c: np.ndarray) -> np.ndarray:
     """Lattice values of (stacks of) real fields from their coefficients.
 
     An irfftn of the last axis's non-negative half: all of c on a Grid, the
     ky >= 0 half on a Plane, whose other half must be its conjugate mirror.
+    A Band is first padded with zeros into its parent's half.
+
+    The irfftn is taken as its two stages, a complex transform of the
+    leading axes in place on that half (a new array here) and a real
+    transform of the last axis: the same operations, without the
+    half-sized copy that irfftn makes for its first stage.
     """
     h = grid.shape[-1] // 2 + 1
-    return _fft.irfftn(
-        c[..., :h] * _lattice_phase(grid)[..., :h], s=grid.shape,
-        axes=_axes(grid), workers=FFT_WORKERS, norm="forward",
-    )
+    phase = _lattice_phase(grid)
+    if isinstance(grid, Band):
+        where, n = grid._half
+        half = np.zeros(
+            (*c.shape[: c.ndim - len(grid.shape)], *grid.shape[:-1], h),
+            dtype=np.complex128,
+        )
+        half[where] = c[..., :n] * phase[..., :n]
+    else:
+        half = c[..., :h] * phase[..., :h]
+    _fft.ifftn(half, axes=_axes(grid)[:-1], workers=FFT_WORKERS, norm="forward",
+               overwrite_x=True)
+    return _fft.irfft(half, n=grid.shape[-1], axis=-1, workers=FFT_WORKERS,
+                      norm="forward")
 
 
-def _raw_to_spec(grid: Grid | Plane, p: np.ndarray) -> np.ndarray:
+def _raw_to_spec(grid: Grid | Plane | Band, p: np.ndarray) -> np.ndarray:
     """Coefficients of (stacks of) real fields from their lattice values:
-    the kz >= 0 half on a Grid (rfftn), the full plane on a Plane."""
-    fft = _fft.rfftn if isinstance(grid, Grid) else _fft.fftn
+    the kz >= 0 half on a Grid (rfftn), the full plane on a Plane (fftn),
+    and on a Band the kept modes of its parent's."""
+    fft = _fft.rfftn if len(grid.shape) == 3 else _fft.fftn
     out = fft(p, axes=_axes(grid), workers=FFT_WORKERS, norm="forward")
+    if isinstance(grid, Band):
+        out = grid.gather(out)
     out *= _lattice_phase(grid)
     return out
 
 
-def _raw_embed_plane(grid: Grid, P: np.ndarray) -> np.ndarray:
+def _raw_embed_plane(grid: Grid | Band, P: np.ndarray) -> np.ndarray:
     """Coefficients of the z-independent fields whose kz=0 planes are P."""
     out = np.zeros((*P.shape[:-2], *grid.spec_shape), dtype=np.complex128)
     out[..., 0] = P
@@ -356,19 +498,25 @@ def _raw_embed_plane(grid: Grid, P: np.ndarray) -> np.ndarray:
 _AXIS_INDEX = {"x": 0, "y": 1, "z": 2}
 
 
-def _deriv_mult(grid: Grid | Plane, axis: int, order: int) -> np.ndarray:
+def _is_nyquist(grid: Grid | Plane | Band, axis: int) -> np.ndarray:
+    """Which stored modes of an axis are its Nyquist mode |m| = n/2: index
+    n//2 of kx and ky, the last plane of the half-length kz; none on a Band."""
+    m = np.rint(grid.wavenumbers[axis] / PI)
+    return 2 * np.abs(m) == grid.shape[axis]
+
+
+def _deriv_mult(grid: Grid | Plane | Band, axis: int, order: int) -> np.ndarray:
     """(i k)^order along one axis, broadcastable over the grid.
 
     For odd orders the Nyquist mode is zeroed: there -k is k itself, so
     (i k) c is not conjugate-symmetric, and no real field has it as its
-    coefficient.  Its index is n//2 for an axis of n points: the middle of
-    kx and ky, the last entry of the half-length kz.
+    coefficient.
     """
 
     def build():
         k = grid.wavenumbers[axis].copy()
         if order % 2 == 1:
-            k[grid.shape[axis] // 2] = 0.0
+            k[_is_nyquist(grid, axis)] = 0.0
         shape = [1] * len(grid.shape)
         shape[axis] = len(k)
         return (1j * k.reshape(shape)) ** order
@@ -380,26 +528,29 @@ def _raw_deriv(grid: Grid, c: np.ndarray, axis: str, order: int = 1) -> np.ndarr
     return c * _deriv_mult(grid, _AXIS_INDEX[axis], order)
 
 
-def _raw_hflip(grid: Grid, c: np.ndarray) -> np.ndarray:
-    """c[..., -kx, -ky, :], a new array."""
+def _raw_hflip(grid: Grid | Band, c: np.ndarray) -> np.ndarray:
+    """c[..., -kx, -ky, :], a new array.  kx and ky are in FFT order, on a
+    Band too, so -m sits at index (-i) mod (axis length)."""
+    bx, by = grid.spec_shape[:2]
 
     def build():
-        ix = (-np.arange(grid.nx)) % grid.nx
-        iy = (-np.arange(grid.ny)) % grid.ny
-        return (ix[:, None] * grid.ny + iy[None, :]).ravel()
+        ix = (-np.arange(bx)) % bx
+        iy = (-np.arange(by)) % by
+        return (ix[:, None] * by + iy[None, :]).ravel()
 
-    flat = c.reshape(*c.shape[:-3], grid.nx * grid.ny, c.shape[-1])
+    flat = c.reshape(*c.shape[:-3], bx * by, c.shape[-1])
     out = np.take(flat, grid.cached(("hflip",), build), axis=-2)
     return out.reshape(c.shape)
 
 
-def _raw_parity_project(grid: Grid, c: np.ndarray, parity: str) -> np.ndarray:
+def _raw_parity_project(grid: Grid | Band, c: np.ndarray, parity: str) -> np.ndarray:
     """Orthogonal projection onto the even or odd functions of z.
 
     Reflecting z sends the coefficient at kz to the one at -kz, which this
-    layout stores as conj(c[-kx, -ky, kz]).  The kz=0 and Nyquist planes are
-    their own reflection, so an odd field vanishes there; they are written
-    as exact zeros rather than as the rounding residue of that difference.
+    layout stores as conj(c[-kx, -ky, kz]).  The kz=0 plane and, on a Grid,
+    the Nyquist plane are their own reflection, so an odd field vanishes
+    there; they are written as exact zeros rather than as the rounding
+    residue of that difference.
     """
     out = np.conjugate(_raw_hflip(grid, c))
     if parity == EVEN:
@@ -407,23 +558,24 @@ def _raw_parity_project(grid: Grid, c: np.ndarray, parity: str) -> np.ndarray:
     else:
         np.subtract(c, out, out=out)
         out[..., 0] = 0.0
-        out[..., -1] = 0.0
+        if _is_nyquist(grid, 2)[-1]:
+            out[..., -1] = 0.0
     out *= 0.5
     return out
 
 
-def _raw_wsum(grid: Grid | Plane, x: np.ndarray) -> float:
+def _raw_wsum(grid: Grid | Plane | Band, x: np.ndarray) -> float:
     """Integral over the box that a sum of x over all modes represents: the
     sum over the stored coefficients with grid.parseval_weight."""
     return float(np.sum(x @ grid.parseval_weight))
 
 
-def _raw_inner(grid: Grid | Plane, a: np.ndarray, b: np.ndarray) -> float:
+def _raw_inner(grid: Grid | Plane | Band, a: np.ndarray, b: np.ndarray) -> float:
     """L2(Omega) pairing of (stacks of) real fields from their coefficients."""
     return _raw_wsum(grid, (np.conj(a) * b).real)
 
 
-def _lap_delta_mult(grid: Grid, delta: float) -> np.ndarray:
+def _lap_delta_mult(grid: Grid | Band, delta: float) -> np.ndarray:
     return grid.cached(
         ("lap_delta", float(delta)),
         lambda: -(grid.k2h + delta * grid.kz3**2),

@@ -573,23 +573,55 @@ class TestLockstepRuns:
         assert len(cfl) == 1 and "exceeds 0.5" in cfl[0]
 
 
+def _load_tracer():
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_tracer", os.path.join(root, "perfbench", "tracer.py")
+    )
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    return tracer
+
+
 class TestBenchmarkTracer:
     def test_every_entry_point_exists(self):
         """The benchmark's tracer wraps program functions and stepper methods
         by name; one that is renamed away would null its per-layer metrics
         without an error."""
-        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-        spec = importlib.util.spec_from_file_location(
-            "perfbench_tracer", os.path.join(root, "perfbench", "tracer.py")
-        )
-        tracer = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(tracer)
-        t = tracer.Tracer()
+        t = _load_tracer().Tracer()
         t.install()
         try:
             assert t.missing == []
         finally:
             t.uninstall()
+
+    @pytest.mark.parametrize("run", ["family", "ns2d"])
+    def test_traced_runs_count_their_transforms(self, run):
+        """The tracer reads the grid sizes of every transform call to count
+        its points; on the steppers' band layouts (a 3D band, the band of
+        the NS2D plane) it still counts them."""
+        from hydrostat.harness import pairs
+        from hydrostat import solvers
+
+        t = _load_tracer().Tracer()
+        t.install()
+        try:
+            if run == "family":
+                base = SimConfig("NS_eps_delta", 8, 8, 8, 2e-3, 0.01, seed=5)
+                pairs.run_matched_family(_family_points("gamma_scan"), base, "gamma_scan")
+            else:
+                solvers.run_simulation(SimConfig("NS2D", 16, 16, 8, 1e-3, 0.005, seed=2))
+        finally:
+            t.uninstall()
+        metrics = t.layer_metrics()
+        for name in ("spectral.to_phys.calls", "spectral.to_phys.points",
+                     "spectral.to_spec.calls", "spectral.to_spec.points"):
+            assert metrics[name] is not None and math.isfinite(metrics[name])
+            assert metrics[name] > 0, name
+        # a transform call whose points the tracer could not read is not
+        # counted, so every call must have counted some
+        calls = [s for s in t.spans if s[3] in ("spectral.to_phys", "spectral.to_spec")]
+        assert calls and all(s[7] is not None and s[7][0] > 0 for s in calls)
 
 
 class TestCli:

@@ -181,3 +181,45 @@ class TestAccumulators:
             with_d = _march(NormAccumulator("EHdelta", delta=delta), u, 0.1, du)
             without = _march(NormAccumulator("EHdelta", delta=0.0), u, 0.1, du)
             assert finalize(without) <= finalize(with_d) + 1e-12
+
+    @pytest.mark.parametrize("on_band", [False, True])
+    def test_fused_sums_equal_per_field_sums(self, grid16, on_band):
+        """One Energies per sample gives every kind the values of the
+        per-field weighted sums, to rounding: EHdelta at delta and 0, Ez
+        with its running max, E0 and L4H32."""
+        from hydrostat.norms import (
+            Energies, _aniso_mult, _integrands, _sobolev_mult, _sq,
+        )
+        from hydrostat.spectral import _lap_delta_mult
+
+        g = grid16.band if on_band else grid16
+
+        def fields(seed):
+            return [SpectralField._wrap(g, g.gather(f.coeffs) if on_band else f.coeffs,
+                                        EVEN)
+                    for f in (random_band_field(grid16, seed + i, EVEN) for i in range(3))]
+
+        u, du = fields(70), fields(80)
+        sample = Energies.of(g, [f.coeffs for f in u], [f.coeffs for f in du])
+        w = g.parseval_weight
+        expected = {
+            "E0": (_sq(u, w),),
+            "Ez": (_sq(u, _aniso_mult(g, 1, 1)),),
+            "L4H32": (_sq(u, _sobolev_mult(g, 1.5)) ** 2,),
+        }
+        for delta in (0.0, 0.37):
+            lap = w * _lap_delta_mult(g, delta) ** 2
+            acc = NormAccumulator("EHdelta", delta=delta)
+            got = _integrands(acc, sample)
+            for a, b in zip(got, (_sq(u, w), _sq(du, w), _sq(u, lap))):
+                assert a == pytest.approx(b, rel=1e-14)
+        for kind, want in expected.items():
+            got = _integrands(NormAccumulator(kind), sample)
+            assert got[0] == pytest.approx(want[0], rel=1e-14)
+        # the running max of Ez, through accumulate, from the sample and
+        # from the fields
+        acc = accumulate(NormAccumulator("Ez"), sample)
+        assert acc.running_max == pytest.approx(
+            np.sqrt(_sq(u, _aniso_mult(g, 1, 0))), rel=1e-14
+        )
+        assert acc == accumulate(NormAccumulator("Ez"), u)

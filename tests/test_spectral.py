@@ -156,6 +156,70 @@ class TestTransforms:
             SpectralField(grid8, np.zeros(grid8.shape, dtype=complex))
 
 
+class TestBand:
+    """The stepper layout: the modes the 2/3 mask keeps, as a grid-like
+    object of its own."""
+
+    @pytest.mark.parametrize(
+        "shape, band", [((32, 32, 32), (21, 21, 11)), ((16, 16, 16), (11, 11, 6)),
+                        ((64, 64, 4), (43, 43, 2)), ((6, 4, 10), (3, 3, 4))]
+    )
+    def test_is_the_mask(self, shape, band):
+        grid = make_grid(*shape)
+        assert grid.band.spec_shape == band
+        assert grid.plane.band.spec_shape == band[:2]
+        assert grid.band.shape == grid.shape and grid.band.nz == grid.nz
+        assert int(grid.dealias_mask.sum()) == np.prod(band)
+        assert np.all(grid.band.gather(grid.dealias_mask))
+        c = random_band_field(grid, 1, band=np.ones(grid.spec_shape, bool)).coeffs
+        assert np.array_equal(grid.band.scatter(grid.band.gather(c)), c * grid.dealias_mask)
+        # kx, ky in FFT order with no Nyquist mode; kz the prefix
+        K = (shape[0] - 1) // 3
+        m = np.rint(grid.band.kx / PI)
+        assert list(m) == [*range(K + 1), *range(-K, 0)]
+        assert np.array_equal(grid.band.kz, grid.kz[: band[2]])
+
+    @pytest.mark.parametrize("shape", [(32, 32, 32), (16, 16, 8), (64, 64, 4), (6, 4, 10)])
+    @pytest.mark.parametrize("on_plane", [False, True])
+    def test_transforms_match_the_parent_bit_for_bit(self, shape, on_plane):
+        """The inverse pads the band into its parent's half spectrum and the
+        forward gathers the band from its parent's transform, so neither
+        changes a bit of what the parent layout gives on masked data."""
+        from hydrostat.spectral import _raw_to_phys, _raw_to_spec
+
+        grid = make_grid(*shape)
+        g = grid.plane if on_plane else grid
+        band = g.band
+        rng = np.random.default_rng(5)
+        p = rng.standard_normal((3, *g.shape))
+        c = _raw_to_spec(g, p) * g.dealias_mask
+        assert np.array_equal(_raw_to_phys(band, band.gather(c)), _raw_to_phys(g, c))
+        assert np.array_equal(_raw_to_spec(band, p), band.gather(_raw_to_spec(g, p)))
+
+    @pytest.mark.parametrize("shape", [(32, 32, 32), (16, 16, 16), (6, 4, 10)])
+    def test_odd_rules_keep_every_band_mode(self, shape):
+        """A band has no Nyquist mode: the odd parity projection keeps its
+        last kz plane (a Nyquist plane only on the grid), and an odd-order
+        derivative keeps every kept kx and ky (index n//2 of the grid's
+        axis is a kept mode of the band's)."""
+        from hydrostat.spectral import _deriv_mult, _raw_parity_project
+
+        grid = make_grid(*shape)
+        band = grid.band
+        c = random_band_field(grid, 8).coeffs
+        b = band.gather(c)
+        odd = _raw_parity_project(band, b, ODD)
+        assert np.array_equal(odd, band.gather(_raw_parity_project(grid, c, ODD)))
+        assert np.max(np.abs(odd[..., -1])) > 0.0
+        for axis in range(3):
+            for order in (1, 3):
+                mult = _deriv_mult(band, axis, order)
+                assert np.count_nonzero(mult == 0) == 1  # the zero mode only
+                assert np.array_equal(
+                    b * mult, band.gather(c * _deriv_mult(grid, axis, order))
+                )
+
+
 class TestDerivative:
     def test_analytic_x_derivative(self, grid16):
         f = field_from_function(grid16, lambda x, y, z: np.sin(PI * x))
