@@ -33,6 +33,7 @@ from .spectral import (
     _raw_parity_project,
     _raw_to_phys,
     _raw_to_spec,
+    _workspace,
 )
 
 @dataclass(frozen=True)
@@ -197,10 +198,16 @@ def _raw_advect_div(
     convective (u . grad) (scale * u), at one forward transform per distinct
     product u_i u_j and no inverse transform.  On a Band the result holds
     only the kept modes, so it needs no mask.
+
+    On the band of a cube the products are formed in the band's workspace,
+    from its first slot up.  u_phys may be the workspace's top slots, where
+    the steppers' inverse transforms put it: in (i, j) order, product k
+    overwrites only a component that no later product reads.
     """
     m, n = len(scale), len(u_phys)
     pairs = [(i, j) for i in range(m) for j in range(i, n)]
-    prod = np.empty((len(pairs), *grid.shape))
+    ws = _workspace(grid)
+    prod = ws.real[: len(pairs)] if ws else np.empty((len(pairs), *grid.shape))
     for k, (i, j) in enumerate(pairs):
         np.multiply(u_phys[i], u_phys[j], out=prod[k])
     P = _raw_to_spec(grid, prod)

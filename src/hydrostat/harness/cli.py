@@ -45,7 +45,10 @@ def _cmd_sweep(args) -> int:
     from .sweep import run_sweep
 
     cfg = sweep_config_from_dict(load_config(args.config))
-    cfg = replace(cfg, out_dir=args.out, jobs=args.jobs, timing=args.timing)
+    # a flag overrides the config file only when it is given
+    flags = {"jobs": args.jobs, "timing": args.timing}
+    cfg = replace(cfg, out_dir=args.out,
+                  **{k: v for k, v in flags.items() if v is not None})
     result = run_sweep(cfg, write_plots=args.plots)
     print(f"wrote {args.out}/results.csv ({len(result.rows)} rows)")
     for key, (slope, intercept, r2) in sorted(result.fits.items(), key=str):
@@ -100,8 +103,8 @@ def main(argv: list[str] | None = None) -> int:
     p_sweep.add_argument("--config", required=True)
     p_sweep.add_argument("--out", required=True)
     p_sweep.add_argument("--plots", action="store_true")
-    p_sweep.add_argument("--timing", action="store_true")
-    p_sweep.add_argument("--jobs", type=int, default=1)
+    p_sweep.add_argument("--timing", action="store_true", default=None)
+    p_sweep.add_argument("--jobs", type=int)
     p_sweep.set_defaults(fn=_cmd_sweep)
 
     p_verify = sub.add_parser("verify", help="run a verification suite")

@@ -46,6 +46,8 @@ class SweepConfig:
     def __post_init__(self):
         if self.mode not in MODES:
             raise ConfigError(f"unknown sweep mode {self.mode!r}")
+        if self.jobs < 1:
+            raise ConfigError(f"jobs must be >= 1, got {self.jobs}")
         if not self.eps_values:
             raise ConfigError("eps_values must be nonempty")
         if self.mode == "delta_to_infty" and not self.delta_values:

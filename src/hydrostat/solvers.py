@@ -29,7 +29,12 @@ the NS2D plane) at zero.
 Every stepper holds its state on the Band of its grid (spectral.Band): only
 the modes that the 2/3 dealias mask keeps, so the mask is structural and no
 step multiplies by it.  The nonlinear term comes back from the forward
-transform already restricted to the band.
+transform already restricted to the band.  The lattice-size arrays of a
+nonlinear evaluation on the band of a cube live in the band's workspace
+(spectral.Workspace), which every stepper on the band shares, so the
+steppers of one band run on one thread.  What a step returns (the
+nonlinear term, the new state, the AB2 history) is a new band-size array,
+never a view of the workspace.
 
 Every step re-enforces parity and the system's divergence constraint; both
 are Fourier-diagonal projections that commute with the propagator, so this
@@ -69,6 +74,7 @@ from .spectral import (
     PI,
     Band,
     Grid,
+    Plane,
     SpectralField,
     _lap_delta_mult,
     _raw_embed_plane,
@@ -76,6 +82,7 @@ from .spectral import (
     _raw_parity_project,
     _raw_to_phys,
     _raw_wsum,
+    _workspace,
     make_grid,
 )
 
@@ -208,8 +215,13 @@ class _ExpAB2:
         return self.advance(U, self.nonlinear(U))
 
     def _phys(self, comps: Sequence[np.ndarray]) -> np.ndarray:
-        out = _raw_to_phys(self.grid, np.stack(comps))
-        self.last_umax = float(np.max(np.abs(out)))
+        """Lattice values of comps: on the band of a cube, the top slots of
+        its workspace, valid until the next transform on the band."""
+        ws = _workspace(self.grid)
+        top = ws.real[len(ws.real) - len(comps):] if ws else None
+        out = _raw_to_phys(self.grid, np.stack(comps), out=top)
+        # max |u| without a lattice-size temporary
+        self.last_umax = max(float(out.max()), -float(out.min()))
         return out
 
 
@@ -326,18 +338,20 @@ def _require_mean_free(U: np.ndarray, what: str, tol: float = 1e-12) -> None:
         raise CompatibilityError(f"{what} is not vertically mean-free: {m:.3e}", m)
 
 
-def _to_band(band: Band, comps: Sequence[np.ndarray]) -> np.ndarray:
-    """The band's coefficients of a stack of parent-layout components.
+def _to_band(parent: Grid | Plane, comps: Sequence[np.ndarray]) -> np.ndarray:
+    """The coefficients on parent.band of a stack of components in the
+    layout of parent, a grid or its plane.
 
     Content outside the band would be dropped by the first step, so more
     than rounding there (1e-12 of the largest coefficient) is an error."""
+    band = parent.band
     full = np.stack(comps)
     inside = band.gather(full)
     mag = np.abs(full - band.scatter(inside))
     at = np.unravel_index(np.argmax(mag), mag.shape)
     if mag[at] > 1e-12 * float(np.max(np.abs(full), initial=0.0)):
         modes = tuple(int(np.rint(k[i] / PI))
-                      for k, i in zip(band.parent.wavenumbers, at[1:]))
+                      for k, i in zip(parent.wavenumbers, at[1:]))
         raise CompatibilityError(
             f"state has content outside the 2/3 dealias band: |c| = "
             f"{mag[at]:.3e} in component {at[0]} at mode {modes}", float(mag[at])
@@ -353,16 +367,14 @@ def _with_w(g: Grid, V: np.ndarray) -> tuple:
 
 _PE = System(
     lambda g, eps, delta, dt: PrimitiveStepper(g, delta, dt),
-    lambda s, eps: _to_band(s.grid.band, (s.v1.coeffs, s.v2.coeffs)),
+    lambda s, eps: _to_band(s.grid, (s.v1.coeffs, s.v2.coeffs)),
     _with_w,
 )
 
 SYSTEMS = {
     "NS_eps_delta": System(
         lambda g, eps, delta, dt: NavierStokesStepper(g, eps, delta, dt),
-        lambda s, eps: _to_band(
-            s.grid.band, (s.v1.coeffs, s.v2.coeffs, eps * s.w.coeffs)
-        ),
+        lambda s, eps: _to_band(s.grid, (s.v1.coeffs, s.v2.coeffs, eps * s.w.coeffs)),
         lambda g, U: _with_w(g, U[:2]),
     ),
     "PE_delta": _PE,
@@ -370,14 +382,14 @@ SYSTEMS = {
     "NS2D": System(
         lambda g, eps, delta, dt: NavierStokes2DStepper(g, dt),
         lambda s, eps: _to_band(
-            s.grid.plane.band, (s.v1.coeffs[:, :, 0], s.v2.coeffs[:, :, 0])
+            s.grid.plane, (s.v1.coeffs[:, :, 0], s.v2.coeffs[:, :, 0])
         ),
         lambda g, B: (*_raw_embed_plane(g, g.plane.band.scatter(B)),
                       np.zeros(g.spec_shape, np.complex128)),
     ),
     "StokesScaled": System(
         lambda g, eps, delta, dt: StokesScaledStepper(g, delta, dt),
-        lambda s, eps: _to_band(s.grid.band, (s.v1.coeffs, s.v2.coeffs, s.w.coeffs)),
+        lambda s, eps: _to_band(s.grid, (s.v1.coeffs, s.v2.coeffs, s.w.coeffs)),
         lambda g, U: tuple(g.band.scatter(U)),
         _require_mean_free,
     ),

@@ -24,6 +24,16 @@ transforms, the multipliers and the sums below accept a Band, or the Band of
 a Plane, in place of a Grid; Band.gather and Band.scatter convert between a
 band and its parent's layout.
 
+The band of a cube owns one Workspace, built on first use: the lattice-size
+arrays of a nonlinear evaluation, reused by every step of every stepper on
+that band, so that stepping allocates nothing at lattice size.  A band is
+therefore stepped by one thread at a time; every run, matched family and
+sweep point builds its own grid, and with it its own band.  On such a band
+the transforms run as staged passes in the workspace: the forward a real
+transform of z and then a complex transform of (x, y) on only the kz planes
+that hold band modes, the inverse the mirror.  Both are bit-identical to
+rfftn and irfftn on the band's modes.
+
 Vertical parity (even/odd in z) is a structural property of every velocity
 component here and is tracked on each field.  Parity is enforced by orthogonal
 projection rather than assumed, so rounding drift cannot leave the symmetry
@@ -213,6 +223,27 @@ class Plane:
 
 
 @dataclass(frozen=True, eq=False)
+class Workspace:
+    """Lattice-size scratch arrays of the nonlinear evaluations on one 3D Band.
+
+    real holds WORKSPACE_FIELDS lattice fields: a stepper's inverse transform
+    writes its velocities into the top slots and fields._raw_advect_div forms
+    the products u_i u_j from the first slot up.  cplx holds
+    WORKSPACE_BATCH kz >= 0 halves, the staging buffer of the band's
+    transforms, which take their stacks that many fields at a time.  Every
+    call leaves in it nothing that a later call reads.
+    """
+
+    real: np.ndarray
+    cplx: np.ndarray
+
+
+# the distinct products u_i u_j of three velocity components
+WORKSPACE_FIELDS = 6
+WORKSPACE_BATCH = 3
+
+
+@dataclass(frozen=True, eq=False)
 class Band:
     """The modes of a Grid, or of a Plane, that the 2/3 dealias mask keeps.
 
@@ -228,14 +259,21 @@ class Band:
     shape, nx, ny (nz on a cube) are the parent's physical sizes, so the
     transforms map band coefficients to the full lattice and back, while the
     wavenumbers, k2h, ksq, parseval_weight and the cached multipliers are
-    those of the kept modes.
+    those of the kept modes.  It keeps the parent's sizes, not the parent,
+    so the band that a parent caches makes no reference cycle with it.
+
+    The band of a cube owns the Workspace of its transforms (see the module
+    docstring).
     """
 
-    parent: Grid | Plane
+    shape: tuple[int, ...]
+    parent_spec_shape: tuple[int, ...]
     index: tuple[np.ndarray, ...]
     wavenumbers: tuple[np.ndarray, ...]
     k2h: np.ndarray = field(repr=False)
     ksq: np.ndarray = field(repr=False)
+    # the parent's weight on the kept planes of the last axis
+    parseval_weight: np.ndarray = field(repr=False)
     _cache: dict = field(repr=False, default_factory=dict)
 
     @classmethod
@@ -251,14 +289,14 @@ class Band:
             ksq = k2h + ks[2][None, None, :] ** 2
         else:
             ksq = k2h
-        for a in (*index, *ks, k2h, ksq):
+        weight = parent.parseval_weight[index[-1]]
+        for a in (*index, *ks, k2h, ksq, weight):
             a.setflags(write=False)
-        return cls(parent, index, ks, k2h, ksq)
+        return cls(parent.shape, parent.spec_shape, index, ks, k2h, ksq, weight)
 
-    shape = property(lambda self: self.parent.shape)
-    nx = property(lambda self: self.parent.nx)
-    ny = property(lambda self: self.parent.ny)
-    nz = property(lambda self: self.parent.nz)
+    nx = property(lambda self: self.shape[0])
+    ny = property(lambda self: self.shape[1])
+    nz = property(lambda self: self.shape[2])
 
     @property
     def spec_shape(self) -> tuple[int, ...]:
@@ -272,11 +310,14 @@ class Band:
     kz3 = Grid.kz3
 
     @cached_property
-    def parseval_weight(self) -> np.ndarray:
-        """The parent's weight on the kept planes of the last axis."""
-        w = self.parent.parseval_weight[self.index[-1]]
-        w.setflags(write=False)
-        return w
+    def workspace(self) -> Workspace | None:
+        """The transform workspace of a cube's band (about 2.4 MB at 32^3);
+        None on the band of a plane, whose lattice is small."""
+        if len(self.shape) != 3:
+            return None
+        nx, ny, nz = self.shape
+        return Workspace(np.empty((WORKSPACE_FIELDS, nx, ny, nz)),
+                         np.empty((WORKSPACE_BATCH, nx, ny, nz // 2 + 1), np.complex128))
 
     @cached_property
     def _where(self) -> tuple:
@@ -304,11 +345,17 @@ class Band:
         """The parent-layout coefficients of (stacks of) band arrays b: zero
         outside the band."""
         nd = len(self.index)
-        out = np.zeros((*b.shape[:-nd], *self.parent.spec_shape), dtype=np.complex128)
+        out = np.zeros((*b.shape[:-nd], *self.parent_spec_shape), dtype=np.complex128)
         out[self._where] = b
         return out
 
     cached = Grid.cached
+
+
+def _workspace(grid: Grid | Plane | Band) -> Workspace | None:
+    """The transform workspace of the band of a cube; None on every other
+    layout, whose transforms allocate their arrays."""
+    return grid.workspace if isinstance(grid, Band) else None
 
 
 def make_grid(nx: int, ny: int, nz: int) -> Grid:
@@ -447,45 +494,92 @@ def _axes(grid: Grid | Plane | Band) -> tuple[int, ...]:
     return tuple(range(-len(grid.shape), 0))
 
 
-def _raw_to_phys(grid: Grid | Plane | Band, c: np.ndarray) -> np.ndarray:
-    """Lattice values of (stacks of) real fields from their coefficients.
+def _raw_to_phys(
+    grid: Grid | Plane | Band, c: np.ndarray, out: np.ndarray | None = None
+) -> np.ndarray:
+    """Lattice values of (stacks of) real fields from their coefficients,
+    written to out (C-contiguous; a new array when None).
 
     An irfftn of the last axis's non-negative half: all of c on a Grid, the
     ky >= 0 half on a Plane, whose other half must be its conjugate mirror.
     A Band is first padded with zeros into its parent's half.
 
     The irfftn is taken as its two stages, a complex transform of the
-    leading axes in place on that half (a new array here) and a real
-    transform of the last axis: the same operations, without the
-    half-sized copy that irfftn makes for its first stage.
+    leading axes in place on that half and a real transform of the last
+    axis into out: the same operations, without the half-sized copy that
+    irfftn makes for its first stage.  On the band of a cube the half is
+    staged in the band's workspace, WORKSPACE_BATCH fields at a time, and
+    the first stage runs only on the kz planes that hold band modes; the
+    other planes are zero, and so is their transform.
     """
     h = grid.shape[-1] // 2 + 1
     phase = _lattice_phase(grid)
-    if isinstance(grid, Band):
-        where, n = grid._half
-        half = np.zeros(
-            (*c.shape[: c.ndim - len(grid.shape)], *grid.shape[:-1], h),
-            dtype=np.complex128,
-        )
-        half[where] = c[..., :n] * phase[..., :n]
-    else:
-        half = c[..., :h] * phase[..., :h]
-    _fft.ifftn(half, axes=_axes(grid)[:-1], workers=FFT_WORKERS, norm="forward",
-               overwrite_x=True)
-    return _fft.irfft(half, n=grid.shape[-1], axis=-1, workers=FFT_WORKERS,
-                      norm="forward")
+    ws = _workspace(grid)
+    if ws is None:
+        if isinstance(grid, Band):
+            where, n = grid._half
+            half = np.zeros(
+                (*c.shape[: c.ndim - len(grid.shape)], *grid.shape[:-1], h),
+                dtype=np.complex128,
+            )
+            half[where] = c[..., :n] * phase[..., :n]
+        else:
+            half = c[..., :h] * phase[..., :h]
+        _fft.ifftn(half, axes=_axes(grid)[:-1], workers=FFT_WORKERS,
+                   norm="forward", overwrite_x=True)
+        return np.fft.irfft(half, n=grid.shape[-1], axis=-1, norm="forward", out=out)
+
+    n = grid.spec_shape[-1]  # the kept kz planes, a prefix of the half
+    if out is None:
+        out = np.empty((*c.shape[:-3], *grid.shape))
+    cs, lattice = c.reshape(-1, *grid.spec_shape), out.reshape(-1, *grid.shape)
+    for s in range(0, len(cs), WORKSPACE_BATCH):
+        part = cs[s : s + WORKSPACE_BATCH]
+        half = ws.cplx[: len(part)]
+        half.fill(0.0)
+        half[grid._where] = part * phase
+        _fft.ifftn(half[..., :n], axes=(1, 2), workers=FFT_WORKERS,
+                   norm="forward", overwrite_x=True)
+        np.fft.irfft(half, n=grid.nz, axis=-1, norm="forward",
+                     out=lattice[s : s + len(part)])
+    return out
 
 
 def _raw_to_spec(grid: Grid | Plane | Band, p: np.ndarray) -> np.ndarray:
     """Coefficients of (stacks of) real fields from their lattice values:
     the kz >= 0 half on a Grid (rfftn), the full plane on a Plane (fftn),
-    and on a Band the kept modes of its parent's."""
-    fft = _fft.rfftn if len(grid.shape) == 3 else _fft.fftn
-    out = fft(p, axes=_axes(grid), workers=FFT_WORKERS, norm="forward")
-    if isinstance(grid, Band):
-        out = grid.gather(out)
+    and on a Band the kept modes of its parent's.
+
+    On the band of a cube the rfftn runs as its stages in the band's
+    workspace, WORKSPACE_BATCH fields at a time: a real transform of z,
+    scaled by 1/N where rfftn scales, then a complex transform of (x, y) in
+    place on only the kz planes the band keeps.  That is rfftn's own
+    arithmetic on those planes, so the kept modes are bit-identical to it.
+    """
+    ws = _workspace(grid)
+    if ws is None:
+        fft = _fft.rfftn if len(grid.shape) == 3 else _fft.fftn
+        out = fft(p, axes=_axes(grid), workers=FFT_WORKERS, norm="forward")
+        if isinstance(grid, Band):
+            out = grid.gather(out)
+        out *= _lattice_phase(grid)
+        return out
+
+    n = grid.spec_shape[-1]  # the kept kz planes, a prefix of the half
+    # rfftn's norm factor, computed as pocketfft computes it
+    norm = float(1 / np.longdouble(grid.nx * grid.ny * grid.nz))
+    ps = p.reshape(-1, *grid.shape)
+    out = np.empty((len(ps), *grid.spec_shape), dtype=np.complex128)
+    for s in range(0, len(ps), WORKSPACE_BATCH):
+        part = ps[s : s + WORKSPACE_BATCH]
+        half = ws.cplx[: len(part)]
+        np.fft.rfft(part, axis=-1, out=half)
+        kept = half[..., :n]
+        kept *= norm
+        _fft.fftn(kept, axes=(1, 2), workers=FFT_WORKERS, overwrite_x=True)
+        out[s : s + len(part)] = grid.gather(half)
     out *= _lattice_phase(grid)
-    return out
+    return out.reshape(*p.shape[:-3], *grid.spec_shape)
 
 
 def _raw_embed_plane(grid: Grid | Band, P: np.ndarray) -> np.ndarray:

@@ -259,6 +259,12 @@ class TestConfig:
         assert cfg.eps_values == (0.2, 0.1, 0.05)
         assert cfg.points() == [(0.2, 0.2, None), (0.1, 0.1, None), (0.05, 0.05, None)]
 
+    @pytest.mark.parametrize("jobs", [0, -1])
+    def test_jobs_below_one_rejected(self, jobs):
+        text = GOOD_SIM + f"mode = eps_delta_to_zero\neps_values = 0.2\njobs = {jobs}\n"
+        with pytest.raises(ConfigError, match="jobs"):
+            sweep_config_from_dict(parse_config_text(text))
+
     def test_empty_eps_list_rejected(self):
         with pytest.raises(ConfigError):
             SweepConfig(
@@ -658,6 +664,38 @@ class TestCli:
         assert main(["fit", "--csv", str(csv_path), "--norm", "total"]) == 0
         out = capsys.readouterr().out
         assert "slope=" in out
+
+    @pytest.mark.parametrize(
+        "argv, expect",
+        [([], {"jobs": 2, "timing": False}),
+         (["--jobs", "3"], {"jobs": 3, "timing": False}),
+         (["--timing"], {"jobs": 2, "timing": True})],
+    )
+    def test_sweep_flags_override_the_file_only_when_given(
+        self, tmp_path, monkeypatch, argv, expect
+    ):
+        """The config file's jobs and timing stand unless a flag is given."""
+        from hydrostat.harness import sweep
+        from hydrostat.harness.cli import main
+
+        cfg = tmp_path / "sweep.cfg"
+        cfg.write_text(GOOD_SIM + "mode = eps_delta_to_zero\neps_values = 0.2\n"
+                       "jobs = 2\ntiming = false\n")
+        seen = []
+        monkeypatch.setattr(sweep, "run_sweep",
+                            lambda c, write_plots: seen.append(c) or sweep.SweepResult())
+        assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path)] + argv) == 0
+        assert {k: getattr(seen[0], k) for k in expect} == expect
+        assert seen[0].out_dir == str(tmp_path)
+
+    def test_sweep_rejects_jobs_below_one(self, tmp_path, capsys):
+        from hydrostat.harness.cli import main
+
+        cfg = tmp_path / "sweep.cfg"
+        cfg.write_text(GOOD_SIM + "mode = eps_delta_to_zero\neps_values = 0.2\n")
+        assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path),
+                     "--jobs", "0"]) == 2
+        assert "jobs must be >= 1" in capsys.readouterr().err
 
     def test_bad_config_exit_code(self, tmp_path):
         from hydrostat.harness.cli import main

@@ -1,5 +1,6 @@
 """Time integrators: exact-solution oracles, structure preservation, order."""
 import math
+import sys
 import warnings
 
 import numpy as np
@@ -249,9 +250,9 @@ class TestNonlinearTerms:
             # the inverse takes coefficients, the forward lattice values
             shape = "spec_shape" if name == "_raw_to_phys" else "shape"
 
-            def wrapper(grid, arr):
+            def wrapper(grid, arr, **kw):
                 counts[name] += arr.size // math.prod(getattr(grid, shape))
-                return fn(grid, arr)
+                return fn(grid, arr, **kw)
             return wrapper
 
         for name in counts:
@@ -357,6 +358,55 @@ class TestBandLayout:
         for got, f in zip(out, state.components()):
             assert got.shape == grid16.spec_shape
             assert np.max(np.abs(got - f.coeffs)) < 1e-15
+
+
+class TestSharedWorkspace:
+    """Every stepper on a band transforms in the band's one workspace."""
+
+    def test_family_steps_equal_each_stepped_alone(self):
+        """A family (PE_H reference and two NS members on one band, advanced
+        in turn) gives bit for bit what each gives on a grid of its own."""
+        def make(grid):
+            return [PrimitiveStepper(grid, 0.0, 1e-3),
+                    NavierStokesStepper(grid, 0.2, 0.04, 1e-3),
+                    NavierStokesStepper(grid, 0.1, 0.01, 1e-3)]
+
+        def start(grid):
+            data = generate_initial_data("bandlimited_random", 9, grid)
+            return [SYSTEMS["PE_H"].pack(data, 1.0),
+                    SYSTEMS["NS_eps_delta"].pack(data, 0.2),
+                    SYSTEMS["NS_eps_delta"].pack(data, 0.1)]
+
+        grid = make_grid(16, 16, 16)
+        family, states = make(grid), start(grid)
+        for _ in range(4):
+            states = [st.step(U) for st, U in zip(family, states)]
+        for k in range(3):
+            own = make_grid(16, 16, 16)
+            st, U = make(own)[k], start(own)[k]
+            for _ in range(4):
+                U = st.step(U)
+            assert np.array_equal(U, states[k])
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"),
+                        reason="counts minor faults with getrusage")
+    def test_steps_do_not_fault_pages_in(self):
+        """After warm-up an NS step at 32^3 allocates nothing at lattice
+        size, so the heap is not trimmed and faulted back in on every step
+        (about 850 minor faults a step when the transforms allocated)."""
+        import resource
+
+        grid = make_grid(32, 32, 32)
+        data = generate_initial_data("bandlimited_random", 1, grid)
+        stepper = NavierStokesStepper(grid, 0.1, 0.01, 1e-3)
+        U = SYSTEMS["NS_eps_delta"].pack(data, 0.1)
+        for _ in range(3):
+            U = stepper.step(U)
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        for _ in range(10):
+            U = stepper.step(U)
+        faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+        assert faults < 10 * 100
 
 
 class TestRunSimulation:

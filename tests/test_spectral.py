@@ -220,6 +220,92 @@ class TestBand:
                 )
 
 
+class TestBandWorkspace:
+    """The band of a cube stages its transforms in one workspace that it
+    owns: z, then (x, y) on the kept kz planes only."""
+
+    SHAPES = [(32, 32, 32), (16, 16, 16), (64, 64, 4), (6, 4, 10), (12, 12, 12)]
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_transforms_equal_irfftn_and_rfftn(self, shape):
+        """Bit for bit the band's modes of rfftn and the irfftn of the band
+        padded into the half spectrum, at every size: the staged passes
+        are the same arithmetic on the planes that are kept."""
+        from hydrostat.spectral import _lattice_phase, _raw_to_phys, _raw_to_spec
+
+        grid = make_grid(*shape)
+        band = grid.band
+        phase = _lattice_phase(grid)
+        rng = np.random.default_rng(11)
+        for k in (1, 3, 4, 6):  # within and across the workspace's batches
+            p = rng.standard_normal((k, *grid.shape))
+            spec = scipy.fft.rfftn(p, axes=(-3, -2, -1), norm="forward") * phase
+            b = _raw_to_spec(band, p)
+            assert np.array_equal(b, band.gather(spec))
+            phys = scipy.fft.irfftn(band.scatter(b) * phase, s=grid.shape,
+                                    axes=(-3, -2, -1), norm="forward")
+            assert np.array_equal(_raw_to_phys(band, b), phys)
+        # a single field, without a stack axis
+        assert np.array_equal(_raw_to_phys(band, b[0]), phys[0])
+        assert np.array_equal(_raw_to_spec(band, p[0]), b[0])
+        # the grid and its plane keep their irfftn
+        assert np.array_equal(_raw_to_phys(grid, spec), scipy.fft.irfftn(
+            spec * phase, s=grid.shape, axes=(-3, -2, -1), norm="forward"))
+        plane = grid.plane
+        P = _raw_to_spec(plane, p[..., 0])
+        h = plane.ny // 2 + 1
+        assert np.array_equal(_raw_to_phys(plane, P), scipy.fft.irfftn(
+            (P * phase[..., 0])[..., :h], s=plane.shape, axes=(-2, -1), norm="forward"))
+
+    def test_results_do_not_share_the_workspace(self):
+        from hydrostat.solvers import NavierStokesStepper, PrimitiveStepper
+        from hydrostat.spectral import _raw_to_phys, _raw_to_spec
+
+        grid = make_grid(16, 16, 16)
+        band = grid.band
+        ws = band.workspace
+        assert ws is band.workspace and grid.plane.band.workspace is None
+        b = band.gather(random_band_field(grid, 3).coeffs)
+        U = np.stack((b, b, np.zeros_like(b)))
+        results = [_raw_to_phys(band, U), _raw_to_spec(band, ws.real[:4])]
+        for stepper in (NavierStokesStepper(grid, 0.5, 0.2, 1e-3),
+                        PrimitiveStepper(grid, 0.2, 1e-3)):
+            N = stepper.nonlinear(U[: len(stepper.parities)])
+            results += [N, stepper.advance(U[: len(stepper.parities)], N),
+                        stepper._n_prev]
+        for r in results:
+            for buf in (ws.real, ws.cplx):
+                assert not np.shares_memory(r, buf)
+        # the one opt-in: an inverse into a given array
+        top = ws.real[3:]
+        assert _raw_to_phys(band, U, out=top) is top
+
+    def test_a_dropped_grid_is_freed_without_the_collector(self):
+        """The band a grid caches (and its plane's) keeps the parent's sizes,
+        not the parent: no reference cycle keeps a finished run's grid, its
+        multiplier caches and its workspace alive until a full collection."""
+        import gc
+        import weakref
+
+        from hydrostat.solvers import NavierStokes2DStepper, NavierStokesStepper
+
+        gc.collect()
+        gc.disable()
+        try:
+            grid = make_grid(8, 8, 8)
+            data = random_band_field(grid, 2).coeffs
+            U = grid.band.gather(np.stack((data, data, np.zeros_like(data))))
+            NavierStokesStepper(grid, 0.5, 0.2, 1e-3).step(U)
+            NavierStokes2DStepper(grid, 1e-3).step(grid.plane.band.gather(
+                np.stack((data[..., 0], data[..., 0]))))
+            refs = [weakref.ref(o) for o in (grid, grid.band, grid.plane,
+                                             grid.plane.band)]
+            del grid
+            assert [r() for r in refs] == [None] * 4
+        finally:
+            gc.enable()
+
+
 class TestDerivative:
     def test_analytic_x_derivative(self, grid16):
         f = field_from_function(grid16, lambda x, y, z: np.sin(PI * x))
