@@ -31,7 +31,7 @@ from functools import partial
 
 import numpy as np
 
-from ..errors import BlowupDetected, InsufficientData, InvalidParameter
+from ..errors import BlowupDetected, ConfigError, InsufficientData, InvalidParameter
 from ..fields import _raw_w_from_v
 from ..norms import Energies, NormAccumulator, accumulate, finalize
 from ..solvers import Lane, SimConfig, run_lanes, system_lane, warn_cfl
@@ -55,6 +55,24 @@ class NormRow:
     wall_ms: int
     # (exception type, message) of a FAILED row or of a NaN norm
     error: tuple[str, str] | None = None
+
+
+def check_gamma_scan(gamma: float) -> None:
+    """Reject a gamma_scan point whose limit is not PE_H.
+
+    With nu_z = eps^gamma the anisotropic system tends to PE_H only for
+    gamma > 2; gamma = 2 tends to the primitive equations with full
+    viscosity and gamma < 2 to 2D Navier-Stokes, so a comparison with PE_H
+    there measures a difference that does not vanish.
+    """
+    if gamma > 2.0:
+        return
+    regime = ("the primitive equations with full viscosity" if gamma == 2.0
+              else "2D Navier-Stokes")
+    raise ConfigError(
+        f"gamma_scan compares with PE_H, the limit for gamma > 2; at "
+        f"gamma = {gamma:g} the limit is {regime}"
+    )
 
 
 def _fields(grid: Band, stack: np.ndarray, parities) -> list[SpectralField]:
@@ -109,7 +127,8 @@ def run_matched_family(
 
     A point stopped by an error gets a single FAILED row, which carries the
     exception's type and message, instead of raising, so one bad point does
-    not lose the others.
+    not lose the others.  So does a gamma_scan point with gamma <= 2
+    (check_gamma_scan).
     """
     return [
         [NormRow(mode, pt[0], pt[1], pt[2], "FAILED", float("nan"), True, 0,
@@ -211,6 +230,8 @@ def _hydrostatic_family(points, base: SimConfig, mode: str, lanes: list) -> list
         try:
             # the point must be a valid simulation setup on its own
             replace(base, eps=eps, delta=delta, gamma=None)
+            if mode == "gamma_scan":
+                check_gamma_scan(gamma)
             lane = system_lane("NS_eps_delta", data, eps, delta,
                                observe=partial(sample_member, eps, norms),
                                label=f"eps={eps:g}, delta={delta:g}")

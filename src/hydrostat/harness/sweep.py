@@ -23,7 +23,7 @@ import numpy as np
 
 from ..errors import ConfigError, InsufficientData
 from ..solvers import SimConfig
-from .pairs import HYDROSTATIC_MODES, NormRow, run_matched_family
+from .pairs import HYDROSTATIC_MODES, NormRow, check_gamma_scan, run_matched_family
 
 MODES = ("eps_delta_to_zero", "delta_to_infty", "gamma_scan")
 
@@ -61,6 +61,8 @@ class SweepConfig:
                 raise ConfigError("gamma_scan needs gamma_values")
             if any(g <= 0 for g in self.gamma_values):
                 raise ConfigError("gamma values must be > 0")
+            for g in self.gamma_values:
+                check_gamma_scan(g)
         if self.mode == "eps_delta_to_zero" and self.delta_values and len(
             self.delta_values
         ) != len(self.eps_values):

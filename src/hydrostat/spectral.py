@@ -8,8 +8,8 @@ volume 8.
 
 Every field is real, so its coefficients are conjugate-symmetric:
 c[-k] = conj(c[k]).  A field on a Grid therefore stores only the kz >= 0
-half, shape grid.spec_shape = (nx, ny, nz//2 + 1), Nyquist plane included:
-the layout scipy.fft.rfftn returns, with kx and ky in numpy FFT order.  The
+half, shape grid.spec_shape = (nx, ny, nz//2 + 1), Nyquist plane included,
+with kx and ky in numpy FFT order: the layout of an rfftn.  The
 kz < 0 half is the conjugate mirror c[kx, ky, -kz] = conj(c[-kx, -ky, kz]).
 A sum over all modes is a sum over the stored planes in which each plane
 with 0 < kz < nz/2 counts twice (Grid.parseval_weight).  Odd-order
@@ -28,11 +28,21 @@ The band of a cube owns one Workspace, built on first use: the lattice-size
 arrays of a nonlinear evaluation, reused by every step of every stepper on
 that band, so that stepping allocates nothing at lattice size.  A band is
 therefore stepped by one thread at a time; every run, matched family and
-sweep point builds its own grid, and with it its own band.  On such a band
-the transforms run as staged passes in the workspace: the forward a real
-transform of z and then a complex transform of (x, y) on only the kz planes
-that hold band modes, the inverse the mirror.  Both are bit-identical to
-rfftn and irfftn on the band's modes.
+sweep point builds its own grid, and with it its own band.
+
+Every transform is a sequence of one-dimensional numpy.fft passes, run in
+place where it can be, in the order of pocketfft's multi-axis transforms:
+the forward a real pass of the last axis, one scaling by 1/N, then complex
+passes of the leading axes, leading axis first; the inverse complex passes
+of the leading axes, leading axis first, then a real pass of the last axis.
+The passes are pocketfft's own (numpy.fft is pocketfft), so the results are
+bit for bit those of scipy.fft's rfftn, fftn and irfftn, which the tests
+use as their reference.  On the band of a cube the passes run in its
+workspace and only where the band has modes: the forward's x pass on the
+kept kz planes and its y pass on the kept kx rows of those, the inverse's
+x pass on the kept (ky, kz) columns and its y pass on the kept kz planes.
+The lines left out hold zeros, or outputs the band drops, so the band's
+modes stay bit for bit those of the full transforms.
 
 Vertical parity (even/odd in z) is a structural property of every velocity
 component here and is tracked on each field.  Parity is enforced by orthogonal
@@ -41,19 +51,15 @@ class.
 """
 from __future__ import annotations
 
+import math
 import operator
-import os
 from dataclasses import dataclass, field
 from functools import cached_property, reduce
 from typing import Callable
 
 import numpy as np
-import scipy.fft as _fft
 
 from .errors import InvalidGrid, InvalidParameter, ShapeError
-
-# transform thread count; results are bitwise independent of this setting
-FFT_WORKERS = min(2, os.cpu_count() or 1)
 
 EVEN = "even"
 ODD = "odd"
@@ -229,13 +235,16 @@ class Workspace:
     real holds WORKSPACE_FIELDS lattice fields: a stepper's inverse transform
     writes its velocities into the top slots and fields._raw_advect_div forms
     the products u_i u_j from the first slot up.  cplx holds
-    WORKSPACE_BATCH kz >= 0 halves, the staging buffer of the band's
-    transforms, which take their stacks that many fields at a time.  Every
-    call leaves in it nothing that a later call reads.
+    WORKSPACE_BATCH kz >= 0 halves, where the band's transforms run their
+    passes, that many fields at a time.  stage holds WORKSPACE_BATCH arrays
+    of the kept (ky, kz) columns of every kx, shape (nx, 2K+1, K+1), where
+    the inverse runs its x pass.  Every call leaves in them nothing that a
+    later call reads.
     """
 
     real: np.ndarray
     cplx: np.ndarray
+    stage: np.ndarray
 
 
 # the distinct products u_i u_j of three velocity components
@@ -311,13 +320,17 @@ class Band:
 
     @cached_property
     def workspace(self) -> Workspace | None:
-        """The transform workspace of a cube's band (about 2.4 MB at 32^3);
-        None on the band of a plane, whose lattice is small."""
+        """The transform workspace of a cube's band: 6 real lattice fields,
+        3 complex halves and 3 staged x passes, about 2.8 MB at 32^3; None on
+        the band of a plane, whose lattice is small."""
         if len(self.shape) != 3:
             return None
         nx, ny, nz = self.shape
-        return Workspace(np.empty((WORKSPACE_FIELDS, nx, ny, nz)),
-                         np.empty((WORKSPACE_BATCH, nx, ny, nz // 2 + 1), np.complex128))
+        return Workspace(
+            np.empty((WORKSPACE_FIELDS, nx, ny, nz)),
+            np.empty((WORKSPACE_BATCH, nx, ny, nz // 2 + 1), np.complex128),
+            np.empty((WORKSPACE_BATCH, nx, *self.spec_shape[1:]), np.complex128),
+        )
 
     @cached_property
     def _where(self) -> tuple:
@@ -490,8 +503,15 @@ def _lattice_phase(grid: Grid | Plane | Band) -> np.ndarray:
     return grid.cached(("phase",), build)
 
 
-def _axes(grid: Grid | Plane | Band) -> tuple[int, ...]:
-    return tuple(range(-len(grid.shape), 0))
+def _leading_axes(grid: Grid | Plane | Band) -> tuple[int, ...]:
+    """The axes of the complex passes, leading axis first: all but the last."""
+    return tuple(range(-len(grid.shape), -1))
+
+
+def _forward_scale(grid: Grid | Plane | Band) -> float:
+    """The forward transform's factor 1/N, computed as pocketfft computes it:
+    the reciprocal in long double, rounded once."""
+    return float(1 / np.longdouble(math.prod(grid.shape)))
 
 
 def _raw_to_phys(
@@ -502,84 +522,135 @@ def _raw_to_phys(
 
     An irfftn of the last axis's non-negative half: all of c on a Grid, the
     ky >= 0 half on a Plane, whose other half must be its conjugate mirror.
-    A Band is first padded with zeros into its parent's half.
-
-    The irfftn is taken as its two stages, a complex transform of the
-    leading axes in place on that half and a real transform of the last
-    axis into out: the same operations, without the half-sized copy that
-    irfftn makes for its first stage.  On the band of a cube the half is
-    staged in the band's workspace, WORKSPACE_BATCH fields at a time, and
-    the first stage runs only on the kz planes that hold band modes; the
-    other planes are zero, and so is their transform.
+    A Band is first padded with zeros into its parent's half.  The passes
+    are those of the module docstring, the complex ones in place on that
+    half; on the band of a cube they run in its workspace (_band_to_phys).
     """
+    ws = _workspace(grid)
+    if ws is not None:
+        return _band_to_phys(grid, ws, c, out)
     h = grid.shape[-1] // 2 + 1
     phase = _lattice_phase(grid)
-    ws = _workspace(grid)
-    if ws is None:
-        if isinstance(grid, Band):
-            where, n = grid._half
-            half = np.zeros(
-                (*c.shape[: c.ndim - len(grid.shape)], *grid.shape[:-1], h),
-                dtype=np.complex128,
-            )
-            half[where] = c[..., :n] * phase[..., :n]
-        else:
-            half = c[..., :h] * phase[..., :h]
-        _fft.ifftn(half, axes=_axes(grid)[:-1], workers=FFT_WORKERS,
-                   norm="forward", overwrite_x=True)
-        return np.fft.irfft(half, n=grid.shape[-1], axis=-1, norm="forward", out=out)
+    if isinstance(grid, Band):
+        where, n = grid._half
+        half = np.zeros(
+            (*c.shape[: c.ndim - len(grid.shape)], *grid.shape[:-1], h),
+            dtype=np.complex128,
+        )
+        half[where] = c[..., :n] * phase[..., :n]
+    else:
+        half = c[..., :h] * phase[..., :h]
+    for axis in _leading_axes(grid):
+        np.fft.ifft(half, axis=axis, norm="forward", out=half)
+    return np.fft.irfft(half, n=grid.shape[-1], axis=-1, norm="forward", out=out)
 
-    n = grid.spec_shape[-1]  # the kept kz planes, a prefix of the half
+
+def _band_to_phys(
+    band: Band, ws: Workspace, c: np.ndarray, out: np.ndarray | None
+) -> np.ndarray:
+    """_raw_to_phys on the band of a cube, WORKSPACE_BATCH fields at a time.
+
+    Only the band's modes are nonzero, so each pass runs only where its
+    input can be: the x pass on the kept (ky, kz) columns, staged in
+    ws.stage; the y pass on the kept kz planes of the half, which is zero
+    elsewhere; the z pass on the whole half.  The other lines are zero, and
+    so is their transform, so the result is the irfftn bit for bit.
+    """
+    n = band.spec_shape[-1]  # the kept kz planes, a prefix of the half
+    rows, cols = band.index[:2]
+    phase = _lattice_phase(band)
     if out is None:
-        out = np.empty((*c.shape[:-3], *grid.shape))
-    cs, lattice = c.reshape(-1, *grid.spec_shape), out.reshape(-1, *grid.shape)
+        out = np.empty((*c.shape[:-3], *band.shape))
+    cs, lattice = c.reshape(-1, *band.spec_shape), out.reshape(-1, *band.shape)
     for s in range(0, len(cs), WORKSPACE_BATCH):
         part = cs[s : s + WORKSPACE_BATCH]
-        half = ws.cplx[: len(part)]
+        stage, half = ws.stage[: len(part)], ws.cplx[: len(part)]
+        stage.fill(0.0)
+        stage[:, rows] = part * phase
+        np.fft.ifft(stage, axis=1, norm="forward", out=stage)
         half.fill(0.0)
-        half[grid._where] = part * phase
-        _fft.ifftn(half[..., :n], axes=(1, 2), workers=FFT_WORKERS,
-                   norm="forward", overwrite_x=True)
-        np.fft.irfft(half, n=grid.nz, axis=-1, norm="forward",
+        half[:, :, cols, :n] = stage
+        kept = half[..., :n]
+        np.fft.ifft(kept, axis=2, norm="forward", out=kept)
+        np.fft.irfft(half, n=band.nz, axis=-1, norm="forward",
                      out=lattice[s : s + len(part)])
     return out
 
 
 def _raw_to_spec(grid: Grid | Plane | Band, p: np.ndarray) -> np.ndarray:
     """Coefficients of (stacks of) real fields from their lattice values:
-    the kz >= 0 half on a Grid (rfftn), the full plane on a Plane (fftn),
-    and on a Band the kept modes of its parent's.
-
-    On the band of a cube the rfftn runs as its stages in the band's
-    workspace, WORKSPACE_BATCH fields at a time: a real transform of z,
-    scaled by 1/N where rfftn scales, then a complex transform of (x, y) in
-    place on only the kz planes the band keeps.  That is rfftn's own
-    arithmetic on those planes, so the kept modes are bit-identical to it.
+    the kz >= 0 half on a Grid (an rfftn), the full plane on a Plane (an
+    fftn), and on a Band the kept modes of its parent's.  The passes are
+    those of the module docstring; a plane's coefficients are then read off
+    the ky <= ny/2 half they give (_plane_sources), and on the band of a
+    cube the passes run in its workspace (_band_to_spec).
     """
     ws = _workspace(grid)
-    if ws is None:
-        fft = _fft.rfftn if len(grid.shape) == 3 else _fft.fftn
-        out = fft(p, axes=_axes(grid), workers=FFT_WORKERS, norm="forward")
-        if isinstance(grid, Band):
-            out = grid.gather(out)
-        out *= _lattice_phase(grid)
-        return out
+    if ws is not None:
+        return _band_to_spec(grid, ws, p)
+    out = np.fft.rfft(p, axis=-1)
+    out *= _forward_scale(grid)
+    for axis in _leading_axes(grid):
+        np.fft.fft(out, axis=axis, out=out)
+    if len(grid.shape) == 2:
+        source, conj = _plane_sources(grid)
+        lead = out.shape[:-2]
+        out = np.take(out.reshape(*lead, -1), source, axis=-1)
+        np.conjugate(out, out=out, where=conj)
+        out = out.reshape(*lead, *grid.spec_shape)
+    out *= _lattice_phase(grid)
+    return out
 
-    n = grid.spec_shape[-1]  # the kept kz planes, a prefix of the half
-    # rfftn's norm factor, computed as pocketfft computes it
-    norm = float(1 / np.longdouble(grid.nx * grid.ny * grid.nz))
-    ps = p.reshape(-1, *grid.shape)
-    out = np.empty((len(ps), *grid.spec_shape), dtype=np.complex128)
+
+def _plane_sources(grid: Plane | Band) -> tuple[np.ndarray, np.ndarray]:
+    """Where each coefficient of a plane (or of its band) sits in the
+    ky <= ny/2 half of its fftn, flat, and whether it is the conjugate of
+    that entry, as pocketfft fills the fftn of real input: the columns
+    ky > ny/2 are conj(c[-kx, ny - ky]), and the columns ky = 0 and ny/2
+    are conj(c[-kx, ky]) at kx = 0 and kx >= nx/2 (at kx = 0 and nx/2 the
+    conjugate of the mode itself)."""
+    nx, ny = grid.shape
+    h = ny // 2 + 1
+
+    def build(conj: bool) -> np.ndarray:
+        at = grid.index if isinstance(grid, Band) else (np.arange(nx), np.arange(ny))
+        kx, ky = np.ix_(*at)
+        mirror = (ky > ny // 2) | ((ky % (ny // 2) == 0) & ((kx == 0) | (kx >= nx // 2)))
+        if conj:
+            return mirror.ravel()
+        return np.where(mirror, -kx % nx * h + -ky % ny, kx * h + ky).ravel()
+
+    return (grid.cached(("plane_source",), lambda: build(False)),
+            grid.cached(("plane_conj",), lambda: build(True)))
+
+
+def _band_to_spec(band: Band, ws: Workspace, p: np.ndarray) -> np.ndarray:
+    """_raw_to_spec on the band of a cube, WORKSPACE_BATCH fields at a time.
+
+    Each pass runs only where the band keeps its output: the x pass on the
+    kept kz planes of the half, the y pass on the kept kx rows of those
+    planes (two runs, [0, K] and [-K, -1], in place).  Every line is the
+    same arithmetic as in the rfftn, so the band's modes are bit for bit.
+    """
+    n = band.spec_shape[-1]  # the kept kz planes, a prefix of the half
+    K = band.spec_shape[0] // 2
+    runs = (slice(0, K + 1), slice(band.nx - K, band.nx))
+    norm = _forward_scale(band)
+    ps = p.reshape(-1, *band.shape)
+    out = np.empty((len(ps), *band.spec_shape), dtype=np.complex128)
     for s in range(0, len(ps), WORKSPACE_BATCH):
         part = ps[s : s + WORKSPACE_BATCH]
         half = ws.cplx[: len(part)]
         np.fft.rfft(part, axis=-1, out=half)
         kept = half[..., :n]
         kept *= norm
-        _fft.fftn(kept, axes=(1, 2), workers=FFT_WORKERS, overwrite_x=True)
-        out[s : s + len(part)] = grid.gather(half)
-    out *= _lattice_phase(grid)
-    return out.reshape(*p.shape[:-3], *grid.spec_shape)
+        np.fft.fft(kept, axis=1, out=kept)
+        for rows in runs:
+            kept_rows = kept[:, rows]
+            np.fft.fft(kept_rows, axis=2, out=kept_rows)
+        out[s : s + len(part)] = band.gather(half)
+    out *= _lattice_phase(band)
+    return out.reshape(*p.shape[:-3], *band.spec_shape)
 
 
 def _raw_embed_plane(grid: Grid | Band, P: np.ndarray) -> np.ndarray:

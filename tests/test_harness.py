@@ -283,6 +283,17 @@ class TestConfig:
         assert cfg.points() == [(0.2, pytest.approx(0.2), 3.0),
                                 (0.1, pytest.approx(0.1), 3.0)]
 
+    @pytest.mark.parametrize("gamma, regime", [
+        (2.0, "primitive equations with full viscosity"),
+        (1.5, "2D Navier-Stokes"),
+        (0.5, "2D Navier-Stokes"),
+    ])
+    def test_gamma_scan_rejects_gamma_at_most_two(self, gamma, regime):
+        """gamma_scan compares with PE_H, the limit for gamma > 2 only."""
+        text = GOOD_SIM + f"mode = gamma_scan\neps_values = 0.2\ngamma_values = 3, {gamma}\n"
+        with pytest.raises(ConfigError, match=f"gamma = {gamma:g} .*{regime}"):
+            sweep_config_from_dict(parse_config_text(text))
+
 
 def _tiny_sweep_cfg(out_dir=None, jobs=1):
     return SweepConfig(
@@ -543,6 +554,18 @@ class TestLockstepRuns:
                 mode="delta_to_infty", base=replace(self.BASE, record_every=2),
                 eps_values=(0.5,), delta_values=(4.0,),
             )
+
+    def test_gamma_scan_point_at_most_two_fails_alone(self):
+        """A gamma_scan point whose limit is not PE_H gets a FAILED row that
+        names its regime; the family's other points run as before."""
+        points = [(0.2, 0.2, 3.0), (0.2, 1.0, 2.0), (0.2, 0.2 ** -0.5, 1.5)]
+        family = run_matched_family(points, self.BASE, "gamma_scan")
+        assert _cells(family[0]) == _cells(
+            run_matched_pair((0.2, 0.2), self.BASE, "gamma_scan", 3.0))
+        for rows, regime in zip(family[1:], ("full viscosity", "2D Navier-Stokes")):
+            assert [r.norm_name for r in rows] == ["FAILED"]
+            assert rows[0].error[0] == "ConfigError"
+            assert regime in rows[0].error[1]
 
     def test_delta_to_infty_point_reports_ignored_record_every(self):
         base = replace(self.BASE, record_every=2)

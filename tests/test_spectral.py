@@ -136,6 +136,36 @@ class TestTransforms:
         assert got.flags.c_contiguous
         assert np.max(np.abs(got - full)) <= 1e-13 * np.max(np.abs(full))
 
+    @pytest.mark.parametrize("shape", [(32, 32, 32), (64, 64, 4), (6, 4, 10), (24, 24, 24)])
+    @pytest.mark.parametrize("layout", ["grid", "plane", "plane.band", "band"])
+    def test_passes_equal_scipy_bit_for_bit(self, layout, shape):
+        """The numpy.fft passes are scipy.fft's rfftn (fftn on a plane, with
+        its conjugate fill of the ky > ny/2 half and of the ky = 0 and ny/2
+        columns) and irfftn bit for bit, on every layout and for stacks
+        within and across the workspace's batches.  The sizes that are not
+        powers of two catch a wrong 1/N, the 24x24 plane a wrong fill."""
+        from hydrostat.spectral import _lattice_phase, _raw_to_phys, _raw_to_spec
+
+        grid = make_grid(*shape)
+        g = {"grid": grid, "plane": grid.plane, "plane.band": grid.plane.band,
+             "band": grid.band}[layout]
+        parent = grid if len(g.shape) == 3 else grid.plane
+        phase = _lattice_phase(parent)
+        axes = tuple(range(-len(g.shape), 0))
+        h = g.shape[-1] // 2 + 1
+        fft = scipy.fft.rfftn if parent is grid else scipy.fft.fftn
+        rng = np.random.default_rng(17)
+        for k in (1, 2, 3, 6):
+            p = rng.standard_normal((k, *g.shape))
+            spec = full = fft(p, axes=axes, norm="forward") * phase
+            if g is not parent:
+                spec = g.gather(full)
+                full = g.scatter(spec)
+            phys = scipy.fft.irfftn((full * phase)[..., :h], s=g.shape,
+                                    axes=axes, norm="forward")
+            assert np.array_equal(_raw_to_spec(g, p), spec)
+            assert np.array_equal(_raw_to_phys(g, spec), phys)
+
     def test_shape_mismatch(self, grid8, grid16):
         with pytest.raises(ShapeError):
             PhysicalField(grid8, np.zeros(grid16.shape))
@@ -483,3 +513,27 @@ def test_field_arithmetic_and_immutability(grid8):
         a.coeffs[0, 0, 0] = 1.0
     with pytest.raises(InvalidParameter):
         SpectralField(grid8, np.full(grid8.spec_shape, np.nan, dtype=complex))
+
+
+def test_the_runtime_imports_no_scipy():
+    """scipy is a test dependency only: importing the CLI, building a grid
+    and drawing initial data, the set-up of every run, import none of it."""
+    import os
+    import subprocess
+    import sys
+
+    import hydrostat
+
+    code = (
+        "import sys\n"
+        "import hydrostat.harness.cli\n"
+        "from hydrostat.harness.initial_data import generate_initial_data\n"
+        "from hydrostat.spectral import make_grid\n"
+        "generate_initial_data('bandlimited_random', 42, make_grid(32, 32, 32))\n"
+        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))\n"
+    )
+    src = os.path.dirname(os.path.dirname(hydrostat.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120, check=True)
+    assert done.stdout.strip() == "[]"
