@@ -8,19 +8,21 @@ from states sampled at identical times.  Time derivatives entering the
 maximal-regularity norms are the semi-discrete right-hand sides, not finite
 differences.
 
-In the hydrostatic modes the limit system (PE_H) has neither eps nor delta,
-so every point of a sweep compares against the same PE_H trajectory.  A
-family of points therefore advances one PE_H reference and, in lockstep with
-it, one anisotropic run per point.  In mode delta_to_infty a point runs the
-anisotropic system, its barotropic plane under NS2D and its baroclinic part
-under the exact Stokes flow, with the step schedule of _stiff_segments.
+Points that share their reference lanes form a family (families), which
+builds one grid and one set of initial data and runs the references and one
+anisotropic run per point in lockstep.  In the hydrostatic modes the limit
+system (PE_H) has neither eps nor delta, so all points share one PE_H
+reference.  In mode delta_to_infty the barotropic plane is compared with
+NS2D and the baroclinic part with the exact Stokes flow on the schedule of
+_stiff_segments, none of which depends on eps: the points at one delta share
+both comparison runs.
 
-Every run is a set of lanes driven by solvers.run_lanes, the time loop that
-run_simulation uses too; what is left here are the observers that fold the
-sampled differences into the norms.  An observer sees a lane's state on its
-stepper's band (st.grid), and the norms are summed there: outside the band
-every state is zero.  A comparison lane (PE_H, NS2D, Stokes)
-is a reference lane: its failure stops every run it serves.
+The lanes run in solvers.run_lanes, the time loop of run_simulation too;
+the observers here fold the sampled differences into the norms on the band
+of the lane's stepper (st.grid), outside which every state is zero.  A
+comparison lane is a reference lane: its failure stops every run it serves,
+and only runs still running read or receive its samples, so a point's rows
+equal those of its lone run.
 """
 from __future__ import annotations
 
@@ -29,16 +31,12 @@ import time as _time
 from dataclasses import dataclass, replace
 from functools import partial
 
-import numpy as np
-
 from ..errors import BlowupDetected, ConfigError, InsufficientData, InvalidParameter
 from ..fields import _raw_w_from_v
 from ..norms import Energies, NormAccumulator, accumulate, finalize
 from ..solvers import Lane, SimConfig, run_lanes, system_lane, warn_cfl
-from ..spectral import EVEN, ODD, Band, SpectralField, _raw_embed_plane, make_grid
+from ..spectral import _raw_embed_plane, make_grid
 from .initial_data import generate_initial_data
-
-HYDROSTATIC_MODES = ("eps_delta_to_zero", "gamma_scan")
 
 
 @dataclass(frozen=True)
@@ -57,14 +55,16 @@ class NormRow:
     error: tuple[str, str] | None = None
 
 
-def check_gamma_scan(gamma: float) -> None:
-    """Reject a gamma_scan point whose limit is not PE_H.
+def check_gamma_scan(gamma: float | None) -> None:
+    """Reject a gamma_scan point without gamma, or whose limit is not PE_H.
 
     With nu_z = eps^gamma the anisotropic system tends to PE_H only for
     gamma > 2; gamma = 2 tends to the primitive equations with full
     viscosity and gamma < 2 to 2D Navier-Stokes, so a comparison with PE_H
     there measures a difference that does not vanish.
     """
+    if gamma is None:
+        raise ConfigError("a gamma_scan point needs its gamma")
     if gamma > 2.0:
         return
     regime = ("the primitive equations with full viscosity" if gamma == 2.0
@@ -75,11 +75,6 @@ def check_gamma_scan(gamma: float) -> None:
     )
 
 
-def _fields(grid: Band, stack: np.ndarray, parities) -> list[SpectralField]:
-    # hot loop: finiteness is guarded by the per-step blowup check
-    return [SpectralField._wrap(grid, stack[i], p) for i, p in enumerate(parities)]
-
-
 def run_matched_pair(
     point: tuple[float, float],
     base: SimConfig,
@@ -88,18 +83,15 @@ def run_matched_pair(
 ) -> list[NormRow]:
     """Run the matched systems at one (eps, delta) point and return norm rows.
 
-    mode "eps_delta_to_zero" (also used by the gamma scan): anisotropic
-    system against the horizontal-viscosity limit; difference pair
-    (v_aniso - v_lim, eps (w_aniso - w_lim)) accumulated in the
-    delta-weighted maximal-regularity norm and the vertical-regularity norm.
-
-    mode "delta_to_infty": anisotropic system split into barotropic and
-    baroclinic parts against 2D Navier-Stokes and the exact scaled Stokes
-    flow; accumulates the maximal-regularity norm of the barotropic
-    difference and the L4-in-time H^{3/2} norm of the baroclinic part.
+    The hydrostatic modes compare the anisotropic system with the
+    horizontal-viscosity limit: (v_aniso - v_lim, eps (w_aniso - w_lim)) in
+    the delta-weighted maximal-regularity norm and the vertical-regularity
+    norm.  mode "delta_to_infty" compares its barotropic part with 2D
+    Navier-Stokes in the maximal-regularity norm, and its baroclinic part
+    with the exact scaled Stokes flow in the L4-in-time H^{3/2} norm.
 
     This is a family of one point (see run_matched_family); an error that
-    stops the point is raised.
+    stops the point, or makes it invalid, is raised.
     """
     (out,) = _run_points([(point[0], point[1], gamma)], base, mode)
     if isinstance(out, Exception):
@@ -114,21 +106,21 @@ def run_matched_family(
 ) -> list[list[NormRow]]:
     """Norm rows of every (eps, delta, gamma) point, in the order given.
 
-    In the hydrostatic modes the points share one grid, one set of initial
-    data and one PE_H reference trajectory, computed once per step; each
-    point advances its own anisotropic run in the calling thread.  The rows
-    of a point equal those of run_matched_pair at that point.  A point that
-    blows up stops alone; a blowup of the reference stops every point still
-    running, all flagged as blown up.  In mode "delta_to_infty" the
-    reference depends on delta, so the points share nothing and run one
-    after another; a blowup of any of a point's three runs flags all its
-    rows.  When the largest advective CFL number of any run exceeds
-    solvers.CFL_LIMIT, one RuntimeWarning names it and its point.
+    The points that share their reference lanes run as one family
+    (families), which steps each reference once per step, in the calling
+    thread: all points in the hydrostatic modes share one PE_H reference,
+    the points at one delta in mode "delta_to_infty" their NS2D and Stokes
+    runs.  A point's rows equal those of run_matched_pair at that point,
+    with the family's wall time as wall_ms.  A point that blows up stops
+    alone; a blowup of a reference stops every point of its family still
+    running, all flagged as blown up.  One RuntimeWarning names the largest
+    advective CFL number of any run above solvers.CFL_LIMIT, and its point
+    (or its reference's delta).
 
     A point stopped by an error gets a single FAILED row, which carries the
     exception's type and message, instead of raising, so one bad point does
-    not lose the others.  So does a gamma_scan point with gamma <= 2
-    (check_gamma_scan).
+    not lose the others.  So does an invalid point (_check_point), such as
+    a gamma_scan point without gamma or with gamma <= 2 (check_gamma_scan).
     """
     return [
         [NormRow(mode, pt[0], pt[1], pt[2], "FAILED", float("nan"), True, 0,
@@ -138,64 +130,116 @@ def run_matched_family(
     ]
 
 
-def _run_points(points, base: SimConfig, mode: str) -> list:
-    """Rows of every point, or the exception that stopped it; warns once if
-    the largest CFL number of any of their runs exceeds the limit."""
-    lanes: list[Lane] = []
-    if mode in HYDROSTATIC_MODES:
-        out = _hydrostatic_family(points, base, mode, lanes)
-    elif mode == "delta_to_infty":
-        out = []
-        for pt in points:
-            try:
-                out.append(_large_delta_pair(pt, base, mode, lanes))
-            except Exception as exc:  # reported as the point's outcome
-                out.append(exc)
-    else:
+def families(points, mode: str) -> list[list[int]]:
+    """Indices of the points grouped by the reference lanes they share, in order."""
+    if mode not in _LIMITS:
         raise ValueError(f"unknown mode {mode!r}")
+    key = _LIMITS[mode][1]
+    groups: dict = {}
+    for i, pt in enumerate(points):
+        groups.setdefault(key(pt), []).append(i)
+    return list(groups.values())
+
+
+def _run_points(points, base: SimConfig, mode: str) -> list:
+    """Each point's rows or the exception that stopped it; warns once (warn_cfl)."""
+    lanes: list[Lane] = []
+    out = {}
+    for family in families(points, mode):
+        got = _run_family([points[i] for i in family], base, mode, lanes)
+        out.update(zip(family, got))
     warn_cfl(lanes)
-    return out
+    return [out[i] for i in range(len(points))]
+
+
+def _check_point(point, base: SimConfig, mode: str) -> None:
+    """Raise unless the point, with its gamma, is valid on its own."""
+    eps, delta, gamma = point
+    if mode == "gamma_scan":
+        check_gamma_scan(gamma)
+    if mode == "delta_to_infty" and base.record_every != 1:
+        raise InvalidParameter(f"delta_to_infty samples every step; record_every="
+                               f"{base.record_every} would be ignored")
+    replace(base, eps=eps, delta=delta, gamma=gamma)
 
 
 class _Norms(dict):
     """A point's norm accumulators by name, each with its last sample time."""
 
-    def __init__(self, **accs):
-        super().__init__((name, (acc, None)) for name, acc in accs.items())
-
-    def fold(self, name: str, t: float, u, du=None) -> None:
+    def fold(self, name: str, t: float, sample: Energies) -> None:
         acc, t_prev = self[name]
         inc = None if t_prev is None else t - t_prev
-        self[name] = (accumulate(acc, u, du, inc), t)
+        self[name] = (accumulate(acc, sample, None, inc), t)
 
 
-def _outcome(lane: Lane, norms: _Norms, point, mode: str, wall_ms: int):
-    """The exception that stopped a point's run, or the point's rows: one
-    per accumulated norm plus their "total", flagged as blown up when a
-    blowup stopped the run.  A norm that cannot be finalized gets a NaN row
-    carrying the reason, and makes the total NaN."""
-    if lane.failure is not None and not isinstance(lane.failure, BlowupDetected):
-        return lane.failure
-    row = partial(NormRow, mode, *point, blowup=lane.failure is not None,
-                  wall_ms=wall_ms)
-    rows = []
-    total = 0.0
-    for name, (acc, _) in norms.items():
-        error = None
-        try:
-            val = finalize(acc)
-        except InsufficientData as exc:
-            val = float("nan")
-            error = (type(exc).__name__, str(exc))
-        if name in ("EHdelta", "Ez", "E1_bar_diff", "L4H32_tilde"):
-            total += val
-        rows.append(row(name, val, error=error))
-    rows.append(row("total", total))
-    return rows
+@dataclass(eq=False)
+class _Member:
+    """A valid point of a family: its anisotropic run and its norms."""
+
+    point: tuple[float, float, float | None]
+    lane: Lane | None = None
+    norms: _Norms | None = None
+
+    def start(self, data, observe, **accs) -> None:
+        """Set up the norms, and the run that observe(norms, st, t, U, N)
+        samples.  The observer holds the norms, not the member, so no
+        reference cycle keeps the family's arrays alive after its run."""
+        eps, delta, _ = self.point
+        self.norms = _Norms((name, (acc, None)) for name, acc in accs.items())
+        self.lane = system_lane("NS_eps_delta", data, eps, delta,
+                                observe=partial(observe, self.norms),
+                                label=f"eps={eps:g}, delta={delta:g}")
+
+    def outcome(self, mode: str, wall_ms: int):
+        """The exception that stopped the run, or the point's rows: one per
+        norm plus their "total", flagged as blown up when a blowup stopped
+        the run.  A norm that cannot be finalized gets a NaN row carrying
+        the reason, and makes the total NaN."""
+        failure = self.lane.failure
+        if failure is not None and not isinstance(failure, BlowupDetected):
+            return failure
+        row = partial(NormRow, mode, *self.point, blowup=failure is not None,
+                      wall_ms=wall_ms)
+        rows, total = [], 0.0
+        for name, (acc, _) in self.norms.items():
+            try:
+                val, error = finalize(acc), None
+            except InsufficientData as exc:
+                val, error = float("nan"), (type(exc).__name__, str(exc))
+            if name in ("EHdelta", "Ez", "E1_bar_diff", "L4H32_tilde"):
+                total += val
+            rows.append(row(name, val, error=error))
+        return rows + [row("total", total)]
 
 
-def _hydrostatic_family(points, base: SimConfig, mode: str, lanes: list) -> list:
+def _run_family(points, base: SimConfig, mode: str, lanes: list) -> list:
+    """The outcome of every point of one family; adds its lanes to lanes."""
     t0 = _time.perf_counter()
+    build, key = _LIMITS[mode]
+    outcomes = []
+    for pt in points:
+        try:
+            _check_point(pt, base, mode)
+            outcomes.append(_Member(pt))
+        except Exception as exc:  # reported as this point's outcome
+            outcomes.append(exc)
+    try:
+        grid = make_grid(base.nx, base.ny, base.nz)
+        data = generate_initial_data(base.recipe, base.seed, grid)
+        family, schedule = build(data, base, key(points[0]),
+                                 [m for m in outcomes if isinstance(m, _Member)])
+    except Exception as exc:  # fails every valid point
+        return [exc if isinstance(m, _Member) else m for m in outcomes]
+    lanes += family
+    run_lanes(family, schedule, grid.kmax, base.record_every)
+    wall = int(1000 * (_time.perf_counter() - t0))
+    return [m.outcome(mode, wall) if isinstance(m, _Member) else m
+            for m in outcomes]
+
+
+def _pe_h_lanes(data, base: SimConfig, key, members: list[_Member]):
+    """A hydrostatic family's lanes in stepping order, and its schedule: the
+    PE_H reference first, whose sample every member's observer reads."""
     ref = {}
 
     def sample_reference(st, t, V, N):
@@ -203,8 +247,7 @@ def _hydrostatic_family(points, base: SimConfig, mode: str, lanes: list) -> list
         ref["now"] = (V, _raw_w_from_v(st.grid, V), rhs, _raw_w_from_v(st.grid, rhs))
 
     def sample_member(eps, norms, st, t, U, N):
-        """Fold the difference at time t into the point's norms, which all
-        read it through one Energies."""
+        # every norm of the point reads the difference through one Energies
         V, w, rhs_pe, dw = ref["now"]
         rhs_ns = st.rhs(U, N)
         sample = Energies.of(
@@ -215,94 +258,66 @@ def _hydrostatic_family(points, base: SimConfig, mode: str, lanes: list) -> list
         for name in norms:
             norms.fold(name, t, sample)
 
-    try:
-        grid = make_grid(base.nx, base.ny, base.nz)
-        data = generate_initial_data(base.recipe, base.seed, grid)
-        family = [system_lane("PE_H", data, 1.0, 0.0, observe=sample_reference,
-                              reference=True, label="PE_H reference")]
-    except Exception as exc:  # fails every point
-        return [exc] * len(points)
-    members = []
-    for eps, delta, gamma in points:
-        norms = _Norms(EHdelta=NormAccumulator("EHdelta", delta=delta),
-                       Ez=NormAccumulator("Ez"),
-                       EH=NormAccumulator("EHdelta", delta=0.0))
-        try:
-            # the point must be a valid simulation setup on its own
-            replace(base, eps=eps, delta=delta, gamma=None)
-            if mode == "gamma_scan":
-                check_gamma_scan(gamma)
-            lane = system_lane("NS_eps_delta", data, eps, delta,
-                               observe=partial(sample_member, eps, norms),
-                               label=f"eps={eps:g}, delta={delta:g}")
-        except Exception as exc:  # reported as this point's outcome
-            members.append(exc)
-            continue
-        family.append(lane)
-        members.append((lane, norms, (eps, delta, gamma)))
-    lanes += family
-    run_lanes(family, [(base.dt, base.n_steps)], grid.kmax, base.record_every)
-    wall = int(1000 * (_time.perf_counter() - t0))
-    return [m if isinstance(m, Exception) else _outcome(*m, mode, wall)
-            for m in members]
+    for m in members:
+        m.start(data, partial(sample_member, m.point[0]),
+                EHdelta=NormAccumulator("EHdelta", delta=m.point[1]),
+                Ez=NormAccumulator("Ez"), EH=NormAccumulator("EHdelta", delta=0.0))
+    reference = system_lane("PE_H", data, 1.0, 0.0, observe=sample_reference,
+                            reference=True, label="PE_H reference")
+    return [reference, *(m.lane for m in members)], [(base.dt, base.n_steps)]
 
 
-def _large_delta_pair(point, base: SimConfig, mode: str, lanes: list):
-    """The rows of a delta_to_infty point, or the exception that stopped it;
-    an invalid point raises."""
-    eps, delta, gamma = point
-    if base.record_every != 1:
-        raise InvalidParameter(
-            f"delta_to_infty samples every step; record_every={base.record_every}"
-            " would be ignored"
-        )
-    replace(base, eps=eps, delta=delta, gamma=None)  # a valid setup on its own
-    t0 = _time.perf_counter()
-    grid = make_grid(base.nx, base.ny, base.nz)
-    data = generate_initial_data(base.recipe, base.seed, grid)
-    band = grid.band
-    norms = _Norms(E1_bar_diff=NormAccumulator("EHdelta", delta=1.0),
-                   L4H32_tilde=NormAccumulator("L4H32"),
-                   L4H32_tilde_stokes=NormAccumulator("L4H32"))
+def _large_delta_lanes(data, base: SimConfig, delta: float, members: list[_Member]):
+    """A delta_to_infty family's lanes in stepping order, and its schedule:
+    the members, then the NS2D run of the barotropic plane and the Stokes
+    flow of the baroclinic part, which fold into every running member's norms."""
+    band = data.grid.band
     bar = {}
 
-    def sample_ns(st, t, U, N):
+    def sample_ns(k, norms, st, t, U, N):
         # the barotropic planes of the state and its time derivative
-        bar["now"] = (U[:2, :, :, 0].copy(), st.rhs(U, N)[:2, :, :, 0].copy())
+        bar[k] = (U[:2, :, :, 0].copy(), st.rhs(U, N)[:2, :, :, 0].copy())
         tilde = U.copy()
         tilde[:2, :, :, 0] = 0.0
         tilde[2] = _raw_w_from_v(st.grid, U[:2])  # physical w
-        norms.fold("L4H32_tilde", t, _fields(st.grid, tilde, (EVEN, EVEN, ODD)))
+        norms.fold("L4H32_tilde", t, Energies.of(st.grid, tilde))
 
     def sample_2d(st, t, B, N):
         # B is on the band of the plane, which is the kz=0 plane of the band
-        U_bar, rhs_bar = bar["now"]
-        norms.fold(
-            "E1_bar_diff", t,
-            _fields(band, _raw_embed_plane(band, U_bar - B), (EVEN, EVEN)),
-            _fields(band, _raw_embed_plane(band, rhs_bar - st.rhs(B, N)),
-                    (EVEN, EVEN)),
-        )
+        rhs = st.rhs(B, N)
+        for k, m in enumerate(members):
+            if m.lane.running:
+                U_bar, rhs_bar = bar[k]
+                m.norms.fold("E1_bar_diff", t, Energies.of(
+                    band, _raw_embed_plane(band, U_bar - B),
+                    _raw_embed_plane(band, rhs_bar - rhs)))
 
     def sample_stokes(st, t, S, N):
-        norms.fold("L4H32_tilde_stokes", t, _fields(st.grid, S, (EVEN, EVEN, ODD)))
+        sample = Energies.of(st.grid, S)
+        for m in filter(lambda m: m.lane.running, members):
+            m.norms.fold("L4H32_tilde_stokes", t, sample)
 
-    where = f"eps={eps:g}, delta={delta:g}"
-    pair = [
-        system_lane("NS_eps_delta", data, eps, delta, observe=sample_ns,
-                    label=where),
-        # the barotropic plane, stepped by NS2D
-        system_lane("NS2D", data, eps, delta, observe=sample_2d,
-                    reference=True, label=where),
-        # the baroclinic (vtilde, w), exact Stokes comparison flow
-        system_lane("StokesScaled", data, eps, delta, observe=sample_stokes,
-                    reference=True, label=where),
-    ]
-    pair[2].U[:2, :, :, 0] = 0.0
-    lanes += pair
-    run_lanes(pair, _stiff_segments(base.t_end, base.dt, delta), grid.kmax)
-    wall = int(1000 * (_time.perf_counter() - t0))
-    return _outcome(pair[0], norms, point, mode, wall)
+    for k, m in enumerate(members):
+        m.start(data, partial(sample_ns, k),
+                E1_bar_diff=NormAccumulator("EHdelta", delta=1.0),
+                L4H32_tilde=NormAccumulator("L4H32"),
+                L4H32_tilde_stokes=NormAccumulator("L4H32"))
+    # eps enters neither comparison run
+    ns2d = system_lane("NS2D", data, 1.0, delta, observe=sample_2d,
+                       reference=True, label=f"NS2D reference, delta={delta:g}")
+    stokes = system_lane("StokesScaled", data, 1.0, delta, observe=sample_stokes,
+                         reference=True, label=f"Stokes reference, delta={delta:g}")
+    stokes.U[:2, :, :, 0] = 0.0  # the baroclinic (vtilde, w)
+    return ([*(m.lane for m in members), ns2d, stokes],
+            _stiff_segments(base.t_end, base.dt, delta))
+
+
+# mode -> (the builder of a family's lanes, the key its points share)
+_LIMITS = {
+    "eps_delta_to_zero": (_pe_h_lanes, lambda pt: None),
+    "gamma_scan": (_pe_h_lanes, lambda pt: None),
+    "delta_to_infty": (_large_delta_lanes, lambda pt: pt[1]),
+}
 
 
 def _stiff_segments(T: float, dt: float, delta: float) -> list[tuple[float, int]]:

@@ -1,15 +1,13 @@
 """Sweep orchestration over (eps, delta) or gamma, rate regression, CSV output.
 
-The points of a sweep are grouped into families (see run_matched_family):
-in the hydrostatic modes every point compares against the same PE_H
-reference, so the whole sweep is one family run in lockstep; delta_to_infty
-points share nothing and run on the --jobs pool, one family each.  Rows are
-then sorted deterministically, so repeated sweeps from the same
-configuration produce byte-identical CSV files.  Wall-clock timings are
-reported as zero unless explicitly requested, to keep the output bytes
-reproducible.  Next to results.csv, failures.json lists every point that an
-exception stopped and every norm that could not be finalized, with the
-exception's type and message.
+A sweep runs one family of pairs.families per task of the --jobs pool: all
+points in the hydrostatic modes, the points at one delta in delta_to_infty
+(see run_matched_family).  Rows are then sorted deterministically, so
+repeated sweeps from the same configuration produce byte-identical CSV files.
+Wall-clock timings are reported as zero unless explicitly requested, to keep
+the output bytes reproducible.  Next to results.csv, failures.json lists
+every point that an exception stopped and every norm that could not be
+finalized, with the exception's type and message.
 """
 from __future__ import annotations
 
@@ -23,7 +21,7 @@ import numpy as np
 
 from ..errors import ConfigError, InsufficientData
 from ..solvers import SimConfig
-from .pairs import HYDROSTATIC_MODES, NormRow, check_gamma_scan, run_matched_family
+from .pairs import NormRow, check_gamma_scan, families, run_matched_family
 
 MODES = ("eps_delta_to_zero", "delta_to_infty", "gamma_scan")
 
@@ -72,20 +70,13 @@ class SweepConfig:
 
     def points(self) -> list[tuple[float, float, float | None]]:
         """(eps, delta, gamma) tuples for every sweep point."""
-        pts = []
         if self.mode == "eps_delta_to_zero":
             deltas = self.delta_values or self.eps_values
-            for e, d in zip(self.eps_values, deltas):
-                pts.append((e, d, None))
-        elif self.mode == "delta_to_infty":
-            for e in self.eps_values:
-                for d in self.delta_values:
-                    pts.append((e, d, None))
-        else:
-            for g in self.gamma_values:
-                for e in self.eps_values:
-                    pts.append((e, e ** (g - 2.0), g))
-        return pts
+            return [(e, d, None) for e, d in zip(self.eps_values, deltas)]
+        if self.mode == "delta_to_infty":
+            return [(e, d, None) for e in self.eps_values for d in self.delta_values]
+        return [(e, e ** (g - 2.0), g)
+                for g in self.gamma_values for e in self.eps_values]
 
 
 @dataclass
@@ -176,19 +167,19 @@ def format_failures(rows: list[NormRow]) -> str:
 def run_sweep(cfg: SweepConfig, write_plots: bool = False) -> SweepResult:
     """Evaluate every sweep point, fit rates, and persist CSV (and SVG)."""
     pts = cfg.points()
-    families = [pts] if cfg.mode in HYDROSTATIC_MODES else [[pt] for pt in pts]
+    groups = families(pts, cfg.mode)
 
-    def one(family):
-        return run_matched_family(family, cfg.base, cfg.mode)
+    def one(group):
+        return run_matched_family([pts[i] for i in group], cfg.base, cfg.mode)
 
     if cfg.jobs > 1:
         with ThreadPoolExecutor(max_workers=cfg.jobs) as ex:
-            outcomes = list(ex.map(one, families))
+            outcomes = list(ex.map(one, groups))
     else:
-        outcomes = [one(family) for family in families]
-    result = SweepResult(
-        rows=[row for family in outcomes for rows in family for row in rows]
-    )
+        outcomes = [one(group) for group in groups]
+    rows_of = dict(zip((i for g in groups for i in g),
+                       (rows for family in outcomes for rows in family)))
+    result = SweepResult(rows=[row for i in sorted(rows_of) for row in rows_of[i]])
 
     if not cfg.timing:
         result.rows = [replace(r, wall_ms=0) for r in result.rows]
@@ -215,28 +206,21 @@ def run_sweep(cfg: SweepConfig, write_plots: bool = False) -> SweepResult:
 
     if cfg.out_dir is not None:
         os.makedirs(cfg.out_dir, exist_ok=True)
-        csv_path = os.path.join(cfg.out_dir, "results.csv")
-        with open(csv_path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(format_csv(result.rows))
-        failures_path = os.path.join(cfg.out_dir, "failures.json")
-        with open(failures_path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(format_failures(result.rows))
+        for name, text in (("results.csv", format_csv(result.rows)),
+                           ("failures.json", format_failures(result.rows))):
+            path = os.path.join(cfg.out_dir, name)
+            with open(path, "w", encoding="utf-8", newline="\n") as fh:
+                fh.write(text)
         if write_plots:
             from .plots import write_loglog_svg
 
             series = {}
             for r in result.rows:
-                if r.norm_name in ("FAILED",) or not math.isfinite(r.value):
+                if r.norm_name == "FAILED" or not math.isfinite(r.value):
                     continue
-                label = (
-                    f"{r.norm_name}[g={r.gamma:g}]"
-                    if r.gamma is not None
-                    else r.norm_name
-                )
+                label = r.norm_name + ("" if r.gamma is None else f"[g={r.gamma:g}]")
                 series.setdefault(label, []).append(
-                    (abscissa(cfg.mode, r.eps, r.delta), r.value)
-                )
-            write_loglog_svg(
-                os.path.join(cfg.out_dir, "rates.svg"), series, title=cfg.mode
-            )
+                    (abscissa(cfg.mode, r.eps, r.delta), r.value))
+            write_loglog_svg(os.path.join(cfg.out_dir, "rates.svg"), series,
+                             title=cfg.mode)
     return result

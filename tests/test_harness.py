@@ -1,4 +1,5 @@
 """Harness: initial data, rate fitting, persistence, config, sweep, CLI."""
+import gc
 import importlib.util
 import json
 import math
@@ -295,16 +296,18 @@ class TestConfig:
             sweep_config_from_dict(parse_config_text(text))
 
 
-def _tiny_sweep_cfg(out_dir=None, jobs=1):
+def _tiny_sweep_cfg(out_dir=None, jobs=1, mode="eps_delta_to_zero"):
+    values = (dict(eps_values=(0.5, 0.25), delta_values=(16.0, 64.0))
+              if mode == "delta_to_infty" else dict(eps_values=(0.2, 0.1, 0.05)))
     return SweepConfig(
-        mode="eps_delta_to_zero",
+        mode=mode,
         base=SimConfig(
             "NS_eps_delta", 8, 8, 8, 2e-3, 0.02,
             recipe="bandlimited_random", seed=5,
         ),
-        eps_values=(0.2, 0.1, 0.05),
         out_dir=out_dir,
         jobs=jobs,
+        **values,
     )
 
 
@@ -326,6 +329,23 @@ def _fault_nonlinear(monkeypatch, fault):
            lambda st, N: fault(st.eps, N))
 
 
+def _poison_point(monkeypatch, eps, delta, after=3):
+    """Make the anisotropic run at (eps, delta) blow up: every step of its
+    stepper after the first `after` returns NaN."""
+    init = NavierStokesStepper.__init__
+
+    def tagged(st, grid, e, d, dt):
+        init(st, grid, e, d, dt)
+        st.poisoned, st.steps = (e, d) == (eps, delta), 0
+
+    def poison(st, U):
+        st.steps += 1
+        return U * np.nan if st.poisoned and st.steps > after else U
+
+    monkeypatch.setattr(NavierStokesStepper, "__init__", tagged)
+    _fault(monkeypatch, NavierStokesStepper, "advance", poison)
+
+
 def _values_except(res, eps):
     """(eps, norm) -> (value, blowup) of every sweep point but one."""
     return {
@@ -342,11 +362,14 @@ class TestSweep:
         assert (tmp_path / "results.csv").exists()
         assert json.loads((tmp_path / "failures.json").read_text()) == []
 
-    def test_csv_deterministic_across_jobs(self, tmp_path):
+    @pytest.mark.parametrize("mode", ["eps_delta_to_zero", "delta_to_infty"])
+    def test_csv_deterministic_across_jobs(self, tmp_path, mode):
+        """delta_to_infty covers a pool that runs one family per delta."""
         d1, d2 = tmp_path / "a", tmp_path / "b"
-        run_sweep(_tiny_sweep_cfg(str(d1), jobs=1))
-        run_sweep(_tiny_sweep_cfg(str(d2), jobs=2))
-        assert (d1 / "results.csv").read_bytes() == (d2 / "results.csv").read_bytes()
+        run_sweep(_tiny_sweep_cfg(str(d1), jobs=1, mode=mode))
+        run_sweep(_tiny_sweep_cfg(str(d2), jobs=2, mode=mode))
+        for name in ("results.csv", "failures.json"):
+            assert (d1 / name).read_bytes() == (d2 / name).read_bytes()
 
     def test_failed_marker_row(self, tmp_path, monkeypatch):
         clean = _values_except(run_sweep(_tiny_sweep_cfg()), eps=0.1)
@@ -455,6 +478,9 @@ class TestSweep:
 def _family_points(mode):
     if mode == "gamma_scan":
         return [(e, e ** (g - 2.0), g) for g in (3.0, 4.0) for e in (0.2, 0.1, 0.05)]
+    if mode == "delta_to_infty":
+        # two points share the delta = 16 references, one has delta = 64 alone
+        return [(0.5, 16.0, None), (0.25, 16.0, None), (0.5, 64.0, None)]
     return [(e, e, None) for e in (0.2, 0.1, 0.05)]
 
 
@@ -465,21 +491,54 @@ def _cells(rows):
 
 class TestMatchedFamily:
     @pytest.mark.parametrize(
-        "mode, record_every", [("gamma_scan", 1), ("eps_delta_to_zero", 3)]
+        "mode, record_every",
+        [("gamma_scan", 1), ("eps_delta_to_zero", 3), ("delta_to_infty", 1)],
     )
     def test_rows_equal_matched_pairs(self, mode, record_every):
-        """Sharing one PE_H reference changes no bit of any point's rows;
-        record_every = 3 also covers the steps that record nothing."""
+        """Sharing the reference lanes (one PE_H run, or the NS2D and Stokes
+        runs at one delta) changes no bit of any point's rows; record_every
+        = 3 also covers the steps that record nothing, and delta = 64 a
+        stiff schedule of two segments."""
         base = SimConfig(
             "NS_eps_delta", 16, 16, 16, 1e-3, 0.02,
             recipe="bandlimited_random", seed=42, record_every=record_every,
         )
+        assert [n > 0 for _, n in _stiff_segments(base.t_end, base.dt, 64.0)] == [True] * 2
         points = _family_points(mode)
         family = run_matched_family(points, base, mode)
         assert len(family) == len(points)
         for (eps, delta, gamma), rows in zip(points, family):
             pair = run_matched_pair((eps, delta), base, mode, gamma)
             assert _cells(rows) == _cells(pair)
+
+    @pytest.mark.parametrize("mode", ["eps_delta_to_zero", "gamma_scan", "delta_to_infty"])
+    def test_member_blowup_leaves_the_others(self, monkeypatch, mode):
+        """A member that blows up mid-run has the rows of its lone run under
+        the same fault; the family's other points have their clean rows."""
+        base = SimConfig("NS_eps_delta", 8, 8, 8, 2e-3, 0.02, seed=5)
+        points = _family_points(mode)
+        clean = run_matched_family(points, base, mode)
+        eps, delta, gamma = points[1]
+        _poison_point(monkeypatch, eps, delta)
+        family = run_matched_family(points, base, mode)
+        lone = run_matched_pair((eps, delta), base, mode, gamma)
+        assert all(r.blowup for r in lone)
+        for k, rows in enumerate(family):
+            assert _cells(rows) == _cells(lone if k == 1 else clean[k])
+
+    @pytest.mark.parametrize("mode", ["gamma_scan", "delta_to_infty"])
+    def test_family_leaves_no_reference_cycle(self, mode):
+        """A family's arrays are freed when it returns, not at the next
+        cyclic garbage collection, which would raise the peak RSS of a
+        process that runs many families."""
+        base = SimConfig("NS_eps_delta", 8, 8, 8, 2e-3, 0.02, seed=5)
+        gc.collect()
+        gc.disable()
+        try:
+            run_matched_family(_family_points(mode), base, mode)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
     def test_reference_blowup_stops_every_member(self, monkeypatch):
         _fault(monkeypatch, PrimitiveStepper, "nonlinear", lambda st, N: N * np.nan)
@@ -525,8 +584,11 @@ class TestLockstepRuns:
         segments = _stiff_segments(self.BASE.t_end, self.BASE.dt, 64.0)
         assert len(segments) == 2  # the AB2 restart is covered
         n = sum(steps for _, steps in segments)
-        run_matched_pair((0.5, 64.0), self.BASE, "delta_to_infty")
-        assert counts == {"NavierStokesStepper": n + 1, "NavierStokes2DStepper": n + 1}
+        # the two points at delta = 64 share one NS2D run
+        points = [(0.5, 64.0, None), (0.25, 64.0, None)]
+        run_matched_family(points, self.BASE, "delta_to_infty")
+        assert counts == {"NavierStokesStepper": 2 * (n + 1),
+                          "NavierStokes2DStepper": n + 1}
 
     @pytest.mark.parametrize(
         "cls, method, poison",
@@ -566,6 +628,23 @@ class TestLockstepRuns:
             assert [r.norm_name for r in rows] == ["FAILED"]
             assert rows[0].error[0] == "ConfigError"
             assert regime in rows[0].error[1]
+
+    def test_gamma_scan_point_without_gamma_is_rejected(self):
+        """A gamma_scan point without gamma gets a ConfigError that names
+        the missing gamma, as a FAILED row or raised by a lone pair."""
+        (rows,) = run_matched_family([(0.2, 0.2, None)], self.BASE, "gamma_scan")
+        assert [r.norm_name for r in rows] == ["FAILED"]
+        assert rows[0].error == ("ConfigError", "a gamma_scan point needs its gamma")
+        with pytest.raises(ConfigError, match="needs its gamma"):
+            run_matched_pair((0.2, 0.2), self.BASE, "gamma_scan")
+
+    def test_gamma_scan_point_with_inconsistent_delta_is_rejected(self):
+        """A point whose delta is not eps^(gamma-2) is not run at its delta
+        under the label of its gamma."""
+        (rows,) = run_matched_family([(0.2, 5.0, 3.0)], self.BASE, "gamma_scan")
+        assert [r.norm_name for r in rows] == ["FAILED"]
+        assert rows[0].error[0] == "InvalidParameter"
+        assert "inconsistent with eps**(gamma-2)" in rows[0].error[1]
 
     def test_delta_to_infty_point_reports_ignored_record_every(self):
         base = replace(self.BASE, record_every=2)
