@@ -199,8 +199,8 @@ def _raw_advect_div(
     product u_i u_j and no inverse transform.  On a Band the result holds
     only the kept modes, so it needs no mask.
 
-    On the band of a cube the products are formed in the band's workspace,
-    from its first slot up.  u_phys may be the workspace's top slots, where
+    On a Band the products are formed in the band's workspace, from its
+    first slot up.  u_phys may be the workspace's top slots, where
     the steppers' inverse transforms put it: in (i, j) order, product k
     overwrites only a component that no later product reads.
     """

@@ -152,9 +152,22 @@ def _run_points(points, base: SimConfig, mode: str) -> list:
     return [out[i] for i in range(len(points))]
 
 
+def check_value(name: str, value: float, mode: str) -> None:
+    """Raise ConfigError naming a value that no point of the mode can run
+    with: one that is not finite, an eps <= 0, or a delta <= 0 in
+    delta_to_infty, whose rate is fitted against log delta."""
+    if not math.isfinite(value):
+        raise ConfigError(f"{name}={value!r} is not finite")
+    if (name == "eps" or (name, mode) == ("delta", "delta_to_infty")) and not value > 0:
+        raise ConfigError(f"{name}={value!r} must be > 0 in {mode}")
+
+
 def _check_point(point, base: SimConfig, mode: str) -> None:
     """Raise unless the point, with its gamma, is valid on its own."""
     eps, delta, gamma = point
+    for name, value in zip(("eps", "delta", "gamma"), point):
+        if value is not None:
+            check_value(name, value, mode)
     if mode == "gamma_scan":
         check_gamma_scan(gamma)
     if mode == "delta_to_infty" and base.record_every != 1:
@@ -223,6 +236,8 @@ def _run_family(points, base: SimConfig, mode: str, lanes: list) -> list:
             outcomes.append(_Member(pt))
         except Exception as exc:  # reported as this point's outcome
             outcomes.append(exc)
+    if not any(isinstance(m, _Member) for m in outcomes):
+        return outcomes  # no valid point: no reference lane to run
     try:
         grid = make_grid(base.nx, base.ny, base.nz)
         data = generate_initial_data(base.recipe, base.seed, grid)

@@ -21,7 +21,7 @@ import numpy as np
 
 from ..errors import ConfigError, InsufficientData
 from ..solvers import SimConfig
-from .pairs import NormRow, check_gamma_scan, families, run_matched_family
+from .pairs import NormRow, check_gamma_scan, check_value, families, run_matched_family
 
 MODES = ("eps_delta_to_zero", "delta_to_infty", "gamma_scan")
 
@@ -48,6 +48,10 @@ class SweepConfig:
             raise ConfigError(f"jobs must be >= 1, got {self.jobs}")
         if not self.eps_values:
             raise ConfigError("eps_values must be nonempty")
+        for name, values in (("eps", self.eps_values), ("delta", self.delta_values),
+                             ("gamma", self.gamma_values)):
+            for value in values:
+                check_value(name, value, self.mode)
         if self.mode == "delta_to_infty" and not self.delta_values:
             raise ConfigError("delta_to_infty needs delta_values")
         if self.mode == "delta_to_infty" and self.base.record_every != 1:

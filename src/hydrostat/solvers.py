@@ -30,11 +30,11 @@ Every stepper holds its state on the Band of its grid (spectral.Band): only
 the modes that the 2/3 dealias mask keeps, so the mask is structural and no
 step multiplies by it.  The nonlinear term comes back from the forward
 transform already restricted to the band.  The lattice-size arrays of a
-nonlinear evaluation on the band of a cube live in the band's workspace
-(spectral.Workspace), which every stepper on the band shares, so the
-steppers of one band run on one thread.  What a step returns (the
-nonlinear term, the new state, the AB2 history) is a new band-size array,
-never a view of the workspace.
+nonlinear evaluation live in the band's workspace (spectral.Workspace), on
+the band of a cube and on the band of the NS2D plane alike; every stepper
+on a band shares it, so the steppers of one band run on one thread.  What
+a step returns (the nonlinear term, the new state, the AB2 history) is a
+new band-size array, never a view of the workspace.
 
 Every step re-enforces parity and the system's divergence constraint; both
 are Fourier-diagonal projections that commute with the propagator, so this
@@ -82,7 +82,6 @@ from .spectral import (
     _raw_parity_project,
     _raw_to_phys,
     _raw_wsum,
-    _workspace,
     make_grid,
 )
 
@@ -122,6 +121,10 @@ class SimConfig:
             raise InvalidParameter(
                 f"t_end={self.t_end} is not a whole number of dt={self.dt} steps"
             )
+        for name in ("eps", "delta", "gamma"):
+            value = getattr(self, name)
+            if value is not None and not np.isfinite(value):
+                raise InvalidParameter(f"{name} must be finite, got {value}")
         if self.eps <= 0:
             raise InvalidParameter(f"eps must be > 0, got {self.eps}")
         if self.record_every < 1:
@@ -215,10 +218,10 @@ class _ExpAB2:
         return self.advance(U, self.nonlinear(U))
 
     def _phys(self, comps: Sequence[np.ndarray]) -> np.ndarray:
-        """Lattice values of comps: on the band of a cube, the top slots of
-        its workspace, valid until the next transform on the band."""
-        ws = _workspace(self.grid)
-        top = ws.real[len(ws.real) - len(comps):] if ws else None
+        """Lattice values of comps: the top slots of the band's workspace,
+        valid until the next transform on the band."""
+        ws = self.grid.workspace
+        top = ws.real[len(ws.real) - len(comps):]
         out = _raw_to_phys(self.grid, np.stack(comps), out=top)
         # max |u| without a lattice-size temporary
         self.last_umax = max(float(out.max()), -float(out.min()))

@@ -24,25 +24,26 @@ transforms, the multipliers and the sums below accept a Band, or the Band of
 a Plane, in place of a Grid; Band.gather and Band.scatter convert between a
 band and its parent's layout.
 
-The band of a cube owns one Workspace, built on first use: the lattice-size
-arrays of a nonlinear evaluation, reused by every step of every stepper on
-that band, so that stepping allocates nothing at lattice size.  A band is
+Every band owns one Workspace, built on first use: the lattice-size arrays
+of a nonlinear evaluation, reused by every step of every stepper on that
+band, so that stepping allocates nothing at lattice size.  A band is
 therefore stepped by one thread at a time; every run, matched family and
-sweep point builds its own grid, and with it its own band.
+sweep point builds its own grid, and with it its own bands.
 
 Every transform is a sequence of one-dimensional numpy.fft passes, run in
-place where it can be, in the order of pocketfft's multi-axis transforms:
-the forward a real pass of the last axis, one scaling by 1/N, then complex
-passes of the leading axes, leading axis first; the inverse complex passes
-of the leading axes, leading axis first, then a real pass of the last axis.
-The passes are pocketfft's own (numpy.fft is pocketfft), so the results are
-bit for bit those of scipy.fft's rfftn, fftn and irfftn, which the tests
-use as their reference.  On the band of a cube the passes run in its
-workspace and only where the band has modes: the forward's x pass on the
-kept kz planes and its y pass on the kept kx rows of those, the inverse's
-x pass on the kept (ky, kz) columns and its y pass on the kept kz planes.
-The lines left out hold zeros, or outputs the band drops, so the band's
-modes stay bit for bit those of the full transforms.
+place on the half spectrum (the non-negative half of the last axis), in the
+order of pocketfft's multi-axis transforms: the forward a real pass of the
+last axis, one scaling by 1/N, then complex passes of the leading axes,
+leading axis first; the inverse complex passes of the leading axes, leading
+axis first, then a real pass of the last axis.  The passes are pocketfft's
+own (numpy.fft is pocketfft), so the results are bit for bit those of
+scipy.fft's rfftn, fftn and irfftn, which the tests use as their reference.
+One inverse and one forward routine serve every layout, from a plan that
+the layout builds once (_Plan).  Each complex pass runs only on the lines
+the layout keeps: in the inverse those whose later axes are kept, in the
+forward those whose earlier axes are kept.  The lines left out hold zeros,
+or outputs the layout drops, so its modes stay bit for bit those of the
+full transforms.  On a Band the passes run in its workspace.
 
 Vertical parity (even/odd in z) is a structural property of every velocity
 component here and is tracked on each field.  Parity is enforced by orthogonal
@@ -51,6 +52,7 @@ class.
 """
 from __future__ import annotations
 
+import itertools
 import math
 import operator
 from dataclasses import dataclass, field
@@ -163,6 +165,11 @@ class Grid:
         """The modes of this grid that the dealias mask keeps."""
         return Band.of(self)
 
+    @cached_property
+    def plan(self) -> "_Plan":
+        """How the transforms run on this layout (_Plan)."""
+        return _Plan.of(self)
+
     def cached(self, key, build):
         out = self._cache.get(key)
         if out is None:
@@ -225,26 +232,27 @@ class Plane:
         plane of the grid's band."""
         return Band.of(self)
 
+    plan = Grid.plan
     cached = Grid.cached
 
 
 @dataclass(frozen=True, eq=False)
 class Workspace:
-    """Lattice-size scratch arrays of the nonlinear evaluations on one 3D Band.
+    """Lattice-size scratch arrays of the nonlinear evaluations on one Band.
 
     real holds WORKSPACE_FIELDS lattice fields: a stepper's inverse transform
     writes its velocities into the top slots and fields._raw_advect_div forms
-    the products u_i u_j from the first slot up.  cplx holds
-    WORKSPACE_BATCH kz >= 0 halves, where the band's transforms run their
-    passes, that many fields at a time.  stage holds WORKSPACE_BATCH arrays
-    of the kept (ky, kz) columns of every kx, shape (nx, 2K+1, K+1), where
-    the inverse runs its x pass.  Every call leaves in them nothing that a
-    later call reads.
+    the products u_i u_j from the first slot up.  stages holds the arrays
+    that the band's transforms run their passes in, WORKSPACE_BATCH fields
+    at a time: one per leading axis (_Plan.inverse), the last of which,
+    cplx, is the half spectrum of the lattice, where the forward runs too.
+    Every call leaves in them nothing that a later call reads.
     """
 
     real: np.ndarray
-    cplx: np.ndarray
-    stage: np.ndarray
+    stages: tuple[np.ndarray, ...]
+
+    cplx = property(lambda self: self.stages[-1])
 
 
 # the distinct products u_i u_j of three velocity components
@@ -271,7 +279,7 @@ class Band:
     those of the kept modes.  It keeps the parent's sizes, not the parent,
     so the band that a parent caches makes no reference cycle with it.
 
-    The band of a cube owns the Workspace of its transforms (see the module
+    Every band owns the Workspace of its transforms (see the module
     docstring).
     """
 
@@ -319,18 +327,13 @@ class Band:
     kz3 = Grid.kz3
 
     @cached_property
-    def workspace(self) -> Workspace | None:
-        """The transform workspace of a cube's band: 6 real lattice fields,
-        3 complex halves and 3 staged x passes, about 2.8 MB at 32^3; None on
-        the band of a plane, whose lattice is small."""
-        if len(self.shape) != 3:
-            return None
-        nx, ny, nz = self.shape
-        return Workspace(
-            np.empty((WORKSPACE_FIELDS, nx, ny, nz)),
-            np.empty((WORKSPACE_BATCH, nx, ny, nz // 2 + 1), np.complex128),
-            np.empty((WORKSPACE_BATCH, nx, *self.spec_shape[1:]), np.complex128),
-        )
+    def workspace(self) -> Workspace:
+        """The transform workspace of this band: WORKSPACE_FIELDS real
+        lattice fields and the stages of WORKSPACE_BATCH fields, about
+        2.8 MB at 32^3 and 0.3 MB on the plane of a 64x64 grid."""
+        return Workspace(np.empty((WORKSPACE_FIELDS, *self.shape)), tuple(
+            np.empty((WORKSPACE_BATCH, *shape), np.complex128)
+            for shape, _ in self.plan.inverse))
 
     @cached_property
     def _where(self) -> tuple:
@@ -341,14 +344,6 @@ class Band:
         if np.array_equal(last, np.arange(len(last))):
             return (Ellipsis, *np.ix_(*self.index[:-1]), slice(0, len(last)))
         return (Ellipsis, *np.ix_(*self.index))
-
-    @cached_property
-    def _half(self) -> tuple[tuple, int]:
-        """(index in the parent's half spectrum, the inverse transform's
-        input, of the band modes with m >= 0 on the last axis; their number,
-        a prefix of the band's last axis)."""
-        n = int(np.count_nonzero(self.index[-1] <= self.shape[-1] // 2))
-        return (Ellipsis, *np.ix_(*self.index[:-1]), slice(0, n)), n
 
     def gather(self, c: np.ndarray) -> np.ndarray:
         """The band's coefficients of (stacks of) parent-layout arrays c."""
@@ -362,12 +357,13 @@ class Band:
         out[self._where] = b
         return out
 
+    plan = Grid.plan
     cached = Grid.cached
 
 
 def _workspace(grid: Grid | Plane | Band) -> Workspace | None:
-    """The transform workspace of the band of a cube; None on every other
-    layout, whose transforms allocate their arrays."""
+    """The transform workspace of a Band; None on a Grid or a Plane, whose
+    transforms allocate their arrays."""
     return grid.workspace if isinstance(grid, Band) else None
 
 
@@ -448,16 +444,6 @@ class SpectralField:
         c.setflags(write=False)
         object.__setattr__(self, "coeffs", c)
 
-    @classmethod
-    def _wrap(cls, grid: Grid, coeffs: np.ndarray, parity: str) -> "SpectralField":
-        """Internal no-copy constructor for solver loops; the caller is
-        responsible for finiteness and ownership."""
-        self = object.__new__(cls)
-        object.__setattr__(self, "grid", grid)
-        object.__setattr__(self, "coeffs", coeffs)
-        object.__setattr__(self, "parity", parity)
-        return self
-
     # light arithmetic used by tests and the harness
     def __add__(self, other: "SpectralField") -> "SpectralField":
         self._check_same_grid(other)
@@ -503,15 +489,69 @@ def _lattice_phase(grid: Grid | Plane | Band) -> np.ndarray:
     return grid.cached(("phase",), build)
 
 
-def _leading_axes(grid: Grid | Plane | Band) -> tuple[int, ...]:
-    """The axes of the complex passes, leading axis first: all but the last."""
-    return tuple(range(-len(grid.shape), -1))
+@dataclass(frozen=True, eq=False)
+class _Plan:
+    """How the transforms of a layout run on the half spectrum of its
+    lattice (the non-negative half of the last axis, shape half), on the
+    lines the layout keeps: its positions on each leading axis, in runs of
+    consecutive rows, and the prefix n of the last.
 
+    Each index has the stack of fields as axis 0.  inverse[a] is the shape
+    of the stage that the inverse's pass of leading axis a runs in, whole,
+    with every axis after a at its kept positions (the half for the last),
+    and the moves that copy each run of axis a into the zeroed stage; None
+    where the stage is the previous array.  forward[a] indexes the views
+    that the forward's pass of leading axis a runs on in place: the lines
+    whose earlier leading axes are kept.  source is the flat position in
+    the half of each coefficient, and conj whether it is that entry's
+    conjugate, as pocketfft fills the fftn of a real plane; source is None
+    on a Grid, whose half is its layout.
+    """
 
-def _forward_scale(grid: Grid | Plane | Band) -> float:
-    """The forward transform's factor 1/N, computed as pocketfft computes it:
-    the reciprocal in long double, rounded once."""
-    return float(1 / np.longdouble(math.prod(grid.shape)))
+    half: tuple[int, ...]
+    n: int
+    norm: float
+    inverse: tuple[tuple[tuple[int, ...], tuple | None], ...]
+    forward: tuple[tuple[tuple, ...], ...]
+    source: np.ndarray | None
+    conj: np.ndarray | None
+
+    @classmethod
+    def of(cls, grid: Grid | Plane | Band) -> "_Plan":
+        *lead, last = grid.shape
+        h, nd, band = last // 2 + 1, len(lead), isinstance(grid, Band)
+        at = grid.index if band else tuple(map(np.arange, grid.spec_shape))
+        n = int(np.count_nonzero(at[-1] <= last // 2))
+        every, kept = slice(None), slice(0, n)
+        runs = []  # (layout, half) slices of each run of consecutive positions
+        for i in at[:-1]:
+            cuts = [0, *(np.flatnonzero(np.diff(i) != 1) + 1), len(i)]
+            runs.append([(slice(a, b), slice(int(i[a]), int(i[b - 1]) + 1))
+                         for a, b in zip(cuts, cuts[1:])])
+        inverse, shape = [], [*map(len, at[:-1]), n]
+        for a, rs in enumerate(runs):
+            before, shape[a], pre = tuple(shape), lead[a], (every,) * (a + 1)
+            shape[-1] = h if a == nd - 1 else n
+            moves = tuple((pre + (r, Ellipsis, kept), pre + (lay,)) for lay, r in rs)
+            inverse.append((tuple(shape), None if tuple(shape) == before else moves))
+        halves = [[r for _, r in rs] for rs in runs]
+        forward = tuple(tuple((every, *i, kept) for i in itertools.product(
+            *halves[:a], *[[every]] * (nd - a))) for a in range(nd))
+        source = conj = None
+        if nd == 1:
+            # pocketfft's fill: the columns ky > ny/2 are conj(c[-kx, ny - ky]),
+            # and the columns ky = 0 and ny/2 are conj(c[-kx, ky]) at kx = 0
+            # and kx >= nx/2 (at kx = 0 and nx/2 the conjugate of the mode itself)
+            (nx, ny), (kx, ky) = grid.shape, np.ix_(*at)
+            edge = (ky % (ny // 2) == 0) & ((kx == 0) | (kx >= nx // 2))
+            conj = (ky > ny // 2) | edge
+            source = np.where(conj, -kx % nx * h + -ky % ny, kx * h + ky).ravel()
+            conj = conj.ravel()
+        elif band:
+            source = np.ravel_multi_index(np.ix_(*at), (*lead, h)).ravel()
+        # the forward's 1/N as pocketfft computes it: in long double, rounded once
+        norm = float(1 / np.longdouble(math.prod(grid.shape)))
+        return cls((*lead, h), n, norm, tuple(inverse), forward, source, conj)
 
 
 def _raw_to_phys(
@@ -520,59 +560,32 @@ def _raw_to_phys(
     """Lattice values of (stacks of) real fields from their coefficients,
     written to out (C-contiguous; a new array when None).
 
-    An irfftn of the last axis's non-negative half: all of c on a Grid, the
-    ky >= 0 half on a Plane, whose other half must be its conjugate mirror.
-    A Band is first padded with zeros into its parent's half.  The passes
-    are those of the module docstring, the complex ones in place on that
-    half; on the band of a cube they run in its workspace (_band_to_phys).
+    An irfftn of the half spectrum: all of c on a Grid, the ky >= 0 half on
+    a Plane, whose other half must be its conjugate mirror, and on a Band
+    its modes in its parent's half, zero elsewhere.  The passes are those of
+    the module docstring, each on the lines the layout keeps, in a stage of
+    its own (_Plan.inverse); on a Band the stages are its workspace's.
     """
-    ws = _workspace(grid)
-    if ws is not None:
-        return _band_to_phys(grid, ws, c, out)
-    h = grid.shape[-1] // 2 + 1
-    phase = _lattice_phase(grid)
-    if isinstance(grid, Band):
-        where, n = grid._half
-        half = np.zeros(
-            (*c.shape[: c.ndim - len(grid.shape)], *grid.shape[:-1], h),
-            dtype=np.complex128,
-        )
-        half[where] = c[..., :n] * phase[..., :n]
-    else:
-        half = c[..., :h] * phase[..., :h]
-    for axis in _leading_axes(grid):
-        np.fft.ifft(half, axis=axis, norm="forward", out=half)
-    return np.fft.irfft(half, n=grid.shape[-1], axis=-1, norm="forward", out=out)
-
-
-def _band_to_phys(
-    band: Band, ws: Workspace, c: np.ndarray, out: np.ndarray | None
-) -> np.ndarray:
-    """_raw_to_phys on the band of a cube, WORKSPACE_BATCH fields at a time.
-
-    Only the band's modes are nonzero, so each pass runs only where its
-    input can be: the x pass on the kept (ky, kz) columns, staged in
-    ws.stage; the y pass on the kept kz planes of the half, which is zero
-    elsewhere; the z pass on the whole half.  The other lines are zero, and
-    so is their transform, so the result is the irfftn bit for bit.
-    """
-    n = band.spec_shape[-1]  # the kept kz planes, a prefix of the half
-    rows, cols = band.index[:2]
-    phase = _lattice_phase(band)
+    plan, ws = grid.plan, _workspace(grid)
+    phase = _lattice_phase(grid)[..., : plan.n]
+    cs = c.reshape(-1, *grid.spec_shape)
     if out is None:
-        out = np.empty((*c.shape[:-3], *band.shape))
-    cs, lattice = c.reshape(-1, *band.spec_shape), out.reshape(-1, *band.shape)
-    for s in range(0, len(cs), WORKSPACE_BATCH):
-        part = cs[s : s + WORKSPACE_BATCH]
-        stage, half = ws.stage[: len(part)], ws.cplx[: len(part)]
-        stage.fill(0.0)
-        stage[:, rows] = part * phase
-        np.fft.ifft(stage, axis=1, norm="forward", out=stage)
-        half.fill(0.0)
-        half[:, :, cols, :n] = stage
-        kept = half[..., :n]
-        np.fft.ifft(kept, axis=2, norm="forward", out=kept)
-        np.fft.irfft(half, n=band.nz, axis=-1, norm="forward",
+        out = np.empty((*c.shape[: c.ndim - len(grid.shape)], *grid.shape))
+    lattice = out.reshape(-1, *grid.shape)
+    step = WORKSPACE_BATCH if ws else max(len(cs), 1)
+    for s in range(0, len(cs), step):
+        part = cs[s : s + step]
+        x = part[..., : plan.n] * phase
+        for a, (_, moves) in enumerate(plan.inverse):
+            if moves:  # only a Band moves its runs into a stage
+                stage = ws.stages[a][: len(part)]
+                stage.fill(0.0)
+                for to, at in moves:
+                    stage[to] = x[at]
+                x = stage
+            view = x[..., : plan.n]
+            np.fft.ifft(view, axis=a + 1, norm="forward", out=view)
+        np.fft.irfft(x, n=grid.shape[-1], axis=-1, norm="forward",
                      out=lattice[s : s + len(part)])
     return out
 
@@ -581,76 +594,37 @@ def _raw_to_spec(grid: Grid | Plane | Band, p: np.ndarray) -> np.ndarray:
     """Coefficients of (stacks of) real fields from their lattice values:
     the kz >= 0 half on a Grid (an rfftn), the full plane on a Plane (an
     fftn), and on a Band the kept modes of its parent's.  The passes are
-    those of the module docstring; a plane's coefficients are then read off
-    the ky <= ny/2 half they give (_plane_sources), and on the band of a
-    cube the passes run in its workspace (_band_to_spec).
+    those of the module docstring, in place on the half spectrum, on the
+    lines the layout keeps (_Plan.forward); on a Band they run in its
+    workspace.  The coefficients are then read off the half (_Plan.source).
     """
-    ws = _workspace(grid)
-    if ws is not None:
-        return _band_to_spec(grid, ws, p)
-    out = np.fft.rfft(p, axis=-1)
-    out *= _forward_scale(grid)
-    for axis in _leading_axes(grid):
-        np.fft.fft(out, axis=axis, out=out)
-    if len(grid.shape) == 2:
-        source, conj = _plane_sources(grid)
-        lead = out.shape[:-2]
-        out = np.take(out.reshape(*lead, -1), source, axis=-1)
-        np.conjugate(out, out=out, where=conj)
-        out = out.reshape(*lead, *grid.spec_shape)
-    out *= _lattice_phase(grid)
-    return out
-
-
-def _plane_sources(grid: Plane | Band) -> tuple[np.ndarray, np.ndarray]:
-    """Where each coefficient of a plane (or of its band) sits in the
-    ky <= ny/2 half of its fftn, flat, and whether it is the conjugate of
-    that entry, as pocketfft fills the fftn of real input: the columns
-    ky > ny/2 are conj(c[-kx, ny - ky]), and the columns ky = 0 and ny/2
-    are conj(c[-kx, ky]) at kx = 0 and kx >= nx/2 (at kx = 0 and nx/2 the
-    conjugate of the mode itself)."""
-    nx, ny = grid.shape
-    h = ny // 2 + 1
-
-    def build(conj: bool) -> np.ndarray:
-        at = grid.index if isinstance(grid, Band) else (np.arange(nx), np.arange(ny))
-        kx, ky = np.ix_(*at)
-        mirror = (ky > ny // 2) | ((ky % (ny // 2) == 0) & ((kx == 0) | (kx >= nx // 2)))
-        if conj:
-            return mirror.ravel()
-        return np.where(mirror, -kx % nx * h + -ky % ny, kx * h + ky).ravel()
-
-    return (grid.cached(("plane_source",), lambda: build(False)),
-            grid.cached(("plane_conj",), lambda: build(True)))
-
-
-def _band_to_spec(band: Band, ws: Workspace, p: np.ndarray) -> np.ndarray:
-    """_raw_to_spec on the band of a cube, WORKSPACE_BATCH fields at a time.
-
-    Each pass runs only where the band keeps its output: the x pass on the
-    kept kz planes of the half, the y pass on the kept kx rows of those
-    planes (two runs, [0, K] and [-K, -1], in place).  Every line is the
-    same arithmetic as in the rfftn, so the band's modes are bit for bit.
-    """
-    n = band.spec_shape[-1]  # the kept kz planes, a prefix of the half
-    K = band.spec_shape[0] // 2
-    runs = (slice(0, K + 1), slice(band.nx - K, band.nx))
-    norm = _forward_scale(band)
-    ps = p.reshape(-1, *band.shape)
-    out = np.empty((len(ps), *band.spec_shape), dtype=np.complex128)
-    for s in range(0, len(ps), WORKSPACE_BATCH):
-        part = ps[s : s + WORKSPACE_BATCH]
-        half = ws.cplx[: len(part)]
+    plan, ws = grid.plan, _workspace(grid)
+    ps = p.reshape(-1, *grid.shape)
+    out = np.empty((len(ps), *grid.spec_shape), dtype=np.complex128)
+    step = WORKSPACE_BATCH if ws else max(len(ps), 1)
+    for s in range(0, len(ps), step):
+        part = ps[s : s + step]
+        if ws:
+            half = ws.cplx[: len(part)]
+        elif plan.source is None:
+            half = out
+        else:
+            half = np.empty((len(part), *plan.half), dtype=np.complex128)
         np.fft.rfft(part, axis=-1, out=half)
-        kept = half[..., :n]
-        kept *= norm
-        np.fft.fft(kept, axis=1, out=kept)
-        for rows in runs:
-            kept_rows = kept[:, rows]
-            np.fft.fft(kept_rows, axis=2, out=kept_rows)
-        out[s : s + len(part)] = band.gather(half)
-    out *= _lattice_phase(band)
-    return out.reshape(*p.shape[:-3], *band.spec_shape)
+        kept = half[..., : plan.n]
+        kept *= plan.norm
+        for axis, views in enumerate(plan.forward, start=1):
+            for index in views:
+                view = half[index]
+                np.fft.fft(view, axis=axis, out=view)
+        if plan.source is not None:
+            coeffs = out[s : s + len(part)].reshape(len(part), -1)
+            np.take(half.reshape(len(part), -1), plan.source, axis=-1,
+                    out=coeffs, mode="clip")
+            if plan.conj is not None:
+                np.conjugate(coeffs, out=coeffs, where=plan.conj)
+    out *= _lattice_phase(grid)
+    return out.reshape(*p.shape[: p.ndim - len(grid.shape)], *grid.spec_shape)
 
 
 def _raw_embed_plane(grid: Grid | Band, P: np.ndarray) -> np.ndarray:

@@ -4,6 +4,7 @@ import importlib.util
 import json
 import math
 import os
+import re
 import warnings
 from dataclasses import replace
 
@@ -283,6 +284,25 @@ class TestConfig:
         )
         assert cfg.points() == [(0.2, pytest.approx(0.2), 3.0),
                                 (0.1, pytest.approx(0.1), 3.0)]
+
+    @pytest.mark.parametrize("mode, lists, bad", [
+        ("delta_to_infty", dict(delta_values=(16.0, math.inf)), "delta=inf"),
+        ("delta_to_infty", dict(delta_values=(16.0, 0.0)), "delta=0.0"),
+        ("delta_to_infty", dict(delta_values=(-1.0,)), "delta=-1.0"),
+        ("delta_to_infty", dict(eps_values=(0.5, math.nan), delta_values=(4.0,)), "eps=nan"),
+        ("eps_delta_to_zero", dict(eps_values=(0.5, 0.0)), "eps=0.0"),
+        ("eps_delta_to_zero", dict(delta_values=(0.5, math.nan)), "delta=nan"),
+        ("gamma_scan", dict(gamma_values=(3.0, math.nan)), "gamma=nan"),
+        ("gamma_scan", dict(gamma_values=(math.inf,)), "gamma=inf"),
+    ])
+    def test_non_finite_and_non_positive_values_rejected(self, mode, lists, bad):
+        """A value that no point can run with is refused, and named, when the
+        sweep is configured: before, delta_to_infty at delta = inf ran into
+        a ZeroDivisionError and delta = 0 ran with its fit abscissa dropped."""
+        kw = {"eps_values": (0.5, 0.25), **lists}
+        with pytest.raises(ConfigError, match=re.escape(bad)):
+            SweepConfig(mode=mode, base=SimConfig("NS_eps_delta", 8, 8, 8, 1e-3, 0.01),
+                        **kw)
 
     @pytest.mark.parametrize("gamma, regime", [
         (2.0, "primitive equations with full viscosity"),
@@ -645,6 +665,21 @@ class TestLockstepRuns:
         assert [r.norm_name for r in rows] == ["FAILED"]
         assert rows[0].error[0] == "InvalidParameter"
         assert "inconsistent with eps**(gamma-2)" in rows[0].error[1]
+
+    def test_invalid_delta_to_infty_points_fail_alone(self):
+        """A point at delta = inf, 0 or NaN gets a FAILED row whose
+        ConfigError names the value; a valid point of the same call runs
+        as a lone pair."""
+        points = [(0.5, math.inf, None), (0.5, 0.0, None), (0.5, math.nan, None),
+                  (0.5, 4.0, None)]
+        rows = run_matched_family(points, self.BASE, "delta_to_infty")
+        for got, bad in zip(rows, ("delta=inf", "delta=0.0", "delta=nan")):
+            assert [r.norm_name for r in got] == ["FAILED"]
+            assert got[0].error[0] == "ConfigError" and bad in got[0].error[1]
+        assert _cells(rows[3]) == _cells(
+            run_matched_pair((0.5, 4.0), self.BASE, "delta_to_infty"))
+        with pytest.raises(ConfigError, match="eps=nan"):
+            run_matched_pair((math.nan, 4.0), self.BASE, "delta_to_infty")
 
     def test_delta_to_infty_point_reports_ignored_record_every(self):
         base = replace(self.BASE, record_every=2)

@@ -195,8 +195,7 @@ class TestAccumulators:
         g = grid16.band if on_band else grid16
 
         def fields(seed):
-            return [SpectralField._wrap(g, g.gather(f.coeffs) if on_band else f.coeffs,
-                                        EVEN)
+            return [SpectralField(g, g.gather(f.coeffs) if on_band else f.coeffs, EVEN)
                     for f in (random_band_field(grid16, seed + i, EVEN) for i in range(3))]
 
         u, du = fields(70), fields(80)

@@ -92,6 +92,14 @@ class TestSimConfig:
         with pytest.raises(InvalidParameter):
             SimConfig(**base)
 
+    @pytest.mark.parametrize("name", ["eps", "delta", "gamma"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_parameters_rejected(self, name, value):
+        """A non-finite eps, delta or gamma is refused, not run until its
+        coefficients turn non-finite."""
+        with pytest.raises(InvalidParameter, match=f"{name} must be finite"):
+            SimConfig("NS_eps_delta", 8, 8, 8, 1e-3, 0.1, **{name: value})
+
 
 class TestAnisotropicStepper:
     def test_heat_mode_single_step(self, grid16):

@@ -136,14 +136,18 @@ class TestTransforms:
         assert got.flags.c_contiguous
         assert np.max(np.abs(got - full)) <= 1e-13 * np.max(np.abs(full))
 
-    @pytest.mark.parametrize("shape", [(32, 32, 32), (64, 64, 4), (6, 4, 10), (24, 24, 24)])
+    @pytest.mark.parametrize(
+        "shape", [(32, 32, 32), (64, 64, 4), (6, 4, 10), (24, 24, 24), (48, 30, 6)]
+    )
     @pytest.mark.parametrize("layout", ["grid", "plane", "plane.band", "band"])
     def test_passes_equal_scipy_bit_for_bit(self, layout, shape):
         """The numpy.fft passes are scipy.fft's rfftn (fftn on a plane, with
         its conjugate fill of the ky > ny/2 half and of the ky = 0 and ny/2
         columns) and irfftn bit for bit, on every layout and for stacks
         within and across the workspace's batches.  The sizes that are not
-        powers of two catch a wrong 1/N, the 24x24 plane a wrong fill."""
+        powers of two catch a wrong 1/N, the 24x24 plane a wrong fill, and
+        48x30x6, whose axes keep different numbers of modes, a prefix or a
+        run taken from the wrong axis."""
         from hydrostat.spectral import _lattice_phase, _raw_to_phys, _raw_to_spec
 
         grid = make_grid(*shape)
@@ -254,7 +258,8 @@ class TestBandWorkspace:
     """The band of a cube stages its transforms in one workspace that it
     owns: z, then (x, y) on the kept kz planes only."""
 
-    SHAPES = [(32, 32, 32), (16, 16, 16), (64, 64, 4), (6, 4, 10), (12, 12, 12)]
+    SHAPES = [(32, 32, 32), (16, 16, 16), (64, 64, 4), (6, 4, 10), (12, 12, 12),
+              (48, 30, 6)]
 
     @pytest.mark.parametrize("shape", SHAPES)
     def test_transforms_equal_irfftn_and_rfftn(self, shape):
@@ -288,13 +293,18 @@ class TestBandWorkspace:
             (P * phase[..., 0])[..., :h], s=plane.shape, axes=(-2, -1), norm="forward"))
 
     def test_results_do_not_share_the_workspace(self):
-        from hydrostat.solvers import NavierStokesStepper, PrimitiveStepper
+        from hydrostat.solvers import (
+            NavierStokes2DStepper, NavierStokesStepper, PrimitiveStepper,
+        )
         from hydrostat.spectral import _raw_to_phys, _raw_to_spec
 
         grid = make_grid(16, 16, 16)
-        band = grid.band
-        ws = band.workspace
-        assert ws is band.workspace and grid.plane.band.workspace is None
+        band, plane = grid.band, grid.plane.band
+        ws, ws2 = band.workspace, plane.workspace
+        assert ws is band.workspace and ws2 is plane.workspace
+        assert ws2.real.shape[1:] == plane.shape
+        for a in (ws2.real, ws2.cplx):
+            assert not np.shares_memory(a, ws.real) and not np.shares_memory(a, ws.cplx)
         b = band.gather(random_band_field(grid, 3).coeffs)
         U = np.stack((b, b, np.zeros_like(b)))
         results = [_raw_to_phys(band, U), _raw_to_spec(band, ws.real[:4])]
@@ -305,6 +315,12 @@ class TestBandWorkspace:
                         stepper._n_prev]
         for r in results:
             for buf in (ws.real, ws.cplx):
+                assert not np.shares_memory(r, buf)
+        stepper = NavierStokes2DStepper(grid, 1e-3)
+        V = np.stack((b[..., 0], b[..., 0]))
+        N = stepper.nonlinear(V)
+        for r in (N, stepper.advance(V, N), stepper._n_prev):
+            for buf in (ws2.real, ws2.cplx):
                 assert not np.shares_memory(r, buf)
         # the one opt-in: an inverse into a given array
         top = ws.real[3:]
