@@ -25,7 +25,6 @@ from .spectral import (
     ODD,
     Band,
     Grid,
-    Plane,
     SpectralField,
     _deriv_mult,
     _lap_delta_mult,
@@ -115,9 +114,10 @@ def _raw_project_eps(grid: Grid | Band, U: np.ndarray, eps: float) -> np.ndarray
     return np.stack((U[0] - t[0] * s, U[1] - t[1] * s, U[2] - t[2] * s))
 
 
-def _raw_project_hydro_plane(grid: Grid | Plane | Band, P: np.ndarray) -> np.ndarray:
+def _raw_project_hydro_plane(grid: Grid | Band, P: np.ndarray) -> np.ndarray:
     """2D Leray projection of a pair of kz=0 coefficient planes, shape
-    (2, nx, ny): removes the horizontal gradient driven by their divergence."""
+    (2, *grid.spec_shape[:2]): removes the horizontal gradient driven by
+    their divergence."""
     kx = grid.kx[:, None]
     ky = grid.ky[None, :]
 
@@ -156,15 +156,12 @@ def _raw_div_eps_defect(grid: Grid | Band, U: np.ndarray, eps: float) -> float:
     return float(np.max(np.abs(d)))
 
 
-def _raw_advect(
-    grid: Grid | Plane, u_phys: Sequence[np.ndarray], T: np.ndarray
-) -> np.ndarray:
+def _raw_advect(grid: Grid, u_phys: Sequence[np.ndarray], T: np.ndarray) -> np.ndarray:
     """Convective derivative sum_j u_j d_j T_i for a stack of targets T.
 
     u_phys has 2 (horizontal transport only) or 3 physical components; the
     result is returned in spectral space, dealiased.  Transforms are batched
-    over all component/axis pairs.  On a Plane, T holds kz=0 planes and the
-    transport is horizontal.
+    over all component/axis pairs.
 
     Only for transports that are not divergence-free (the horizontal
     transports of baroclinic_rhs, the cross terms of diff_rhs_F); the
@@ -188,13 +185,13 @@ def _raw_advect(
 
 
 def _raw_advect_div(
-    grid: Grid | Plane | Band, u_phys: np.ndarray, scale: Sequence[float]
+    grid: Grid | Band, u_phys: np.ndarray, scale: Sequence[float]
 ) -> np.ndarray:
     """Self-advection in divergence form: component i < len(scale) is
     scale[i] * sum_j d_j (u_i u_j), in spectral space, dealiased.
 
-    u_phys is the stack of physical transport components (3 on a Grid, 2 on
-    a Plane, as on their Bands).  For a divergence-free u this equals the
+    u_phys is the stack of physical transport components (3 on a Grid and
+    its band, 2 on Grid.plane).  For a divergence-free u this equals the
     convective (u . grad) (scale * u), at one forward transform per distinct
     product u_i u_j and no inverse transform.  On a Band the result holds
     only the kept modes, so it needs no mask.

@@ -81,7 +81,7 @@ def _cmd_fit(args) -> int:
                 continue
             h = abscissa(row["mode"], float(row["eps"]), float(row["delta"]))
             points.append((h, float(row["value"])))
-    slope, intercept, r2 = fit_rate(points, drop_blowups=True)
+    slope, intercept, r2 = fit_rate(points)
     print(f"slope={slope:.6f} intercept={intercept:.6f} r2={r2:.6f} "
           f"n={len(points)}")
     return 0

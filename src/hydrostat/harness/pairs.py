@@ -298,7 +298,7 @@ def _large_delta_lanes(data, base: SimConfig, delta: float, members: list[_Membe
         norms.fold("L4H32_tilde", t, Energies.of(st.grid, tilde))
 
     def sample_2d(st, t, B, N):
-        # B is on the band of the plane, which is the kz=0 plane of the band
+        # B is on grid.plane, the kz=0 plane of the band
         rhs = st.rhs(B, N)
         for k, m in enumerate(members):
             if m.lane.running:

@@ -30,12 +30,18 @@ import numpy as np
 
 from ..errors import FormatError
 from ..fields import VelocityState
-from ..spectral import NONE, Grid, SpectralField, _raw_hflip, make_grid
+from ..spectral import (
+    NONE,
+    _PARITY_CODES,
+    _PARITY_FROM_CODE,
+    Grid,
+    SpectralField,
+    _raw_hflip,
+    make_grid,
+)
 
 MAGIC = b"HSN1"
 VERSION = 1
-_PARITY_CODE = {"even": 0, "odd": 1, "none": 2}
-_PARITY_NAME = {v: k for k, v in _PARITY_CODE.items()}
 TIME_FIELD = "time"
 
 
@@ -47,7 +53,7 @@ def _encode_field(name: str, parity: str, coeffs: np.ndarray) -> bytes:
     return (
         struct.pack("<I", len(nb))
         + nb
-        + struct.pack("<B", _PARITY_CODE[parity])
+        + struct.pack("<B", _PARITY_CODES[parity])
         + arr.tobytes()
     )
 
@@ -116,7 +122,7 @@ def load_snapshot(path: str) -> VelocityState:
         off += name_len
         (pcode,) = struct.unpack("<B", _need(buf, off, 1))
         off += 1
-        if pcode not in _PARITY_NAME:
+        if pcode not in _PARITY_FROM_CODE:
             raise FormatError(f"bad parity code {pcode}", off - 1)
         raw = _need(buf, off, 16 * n_coeff)
         off += 16 * n_coeff
@@ -125,7 +131,7 @@ def load_snapshot(path: str) -> VelocityState:
             time = float(coeffs.flat[0].real)
         else:
             half = coeffs[..., : nz // 2 + 1].copy()
-            fields[name] = SpectralField(grid, half, _PARITY_NAME[pcode])
+            fields[name] = SpectralField(grid, half, _PARITY_FROM_CODE[pcode])
     if off != len(buf) - 4:
         raise FormatError(f"{len(buf) - 4 - off} unexpected trailing bytes", off)
     for required in ("v1", "v2", "w"):

@@ -90,23 +90,14 @@ class SweepResult:
     blowup_threshold: float = math.inf
 
 
-def fit_rate(
-    points: list[tuple[float, float]], drop_blowups: bool = True
-) -> tuple[float, float, float]:
+def fit_rate(points: list[tuple[float, float]]) -> tuple[float, float, float]:
     """Ordinary least squares on (log h, log value): (slope, intercept, r2).
 
     Natural logarithms.  Non-finite or non-positive values count as blown-up
-    points and are dropped when drop_blowups is set; at least three usable
-    points are required.
+    points and are dropped; at least three usable points are required.
     """
-    usable = []
-    for h, v in points:
-        ok = math.isfinite(v) and v > 0 and math.isfinite(h) and h > 0
-        if not ok:
-            if drop_blowups:
-                continue
-            raise InsufficientData(f"non-positive or non-finite point ({h}, {v})")
-        usable.append((h, v))
+    usable = [(h, v) for h, v in points
+              if math.isfinite(v) and v > 0 and math.isfinite(h) and h > 0]
     if len(usable) < 3:
         raise InsufficientData(f"need >= 3 finite positive points, have {len(usable)}")
     x = np.log([h for h, _ in usable])
@@ -204,7 +195,7 @@ def run_sweep(cfg: SweepConfig, write_plots: bool = False) -> SweepResult:
     for key, pts_v in by_key.items():
         if len(pts_v) >= 3:
             try:
-                result.fits[key] = fit_rate(pts_v, drop_blowups=True)
+                result.fits[key] = fit_rate(pts_v)
             except InsufficientData:
                 pass
 

@@ -128,8 +128,6 @@ class NormAccumulator:
     integrals: tuple[float, ...] = ()
     running_max: float = 0.0
     sample_count: int = 0
-    t_start: float = 0.0
-    t_last: float = 0.0
     _last: tuple[float, ...] = ()
 
     def __post_init__(self):
@@ -204,7 +202,6 @@ def accumulate(
         integrals=new_int,
         running_max=new_max,
         sample_count=acc.sample_count + 1,
-        t_last=acc.t_last + dt_since_last,
         _last=vals,
     )
 

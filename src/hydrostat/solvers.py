@@ -9,7 +9,7 @@ NS_eps_delta   rescaled anisotropic Navier-Stokes; integrated in the scaled
 PE_delta       primitive equations with anisotropic viscosity (vertical
                velocity diagnostic); PE_H is the delta = 0 case
 NS2D           two-dimensional Navier-Stokes on the horizontal square,
-               stepped on the kz=0 coefficient plane (spectral.Plane)
+               stepped on the kz=0 plane of the grid's band (Grid.plane)
 StokesScaled   linear scaled Stokes flow on vertically mean-free data,
                integrated exactly per mode
 
@@ -31,7 +31,7 @@ the modes that the 2/3 dealias mask keeps, so the mask is structural and no
 step multiplies by it.  The nonlinear term comes back from the forward
 transform already restricted to the band.  The lattice-size arrays of a
 nonlinear evaluation live in the band's workspace (spectral.Workspace), on
-the band of a cube and on the band of the NS2D plane alike; every stepper
+the band of a cube and on the NS2D plane (Grid.plane) alike; every stepper
 on a band shares it, so the steppers of one band run on one thread.  What
 a step returns (the nonlinear term, the new state, the AB2 history) is a
 new band-size array, never a view of the workspace.
@@ -74,7 +74,6 @@ from .spectral import (
     PI,
     Band,
     Grid,
-    Plane,
     SpectralField,
     _lap_delta_mult,
     _raw_embed_plane,
@@ -179,7 +178,7 @@ class _ExpAB2:
     Subclasses provide nonlinear(U), the projected nonlinear term, and
     constrain(U), the constraint projection that follows the parity
     projection in advance.  self.grid is the Band the state lives on; a
-    stepper on the Band of a Plane declares no parities.
+    stepper on the 2D band of Grid.plane declares no parities.
     """
 
     parities: tuple[str, ...] = ()
@@ -278,14 +277,13 @@ class PrimitiveStepper(_ExpAB2):
 class NavierStokes2DStepper(_ExpAB2):
     """2D Navier-Stokes on the kz=0 coefficient plane of a grid.
 
-    The state is the band of the horizontal pair's plane, shape (2, 2K+1,
-    2K+1) (see spectral.Plane and spectral.Band); self.grid is that band,
-    which is the kz=0 plane of the grid's band.
+    The state is the horizontal pair on grid.plane, the kz=0 plane of the
+    grid's band, shape (2, 2K+1, 2K+1); self.grid is that 2D Band.
     """
 
     def __init__(self, grid: Grid, dt: float):
-        band = grid.plane.band
-        super().__init__(band, -band.k2h, dt)
+        plane = grid.plane
+        super().__init__(plane, -plane.k2h, dt)
 
     def nonlinear(self, V: np.ndarray) -> np.ndarray:
         up = self._phys((V[0], V[1]))
@@ -341,20 +339,19 @@ def _require_mean_free(U: np.ndarray, what: str, tol: float = 1e-12) -> None:
         raise CompatibilityError(f"{what} is not vertically mean-free: {m:.3e}", m)
 
 
-def _to_band(parent: Grid | Plane, comps: Sequence[np.ndarray]) -> np.ndarray:
-    """The coefficients on parent.band of a stack of components in the
-    layout of parent, a grid or its plane.
+def _to_band(grid: Grid, band: Band, comps: Sequence[np.ndarray]) -> np.ndarray:
+    """The coefficients on band, grid.band or grid.plane, of a stack of
+    components in the band's parent layout.
 
     Content outside the band would be dropped by the first step, so more
     than rounding there (1e-12 of the largest coefficient) is an error."""
-    band = parent.band
     full = np.stack(comps)
     inside = band.gather(full)
     mag = np.abs(full - band.scatter(inside))
     at = np.unravel_index(np.argmax(mag), mag.shape)
     if mag[at] > 1e-12 * float(np.max(np.abs(full), initial=0.0)):
         modes = tuple(int(np.rint(k[i] / PI))
-                      for k, i in zip(parent.wavenumbers, at[1:]))
+                      for k, i in zip(grid.wavenumbers, at[1:]))
         raise CompatibilityError(
             f"state has content outside the 2/3 dealias band: |c| = "
             f"{mag[at]:.3e} in component {at[0]} at mode {modes}", float(mag[at])
@@ -370,14 +367,16 @@ def _with_w(g: Grid, V: np.ndarray) -> tuple:
 
 _PE = System(
     lambda g, eps, delta, dt: PrimitiveStepper(g, delta, dt),
-    lambda s, eps: _to_band(s.grid, (s.v1.coeffs, s.v2.coeffs)),
+    lambda s, eps: _to_band(s.grid, s.grid.band, (s.v1.coeffs, s.v2.coeffs)),
     _with_w,
 )
 
 SYSTEMS = {
     "NS_eps_delta": System(
         lambda g, eps, delta, dt: NavierStokesStepper(g, eps, delta, dt),
-        lambda s, eps: _to_band(s.grid, (s.v1.coeffs, s.v2.coeffs, eps * s.w.coeffs)),
+        lambda s, eps: _to_band(
+            s.grid, s.grid.band, (s.v1.coeffs, s.v2.coeffs, eps * s.w.coeffs)
+        ),
         lambda g, U: _with_w(g, U[:2]),
     ),
     "PE_delta": _PE,
@@ -385,14 +384,16 @@ SYSTEMS = {
     "NS2D": System(
         lambda g, eps, delta, dt: NavierStokes2DStepper(g, dt),
         lambda s, eps: _to_band(
-            s.grid.plane, (s.v1.coeffs[:, :, 0], s.v2.coeffs[:, :, 0])
+            s.grid, s.grid.plane, (s.v1.coeffs[:, :, 0], s.v2.coeffs[:, :, 0])
         ),
-        lambda g, B: (*_raw_embed_plane(g, g.plane.band.scatter(B)),
+        lambda g, B: (*_raw_embed_plane(g, g.plane.scatter(B)),
                       np.zeros(g.spec_shape, np.complex128)),
     ),
     "StokesScaled": System(
         lambda g, eps, delta, dt: StokesScaledStepper(g, delta, dt),
-        lambda s, eps: _to_band(s.grid, (s.v1.coeffs, s.v2.coeffs, s.w.coeffs)),
+        lambda s, eps: _to_band(
+            s.grid, s.grid.band, (s.v1.coeffs, s.v2.coeffs, s.w.coeffs)
+        ),
         lambda g, U: tuple(g.band.scatter(U)),
         _require_mean_free,
     ),
@@ -534,7 +535,7 @@ def run_simulation(cfg: SimConfig) -> TrajectoryRecord:
     rec = TrajectoryRecord(samples={"l2": [], "h1": []})
 
     def record(st: _ExpAB2, t: float, U: np.ndarray, N) -> None:
-        l2, h1 = _l2_h1(st.grid, U)  # the band of the grid, or of its plane
+        l2, h1 = _l2_h1(st.grid, U)  # the band of the grid, or its plane
         rec.times.append(t)
         rec.samples["l2"].append(l2)
         rec.samples["h1"].append(h1)

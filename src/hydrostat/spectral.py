@@ -20,9 +20,11 @@ The time steppers hold a second layout, a Band: only the modes that the 2/3
 dealias mask keeps, |m| < n/3 on every axis.  That set is a tensor product,
 so a band is a grid-like layout of its own, shape (2K+1, 2K+1, K+1) on a
 cube with K = (n-1)//3, kx and ky in FFT order and no Nyquist mode.  The
-transforms, the multipliers and the sums below accept a Band, or the Band of
-a Plane, in place of a Grid; Band.gather and Band.scatter convert between a
-band and its parent's layout.
+transforms, the multipliers and the sums below accept a Band in place of a
+Grid; Band.gather and Band.scatter convert between a band and its parent's
+layout.  The NS2D stepper holds its state on Grid.plane, the kz=0 plane of
+the grid's band: a 2D Band whose parent layout is the kz=0 slice c[:, :, 0]
+of the grid's coefficients.
 
 Every band owns one Workspace, built on first use: the lattice-size arrays
 of a nonlinear evaluation, reused by every step of every stepper on that
@@ -152,18 +154,21 @@ class Grid:
                    for k in (self.kx3, self.ky3, self.kz3))
 
     @cached_property
-    def plane(self) -> "Plane":
-        """The kz=0 coefficient plane of this grid."""
-        mask = np.ascontiguousarray(self.dealias_mask[:, :, 0])
-        k2h = np.ascontiguousarray(self.k2h[:, :, 0])
-        for a in (mask, k2h):
-            a.setflags(write=False)
-        return Plane(self.nx, self.ny, self.kx, self.ky, mask, k2h)
-
-    @cached_property
     def band(self) -> "Band":
         """The modes of this grid that the dealias mask keeps."""
         return Band.of(self)
+
+    @cached_property
+    def plane(self) -> "Band":
+        """The kz=0 plane of the band, a 2D Band: the NS2D layout.  Its
+        parent layout is the kz=0 slice c[:, :, 0] of this grid's
+        coefficients, and every mode weighs the box volume."""
+        b = self.band
+        weight = np.full(len(b.index[1]), DOMAIN_VOLUME)
+        weight.setflags(write=False)
+        k2h = b.k2h[..., 0]
+        return Band(self.shape[:2], self.spec_shape[:2], b.index[:2],
+                    b.wavenumbers[:2], k2h, k2h, weight)
 
     @cached_property
     def plan(self) -> "_Plan":
@@ -177,63 +182,6 @@ class Grid:
             out.setflags(write=False)
             self._cache[key] = out
         return out
-
-
-@dataclass(frozen=True)
-class Plane:
-    """The kz=0 coefficient plane of a grid.
-
-    A z-independent field is stored as the full (nx, ny) array of its kz=0
-    coefficients, with the grid's phase and normalization: plane[i, j] is
-    cube[i, j, 0], and the 2D transforms over (nx, ny) give the field's values
-    on the horizontal lattice.  The transforms, _raw_inner and the
-    advection kernels of fields accept a Plane in place of a Grid; the
-    Parseval weight stays the box volume 8.  The NS2D stepper holds its
-    state on the plane's Band, which is the kz=0 plane of the grid's.
-    """
-
-    nx: int
-    ny: int
-    kx: np.ndarray
-    ky: np.ndarray
-    dealias_mask: np.ndarray
-    # |k_H|^2 (nx, ny), which is |k|^2 at kz = 0
-    k2h: np.ndarray = field(repr=False, compare=False)
-    _cache: dict = field(repr=False, compare=False, default_factory=dict)
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return (self.nx, self.ny)
-
-    spec_shape = shape
-
-    @property
-    def size(self) -> int:
-        return self.nx * self.ny
-
-    @cached_property
-    def parseval_weight(self) -> np.ndarray:
-        """Per-ky weight of a sum over the plane: the box volume."""
-        w = np.full(self.ny, DOMAIN_VOLUME)
-        w.setflags(write=False)
-        return w
-
-    @property
-    def wavenumbers(self) -> tuple[np.ndarray, ...]:
-        return (self.kx, self.ky)
-
-    @property
-    def ksq(self) -> np.ndarray:
-        return self.k2h
-
-    @cached_property
-    def band(self) -> "Band":
-        """The modes of this plane that the dealias mask keeps: the kz=0
-        plane of the grid's band."""
-        return Band.of(self)
-
-    plan = Grid.plan
-    cached = Grid.cached
 
 
 @dataclass(frozen=True, eq=False)
@@ -262,14 +210,15 @@ WORKSPACE_BATCH = 3
 
 @dataclass(frozen=True, eq=False)
 class Band:
-    """The modes of a Grid, or of a Plane, that the 2/3 dealias mask keeps.
+    """The modes of a Grid that the 2/3 dealias mask keeps, or their kz=0
+    plane (Grid.plane).
 
     Mode m on an axis of n points is kept when 3|m| < n, so the kept set is
     the tensor product of one index set per axis and needs no mask: a band
     array holds exactly the kept coefficients, shape spec_shape.  index[a]
     lists their positions in the parent's coefficient layout along axis a:
-    on kx and ky (and on a plane's ky) the modes [0..K, -K..-1], which is
-    itself the FFT order of 2K+1 modes; on kz the prefix [0..K].  No kept
+    on kx and ky the modes [0..K, -K..-1], which is itself the FFT order of
+    2K+1 modes; on kz the prefix [0..K].  No kept
     mode is a Nyquist mode, and the set is closed under k -> -k.
 
     A band stands in for its parent wherever a grid-like object is read:
@@ -294,22 +243,18 @@ class Band:
     _cache: dict = field(repr=False, default_factory=dict)
 
     @classmethod
-    def of(cls, parent: Grid | Plane) -> "Band":
+    def of(cls, grid: Grid) -> "Band":
         index = tuple(
             np.flatnonzero(_kept(np.rint(k / PI), n))
-            for k, n in zip(parent.wavenumbers, parent.shape)
+            for k, n in zip(grid.wavenumbers, grid.shape)
         )
-        ks = tuple(k[i] for k, i in zip(parent.wavenumbers, index))
-        k2h = np.add.outer(ks[0] ** 2, ks[1] ** 2)
-        if len(ks) == 3:
-            k2h = k2h[:, :, None]
-            ksq = k2h + ks[2][None, None, :] ** 2
-        else:
-            ksq = k2h
-        weight = parent.parseval_weight[index[-1]]
+        ks = tuple(k[i] for k, i in zip(grid.wavenumbers, index))
+        k2h = np.add.outer(ks[0] ** 2, ks[1] ** 2)[:, :, None]
+        ksq = k2h + ks[2][None, None, :] ** 2
+        weight = grid.parseval_weight[index[-1]]
         for a in (*index, *ks, k2h, ksq, weight):
             a.setflags(write=False)
-        return cls(parent.shape, parent.spec_shape, index, ks, k2h, ksq, weight)
+        return cls(grid.shape, grid.spec_shape, index, ks, k2h, ksq, weight)
 
     nx = property(lambda self: self.shape[0])
     ny = property(lambda self: self.shape[1])
@@ -361,9 +306,9 @@ class Band:
     cached = Grid.cached
 
 
-def _workspace(grid: Grid | Plane | Band) -> Workspace | None:
-    """The transform workspace of a Band; None on a Grid or a Plane, whose
-    transforms allocate their arrays."""
+def _workspace(grid: Grid | Band) -> Workspace | None:
+    """The transform workspace of a Band; None on a Grid, whose transforms
+    allocate their arrays."""
     return grid.workspace if isinstance(grid, Band) else None
 
 
@@ -473,11 +418,11 @@ def zero_field(grid: Grid, parity: str = NONE) -> SpectralField:
 # raw-array kernels (shared by fields/solvers; coefficient convention as above)
 # ---------------------------------------------------------------------------
 
-def _lattice_phase(grid: Grid | Plane | Band) -> np.ndarray:
+def _lattice_phase(grid: Grid | Band) -> np.ndarray:
     """(-1)^(mx+my+mz): relates FFT output on the lattice starting at -1 to
     true Fourier coefficients with respect to exp(i k . x), in the shape of
-    the stored coefficients.  On a plane mz = 0, so its phase is the grid's
-    kz=0 slice."""
+    the stored coefficients.  On Grid.plane mz = 0, so its phase is the
+    kz=0 slice of the band's."""
 
     def build():
         signs = []
@@ -503,9 +448,10 @@ class _Plan:
     where the stage is the previous array.  forward[a] indexes the views
     that the forward's pass of leading axis a runs on in place: the lines
     whose earlier leading axes are kept.  source is the flat position in
-    the half of each coefficient, and conj whether it is that entry's
-    conjugate, as pocketfft fills the fftn of a real plane; source is None
-    on a Grid, whose half is its layout.
+    the half of each coefficient of a Band, and conj whether it is that
+    entry's conjugate: Grid.plane, whose parent is a full plane, reads its
+    ky < 0 modes as pocketfft fills the fftn of a real plane.  Both are
+    None on a Grid, whose half is its layout.
     """
 
     half: tuple[int, ...]
@@ -517,7 +463,7 @@ class _Plan:
     conj: np.ndarray | None
 
     @classmethod
-    def of(cls, grid: Grid | Plane | Band) -> "_Plan":
+    def of(cls, grid: Grid | Band) -> "_Plan":
         *lead, last = grid.shape
         h, nd, band = last // 2 + 1, len(lead), isinstance(grid, Band)
         at = grid.index if band else tuple(map(np.arange, grid.spec_shape))
@@ -555,14 +501,14 @@ class _Plan:
 
 
 def _raw_to_phys(
-    grid: Grid | Plane | Band, c: np.ndarray, out: np.ndarray | None = None
+    grid: Grid | Band, c: np.ndarray, out: np.ndarray | None = None
 ) -> np.ndarray:
     """Lattice values of (stacks of) real fields from their coefficients,
     written to out (C-contiguous; a new array when None).
 
-    An irfftn of the half spectrum: all of c on a Grid, the ky >= 0 half on
-    a Plane, whose other half must be its conjugate mirror, and on a Band
-    its modes in its parent's half, zero elsewhere.  The passes are those of
+    An irfftn of the half spectrum: all of c on a Grid, and on a Band its
+    modes in its parent's half, zero elsewhere (on Grid.plane its ky >= 0
+    modes, whose conjugate mirror the others must be).  The passes are those of
     the module docstring, each on the lines the layout keeps, in a stage of
     its own (_Plan.inverse); on a Band the stages are its workspace's.
     """
@@ -590,10 +536,10 @@ def _raw_to_phys(
     return out
 
 
-def _raw_to_spec(grid: Grid | Plane | Band, p: np.ndarray) -> np.ndarray:
+def _raw_to_spec(grid: Grid | Band, p: np.ndarray) -> np.ndarray:
     """Coefficients of (stacks of) real fields from their lattice values:
-    the kz >= 0 half on a Grid (an rfftn), the full plane on a Plane (an
-    fftn), and on a Band the kept modes of its parent's.  The passes are
+    the kz >= 0 half on a Grid (an rfftn), and on a Band the kept modes of
+    its parent's (on Grid.plane, of the plane's fftn).  The passes are
     those of the module docstring, in place on the half spectrum, on the
     lines the layout keeps (_Plan.forward); on a Band they run in its
     workspace.  The coefficients are then read off the half (_Plan.source).
@@ -604,12 +550,7 @@ def _raw_to_spec(grid: Grid | Plane | Band, p: np.ndarray) -> np.ndarray:
     step = WORKSPACE_BATCH if ws else max(len(ps), 1)
     for s in range(0, len(ps), step):
         part = ps[s : s + step]
-        if ws:
-            half = ws.cplx[: len(part)]
-        elif plan.source is None:
-            half = out
-        else:
-            half = np.empty((len(part), *plan.half), dtype=np.complex128)
+        half = ws.cplx[: len(part)] if ws else out
         np.fft.rfft(part, axis=-1, out=half)
         kept = half[..., : plan.n]
         kept *= plan.norm
@@ -637,14 +578,14 @@ def _raw_embed_plane(grid: Grid | Band, P: np.ndarray) -> np.ndarray:
 _AXIS_INDEX = {"x": 0, "y": 1, "z": 2}
 
 
-def _is_nyquist(grid: Grid | Plane | Band, axis: int) -> np.ndarray:
+def _is_nyquist(grid: Grid | Band, axis: int) -> np.ndarray:
     """Which stored modes of an axis are its Nyquist mode |m| = n/2: index
     n//2 of kx and ky, the last plane of the half-length kz; none on a Band."""
     m = np.rint(grid.wavenumbers[axis] / PI)
     return 2 * np.abs(m) == grid.shape[axis]
 
 
-def _deriv_mult(grid: Grid | Plane | Band, axis: int, order: int) -> np.ndarray:
+def _deriv_mult(grid: Grid | Band, axis: int, order: int) -> np.ndarray:
     """(i k)^order along one axis, broadcastable over the grid.
 
     For odd orders the Nyquist mode is zeroed: there -k is k itself, so
@@ -703,13 +644,13 @@ def _raw_parity_project(grid: Grid | Band, c: np.ndarray, parity: str) -> np.nda
     return out
 
 
-def _raw_wsum(grid: Grid | Plane | Band, x: np.ndarray) -> float:
+def _raw_wsum(grid: Grid | Band, x: np.ndarray) -> float:
     """Integral over the box that a sum of x over all modes represents: the
     sum over the stored coefficients with grid.parseval_weight."""
     return float(np.sum(x @ grid.parseval_weight))
 
 
-def _raw_inner(grid: Grid | Plane | Band, a: np.ndarray, b: np.ndarray) -> float:
+def _raw_inner(grid: Grid | Band, a: np.ndarray, b: np.ndarray) -> float:
     """L2(Omega) pairing of (stacks of) real fields from their coefficients."""
     return _raw_wsum(grid, (np.conj(a) * b).real)
 

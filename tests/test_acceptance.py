@@ -203,9 +203,11 @@ def test_criterion_6_bootstrap_suite():
     elapsed = time.perf_counter() - t0
     for r in results:
         print("  " + r.line())
+    # the wall time varies from run to run, so it stays off the ACCEPTANCE line
+    print(f"  bootstrap suite wall time {elapsed:.1f}s")
     ok = all(r.passed for r in results) and elapsed < 30.0
     _report("6 bootstrap suite", ok,
-            f"{sum(r.passed for r in results)}/{len(results)} checks in {elapsed:.1f}s")
+            f"{sum(r.passed for r in results)}/{len(results)} checks, time limit 30s")
     assert ok
 
 

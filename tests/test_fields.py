@@ -407,11 +407,6 @@ class TestAdvectionForms:
         U = np.stack([random_band_field(g, s).coeffs for s in (61, 62, 63)])
         self._check(g, U, scale)
 
-    def test_on_plane(self):
-        grid = make_grid(16, 12, 4)
-        U = np.stack([random_band_field(grid, s).coeffs[..., 0] for s in (64, 65)])
-        self._check(grid.plane, U, (1.0, 1.0))
-
 
 class TestHalfLayoutEquivalence:
     """Each kernel on the stored kz >= 0 half equals that half of the

@@ -115,17 +115,13 @@ class TestFitRate:
     def test_insufficient_data(self):
         with pytest.raises(InsufficientData):
             fit_rate([(0.1, 1.0), (0.05, 0.5)])
-        with pytest.raises(InsufficientData):
-            fit_rate([(0.1, 1.0), (0.05, float("nan")), (0.025, 0.2)])
         # blowups dropped, then too few points remain
         with pytest.raises(InsufficientData):
-            fit_rate(
-                [(0.1, 1.0), (0.05, float("nan")), (0.025, 0.2)], drop_blowups=True
-            )
+            fit_rate([(0.1, 1.0), (0.05, float("nan")), (0.025, 0.2)])
 
     def test_drop_blowups_keeps_enough(self):
         pts = [(0.2, 0.6), (0.1, 0.3), (0.05, 0.15), (0.025, float("inf"))]
-        slope, _, _ = fit_rate(pts, drop_blowups=True)
+        slope, _, _ = fit_rate(pts)
         assert slope == pytest.approx(1.0, abs=1e-12)
 
 
@@ -741,8 +737,8 @@ class TestBenchmarkTracer:
     @pytest.mark.parametrize("run", ["family", "ns2d"])
     def test_traced_runs_count_their_transforms(self, run):
         """The tracer reads the grid sizes of every transform call to count
-        its points; on the steppers' band layouts (a 3D band, the band of
-        the NS2D plane) it still counts them."""
+        its points; on the steppers' band layouts (a 3D band, the NS2D
+        plane) it still counts them."""
         from hydrostat.harness import pairs
         from hydrostat import solvers
 

@@ -184,8 +184,8 @@ class TestNs2dStepper:
         grid = make_grid(16, 16, 8)
         dt, steps = 1e-3, 20
         data = generate_initial_data("bandlimited_random", 4, grid)
-        # the steppers' layouts: the band, and the band of the plane
-        band, plane = grid.band, grid.plane.band
+        # the steppers' layouts: the band, and its kz=0 plane
+        band, plane = grid.band, grid.plane
         B0 = plane.gather(np.stack((data.v1.coeffs[:, :, 0], data.v2.coeffs[:, :, 0])))
         V = _raw_embed_plane(band, B0)
         U = np.concatenate((V, np.zeros_like(V[:1])))
@@ -207,30 +207,24 @@ class TestNs2dStepper:
 def _nonlinear_cases(grid, eps=0.3):
     """(stepper, divergence-free state, the convective-form nonlinear term)
     for each advecting stepper, on bandlimited random data.  The term is
-    computed in the grid's layout; state and term are given on the
-    stepper's band."""
-    from hydrostat.fields import (
-        _raw_advect,
-        _raw_project_eps,
-        _raw_project_hydro,
-        _raw_project_hydro_plane,
-    )
+    computed in the grid's layout (for NS2D on z-independent fields, then
+    sliced at kz=0); state and term are given on the stepper's band."""
+    from hydrostat.fields import _raw_advect, _raw_project_eps, _raw_project_hydro
 
     data = generate_initial_data("bandlimited_random", 7, grid)
     V = np.stack((data.v1.coeffs, data.v2.coeffs))
     U = np.concatenate((V, eps * data.w.coeffs[None]))
     up = _raw_to_phys(grid, np.concatenate((V, _raw_w_from_v(grid, V)[None])))
-    plane = grid.plane
-    B = V[..., 0]
-    band, pband = grid.band, plane.band
+    B = _raw_embed_plane(grid, V[..., 0])
+    band, plane = grid.band, grid.plane
     return {
         "NS": (NavierStokesStepper(grid, eps, 0.1, 1e-3), band.gather(U),
                band.gather(_raw_project_eps(grid, -_raw_advect(grid, up, U), eps))),
         "PE": (PrimitiveStepper(grid, 0.0, 1e-3), band.gather(V),
                band.gather(_raw_project_hydro(grid, -_raw_advect(grid, up, V)))),
-        "NS2D": (NavierStokes2DStepper(grid, 1e-3), pband.gather(B),
-                 pband.gather(_raw_project_hydro_plane(
-                     plane, -_raw_advect(plane, _raw_to_phys(plane, B), B)))),
+        "NS2D": (NavierStokes2DStepper(grid, 1e-3), plane.gather(B[..., 0]),
+                 plane.gather(_raw_project_hydro(
+                     grid, -_raw_advect(grid, _raw_to_phys(grid, B), B))[..., 0])),
     }
 
 
@@ -485,7 +479,7 @@ class TestRunSimulation:
         grid = make_grid(16, 16, 4)
         st = generate_initial_data("taylor_green_3d", 0, grid)
         plane = np.stack((st.v1.coeffs[:, :, 0], st.v2.coeffs[:, :, 0]))
-        umax = float(np.max(np.abs(_raw_to_phys(grid.plane, plane))))
+        umax = float(np.max(np.abs(_raw_to_phys(grid, _raw_embed_plane(grid, plane)))))
         dt = 0.6 / (umax * PI * (16 // 3))
         cfg = SimConfig("NS2D", 16, 16, 4, dt, 5 * dt, recipe="taylor_green_3d")
         with warnings.catch_warnings(record=True) as caught:
@@ -542,7 +536,7 @@ class TestSchemeOrder:
         keep[:4, -3:, :1] = True
         keep[-3:, -3:, :1] = True
         V0 = _raw_project_hydro(grid, np.stack((c1 * keep, c2 * keep)))[..., 0]
-        V0 = grid.plane.band.gather(2.0 * V0 / np.sqrt(np.sum(np.abs(V0) ** 2) * 8.0))
+        V0 = grid.plane.gather(2.0 * V0 / np.sqrt(np.sum(np.abs(V0) ** 2) * 8.0))
 
         def advance(dt, T=0.1):
             st = NavierStokes2DStepper(grid, dt)

@@ -116,10 +116,10 @@ class TestTransforms:
     @pytest.mark.parametrize("shape", [(8, 8, 8), (16, 16, 8), (64, 64, 4), (6, 4, 10)])
     @pytest.mark.parametrize("on_plane", [False, True])
     def test_half_spectrum_inverse_matches_full_complex(self, shape, on_plane):
-        """The inverse is an irfftn of the kz >= 0 half (on a Plane, of the
-        ky >= 0 half); on the coefficients of real fields, Nyquist planes
-        included, it equals the real part of the full complex inverse of
-        their full cube."""
+        """The inverse is an irfftn of the kz >= 0 half (on the plane band,
+        of its ky >= 0 modes); on the coefficients of real fields, Nyquist
+        planes included, it equals the real part of the full complex inverse
+        of their full cube (of the band scattered into the full plane)."""
         from hydrostat.spectral import _lattice_phase, _raw_to_phys, _raw_to_spec
 
         grid = make_grid(*shape)
@@ -127,10 +127,11 @@ class TestTransforms:
         rng = np.random.default_rng(11)
         c = _raw_to_spec(g, rng.standard_normal((3, *g.shape)))
         axes = tuple(range(-len(g.shape), 0))
-        cube = c * _lattice_phase(g)
-        if not on_plane:
-            cube = full_cube(grid, cube)
-        full = scipy.fft.ifftn(cube, axes=axes).real * g.size
+        if on_plane:
+            cube = g.scatter(c) * _lattice_phase(grid)[..., 0]
+        else:
+            cube = full_cube(grid, c * _lattice_phase(grid))
+        full = scipy.fft.ifftn(cube, axes=axes).real * np.prod(g.shape)
         got = _raw_to_phys(g, c)
         assert got.shape == (3, *g.shape) and got.dtype == np.float64
         assert got.flags.c_contiguous
@@ -139,30 +140,30 @@ class TestTransforms:
     @pytest.mark.parametrize(
         "shape", [(32, 32, 32), (64, 64, 4), (6, 4, 10), (24, 24, 24), (48, 30, 6)]
     )
-    @pytest.mark.parametrize("layout", ["grid", "plane", "plane.band", "band"])
+    @pytest.mark.parametrize("layout", ["grid", "plane.band", "band"])
     def test_passes_equal_scipy_bit_for_bit(self, layout, shape):
-        """The numpy.fft passes are scipy.fft's rfftn (fftn on a plane, with
-        its conjugate fill of the ky > ny/2 half and of the ky = 0 and ny/2
-        columns) and irfftn bit for bit, on every layout and for stacks
-        within and across the workspace's batches.  The sizes that are not
-        powers of two catch a wrong 1/N, the 24x24 plane a wrong fill, and
-        48x30x6, whose axes keep different numbers of modes, a prefix or a
-        run taken from the wrong axis."""
+        """The numpy.fft passes are scipy.fft's rfftn (fftn on the plane
+        band, with its conjugate fill of the ky > ny/2 half and of the ky = 0
+        and ny/2 columns) and irfftn bit for bit, on every layout and for
+        stacks within and across the workspace's batches.  The sizes that
+        are not powers of two catch a wrong 1/N, the 24x24 plane a wrong
+        fill, and 48x30x6, whose axes keep different numbers of modes, a
+        prefix or a run taken from the wrong axis."""
         from hydrostat.spectral import _lattice_phase, _raw_to_phys, _raw_to_spec
 
         grid = make_grid(*shape)
-        g = {"grid": grid, "plane": grid.plane, "plane.band": grid.plane.band,
-             "band": grid.band}[layout]
-        parent = grid if len(g.shape) == 3 else grid.plane
-        phase = _lattice_phase(parent)
+        # plane.band: grid.plane, the band of the kz=0 plane
+        g = {"grid": grid, "plane.band": grid.plane, "band": grid.band}[layout]
+        on_plane = len(g.shape) == 2
+        phase = _lattice_phase(grid)[..., 0] if on_plane else _lattice_phase(grid)
         axes = tuple(range(-len(g.shape), 0))
         h = g.shape[-1] // 2 + 1
-        fft = scipy.fft.rfftn if parent is grid else scipy.fft.fftn
+        fft = scipy.fft.fftn if on_plane else scipy.fft.rfftn
         rng = np.random.default_rng(17)
         for k in (1, 2, 3, 6):
             p = rng.standard_normal((k, *g.shape))
             spec = full = fft(p, axes=axes, norm="forward") * phase
-            if g is not parent:
+            if g is not grid:
                 spec = g.gather(full)
                 full = g.scatter(spec)
             phys = scipy.fft.irfftn((full * phase)[..., :h], s=g.shape,
@@ -201,7 +202,7 @@ class TestBand:
     def test_is_the_mask(self, shape, band):
         grid = make_grid(*shape)
         assert grid.band.spec_shape == band
-        assert grid.plane.band.spec_shape == band[:2]
+        assert grid.plane.spec_shape == band[:2]
         assert grid.band.shape == grid.shape and grid.band.nz == grid.nz
         assert int(grid.dealias_mask.sum()) == np.prod(band)
         assert np.all(grid.band.gather(grid.dealias_mask))
@@ -214,21 +215,39 @@ class TestBand:
         assert np.array_equal(grid.band.kz, grid.kz[: band[2]])
 
     @pytest.mark.parametrize("shape", [(32, 32, 32), (16, 16, 8), (64, 64, 4), (6, 4, 10)])
-    @pytest.mark.parametrize("on_plane", [False, True])
-    def test_transforms_match_the_parent_bit_for_bit(self, shape, on_plane):
+    def test_transforms_match_the_parent_bit_for_bit(self, shape):
         """The inverse pads the band into its parent's half spectrum and the
         forward gathers the band from its parent's transform, so neither
         changes a bit of what the parent layout gives on masked data."""
         from hydrostat.spectral import _raw_to_phys, _raw_to_spec
 
         grid = make_grid(*shape)
-        g = grid.plane if on_plane else grid
-        band = g.band
+        band = grid.band
         rng = np.random.default_rng(5)
-        p = rng.standard_normal((3, *g.shape))
-        c = _raw_to_spec(g, p) * g.dealias_mask
-        assert np.array_equal(_raw_to_phys(band, band.gather(c)), _raw_to_phys(g, c))
-        assert np.array_equal(_raw_to_spec(band, p), band.gather(_raw_to_spec(g, p)))
+        p = rng.standard_normal((3, *grid.shape))
+        c = _raw_to_spec(grid, p) * grid.dealias_mask
+        assert np.array_equal(_raw_to_phys(band, band.gather(c)), _raw_to_phys(grid, c))
+        assert np.array_equal(_raw_to_spec(band, p), band.gather(_raw_to_spec(grid, p)))
+
+    @pytest.mark.parametrize("shape", [(32, 32, 32), (16, 16, 16), (64, 64, 4), (6, 4, 10)])
+    def test_plane_is_the_kz0_plane_of_the_band(self, shape):
+        """grid.plane, the NS2D layout, is the kz=0 plane of grid.band: the
+        same kx and ky modes, |k_H|^2 of the band's kz=0 plane, the box
+        volume as weight, and its gather and scatter on the kz=0 slice of
+        the grid's coefficients are those of the band on the whole."""
+        grid = make_grid(*shape)
+        plane, band = grid.plane, grid.band
+        assert plane.shape == grid.shape[:2]
+        for a in range(2):
+            assert np.array_equal(plane.index[a], band.index[a])
+            assert np.array_equal(plane.wavenumbers[a], band.wavenumbers[a])
+        assert np.array_equal(plane.k2h, band.k2h[..., 0])
+        assert np.array_equal(plane.ksq, band.k2h[..., 0])
+        assert np.all(plane.parseval_weight == 8.0)
+        assert len(plane.parseval_weight) == plane.spec_shape[1]
+        c = random_band_field(grid, 4, band=np.ones(grid.spec_shape, bool)).coeffs
+        assert np.array_equal(plane.scatter(plane.gather(c[:, :, 0])),
+                              band.scatter(band.gather(c))[:, :, 0])
 
     @pytest.mark.parametrize("shape", [(32, 32, 32), (16, 16, 16), (6, 4, 10)])
     def test_odd_rules_keep_every_band_mode(self, shape):
@@ -283,14 +302,9 @@ class TestBandWorkspace:
         # a single field, without a stack axis
         assert np.array_equal(_raw_to_phys(band, b[0]), phys[0])
         assert np.array_equal(_raw_to_spec(band, p[0]), b[0])
-        # the grid and its plane keep their irfftn
+        # the grid keeps its irfftn
         assert np.array_equal(_raw_to_phys(grid, spec), scipy.fft.irfftn(
             spec * phase, s=grid.shape, axes=(-3, -2, -1), norm="forward"))
-        plane = grid.plane
-        P = _raw_to_spec(plane, p[..., 0])
-        h = plane.ny // 2 + 1
-        assert np.array_equal(_raw_to_phys(plane, P), scipy.fft.irfftn(
-            (P * phase[..., 0])[..., :h], s=plane.shape, axes=(-2, -1), norm="forward"))
 
     def test_results_do_not_share_the_workspace(self):
         from hydrostat.solvers import (
@@ -299,7 +313,7 @@ class TestBandWorkspace:
         from hydrostat.spectral import _raw_to_phys, _raw_to_spec
 
         grid = make_grid(16, 16, 16)
-        band, plane = grid.band, grid.plane.band
+        band, plane = grid.band, grid.plane
         ws, ws2 = band.workspace, plane.workspace
         assert ws is band.workspace and ws2 is plane.workspace
         assert ws2.real.shape[1:] == plane.shape
@@ -327,8 +341,8 @@ class TestBandWorkspace:
         assert _raw_to_phys(band, U, out=top) is top
 
     def test_a_dropped_grid_is_freed_without_the_collector(self):
-        """The band a grid caches (and its plane's) keeps the parent's sizes,
-        not the parent: no reference cycle keeps a finished run's grid, its
+        """The bands a grid caches (its band and its plane) keep its sizes,
+        not the grid: no reference cycle keeps a finished run's grid, its
         multiplier caches and its workspace alive until a full collection."""
         import gc
         import weakref
@@ -342,12 +356,11 @@ class TestBandWorkspace:
             data = random_band_field(grid, 2).coeffs
             U = grid.band.gather(np.stack((data, data, np.zeros_like(data))))
             NavierStokesStepper(grid, 0.5, 0.2, 1e-3).step(U)
-            NavierStokes2DStepper(grid, 1e-3).step(grid.plane.band.gather(
+            NavierStokes2DStepper(grid, 1e-3).step(grid.plane.gather(
                 np.stack((data[..., 0], data[..., 0]))))
-            refs = [weakref.ref(o) for o in (grid, grid.band, grid.plane,
-                                             grid.plane.band)]
+            refs = [weakref.ref(o) for o in (grid, grid.band, grid.plane)]
             del grid
-            assert [r() for r in refs] == [None] * 4
+            assert [r() for r in refs] == [None] * 3
         finally:
             gc.enable()
 
