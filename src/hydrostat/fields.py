@@ -35,6 +35,10 @@ from .spectral import (
     _workspace,
 )
 
+# the z-parities of a velocity triple (v1, v2, w)
+VELOCITY_PARITIES = (EVEN, EVEN, ODD)
+
+
 @dataclass(frozen=True)
 class VelocityState:
     """Velocity triple (v1, v2, w): v even in z, w odd in z.
@@ -185,7 +189,8 @@ def _raw_advect(grid: Grid, u_phys: Sequence[np.ndarray], T: np.ndarray) -> np.n
 
 
 def _raw_advect_div(
-    grid: Grid | Band, u_phys: np.ndarray, scale: Sequence[float]
+    grid: Grid | Band, u_phys: Sequence[np.ndarray], scale: Sequence[float],
+    parities: Sequence[str] | None = None,
 ) -> np.ndarray:
     """Self-advection in divergence form: component i < len(scale) is
     scale[i] * sum_j d_j (u_i u_j), in spectral space, dealiased.
@@ -196,26 +201,48 @@ def _raw_advect_div(
     product u_i u_j and no inverse transform.  On a Band the result holds
     only the kept modes, so it needs no mask.
 
-    On a Band the products are formed in the band's workspace, from its
-    first slot up.  u_phys may be the workspace's top slots, where
-    the steppers' inverse transforms put it: in (i, j) order, product k
-    overwrites only a component that no later product reads.
+    Given the z-parities of the components (at most one of them odd), each
+    product u_i u_j of opposite parities rides in one field with the square
+    of u_i, u_i (u_i + u_j): the two are that field's odd and even parts.
+    The divergence is taken of the fields as they are, and component i is
+    then projected onto the parity of u_i.  The projections commute with
+    the derivatives (d_x and d_y keep a parity, d_z swaps it), so each term
+    keeps only the part of its field that is the product it stands for,
+    and the result is exactly in the class.  For (v1, v2, w) two fewer
+    fields are transformed.
+
+    On a Band the fields are formed in the band's workspace, field k in
+    slot k, the paired ones first.  u_phys may lie in the workspace's
+    upper slots, where _ExpAB2._phys puts it: a paired field needs a slot
+    that holds no component, and any other overwrites only a component
+    that no later field reads.
     """
     m, n = len(scale), len(u_phys)
-    pairs = [(i, j) for i in range(m) for j in range(i, n)]
+    products = [(i, j) for i in range(m) for j in range(i, n)]
+    fields = [(q,) for q in products]
+    if parities:
+        paired = [((i, i), (i, j)) for i, j in products if parities[i] != parities[j]]
+        fields = paired + [(q,) for q in products if all(q not in f for f in paired)]
     ws = _workspace(grid)
-    prod = ws.real[: len(pairs)] if ws else np.empty((len(pairs), *grid.shape))
-    for k, (i, j) in enumerate(pairs):
-        np.multiply(u_phys[i], u_phys[j], out=prod[k])
-    P = _raw_to_spec(grid, prod)
+    prod = ws.real[: len(fields)] if ws else np.empty((len(fields), *grid.shape))
+    for f, q in zip(prod, fields):
+        i, j = q[-1]
+        if len(q) == 2:  # u_i (u_i + u_j)
+            np.add(u_phys[i], u_phys[j], out=f)
+            f *= u_phys[i]
+        else:
+            np.multiply(u_phys[i], u_phys[j], out=f)
+    P = {q: c for c, qs in zip(_raw_to_spec(grid, prod), fields) for q in qs}
     iks = [_deriv_mult(grid, j, 1) for j in range(n)]
     out = np.empty((m, *grid.spec_shape), dtype=np.complex128)
     tmp = np.empty(grid.spec_shape, dtype=np.complex128)
     for i in range(m):
-        np.multiply(iks[0], P[pairs.index((0, i))], out=out[i])
+        np.multiply(iks[0], P[0, i], out=out[i])
         for j in range(1, n):
-            np.multiply(iks[j], P[pairs.index((min(i, j), max(i, j)))], out=tmp)
+            np.multiply(iks[j], P[min(i, j), max(i, j)], out=tmp)
             out[i] += tmp
+        if parities:
+            out[i] = _raw_parity_project(grid, out[i], parities[i])
         if scale[i] != 1:
             out[i] *= scale[i]
     if not isinstance(grid, Band):

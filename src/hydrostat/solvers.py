@@ -36,10 +36,15 @@ on a band shares it, so the steppers of one band run on one thread.  What
 a step returns (the nonlinear term, the new state, the AB2 history) is a
 new band-size array, never a view of the workspace.
 
-Every step re-enforces parity and the system's divergence constraint; both
-are Fourier-diagonal projections that commute with the propagator, so this
-only removes rounding drift.  The kz=0 plane is even in z by construction,
-so the 2D stepper has no parity pass.
+Every step re-enforces the system's divergence constraint, a
+Fourier-diagonal projection that commutes with the propagator, so this only
+removes rounding drift.  Parity needs no pass: a stepper that declares
+parities transforms its velocity in parity pairs (_ExpAB2._phys) and gets
+its nonlinear term back exactly in the parity class of its state, and every
+later operation of a step (the propagator and the other real multipliers,
+even in (kx, ky), the AB2 sums and the constraint projections) keeps that
+class bit for bit.  The kz=0 plane of the 2D stepper is even in z by
+construction.
 
 SYSTEMS maps each system name to its stepper and to the packing of a
 VelocityState into the stepper's state array and back: the one place where
@@ -61,6 +66,7 @@ import numpy as np
 
 from .errors import BlowupDetected, CompatibilityError, InvalidParameter
 from .fields import (
+    VELOCITY_PARITIES,
     VelocityState,
     _raw_advect_div,
     _raw_project_eps,
@@ -69,8 +75,6 @@ from .fields import (
     _raw_w_from_v,
 )
 from .spectral import (
-    EVEN,
-    ODD,
     PI,
     Band,
     Grid,
@@ -78,7 +82,6 @@ from .spectral import (
     _lap_delta_mult,
     _raw_embed_plane,
     _raw_inner,
-    _raw_parity_project,
     _raw_to_phys,
     _raw_wsum,
     make_grid,
@@ -176,9 +179,10 @@ class _ExpAB2:
     """Integrating-factor stepper with AB2 extrapolation of the nonlinearity.
 
     Subclasses provide nonlinear(U), the projected nonlinear term, and
-    constrain(U), the constraint projection that follows the parity
-    projection in advance.  self.grid is the Band the state lives on; a
-    stepper on the 2D band of Grid.plane declares no parities.
+    constrain(U), the constraint projection that ends advance.  self.grid
+    is the Band the state lives on.  parities are the z-parities of the
+    state's components; a stepper on the 2D band of Grid.plane declares
+    none.
     """
 
     parities: tuple[str, ...] = ()
@@ -203,28 +207,39 @@ class _ExpAB2:
         else:
             B = U + self.dt * (1.5 * N - 0.5 * self.propagator * self._n_prev)
         self._n_prev = N
-        out = self.propagator * B
-        if self.parities:
-            out = np.stack(
-                [
-                    _raw_parity_project(self.grid, out[i], p)
-                    for i, p in enumerate(self.parities)
-                ]
-            )
-        return self.constrain(out)
+        return self.constrain(self.propagator * B)
 
     def step(self, U: np.ndarray) -> np.ndarray:
         return self.advance(U, self.nonlinear(U))
 
-    def _phys(self, comps: Sequence[np.ndarray]) -> np.ndarray:
-        """Lattice values of comps: the top slots of the band's workspace,
-        valid until the next transform on the band."""
+    def _phys(self, comps: Sequence[np.ndarray]) -> Sequence[np.ndarray]:
+        """Lattice values of the velocity comps, in the band's workspace,
+        valid until the next transform on the band; last_umax becomes
+        their max |u|.
+
+        A stepper that declares parities passes (v1, v2, w), with v even and
+        w odd in z.  One transform carries h = v1 + w into the top slots
+        with v2, and h splits exactly on the lattice into its even and odd
+        parts, (h + Rh)/2 and (h - Rh)/2, in the two slots below: R, the
+        reflection z -> -z, maps plane j to plane (nz - j) mod nz.
+        """
         ws = self.grid.workspace
-        top = ws.real[len(ws.real) - len(comps):]
-        out = _raw_to_phys(self.grid, np.stack(comps), out=top)
+        if self.parities:
+            v1, v2, w = comps
+            h, u1 = _raw_to_phys(self.grid, np.stack((v1 + w, v2)), out=ws.real[-2:])
+            u0, u2 = ws.real[-4:-2]
+            u2[..., 0], u2[..., 1:] = h[..., 0], h[..., :0:-1]  # Rh
+            np.add(h, u2, out=u0)
+            np.subtract(h, u2, out=u2)
+            u0 *= 0.5
+            u2 *= 0.5
+            u = (u0, u1, u2)
+        else:
+            top = ws.real[len(ws.real) - len(comps):]
+            u = _raw_to_phys(self.grid, np.stack(comps), out=top)
         # max |u| without a lattice-size temporary
-        self.last_umax = max(float(out.max()), -float(out.min()))
-        return out
+        self.last_umax = max(max(float(a.max()), -float(a.min())) for a in u)
+        return u
 
 
 class NavierStokesStepper(_ExpAB2):
@@ -237,7 +252,7 @@ class NavierStokesStepper(_ExpAB2):
     re-imposes on every step.
     """
 
-    parities = (EVEN, EVEN, ODD)
+    parities = VELOCITY_PARITIES
 
     def __init__(self, grid: Grid, eps: float, delta: float, dt: float):
         band = grid.band
@@ -247,7 +262,7 @@ class NavierStokesStepper(_ExpAB2):
     def nonlinear(self, U: np.ndarray) -> np.ndarray:
         w = _raw_w_from_v(self.grid, U[:2])
         up = self._phys((U[0], U[1], w))
-        N = -_raw_advect_div(self.grid, up, (1.0, 1.0, self.eps))
+        N = -_raw_advect_div(self.grid, up, (1.0, 1.0, self.eps), VELOCITY_PARITIES)
         return _raw_project_eps(self.grid, N, self.eps)
 
     def constrain(self, U: np.ndarray) -> np.ndarray:
@@ -257,7 +272,7 @@ class NavierStokesStepper(_ExpAB2):
 class PrimitiveStepper(_ExpAB2):
     """Hydrostatic limit systems: prognostic horizontal pair, diagnostic w."""
 
-    parities = (EVEN, EVEN)
+    parities = VELOCITY_PARITIES[:2]
 
     def __init__(self, grid: Grid, delta: float, dt: float):
         band = grid.band
@@ -267,7 +282,7 @@ class PrimitiveStepper(_ExpAB2):
         w = _raw_w_from_v(self.grid, V)
         up = self._phys((V[0], V[1], w))
         return _raw_project_hydro(
-            self.grid, -_raw_advect_div(self.grid, up, (1.0, 1.0))
+            self.grid, -_raw_advect_div(self.grid, up, (1.0, 1.0), VELOCITY_PARITIES)
         )
 
     def constrain(self, V: np.ndarray) -> np.ndarray:
@@ -298,7 +313,7 @@ class NavierStokes2DStepper(_ExpAB2):
 class StokesScaledStepper(_ExpAB2):
     """Exact per-mode exponential flow of the scaled Stokes semigroup."""
 
-    parities = (EVEN, EVEN, ODD)
+    parities = VELOCITY_PARITIES
 
     def __init__(self, grid: Grid, delta: float, dt: float):
         band = grid.band
@@ -555,7 +570,7 @@ def run_simulation(cfg: SimConfig) -> TrajectoryRecord:
     else:
         comps = system.unpack(grid, lane.U)
         rec.final_state = VelocityState(
-            *(SpectralField(grid, c, p) for c, p in zip(comps, (EVEN, EVEN, ODD))),
+            *(SpectralField(grid, c, p) for c, p in zip(comps, VELOCITY_PARITIES)),
             cfg.system, cfg.n_steps * cfg.dt,
         )
     warn_cfl([lane])

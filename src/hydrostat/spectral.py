@@ -48,9 +48,11 @@ or outputs the layout drops, so its modes stay bit for bit those of the
 full transforms.  On a Band the passes run in its workspace.
 
 Vertical parity (even/odd in z) is a structural property of every velocity
-component here and is tracked on each field.  Parity is enforced by orthogonal
-projection rather than assumed, so rounding drift cannot leave the symmetry
-class.
+component here and is tracked on each field.  Data enter the class by
+orthogonal projection (_raw_parity_project), and the steppers keep their
+states in it exactly: the nonlinear term comes back projected
+(fields._raw_advect_div), and every other operation of a step keeps the
+class bit for bit.
 """
 from __future__ import annotations
 
@@ -189,21 +191,28 @@ class Workspace:
     """Lattice-size scratch arrays of the nonlinear evaluations on one Band.
 
     real holds WORKSPACE_FIELDS lattice fields: a stepper's inverse transform
-    writes its velocities into the top slots and fields._raw_advect_div forms
-    the products u_i u_j from the first slot up.  stages holds the arrays
-    that the band's transforms run their passes in, WORKSPACE_BATCH fields
-    at a time: one per leading axis (_Plan.inverse), the last of which,
-    cplx, is the half spectrum of the lattice, where the forward runs too.
-    Every call leaves in them nothing that a later call reads.
+    writes its velocities into the top slots (on a 3D band the pair
+    (v1 + w, v2), split into v1 and w in the two slots below) and
+    fields._raw_advect_div forms its products from the first slot up.
+    stages holds the arrays that the band's inverse runs its passes in,
+    WORKSPACE_BATCH fields at a time: one per leading axis (_Plan.inverse),
+    the last of which, cplx, is the half spectrum of the lattice, where the
+    forward's real pass runs too.  forward is the stage of the forward's
+    complex passes: the kept planes of the half, in the memory of the
+    inverse's earlier stages.  Every call leaves in them nothing that a
+    later call reads.
     """
 
     real: np.ndarray
     stages: tuple[np.ndarray, ...]
+    forward: np.ndarray
 
     cplx = property(lambda self: self.stages[-1])
 
 
-# the distinct products u_i u_j of three velocity components
+# the four lattice fields of a paired inverse (_ExpAB2._phys: v1 + w, v2 and
+# the split v1, w) above the two paired products u_i (u_i + w), which need
+# slots of their own; the other products overwrite fields no longer read
 WORKSPACE_FIELDS = 6
 WORKSPACE_BATCH = 3
 
@@ -275,10 +284,16 @@ class Band:
     def workspace(self) -> Workspace:
         """The transform workspace of this band: WORKSPACE_FIELDS real
         lattice fields and the stages of WORKSPACE_BATCH fields, about
-        2.8 MB at 32^3 and 0.3 MB on the plane of a 64x64 grid."""
-        return Workspace(np.empty((WORKSPACE_FIELDS, *self.shape)), tuple(
-            np.empty((WORKSPACE_BATCH, *shape), np.complex128)
-            for shape, _ in self.plan.inverse))
+        2.9 MB at 32^3 and 0.37 MB on the plane of a 64x64 grid.  The
+        forward's stage shares its memory with the inverse's stages before
+        the half, which no forward uses."""
+        plan = self.plan
+        *early, half = [(WORKSPACE_BATCH, *shape) for shape, _ in plan.inverse]
+        kept = (WORKSPACE_BATCH, *plan.half[:-1], plan.n)
+        shared = np.empty(max(map(math.prod, (kept, *early))), np.complex128)
+        view = lambda shape: shared[: math.prod(shape)].reshape(shape)
+        return Workspace(np.empty((WORKSPACE_FIELDS, *self.shape)), (
+            *map(view, early), np.empty(half, np.complex128)), view(kept))
 
     @cached_property
     def _where(self) -> tuple:
@@ -445,13 +460,16 @@ class _Plan:
     of the stage that the inverse's pass of leading axis a runs in, whole,
     with every axis after a at its kept positions (the half for the last),
     and the moves that copy each run of axis a into the zeroed stage; None
-    where the stage is the previous array.  forward[a] indexes the views
-    that the forward's pass of leading axis a runs on in place: the lines
-    whose earlier leading axes are kept.  source is the flat position in
-    the half of each coefficient of a Band, and conj whether it is that
-    entry's conjugate: Grid.plane, whose parent is a full plane, reads its
-    ky < 0 modes as pocketfft fills the fftn of a real plane.  Both are
-    None on a Grid, whose half is its layout.
+    where the stage is the previous array.  The forward's complex passes
+    run in place on the kept prefix of the half, shape (*half[:-1], n): on
+    a Band a contiguous stage of its own (Workspace.forward), on a Grid,
+    which keeps every plane, the half itself.  forward[a] indexes the views
+    of it that the pass of leading axis a runs on: the lines whose earlier
+    leading axes are kept.  source is the flat position in that prefix of
+    each coefficient of a Band, and conj whether it is that entry's
+    conjugate: Grid.plane, whose parent is a full plane, reads its ky < 0
+    modes as pocketfft fills the fftn of a real plane.  Both are None on a
+    Grid, whose half is its layout.
     """
 
     half: tuple[int, ...]
@@ -481,7 +499,7 @@ class _Plan:
             moves = tuple((pre + (r, Ellipsis, kept), pre + (lay,)) for lay, r in rs)
             inverse.append((tuple(shape), None if tuple(shape) == before else moves))
         halves = [[r for _, r in rs] for rs in runs]
-        forward = tuple(tuple((every, *i, kept) for i in itertools.product(
+        forward = tuple(tuple((every, *i) for i in itertools.product(
             *halves[:a], *[[every]] * (nd - a))) for a in range(nd))
         source = conj = None
         if nd == 1:
@@ -491,10 +509,10 @@ class _Plan:
             (nx, ny), (kx, ky) = grid.shape, np.ix_(*at)
             edge = (ky % (ny // 2) == 0) & ((kx == 0) | (kx >= nx // 2))
             conj = (ky > ny // 2) | edge
-            source = np.where(conj, -kx % nx * h + -ky % ny, kx * h + ky).ravel()
+            source = np.where(conj, -kx % nx * n + -ky % ny, kx * n + ky).ravel()
             conj = conj.ravel()
         elif band:
-            source = np.ravel_multi_index(np.ix_(*at), (*lead, h)).ravel()
+            source = np.ravel_multi_index(np.ix_(*at), (*lead, n)).ravel()
         # the forward's 1/N as pocketfft computes it: in long double, rounded once
         norm = float(1 / np.longdouble(math.prod(grid.shape)))
         return cls((*lead, h), n, norm, tuple(inverse), forward, source, conj)
@@ -540,9 +558,11 @@ def _raw_to_spec(grid: Grid | Band, p: np.ndarray) -> np.ndarray:
     """Coefficients of (stacks of) real fields from their lattice values:
     the kz >= 0 half on a Grid (an rfftn), and on a Band the kept modes of
     its parent's (on Grid.plane, of the plane's fftn).  The passes are
-    those of the module docstring, in place on the half spectrum, on the
-    lines the layout keeps (_Plan.forward); on a Band they run in its
-    workspace.  The coefficients are then read off the half (_Plan.source).
+    those of the module docstring: the real pass into the half spectrum,
+    the scaling as the kept planes are copied into the stage of the
+    complex passes, and those in place on the lines the layout keeps
+    (_Plan.forward).  On a Band they run in its workspace, and the
+    coefficients are then read off the stage (_Plan.source).
     """
     plan, ws = grid.plan, _workspace(grid)
     ps = p.reshape(-1, *grid.shape)
@@ -552,15 +572,15 @@ def _raw_to_spec(grid: Grid | Band, p: np.ndarray) -> np.ndarray:
         part = ps[s : s + step]
         half = ws.cplx[: len(part)] if ws else out
         np.fft.rfft(part, axis=-1, out=half)
-        kept = half[..., : plan.n]
-        kept *= plan.norm
+        kept = ws.forward[: len(part)] if ws else half
+        np.multiply(half[..., : plan.n], plan.norm, out=kept)
         for axis, views in enumerate(plan.forward, start=1):
             for index in views:
-                view = half[index]
+                view = kept[index]
                 np.fft.fft(view, axis=axis, out=view)
         if plan.source is not None:
             coeffs = out[s : s + len(part)].reshape(len(part), -1)
-            np.take(half.reshape(len(part), -1), plan.source, axis=-1,
+            np.take(kept.reshape(len(part), -1), plan.source, axis=-1,
                     out=coeffs, mode="clip")
             if plan.conj is not None:
                 np.conjugate(coeffs, out=coeffs, where=plan.conj)

@@ -238,11 +238,14 @@ class TestNonlinearTerms:
         assert np.max(np.abs(N - conv)) <= 1e-12 * np.max(np.abs(conv))
 
     @pytest.mark.parametrize(
-        "system, inverse, forward", [("NS", 3, 6), ("PE", 3, 5), ("NS2D", 2, 3)]
+        "system, inverse, forward", [("NS", 2, 4), ("PE", 2, 3), ("NS2D", 2, 3)]
     )
     def test_transform_budget(self, grid16, monkeypatch, system, inverse, forward):
-        """Fields transformed by one nonlinear evaluation: the velocity once
-        to the lattice, and each distinct product u_i u_j once back."""
+        """Fields transformed by one nonlinear evaluation.  NS2D transforms
+        its velocity once to the lattice and each distinct product u_i u_j
+        once back.  The 3D steppers pair an even and an odd field in one
+        transform: (v1 + w, v2) to the lattice, and back u_i (u_i + w) for
+        i = 1, 2, then v1 v2 and, for NS, w w."""
         from hydrostat import fields, solvers, spectral
 
         stepper, U, _ = _nonlinear_cases(grid16)[system]
@@ -264,6 +267,52 @@ class TestNonlinearTerms:
                     monkeypatch.setattr(module, name, wrapper)
         stepper.nonlinear(U)
         assert counts == {"_raw_to_phys": inverse, "_raw_to_spec": forward}
+
+
+class TestParityPairing:
+    """The 3D steppers carry an even and an odd field in one transform, and
+    keep their states exactly in the parity class without a parity pass."""
+
+    @pytest.mark.parametrize("system", ["NS", "PE"])
+    def test_nonlinear_term_is_exactly_in_the_parity_class(self, grid16, system):
+        from hydrostat.spectral import _raw_parity_project
+
+        stepper, U, _ = _nonlinear_cases(grid16)[system]
+        N = stepper.nonlinear(U)
+        assert len(N) == len(stepper.parities)
+        for c, p in zip(N, stepper.parities):
+            assert np.array_equal(_raw_parity_project(stepper.grid, c, p), c)
+
+    @pytest.mark.parametrize("system, delta", [("NS_eps_delta", 0.04), ("PE_H", 0.0)])
+    def test_steps_keep_the_parity_defect_at_zero(self, grid16, system, delta):
+        from hydrostat.spectral import _raw_parity_project, parity_defect
+
+        data = generate_initial_data("bandlimited_random", 4, grid16)
+        entry = SYSTEMS[system]
+        stepper = entry.stepper(grid16, 0.2, delta, 1e-3)
+        U = entry.pack(data, 0.2)
+        for _ in range(20):
+            U = stepper.step(U)
+        for c, p in zip(U, stepper.parities):
+            assert np.array_equal(_raw_parity_project(stepper.grid, c, p), c)
+        fields = [SpectralField(grid16, c, p)
+                  for c, p in zip(entry.unpack(grid16, U), (EVEN, EVEN, ODD))]
+        assert [parity_defect(f) for f in fields] == [0.0, 0.0, 0.0]
+
+    @pytest.mark.parametrize("system", ["NS", "PE"])
+    def test_last_umax_is_over_the_split_components(self, grid16, system):
+        """The CFL input is max |u| over v1, v2 and w, which one transform
+        of v1 + w carries together: never the max of v1 + w itself, which
+        is larger here (v2 is scaled down so that it is v1 that peaks)."""
+        stepper, U, _ = _nonlinear_cases(grid16)[system]
+        U = U * np.array([1.0, 0.8, 1.0][: len(U)])[:, None, None, None]
+        band = stepper.grid
+        comps = (U[0], U[1], _raw_w_from_v(band, U[:2]))
+        stepper.nonlinear(U)
+        want = max(float(np.max(np.abs(_raw_to_phys(band, c)))) for c in comps)
+        assert stepper.last_umax == pytest.approx(want, rel=1e-12)
+        h = _raw_to_phys(band, comps[0] + comps[2])
+        assert float(np.max(np.abs(h))) > (1 + 1e-4) * want
 
 
 class TestStokesStepper:
