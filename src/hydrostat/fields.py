@@ -112,7 +112,8 @@ def _peps_tables(grid: Grid | Band, eps: float):
 
 
 def _raw_project_eps(grid: Grid | Band, U: np.ndarray, eps: float) -> np.ndarray:
-    """Leray projection with the scaled wavevector (kx, ky, kz/eps)."""
+    """Leray projection with the scaled wavevector (kx, ky, kz/eps); the
+    NS stepper applies it to its nonlinear term, never to a state."""
     t = _peps_tables(grid, eps)
     s = (t[0] * U[0] + t[1] * U[1] + t[2] * U[2]) * t[3]
     return np.stack((U[0] - t[0] * s, U[1] - t[1] * s, U[2] - t[2] * s))
@@ -149,10 +150,16 @@ def _raw_w_from_v(grid: Grid | Band, V: np.ndarray) -> np.ndarray:
     sign does not matter: the dealiased velocities passed in have no content
     on that plane."""
     num = grid.kx3 * V[0] + grid.ky3 * V[1]
-    kz = np.where(grid.kz3 == 0.0, 1.0, grid.kz3)
+    kz = grid.cached(("kz_nonzero",), lambda: np.where(grid.kz3 == 0.0, 1.0, grid.kz3))
     w = -num / kz
     w[:, :, 0] = 0.0
     return w
+
+
+def _raw_with_w(grid: Grid | Band, V: np.ndarray, s: float = 1.0) -> np.ndarray:
+    """(V[0], V[1], s * w(V)): the velocity that a horizontal pair (or its
+    time derivative) stands for, w weighted by s (eps in (v, eps*w))."""
+    return np.concatenate((V, (s * _raw_w_from_v(grid, V))[None]))
 
 
 def _raw_div_eps_defect(grid: Grid | Band, U: np.ndarray, eps: float) -> float:

@@ -32,7 +32,7 @@ from dataclasses import dataclass, replace
 from functools import partial
 
 from ..errors import BlowupDetected, ConfigError, InsufficientData, InvalidParameter
-from ..fields import _raw_w_from_v
+from ..fields import _raw_with_w
 from ..norms import Energies, NormAccumulator, accumulate, finalize
 from ..solvers import Lane, SimConfig, run_lanes, system_lane, warn_cfl
 from ..spectral import _raw_embed_plane, make_grid
@@ -258,18 +258,14 @@ def _pe_h_lanes(data, base: SimConfig, key, members: list[_Member]):
     ref = {}
 
     def sample_reference(st, t, V, N):
-        rhs = st.rhs(V, N)
-        ref["now"] = (V, _raw_w_from_v(st.grid, V), rhs, _raw_w_from_v(st.grid, rhs))
+        ref["now"] = (V, st.rhs(V, N))
 
     def sample_member(eps, norms, st, t, U, N):
-        # every norm of the point reads the difference through one Energies
-        V, w, rhs_pe, dw = ref["now"]
-        rhs_ns = st.rhs(U, N)
-        sample = Energies.of(
-            st.grid,
-            (U[0] - V[0], U[1] - V[1], U[2] - eps * w),
-            (rhs_ns[0] - rhs_pe[0], rhs_ns[1] - rhs_pe[1], rhs_ns[2] - eps * dw),
-        )
+        # every norm of the point reads the difference (d, eps w(d)) of the
+        # pairs and of their time derivatives through one Energies
+        V, rhs_pe = ref["now"]
+        sample = Energies.of(st.grid, _raw_with_w(st.grid, U - V, eps),
+                             _raw_with_w(st.grid, st.rhs(U, N) - rhs_pe, eps))
         for name in norms:
             norms.fold(name, t, sample)
 
@@ -291,11 +287,11 @@ def _large_delta_lanes(data, base: SimConfig, delta: float, members: list[_Membe
 
     def sample_ns(k, norms, st, t, U, N):
         # the barotropic planes of the state and its time derivative
-        bar[k] = (U[:2, :, :, 0].copy(), st.rhs(U, N)[:2, :, :, 0].copy())
+        bar[k] = (U[..., 0].copy(), st.rhs(U, N)[..., 0].copy())
         tilde = U.copy()
-        tilde[:2, :, :, 0] = 0.0
-        tilde[2] = _raw_w_from_v(st.grid, U[:2])  # physical w
-        norms.fold("L4H32_tilde", t, Energies.of(st.grid, tilde))
+        tilde[..., 0] = 0.0
+        # (vtilde, w) with the physical w, which vtilde determines
+        norms.fold("L4H32_tilde", t, Energies.of(st.grid, _raw_with_w(st.grid, tilde)))
 
     def sample_2d(st, t, B, N):
         # B is on grid.plane, the kz=0 plane of the band
@@ -308,7 +304,7 @@ def _large_delta_lanes(data, base: SimConfig, delta: float, members: list[_Membe
                     _raw_embed_plane(band, rhs_bar - rhs)))
 
     def sample_stokes(st, t, S, N):
-        sample = Energies.of(st.grid, S)
+        sample = Energies.of(st.grid, _raw_with_w(st.grid, S))
         for m in filter(lambda m: m.lane.running, members):
             m.norms.fold("L4H32_tilde_stokes", t, sample)
 
@@ -322,7 +318,7 @@ def _large_delta_lanes(data, base: SimConfig, delta: float, members: list[_Membe
                        reference=True, label=f"NS2D reference, delta={delta:g}")
     stokes = system_lane("StokesScaled", data, 1.0, delta, observe=sample_stokes,
                          reference=True, label=f"Stokes reference, delta={delta:g}")
-    stokes.U[:2, :, :, 0] = 0.0  # the baroclinic (vtilde, w)
+    stokes.U[..., 0] = 0.0  # the baroclinic (vtilde, w(vtilde))
     return ([*(m.lane for m in members), ns2d, stokes],
             _stiff_segments(base.t_end, base.dt, delta))
 

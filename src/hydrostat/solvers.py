@@ -2,10 +2,9 @@
 
 Systems
 -------
-NS_eps_delta   rescaled anisotropic Navier-Stokes; integrated in the scaled
-               variables (v, eps*w) so that the scaled Leray projection and
-               the divergence constraint stay uniformly conditioned as
-               eps -> 0
+NS_eps_delta   rescaled anisotropic Navier-Stokes in the scaled variables
+               (v, eps*w), whose scaled Leray projection of the nonlinear
+               term stays uniformly conditioned as eps -> 0
 PE_delta       primitive equations with anisotropic viscosity (vertical
                velocity diagnostic); PE_H is the delta = 0 case
 NS2D           two-dimensional Navier-Stokes on the horizontal square,
@@ -36,15 +35,21 @@ on a band shares it, so the steppers of one band run on one thread.  What
 a step returns (the nonlinear term, the new state, the AB2 history) is a
 new band-size array, never a view of the workspace.
 
-Every step re-enforces the system's divergence constraint, a
-Fourier-diagonal projection that commutes with the propagator, so this only
-removes rounding drift.  Parity needs no pass: a stepper that declares
-parities transforms its velocity in parity pairs (_ExpAB2._phys) and gets
-its nonlinear term back exactly in the parity class of its state, and every
-later operation of a step (the propagator and the other real multipliers,
-even in (kx, ky), the AB2 sums and the constraint projections) keeps that
-class bit for bit.  The kz=0 plane of the 2D stepper is even in z by
-construction.
+Every 3D stepper steps the horizontal pair (v1, v2): w, the odd
+antiderivative of -div_H v (fields._raw_w_from_v), is diagnostic and is
+recovered where it is read (fields._raw_with_w lifts a pair to (v, s*w)).
+NS applies its scaled Leray projection (fields._raw_project_eps) to its
+nonlinear term only.  Every step ends with the projection of the kz=0
+plane that holds div_H of the vertical average at zero (_ExpAB2.constrain),
+a Fourier-diagonal projection that commutes with the propagator, so it
+only removes rounding drift.
+
+Parity needs no pass: a stepper that declares parities transforms its
+velocity in parity pairs (_ExpAB2._phys) and gets its nonlinear term back
+exactly in the parity class of its state, and every later operation of a
+step (the propagator and the other real multipliers, even in (kx, ky), the
+AB2 sums and the constraint projections) keeps that class bit for bit.
+The kz=0 plane of the 2D stepper is even in z by construction.
 
 SYSTEMS maps each system name to its stepper and to the packing of a
 VelocityState into the stepper's state array and back: the one place where
@@ -73,6 +78,7 @@ from .fields import (
     _raw_project_hydro,
     _raw_project_hydro_plane,
     _raw_w_from_v,
+    _raw_with_w,
 )
 from .spectral import (
     PI,
@@ -178,14 +184,16 @@ def _check_blowup(grid: Grid | Band, U: np.ndarray, t: float) -> None:
 class _ExpAB2:
     """Integrating-factor stepper with AB2 extrapolation of the nonlinearity.
 
-    Subclasses provide nonlinear(U), the projected nonlinear term, and
-    constrain(U), the constraint projection that ends advance.  self.grid
-    is the Band the state lives on.  parities are the z-parities of the
-    state's components; a stepper on the 2D band of Grid.plane declares
-    none.
+    Subclasses provide nonlinear(U), the projected nonlinear term.
+    self.grid is the Band the state lives on.  A 3D stepper's state is the
+    horizontal pair on grid.band, of parities, and w_scale the weight of
+    its w(v) in the state's norms (None: the pair alone); advance ends with
+    constrain, the projection of the kz=0 plane.  The 2D stepper on
+    Grid.plane declares no parities and projects its whole plane.
     """
 
-    parities: tuple[str, ...] = ()
+    parities: tuple[str, ...] = VELOCITY_PARITIES[:2]
+    w_scale: float | None = None
 
     def __init__(self, grid: Band, lam: np.ndarray, dt: float):
         self.grid = grid
@@ -209,24 +217,27 @@ class _ExpAB2:
         self._n_prev = N
         return self.constrain(self.propagator * B)
 
+    def constrain(self, V: np.ndarray) -> np.ndarray:
+        return _raw_project_hydro(self.grid, V)
+
     def step(self, U: np.ndarray) -> np.ndarray:
         return self.advance(U, self.nonlinear(U))
 
-    def _phys(self, comps: Sequence[np.ndarray]) -> Sequence[np.ndarray]:
-        """Lattice values of the velocity comps, in the band's workspace,
-        valid until the next transform on the band; last_umax becomes
-        their max |u|.
+    def _phys(self, V: np.ndarray) -> Sequence[np.ndarray]:
+        """Lattice values of the velocity of the state V, in the band's
+        workspace, valid until the next transform on the band; last_umax
+        becomes their max |u|.
 
-        A stepper that declares parities passes (v1, v2, w), with v even and
-        w odd in z.  One transform carries h = v1 + w into the top slots
-        with v2, and h splits exactly on the lattice into its even and odd
-        parts, (h + Rh)/2 and (h - Rh)/2, in the two slots below: R, the
+        With parities the velocity is (v1, v2, w(v)), v even and w odd in
+        z.  One transform carries h = v1 + w into the top slots with v2, and
+        h splits exactly on the lattice into its even and odd parts,
+        (h + Rh)/2 and (h - Rh)/2, in the two slots below: R, the
         reflection z -> -z, maps plane j to plane (nz - j) mod nz.
         """
         ws = self.grid.workspace
         if self.parities:
-            v1, v2, w = comps
-            h, u1 = _raw_to_phys(self.grid, np.stack((v1 + w, v2)), out=ws.real[-2:])
+            w = _raw_w_from_v(self.grid, V)
+            h, u1 = _raw_to_phys(self.grid, np.stack((V[0] + w, V[1])), out=ws.real[-2:])
             u0, u2 = ws.real[-4:-2]
             u2[..., 0], u2[..., 1:] = h[..., 0], h[..., :0:-1]  # Rh
             np.add(h, u2, out=u0)
@@ -235,58 +246,42 @@ class _ExpAB2:
             u2 *= 0.5
             u = (u0, u1, u2)
         else:
-            top = ws.real[len(ws.real) - len(comps):]
-            u = _raw_to_phys(self.grid, np.stack(comps), out=top)
+            u = _raw_to_phys(self.grid, V, out=ws.real[len(ws.real) - len(V):])
         # max |u| without a lattice-size temporary
         self.last_umax = max(max(float(a.max()), -float(a.min())) for a in u)
         return u
 
 
 class NavierStokesStepper(_ExpAB2):
-    """Rescaled anisotropic system in the scaled variables U = (v1, v2, eps*w).
+    """Rescaled anisotropic system in the scaled variables (v, eps*w),
+    stepped on the horizontal pair.
 
-    The advecting vertical velocity is recovered from incompressibility, so
-    no 1/eps division appears; on the constraint manifold this equals the
-    third state component divided by eps.  The nonlinear term relies on
-    this: it advects eps * w(v) in place of U[2], which _raw_project_eps
-    re-imposes on every step.
+    w = w(v) comes from incompressibility, so no 1/eps division appears.
+    The nonlinear term is the horizontal part of the scaled Leray
+    projection of -(div(v (x) u), eps div(w u)), u = (v, w(v)).
     """
-
-    parities = VELOCITY_PARITIES
 
     def __init__(self, grid: Grid, eps: float, delta: float, dt: float):
         band = grid.band
         super().__init__(band, _lap_delta_mult(band, delta), dt)
-        self.eps = eps
+        self.eps = self.w_scale = eps
 
-    def nonlinear(self, U: np.ndarray) -> np.ndarray:
-        w = _raw_w_from_v(self.grid, U[:2])
-        up = self._phys((U[0], U[1], w))
-        N = -_raw_advect_div(self.grid, up, (1.0, 1.0, self.eps), VELOCITY_PARITIES)
-        return _raw_project_eps(self.grid, N, self.eps)
-
-    def constrain(self, U: np.ndarray) -> np.ndarray:
-        return _raw_project_eps(self.grid, U, self.eps)
+    def nonlinear(self, V: np.ndarray) -> np.ndarray:
+        N = -_raw_advect_div(self.grid, self._phys(V), (1.0, 1.0, self.eps),
+                             VELOCITY_PARITIES)
+        return _raw_project_eps(self.grid, N, self.eps)[:2]
 
 
 class PrimitiveStepper(_ExpAB2):
     """Hydrostatic limit systems: prognostic horizontal pair, diagnostic w."""
-
-    parities = VELOCITY_PARITIES[:2]
 
     def __init__(self, grid: Grid, delta: float, dt: float):
         band = grid.band
         super().__init__(band, _lap_delta_mult(band, delta), dt)
 
     def nonlinear(self, V: np.ndarray) -> np.ndarray:
-        w = _raw_w_from_v(self.grid, V)
-        up = self._phys((V[0], V[1], w))
-        return _raw_project_hydro(
-            self.grid, -_raw_advect_div(self.grid, up, (1.0, 1.0), VELOCITY_PARITIES)
-        )
-
-    def constrain(self, V: np.ndarray) -> np.ndarray:
-        return _raw_project_hydro(self.grid, V)
+        return _raw_project_hydro(self.grid, -_raw_advect_div(
+            self.grid, self._phys(V), (1.0, 1.0), VELOCITY_PARITIES))
 
 
 class NavierStokes2DStepper(_ExpAB2):
@@ -296,14 +291,15 @@ class NavierStokes2DStepper(_ExpAB2):
     grid's band, shape (2, 2K+1, 2K+1); self.grid is that 2D Band.
     """
 
+    parities = ()
+
     def __init__(self, grid: Grid, dt: float):
         plane = grid.plane
         super().__init__(plane, -plane.k2h, dt)
 
     def nonlinear(self, V: np.ndarray) -> np.ndarray:
-        up = self._phys((V[0], V[1]))
         return _raw_project_hydro_plane(
-            self.grid, -_raw_advect_div(self.grid, up, (1.0, 1.0))
+            self.grid, -_raw_advect_div(self.grid, self._phys(V), (1.0, 1.0))
         )
 
     def constrain(self, V: np.ndarray) -> np.ndarray:
@@ -311,21 +307,22 @@ class NavierStokes2DStepper(_ExpAB2):
 
 
 class StokesScaledStepper(_ExpAB2):
-    """Exact per-mode exponential flow of the scaled Stokes semigroup."""
+    """Exact per-mode exponential flow of the scaled Stokes semigroup.
 
-    parities = VELOCITY_PARITIES
+    The propagator is one scalar per mode, so the w(v) of the flowed pair
+    is the flowed w: the state (v1, v2) stands for (v, w(v))."""
+
+    w_scale = 1.0
 
     def __init__(self, grid: Grid, delta: float, dt: float):
         band = grid.band
         super().__init__(band, _lap_delta_mult(band, delta), dt)
 
-    def nonlinear(self, U: np.ndarray) -> np.ndarray:
-        return np.zeros_like(U)
+    def nonlinear(self, V: np.ndarray) -> np.ndarray:
+        return np.zeros_like(V)
 
-    def advance(self, U: np.ndarray, N: np.ndarray | None = None) -> np.ndarray:
-        return self.propagator * U
-
-
+    def advance(self, V: np.ndarray, N: np.ndarray | None = None) -> np.ndarray:
+        return self.constrain(self.propagator * V)
 
 
 # ---------------------------------------------------------------------------
@@ -335,21 +332,21 @@ class StokesScaledStepper(_ExpAB2):
 @dataclass(frozen=True)
 class System:
     """How one system is stepped: stepper(grid, eps, delta, dt) builds its
-    stepper, pack(state, eps) its state array on the stepper's band,
+    stepper, pack(state) its state array on the stepper's band,
     unpack(grid, U) the (v1, v2, w) coefficients of a state array in the
     kz >= 0 layout of grid; require(U, what) checks a precondition.
 
-    pack raises CompatibilityError for a state with content outside the
-    band, which the stepper could not hold."""
+    pack raises CompatibilityError for a state the stepper could not hold:
+    content outside the band, or in 3D a w that is not w(v)."""
 
     stepper: Callable[[Grid, float, float, float], _ExpAB2]
-    pack: Callable[[VelocityState, float], np.ndarray]
+    pack: Callable[[VelocityState], np.ndarray]
     unpack: Callable[[Grid, np.ndarray], tuple]
     require: Callable[[np.ndarray, str], None] = lambda U, what: None
 
 
 def _require_mean_free(U: np.ndarray, what: str, tol: float = 1e-12) -> None:
-    m = float(np.max(np.abs(U[:2, ..., 0])))
+    m = float(np.max(np.abs(U[..., 0])))
     if m > tol:
         raise CompatibilityError(f"{what} is not vertically mean-free: {m:.3e}", m)
 
@@ -374,42 +371,40 @@ def _to_band(grid: Grid, band: Band, comps: Sequence[np.ndarray]) -> np.ndarray:
     return inside
 
 
+def _pack(s: VelocityState) -> np.ndarray:
+    """The horizontal pair of a 3D state on its grid's band.  Its w would
+    be replaced by w(v), so a w that differs from w(v) by more than
+    rounding (1e-12 of the largest coefficient) is an error."""
+    U = _to_band(s.grid, s.grid.band, (s.v1.coeffs, s.v2.coeffs, s.w.coeffs))
+    gap = float(np.max(np.abs(U[2] - _raw_w_from_v(s.grid.band, U[:2])), initial=0.0))
+    if gap > 1e-12 * float(np.max(np.abs(U), initial=0.0)):
+        raise CompatibilityError(f"state's w is not the w(v) of its horizontal "
+                                 f"pair: |w - w(v)| = {gap:.3e}", gap)
+    return U[:2]
+
+
 def _with_w(g: Grid, V: np.ndarray) -> tuple:
     """(v1, v2, w) on g of a horizontal pair on its band, w recovered from
     incompressibility."""
-    return tuple(g.band.scatter(np.concatenate((V, [_raw_w_from_v(g.band, V)]))))
+    return tuple(g.band.scatter(_raw_with_w(g.band, V)))
 
 
-_PE = System(
-    lambda g, eps, delta, dt: PrimitiveStepper(g, delta, dt),
-    lambda s, eps: _to_band(s.grid, s.grid.band, (s.v1.coeffs, s.v2.coeffs)),
-    _with_w,
-)
+_PE = System(lambda g, eps, delta, dt: PrimitiveStepper(g, delta, dt), _pack, _with_w)
 
 SYSTEMS = {
-    "NS_eps_delta": System(
-        lambda g, eps, delta, dt: NavierStokesStepper(g, eps, delta, dt),
-        lambda s, eps: _to_band(
-            s.grid, s.grid.band, (s.v1.coeffs, s.v2.coeffs, eps * s.w.coeffs)
-        ),
-        lambda g, U: _with_w(g, U[:2]),
-    ),
+    "NS_eps_delta": System(NavierStokesStepper, _pack, _with_w),
     "PE_delta": _PE,
     "PE_H": _PE,
     "NS2D": System(
         lambda g, eps, delta, dt: NavierStokes2DStepper(g, dt),
-        lambda s, eps: _to_band(
+        lambda s: _to_band(
             s.grid, s.grid.plane, (s.v1.coeffs[:, :, 0], s.v2.coeffs[:, :, 0])
         ),
         lambda g, B: (*_raw_embed_plane(g, g.plane.scatter(B)),
                       np.zeros(g.spec_shape, np.complex128)),
     ),
     "StokesScaled": System(
-        lambda g, eps, delta, dt: StokesScaledStepper(g, delta, dt),
-        lambda s, eps: _to_band(
-            s.grid, s.grid.band, (s.v1.coeffs, s.v2.coeffs, s.w.coeffs)
-        ),
-        lambda g, U: tuple(g.band.scatter(U)),
+        lambda g, eps, delta, dt: StokesScaledStepper(g, delta, dt), _pack, _with_w,
         _require_mean_free,
     ),
 }
@@ -453,7 +448,7 @@ def system_lane(
     """A lane of the named entry of SYSTEMS, starting from state."""
     entry = SYSTEMS[system]
     make = partial(entry.stepper, state.grid, eps, delta)
-    return Lane(make, entry.pack(state, eps), **kw)
+    return Lane(make, entry.pack(state), **kw)
 
 
 def _fail(lanes: list[Lane], lane: Lane, exc: Exception) -> None:
@@ -550,6 +545,8 @@ def run_simulation(cfg: SimConfig) -> TrajectoryRecord:
     rec = TrajectoryRecord(samples={"l2": [], "h1": []})
 
     def record(st: _ExpAB2, t: float, U: np.ndarray, N) -> None:
+        if st.w_scale is not None:
+            U = _raw_with_w(st.grid, U, st.w_scale)
         l2, h1 = _l2_h1(st.grid, U)  # the band of the grid, or its plane
         rec.times.append(t)
         rec.samples["l2"].append(l2)

@@ -290,13 +290,15 @@ class TestDiffRhs:
         pe = PrimitiveStepper(grid, 0.0, 1e-3)
         # the steppers hold the band; the forcings are checked on the grid
         band = grid.band
-        U = band.gather(np.stack((data.v1.coeffs, data.v2.coeffs, eps * data.w.coeffs)))
-        V = band.gather(np.stack((data.v1.coeffs, data.v2.coeffs)))
+        U = V = band.gather(np.stack((data.v1.coeffs, data.v2.coeffs)))
         for _ in range(40):
             U = ns.step(U)
             V = pe.step(V)
         rhs_ns, rhs_pe = band.scatter(ns.rhs(U)), band.scatter(pe.rhs(V))
         U, V = band.scatter(U), band.scatter(V)
+        # NS steps (v1, v2); its third component in (v, eps*w) is eps w(v)
+        U = np.concatenate((U, [eps * _raw_w_from_v(grid, U)]))
+        rhs_ns = np.concatenate((rhs_ns, [eps * _raw_w_from_v(grid, rhs_ns)]))
         w_pe = _raw_w_from_v(grid, V)
         Vd = np.stack((U[0] - V[0], U[1] - V[1]))
         Wd = U[2] - eps * w_pe

@@ -781,6 +781,29 @@ class TestCli:
         st = load_snapshot(str(snap))
         assert st.time == pytest.approx(0.01)
 
+    @pytest.mark.parametrize("system, extra, l2, h1", [
+        ("NS_eps_delta", "eps = 0.3\ndelta = 0.2\nrecipe = bandlimited_random\n",
+         9.853311192e-01, 9.957410733e-01),
+        ("PE_H", "recipe = bandlimited_random\n", 9.853381959e-01, 9.958087113e-01),
+        ("StokesScaled", "eps = 0.5\ndelta = 2.0\nrecipe = heat_mode\n",
+         2.489813608e-01, 8.208687174e-01),
+    ])
+    def test_run_prints_the_norms_of_the_state(self, tmp_path, capsys, system, extra,
+                                               l2, h1):
+        """The record's l2 and h1 are those of (v, eps w) for NS_eps_delta,
+        of (v, w) for StokesScaled and of v for PE_H, as printed when NS and
+        Stokes stepped three components.  A record of v alone reads
+        l2=9.853265435e-01 for NS_eps_delta."""
+        from hydrostat.harness.cli import main
+
+        cfg = tmp_path / "sim.cfg"
+        cfg.write_text(f"system = {system}\nnx = 8\nny = 8\nnz = 8\ndt = 1e-3\n"
+                       f"t_end = 0.01\nseed = 5\n{extra}")
+        assert main(["run", "--config", str(cfg)]) == 0
+        got = re.search(r"l2=(\S+) h1=(\S+)", capsys.readouterr().out)
+        assert float(got[1]) == pytest.approx(l2, rel=1e-12)
+        assert float(got[2]) == pytest.approx(h1, rel=1e-12)
+
     def test_sweep_and_fit(self, tmp_path, capsys):
         from hydrostat.harness.cli import main
 

@@ -7,10 +7,19 @@ import numpy as np
 import pytest
 
 from hydrostat.errors import CompatibilityError, InvalidParameter
-from hydrostat.fields import VelocityState, _raw_div_eps_defect, _raw_w_from_v
+from hydrostat.fields import (
+    VELOCITY_PARITIES,
+    VelocityState,
+    _raw_advect_div,
+    _raw_div_eps_defect,
+    _raw_project_eps,
+    _raw_w_from_v,
+    _raw_with_w,
+)
 from hydrostat.harness.initial_data import generate_initial_data
 from hydrostat.solvers import (
     SYSTEMS,
+    _ExpAB2,
     NavierStokes2DStepper,
     NavierStokesStepper,
     PrimitiveStepper,
@@ -21,6 +30,7 @@ from hydrostat.spectral import (
     EVEN,
     ODD,
     SpectralField,
+    _lap_delta_mult,
     _raw_embed_plane,
     _raw_to_phys,
     field_from_function,
@@ -49,14 +59,14 @@ def _step(system, state, eps=1.0, delta=0.0, dt=1e-3):
     a VelocityState, through the system table; the (v1, v2, w) coefficients."""
     entry = SYSTEMS[system]
     stepper = entry.stepper(state.grid, eps, delta, dt)
-    return entry.unpack(state.grid, stepper.step(entry.pack(state, eps)))
+    return entry.unpack(state.grid, stepper.step(entry.pack(state)))
 
 
 def _steps(system, state, n, delta=0.0, dt=1e-3):
     """n steps of one stepper; the (v1, v2, w) coefficients."""
     entry = SYSTEMS[system]
     stepper = entry.stepper(state.grid, 1.0, delta, dt)
-    U = entry.pack(state, 1.0)
+    U = entry.pack(state)
     for _ in range(n):
         U = stepper.step(U)
     return entry.unpack(state.grid, U)
@@ -187,8 +197,7 @@ class TestNs2dStepper:
         # the steppers' layouts: the band, and its kz=0 plane
         band, plane = grid.band, grid.plane
         B0 = plane.gather(np.stack((data.v1.coeffs[:, :, 0], data.v2.coeffs[:, :, 0])))
-        V = _raw_embed_plane(band, B0)
-        U = np.concatenate((V, np.zeros_like(V[:1])))
+        U = V = _raw_embed_plane(band, B0)
         ns = NavierStokesStepper(grid, 0.7, 0.3, dt)
         pe = PrimitiveStepper(grid, 0.3, dt)
         n2 = NavierStokes2DStepper(grid, dt)
@@ -196,8 +205,8 @@ class TestNs2dStepper:
         for _ in range(steps):
             U, V, B = ns.step(U), pe.step(V), n2.step(B)
         B3 = _raw_embed_plane(band, B)
-        assert np.max(np.abs(U[:2] - B3)) < 1e-12
-        assert np.max(np.abs(U[2])) < 1e-12
+        assert np.max(np.abs(U - B3)) < 1e-12
+        assert np.max(np.abs(0.7 * _raw_w_from_v(band, U))) < 1e-12
         assert np.max(np.abs(V - B3)) < 1e-12
         # the advection moved the state away from pure viscous decay
         heat = np.exp(-plane.k2h * steps * dt) * B0
@@ -208,8 +217,10 @@ def _nonlinear_cases(grid, eps=0.3):
     """(stepper, divergence-free state, the convective-form nonlinear term)
     for each advecting stepper, on bandlimited random data.  The term is
     computed in the grid's layout (for NS2D on z-independent fields, then
-    sliced at kz=0); state and term are given on the stepper's band."""
-    from hydrostat.fields import _raw_advect, _raw_project_eps, _raw_project_hydro
+    sliced at kz=0); state and term are given on the stepper's band.  The
+    NS term is the horizontal part of the scaled projection of the
+    convective term of (v, eps w)."""
+    from hydrostat.fields import _raw_advect, _raw_project_hydro
 
     data = generate_initial_data("bandlimited_random", 7, grid)
     V = np.stack((data.v1.coeffs, data.v2.coeffs))
@@ -218,8 +229,8 @@ def _nonlinear_cases(grid, eps=0.3):
     B = _raw_embed_plane(grid, V[..., 0])
     band, plane = grid.band, grid.plane
     return {
-        "NS": (NavierStokesStepper(grid, eps, 0.1, 1e-3), band.gather(U),
-               band.gather(_raw_project_eps(grid, -_raw_advect(grid, up, U), eps))),
+        "NS": (NavierStokesStepper(grid, eps, 0.1, 1e-3), band.gather(V),
+               band.gather(_raw_project_eps(grid, -_raw_advect(grid, up, U), eps)[:2])),
         "PE": (PrimitiveStepper(grid, 0.0, 1e-3), band.gather(V),
                band.gather(_raw_project_hydro(grid, -_raw_advect(grid, up, V)))),
         "NS2D": (NavierStokes2DStepper(grid, 1e-3), plane.gather(B[..., 0]),
@@ -290,7 +301,7 @@ class TestParityPairing:
         data = generate_initial_data("bandlimited_random", 4, grid16)
         entry = SYSTEMS[system]
         stepper = entry.stepper(grid16, 0.2, delta, 1e-3)
-        U = entry.pack(data, 0.2)
+        U = entry.pack(data)
         for _ in range(20):
             U = stepper.step(U)
         for c, p in zip(U, stepper.parities):
@@ -313,6 +324,45 @@ class TestParityPairing:
         assert stepper.last_umax == pytest.approx(want, rel=1e-12)
         h = _raw_to_phys(band, comps[0] + comps[2])
         assert float(np.max(np.abs(h))) > (1 + 1e-4) * want
+
+
+class _NSThreeComponents(_ExpAB2):
+    """Reference: the NS stepper on the state (v1, v2, eps w), as it was
+    stepped before w became diagnostic.  Its nonlinear term is the whole
+    scaled projection of the term that advects (v, w(v)), and every step
+    ends with the scaled projection of the state."""
+
+    def __init__(self, grid, eps, delta, dt):
+        super().__init__(grid.band, _lap_delta_mult(grid.band, delta), dt)
+        self.eps = eps
+
+    def nonlinear(self, U):
+        N = -_raw_advect_div(self.grid, self._phys(U[:2]), (1.0, 1.0, self.eps),
+                             VELOCITY_PARITIES)
+        return _raw_project_eps(self.grid, N, self.eps)
+
+    def constrain(self, U):
+        return _raw_project_eps(self.grid, U, self.eps)
+
+
+class TestHorizontalPairState:
+    @pytest.mark.parametrize("eps, delta", [(0.1, 0.1), (0.025, 0.025), (0.5, 64.0)])
+    def test_matches_the_three_component_stepper(self, grid16, eps, delta):
+        """Stepping the pair alone gives the horizontal coefficients of the
+        three-component stepper, whose third component stays eps w(v), to
+        1e-12 of the state's largest coefficient.  (At delta = 64 the
+        mean-free part, w with it, has decayed to 1e-32 of it.)"""
+        data = generate_initial_data("bandlimited_random", 42, grid16)
+        ref = _NSThreeComponents(grid16, eps, delta, 1e-3)
+        new = NavierStokesStepper(grid16, eps, delta, 1e-3)
+        U = grid16.band.gather(
+            np.stack((data.v1.coeffs, data.v2.coeffs, eps * data.w.coeffs)))
+        V = SYSTEMS["NS_eps_delta"].pack(data)
+        for _ in range(100):
+            U, V = ref.step(U), new.step(V)
+        scale = np.max(np.abs(U))
+        assert np.max(np.abs(U[:2] - V)) <= 1e-12 * scale
+        assert np.max(np.abs(U[2] - eps * _raw_w_from_v(new.grid, V))) <= 1e-12 * scale
 
 
 class TestStokesStepper:
@@ -355,8 +405,7 @@ class TestStokesStepper:
             grid16, lambda x, y, z: np.sin(PI * x) * np.cos(PI * z), EVEN
         )
         v2 = zero_field(grid16, EVEN)
-        w = _raw_w_from_v(grid16, np.stack((v1.coeffs, v2.coeffs)))
-        U0 = np.stack((v1.coeffs, v2.coeffs, w))
+        U0 = np.stack((v1.coeffs, v2.coeffs))
         scaled = {}
         for delta in (4.0, 16.0, 64.0, 256.0):
             dt = min(1e-3, 0.1 / (4 * delta * PI**2))
@@ -364,15 +413,16 @@ class TestStokesStepper:
             acc = NormAccumulator("L4H32")
             U = grid16.band.gather(U0)
             t, t_end = 0.0, 0.2
-            fields = lambda X: tuple(
-                SpectralField(grid16, X[i], p)
-                for i, p in enumerate((EVEN, EVEN, ODD))
+            # the state (v1, v2) stands for (v1, v2, w(v))
+            fields = lambda V: tuple(
+                SpectralField(grid16, c, p) for c, p in zip(
+                    grid16.band.scatter(_raw_with_w(grid16.band, V)), (EVEN, EVEN, ODD))
             )
-            acc = accumulate(acc, fields(grid16.band.scatter(U)))
+            acc = accumulate(acc, fields(U))
             while t < t_end - dt / 2:
                 U = stepper.advance(U)
                 t += dt
-                acc = accumulate(acc, fields(grid16.band.scatter(U)), None, dt)
+                acc = accumulate(acc, fields(U), None, dt)
             scaled[delta] = finalize(acc) * delta**0.25
         vals = [scaled[d] for d in sorted(scaled)]
         assert max(vals) <= 2.0 * vals[0]
@@ -385,16 +435,30 @@ class TestBandLayout:
     """Every stepper holds its state on the band of the 2/3 mask; the
     system table converts to and from the kz >= 0 layout of the fields."""
 
-    @pytest.mark.parametrize("system", sorted(SYSTEMS))
-    def test_state_outside_the_band_is_rejected(self, grid16, system):
+    @pytest.mark.parametrize("system, bad", [
+        *(pytest.param(s, "band", id=s) for s in sorted(SYSTEMS)),
+        *(pytest.param(s, bad, id=f"{s}-{bad}") for s in sorted(SYSTEMS)
+          if s != "NS2D" for bad in ("w_zero", "w_scaled")),
+    ])
+    def test_state_outside_the_band_is_rejected(self, grid16, system, bad):
         """Content at m = 6 on a 16-point axis (3 * 6 >= 16) cannot be held
         by a stepper; it was once dropped without a word after the first
-        step."""
-        v1 = field_from_function(grid16, lambda x, y, z: np.cos(6 * PI * x), EVEN)
-        state = VelocityState(v1, zero_field(grid16, EVEN), zero_field(grid16, ODD))
-        with pytest.raises(CompatibilityError, match=r"outside.*band.*\(6, 0(, 0)?\)") as err:
-            SYSTEMS[system].pack(state, 1.0)
-        assert err.value.defect == pytest.approx(0.5)
+        step.  Nor can a 3D stepper, which holds the horizontal pair, hold a
+        w other than w(v): NS once re-projected such a state, and PE
+        dropped its w."""
+        if bad == "band":
+            v1 = field_from_function(grid16, lambda x, y, z: np.cos(6 * PI * x), EVEN)
+            state = VelocityState(v1, zero_field(grid16, EVEN), zero_field(grid16, ODD))
+            match, defect = r"outside.*band.*\(6, 0(, 0)?\)", 0.5
+        else:
+            data = generate_initial_data("bandlimited_random", 3, grid16)
+            w = zero_field(grid16, ODD) if bad == "w_zero" else data.w * (1 + 1e-8)
+            state = VelocityState(data.v1, data.v2, w)
+            match = r"w is not the w\(v\)"
+            defect = float(np.max(np.abs(w.coeffs - data.w.coeffs)))
+        with pytest.raises(CompatibilityError, match=match) as err:
+            SYSTEMS[system].pack(state)
+        assert err.value.defect == pytest.approx(defect)
 
     @pytest.mark.parametrize("system", sorted(SYSTEMS))
     def test_pack_unpack_round_trip(self, grid16, system):
@@ -404,7 +468,7 @@ class TestBandLayout:
         recipe = "taylor_green_3d" if system == "NS2D" else "bandlimited_random"
         state = generate_initial_data(recipe, 3, grid16)
         entry = SYSTEMS[system]
-        U = entry.pack(state, 1.0)
+        U = entry.pack(state)
         out = entry.unpack(grid16, U)
         for got, f in zip(out, state.components()):
             assert got.shape == grid16.spec_shape
@@ -424,9 +488,9 @@ class TestSharedWorkspace:
 
         def start(grid):
             data = generate_initial_data("bandlimited_random", 9, grid)
-            return [SYSTEMS["PE_H"].pack(data, 1.0),
-                    SYSTEMS["NS_eps_delta"].pack(data, 0.2),
-                    SYSTEMS["NS_eps_delta"].pack(data, 0.1)]
+            return [SYSTEMS["PE_H"].pack(data),
+                    SYSTEMS["NS_eps_delta"].pack(data),
+                    SYSTEMS["NS_eps_delta"].pack(data)]
 
         grid = make_grid(16, 16, 16)
         family, states = make(grid), start(grid)
@@ -450,7 +514,7 @@ class TestSharedWorkspace:
         grid = make_grid(32, 32, 32)
         data = generate_initial_data("bandlimited_random", 1, grid)
         stepper = NavierStokesStepper(grid, 0.1, 0.01, 1e-3)
-        U = SYSTEMS["NS_eps_delta"].pack(data, 0.1)
+        U = SYSTEMS["NS_eps_delta"].pack(data)
         for _ in range(3):
             U = stepper.step(U)
         before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt

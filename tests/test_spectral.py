@@ -354,7 +354,7 @@ class TestBandWorkspace:
         try:
             grid = make_grid(8, 8, 8)
             data = random_band_field(grid, 2).coeffs
-            U = grid.band.gather(np.stack((data, data, np.zeros_like(data))))
+            U = grid.band.gather(np.stack((data, data)))
             NavierStokesStepper(grid, 0.5, 0.2, 1e-3).step(U)
             NavierStokes2DStepper(grid, 1e-3).step(grid.plane.gather(
                 np.stack((data[..., 0], data[..., 0]))))
