@@ -6,6 +6,14 @@ the barotropic/baroclinic splitting, and the difference-system right-hand
 sides used to validate that two primal trajectories actually satisfy the
 equation their difference is supposed to solve.
 
+There is one advection kernel, _raw_advect: the divergence form
+sum_j d_j (X_i u_j) on a Band, of a velocity u itself (the steppers'
+self-advection) or of other fields X (the cross form).  It is the
+convective (u . grad) X only for a divergence-free u, which every caller
+has; the difference-system forcings check it of their inputs.  They run on
+grid.band, as the steppers do, and return their results in the grid's
+layout.
+
 Conventions: a full velocity state stores the horizontal pair (even in z) and
 the physical vertical velocity (odd in z).  Terms carrying a 1/eps weight are
 always rewritten through the vertical integral of the horizontal divergence,
@@ -28,11 +36,10 @@ from .spectral import (
     SpectralField,
     _deriv_mult,
     _lap_delta_mult,
-    _raw_deriv,
     _raw_parity_project,
     _raw_to_phys,
     _raw_to_spec,
-    _workspace,
+    _to_band,
 )
 
 # the z-parities of a velocity triple (v1, v2, w)
@@ -144,15 +151,19 @@ def _raw_project_hydro(grid: Grid | Band, V: np.ndarray) -> np.ndarray:
 
 def _raw_w_from_v(grid: Grid | Band, V: np.ndarray) -> np.ndarray:
     """Vertical velocity from incompressibility: the odd antiderivative of
-    -div_H v.  kz=0 plane is zero (oddness); kz != 0 modes divide by kz.
+    -div_H v.  kz=0 plane is zero (oddness); kz != 0 modes are multiplied
+    by -1/kz, which is bit for bit a division by kz (numpy divides a complex
+    array by a real one as a product with its reciprocal).
 
     On the Nyquist plane kz is +pi nz/2, the sign of the stored half.  The
     sign does not matter: the dealiased velocities passed in have no content
     on that plane."""
-    num = grid.kx3 * V[0] + grid.ky3 * V[1]
-    kz = grid.cached(("kz_nonzero",), lambda: np.where(grid.kz3 == 0.0, 1.0, grid.kz3))
-    w = -num / kz
-    w[:, :, 0] = 0.0
+    def build():
+        kz = grid.kz3
+        return np.where(kz == 0.0, 0.0, -1.0 / np.where(kz == 0.0, 1.0, kz))
+
+    w = (grid.kx3 * V[0] + grid.ky3 * V[1]) * grid.cached(("w_mult",), build)
+    w[:, :, 0] = 0.0  # a product with 0 can leave -0.0
     return w
 
 
@@ -167,93 +178,84 @@ def _raw_div_eps_defect(grid: Grid | Band, U: np.ndarray, eps: float) -> float:
     return float(np.max(np.abs(d)))
 
 
-def _raw_advect(grid: Grid, u_phys: Sequence[np.ndarray], T: np.ndarray) -> np.ndarray:
-    """Convective derivative sum_j u_j d_j T_i for a stack of targets T.
-
-    u_phys has 2 (horizontal transport only) or 3 physical components; the
-    result is returned in spectral space, dealiased.  Transforms are batched
-    over all component/axis pairs.
-
-    Only for transports that are not divergence-free (the horizontal
-    transports of baroclinic_rhs, the cross terms of diff_rhs_F); the
-    steppers' self-advection uses the cheaper _raw_advect_div.
-    """
-    m = T.shape[0]
-    naxes = len(u_phys)
-    iks = [_deriv_mult(grid, j, 1) for j in range(naxes)]
-    dT = np.empty((m, naxes, *grid.spec_shape), dtype=np.complex128)
-    for i in range(m):
-        for j, ik in enumerate(iks):
-            dT[i, j] = ik * T[i]
-    dTp = _raw_to_phys(grid, dT)
-    acc = np.empty((m, *grid.shape), dtype=np.float64)
-    for i in range(m):
-        a = u_phys[0] * dTp[i, 0]
-        for j in range(1, naxes):
-            a += u_phys[j] * dTp[i, j]
-        acc[i] = a
-    return _raw_to_spec(grid, acc) * grid.dealias_mask
+def _raw_require_divergence_free(grid: Grid | Band, U: np.ndarray, what: str) -> None:
+    """CompatibilityError unless the velocity U, 2 or 3 components, is
+    divergence-free to rounding (1e-12 of its largest term k_j U_j).  The
+    divergence form of an advection by U is its convective form only then."""
+    terms = [k * c for k, c in zip((grid.kx3, grid.ky3, grid.kz3), U)]
+    gap = float(np.max(np.abs(sum(terms))))
+    if gap > 1e-12 * max(float(np.max(np.abs(t))) for t in terms):
+        raise CompatibilityError(f"{what} is not divergence-free: |div| = {gap:.3e}", gap)
 
 
-def _raw_advect_div(
-    grid: Grid | Band, u_phys: Sequence[np.ndarray], scale: Sequence[float],
+def _raw_advect(
+    band: Band, u_phys: Sequence[np.ndarray], scale: Sequence[float],
     parities: Sequence[str] | None = None,
+    targets: Sequence[np.ndarray] | None = None,
 ) -> np.ndarray:
-    """Self-advection in divergence form: component i < len(scale) is
-    scale[i] * sum_j d_j (u_i u_j), in spectral space, dealiased.
+    """Advection in divergence form, the one advection kernel: component
+    i < len(scale) is scale[i] * sum_j d_j (X_i u_j) on band, in spectral
+    space, dealiased.  X is targets (the cross form), or u itself
+    (self-advection).
 
-    u_phys is the stack of physical transport components (3 on a Grid and
-    its band, 2 on Grid.plane).  For a divergence-free u this equals the
-    convective (u . grad) (scale * u), at one forward transform per distinct
-    product u_i u_j and no inverse transform.  On a Band the result holds
-    only the kept modes, so it needs no mask.
+    u_phys is the stack of physical transport components (3 on the band of
+    a cube, 2 on Grid.plane), targets that of the transported fields.  For
+    a divergence-free u this equals the convective (u . grad)(scale * X),
+    at one forward transform per distinct product X_i u_j (in
+    self-advection u_i u_j is u_j u_i) and no inverse transform.  The
+    result holds only the band's modes, so it needs no mask.
 
-    Given the z-parities of the components (at most one of them odd), each
-    product u_i u_j of opposite parities rides in one field with the square
-    of u_i, u_i (u_i + u_j): the two are that field's odd and even parts.
-    The divergence is taken of the fields as they are, and component i is
-    then projected onto the parity of u_i.  The projections commute with
-    the derivatives (d_x and d_y keep a parity, d_z swaps it), so each term
-    keeps only the part of its field that is the product it stands for,
-    and the result is exactly in the class.  For (v1, v2, w) two fewer
-    fields are transformed.
+    In self-advection, given the z-parities of the components (at most one
+    of them odd), each product u_i u_j of opposite parities rides in one
+    field with the square of u_i, u_i (u_i + u_j): the two are that field's
+    odd and even parts.  The divergence is taken of the fields as they are,
+    and component i is then projected onto the parity of u_i.  The
+    projections commute with the derivatives (d_x and d_y keep a parity,
+    d_z swaps it), so each term keeps only the part of its field that is
+    the product it stands for, and the result is exactly in the class.
+    For (v1, v2, w) two fewer fields are transformed.
 
-    On a Band the fields are formed in the band's workspace, field k in
-    slot k, the paired ones first.  u_phys may lie in the workspace's
-    upper slots, where _ExpAB2._phys puts it: a paired field needs a slot
-    that holds no component, and any other overwrites only a component
-    that no later field reads.
+    The fields are formed in the band's workspace, field k in slot k, the
+    paired ones first, when they fit (the products of a larger cross form
+    get an array of their own).  u_phys may lie in the workspace's upper
+    slots, where _ExpAB2._phys puts it: a paired field needs a slot that
+    holds no component, and any other overwrites only a component that no
+    later field reads.  The targets of a cross form lie outside it.
     """
     m, n = len(scale), len(u_phys)
-    products = [(i, j) for i in range(m) for j in range(i, n)]
+    if targets is None:
+        X, products = u_phys, [(i, j) for i in range(m) for j in range(i, n)]
+    else:
+        X, products = targets, [(i, j) for i in range(m) for j in range(n)]
     fields = [(q,) for q in products]
     if parities:
         paired = [((i, i), (i, j)) for i, j in products if parities[i] != parities[j]]
         fields = paired + [(q,) for q in products if all(q not in f for f in paired)]
-    ws = _workspace(grid)
-    prod = ws.real[: len(fields)] if ws else np.empty((len(fields), *grid.shape))
+    ws = band.workspace
+    prod = (ws.real[: len(fields)] if len(fields) <= len(ws.real)
+            else np.empty((len(fields), *band.shape)))
     for f, q in zip(prod, fields):
         i, j = q[-1]
         if len(q) == 2:  # u_i (u_i + u_j)
             np.add(u_phys[i], u_phys[j], out=f)
             f *= u_phys[i]
         else:
-            np.multiply(u_phys[i], u_phys[j], out=f)
-    P = {q: c for c, qs in zip(_raw_to_spec(grid, prod), fields) for q in qs}
-    iks = [_deriv_mult(grid, j, 1) for j in range(n)]
-    out = np.empty((m, *grid.spec_shape), dtype=np.complex128)
-    tmp = np.empty(grid.spec_shape, dtype=np.complex128)
+            np.multiply(X[i], u_phys[j], out=f)
+    P = {q: c for c, qs in zip(_raw_to_spec(band, prod), fields) for q in qs}
+    if targets is None:
+        P.update({(j, i): c for (i, j), c in list(P.items())})
+    iks = [_deriv_mult(band, j, 1) for j in range(n)]
+    out = np.empty((m, *band.spec_shape), dtype=np.complex128)
+    tmp = np.empty(band.spec_shape, dtype=np.complex128)
     for i in range(m):
-        np.multiply(iks[0], P[0, i], out=out[i])
+        np.multiply(iks[0], P[i, 0], out=out[i])
         for j in range(1, n):
-            np.multiply(iks[j], P[min(i, j), max(i, j)], out=tmp)
+            np.multiply(iks[j], P[i, j], out=tmp)
             out[i] += tmp
         if parities:
-            out[i] = _raw_parity_project(grid, out[i], parities[i])
+            out[i] = _raw_parity_project(band, out[i], parities[i])
         if scale[i] != 1:
             out[i] *= scale[i]
-    if not isinstance(grid, Band):
-        out *= grid.dealias_mask
     return out
 
 
@@ -283,15 +285,6 @@ def barotropic_split(
     return SplitState(bars[0], bars[1], tildes[0], tildes[1], w)
 
 
-def _pe_h_time_derivative(grid: Grid, V: np.ndarray) -> np.ndarray:
-    """Semi-discrete time derivative of the horizontal-viscosity limit system:
-    horizontal diffusion plus projected, dealiased advection by (v, w(v)),
-    in the divergence form the PE_H stepper uses."""
-    u_phys = _raw_to_phys(grid, np.stack((V[0], V[1], _raw_w_from_v(grid, V))))
-    adv = _raw_advect_div(grid, u_phys, (1.0, 1.0))
-    return -grid.k2h * V - _raw_project_hydro(grid, adv)
-
-
 def diff_rhs_F(
     v: Sequence[SpectralField],
     w: SpectralField,
@@ -299,86 +292,58 @@ def diff_rhs_F(
     W: SpectralField,
     eps: float,
     delta: float,
-    form: str = "advective",
 ):
     """Right-hand sides of the difference system between the rescaled
     anisotropic system and its horizontal-viscosity limit.
 
     (v, w) is the limit solution, (V, W) the difference pair with the third
-    component carrying the eps-scaled vertical difference.  All quadratic
-    terms are dealiased.  The 1/eps advection weight is evaluated through the
-    vertical integral of -div_H V, so it stays finite as eps -> 0.
+    component carrying the eps-scaled vertical difference.  The 1/eps
+    advection weight is evaluated through w(V), the vertical integral of
+    -div_H V, so it stays finite as eps -> 0.
 
-    form="advective" evaluates the convective-form expression;
-    form="divergence" the equivalent conservative form (they agree when both
-    advecting fields are divergence-free, which the tests assert).
+    The forcings are computed on grid.band, every transport in divergence
+    form (_raw_advect).  That is the convective form because both advecting
+    velocities are divergence-free: the limit (v, w), and the difference
+    (V, w(V)).  Inputs for which this fails (a w that is not w(v), or a
+    vertical average with div_H != 0) raise CompatibilityError, as do
+    inputs with content outside the band.
 
-    Returns ((F_H1, F_H2), F_z).
+    Returns ((F_H1, F_H2), F_z) in the grid's layout, zero outside the band.
     """
+    from .solvers import PrimitiveStepper  # solvers imports this module
+
     if eps <= 0:
         raise InvalidParameter(f"eps must be > 0, got {eps}")
-    if form not in ("advective", "divergence"):
-        raise InvalidParameter(f"unknown form {form!r}")
     grid = v[0].grid
     for fld in (*v, w, *V, W):
         if fld.grid.shape != grid.shape:
             raise ShapeError("all fields must share one grid")
+    band = grid.band
+    u = _to_band(grid, band, [f.coeffs for f in (*v, w)])
+    D = _to_band(grid, band, [f.coeffs for f in (*V, W)])
+    b = _raw_with_w(band, D[:2])  # (V, W/eps) with W/eps = w(V)
+    _raw_require_divergence_free(band, u, "the limit velocity (v, w)")
+    _raw_require_divergence_free(band, b, "the difference velocity (V, w(V))")
 
-    Vc = np.stack((V[0].coeffs, V[1].coeffs))
-    vc = np.stack((v[0].coeffs, v[1].coeffs))
-    Wc = W.coeffs
-    wc = w.coeffs
+    # -(div(v (x) b) + div(V (x) (u + b))) horizontally, and vertically
+    # -div((eps w + W) (u + b)): the transports of (v, eps w) by b, of
+    # (V, W) by u and b, and the eps-residual's transport of eps w by u
+    u_phys, b_phys = _raw_to_phys(band, u), _raw_to_phys(band, b)
+    targets = (*b_phys[:2], _raw_to_phys(band, eps * u[2] + D[2]))
+    F = -_raw_advect(band, u_phys + b_phys, (1.0, 1.0, 1.0), targets=targets)
+    F[:2] -= _raw_advect(band, b_phys, (1.0, 1.0), targets=u_phys[:2])
 
-    # advecting fields: limit velocity u = (v, w) and difference (V, W/eps)
-    W_over_eps = _raw_w_from_v(grid, Vc)
-    u_phys = [_raw_to_phys(grid, c) for c in (vc[0], vc[1], wc)]
-    b_phys = [_raw_to_phys(grid, c) for c in (Vc[0], Vc[1], W_over_eps)]
+    # forcing terms that vanish with delta and eps; PE_H gives d_t v
+    F[:2] += delta * _deriv_mult(band, 2, 2) * u[:2]
+    dt_w = _raw_w_from_v(band, PrimitiveStepper(grid, 0.0, 1.0).rhs(u[:2]))
+    F[2] -= eps * (dt_w - _lap_delta_mult(band, delta) * u[2])
 
-    targets_vw = np.stack((vc[0], vc[1], eps * wc))  # (v, eps*w)
-    targets_VW = np.stack((Vc[0], Vc[1], Wc))  # (V, W)
-
-    if form == "advective":
-        total = -(
-            _raw_advect(grid, b_phys, targets_vw)
-            + _raw_advect(grid, u_phys, targets_VW)
-            + _raw_advect(grid, b_phys, targets_VW)
-        )
-    else:
-        total = -(
-            _raw_div_outer(grid, targets_vw, b_phys)
-            + _raw_div_outer(grid, targets_VW, u_phys)
-            + _raw_div_outer(grid, targets_VW, b_phys)
-        )
-
-    # forcing terms that vanish with delta and eps
-    mask = grid.dealias_mask
-    Fh = total[:2].copy()
-    Fh += delta * _raw_deriv(grid, _raw_deriv(grid, vc, "z"), "z") * mask
-
-    dt_v = _pe_h_time_derivative(grid, vc)
-    dt_w = _raw_w_from_v(grid, dt_v)
-    adv_w = _raw_advect(grid, u_phys, wc[None])[0]
-    lap_w = _lap_delta_mult(grid, delta) * wc
-    Fz = total[2] - eps * (dt_w + adv_w - lap_w) * mask
-
-    Fh = _raw_parity_project(grid, Fh, EVEN)
-    Fz = _raw_parity_project(grid, Fz, ODD)
+    Fh = band.scatter(_raw_parity_project(band, F[:2], EVEN))
+    Fz = band.scatter(_raw_parity_project(band, F[2], ODD))
     return (
         (SpectralField(grid, Fh[0], EVEN), SpectralField(grid, Fh[1], EVEN)),
         SpectralField(grid, Fz, ODD),
     )
-
-
-def _raw_div_outer(grid: Grid, X: np.ndarray, y_phys: Sequence[np.ndarray]) -> np.ndarray:
-    """Conservative form: component i of div(X (x) y) = sum_j d_j (X_i y_j)."""
-    axes = ("x", "y", "z")
-    out = np.zeros_like(X)
-    for i in range(X.shape[0]):
-        Xi = _raw_to_phys(grid, X[i])
-        for j, yj in enumerate(y_phys):
-            prod = _raw_to_spec(grid, Xi * yj) * grid.dealias_mask
-            out[i] += _raw_deriv(grid, prod, axes[j])
-    return out * grid.dealias_mask
 
 
 def baroclinic_rhs(
@@ -391,7 +356,15 @@ def baroclinic_rhs(
     vbar is the z-independent horizontal average pair, utilde the mean-free
     triple (vtilde1, vtilde2, w).  Returns (Fbar, Ftilde1, Ftilde2) where
     Fbar is z-independent, Ftilde1 has zero vertical mean by construction,
-    and Ftilde2 is the forcing of the vertical-velocity block.
+    and Ftilde2 is the forcing of the vertical-velocity block; all in the
+    grid's layout, zero outside the band.
+
+    The forcings are computed on grid.band, every transport in divergence
+    form (_raw_advect).  That is the convective form because both advecting
+    velocities are divergence-free: vbar (div_H vbar = 0) and utilde
+    (w = w(vtilde)); and utilde . grad vbar = div(vbar (x) utilde) since
+    d_z vbar = 0.  Inputs for which this fails raise CompatibilityError,
+    as do inputs with content outside the band.
     """
     vb1, vb2 = vbar
     vt1, vt2, wt = utilde
@@ -407,27 +380,24 @@ def baroclinic_rhs(
         m = float(np.max(np.abs(fld.coeffs[:, :, 1:])))
         if m > tol:
             raise CompatibilityError(f"{name} is not z-independent: {m:.3e}", m)
+    band = grid.band
+    vb = _to_band(grid, band, (vb1.coeffs, vb2.coeffs))
+    ut = _to_band(grid, band, (vt1.coeffs, vt2.coeffs, wt.coeffs))
+    _raw_require_divergence_free(band, vb, "vbar")
+    _raw_require_divergence_free(band, ut, "utilde")
 
-    vb_phys = [_raw_to_phys(grid, c) for c in (vb1.coeffs, vb2.coeffs)]
-    ut_phys = [_raw_to_phys(grid, c) for c in (vt1.coeffs, vt2.coeffs, wt.coeffs)]
-    vt_stack = np.stack((vt1.coeffs, vt2.coeffs))
-    vb_stack = np.stack((vb1.coeffs, vb2.coeffs))
-    w_stack = wt.coeffs[None]
+    vb_phys, ut_phys = _raw_to_phys(band, vb), _raw_to_phys(band, ut)
+    # utilde . grad (vtilde, w)
+    adv = _raw_advect(band, ut_phys, (1.0, 1.0, 1.0), VELOCITY_PARITIES)
+    avg = _raw_zaverage_plane(adv[:2])
+    # vbar . grad_H (vtilde, w)
+    by_bar = _raw_advect(band, vb_phys, (1.0, 1.0, 1.0), targets=ut_phys)
+    # utilde . grad vbar = vtilde . grad_H vbar
+    of_bar = _raw_advect(band, ut_phys, (1.0, 1.0), targets=vb_phys)
 
-    adv_tt = _raw_advect(grid, ut_phys, vt_stack)  # utilde . grad vtilde
-    avg_tt = np.stack([_raw_zaverage_plane(a) for a in adv_tt])
-
-    fbar = -avg_tt
-    ft1 = (
-        -_raw_advect(grid, ut_phys[:2], vb_stack)  # vtilde . grad_H vbar
-        - _raw_advect(grid, vb_phys, vt_stack)  # vbar . grad_H vtilde
-        - adv_tt
-        + avg_tt
-    )
-    ft2 = -(
-        _raw_advect(grid, vb_phys, w_stack) + _raw_advect(grid, ut_phys, w_stack)
-    )[0]
-
+    fbar = band.scatter(-avg)
+    ft1 = band.scatter(-(of_bar + by_bar[:2] + adv[:2] - avg))
+    ft2 = band.scatter(-(by_bar[2] + adv[2]))
     fbar_f = tuple(SpectralField(grid, fbar[i], EVEN) for i in range(2))
     ft1_f = tuple(SpectralField(grid, ft1[i], EVEN) for i in range(2))
     return fbar_f, ft1_f, SpectralField(grid, ft2, ODD)

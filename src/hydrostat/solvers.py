@@ -19,11 +19,11 @@ the first step).  The scheme is second order in dt, has no splitting error
 for pure heat modes, and damps stiff vertical modes monotonically for large
 delta, which a trapezoidal implicit step would not.
 
-The advection is computed in divergence form, sum_j d_j (u_i u_j)
-(fields._raw_advect_div).  That equals (u . grad) u_i only because every
-stepper's advecting velocity is divergence-free: w is recovered from div_H v
-at kz != 0, and the projections hold div_H of the vertical average (and of
-the NS2D plane) at zero.
+The advection is computed in divergence form, sum_j d_j (u_i u_j), by
+the one advection kernel (fields._raw_advect).  That equals (u . grad) u_i
+only because every stepper's advecting velocity is divergence-free: w is
+recovered from div_H v at kz != 0, and the projections hold div_H of the
+vertical average (and of the NS2D plane) at zero.
 
 Every stepper holds its state on the Band of its grid (spectral.Band): only
 the modes that the 2/3 dealias mask keeps, so the mask is structural and no
@@ -73,7 +73,7 @@ from .errors import BlowupDetected, CompatibilityError, InvalidParameter
 from .fields import (
     VELOCITY_PARITIES,
     VelocityState,
-    _raw_advect_div,
+    _raw_advect,
     _raw_project_eps,
     _raw_project_hydro,
     _raw_project_hydro_plane,
@@ -81,7 +81,6 @@ from .fields import (
     _raw_with_w,
 )
 from .spectral import (
-    PI,
     Band,
     Grid,
     SpectralField,
@@ -90,6 +89,7 @@ from .spectral import (
     _raw_inner,
     _raw_to_phys,
     _raw_wsum,
+    _to_band,
     make_grid,
 )
 
@@ -267,8 +267,8 @@ class NavierStokesStepper(_ExpAB2):
         self.eps = self.w_scale = eps
 
     def nonlinear(self, V: np.ndarray) -> np.ndarray:
-        N = -_raw_advect_div(self.grid, self._phys(V), (1.0, 1.0, self.eps),
-                             VELOCITY_PARITIES)
+        N = -_raw_advect(self.grid, self._phys(V), (1.0, 1.0, self.eps),
+                         VELOCITY_PARITIES)
         return _raw_project_eps(self.grid, N, self.eps)[:2]
 
 
@@ -280,7 +280,7 @@ class PrimitiveStepper(_ExpAB2):
         super().__init__(band, _lap_delta_mult(band, delta), dt)
 
     def nonlinear(self, V: np.ndarray) -> np.ndarray:
-        return _raw_project_hydro(self.grid, -_raw_advect_div(
+        return _raw_project_hydro(self.grid, -_raw_advect(
             self.grid, self._phys(V), (1.0, 1.0), VELOCITY_PARITIES))
 
 
@@ -299,7 +299,7 @@ class NavierStokes2DStepper(_ExpAB2):
 
     def nonlinear(self, V: np.ndarray) -> np.ndarray:
         return _raw_project_hydro_plane(
-            self.grid, -_raw_advect_div(self.grid, self._phys(V), (1.0, 1.0))
+            self.grid, -_raw_advect(self.grid, self._phys(V), (1.0, 1.0))
         )
 
     def constrain(self, V: np.ndarray) -> np.ndarray:
@@ -334,7 +334,9 @@ class System:
     """How one system is stepped: stepper(grid, eps, delta, dt) builds its
     stepper, pack(state) its state array on the stepper's band,
     unpack(grid, U) the (v1, v2, w) coefficients of a state array in the
-    kz >= 0 layout of grid; require(U, what) checks a precondition.
+    kz >= 0 layout of grid; check(state, what) checks the data of a run
+    (run_simulation): it raises for a broken precondition and warns of
+    data that the system reads only in part.
 
     pack raises CompatibilityError for a state the stepper could not hold:
     content outside the band, or in 3D a w that is not w(v)."""
@@ -342,33 +344,30 @@ class System:
     stepper: Callable[[Grid, float, float, float], _ExpAB2]
     pack: Callable[[VelocityState], np.ndarray]
     unpack: Callable[[Grid, np.ndarray], tuple]
-    require: Callable[[np.ndarray, str], None] = lambda U, what: None
+    check: Callable[[VelocityState, str], None] = lambda s, what: None
 
 
-def _require_mean_free(U: np.ndarray, what: str, tol: float = 1e-12) -> None:
-    m = float(np.max(np.abs(U[..., 0])))
+def _require_mean_free(s: VelocityState, what: str, tol: float = 1e-12) -> None:
+    m = float(np.max(np.abs(np.stack((s.v1.coeffs, s.v2.coeffs))[..., 0])))
     if m > tol:
         raise CompatibilityError(f"{what} is not vertically mean-free: {m:.3e}", m)
 
 
-def _to_band(grid: Grid, band: Band, comps: Sequence[np.ndarray]) -> np.ndarray:
-    """The coefficients on band, grid.band or grid.plane, of a stack of
-    components in the band's parent layout.
-
-    Content outside the band would be dropped by the first step, so more
-    than rounding there (1e-12 of the largest coefficient) is an error."""
-    full = np.stack(comps)
-    inside = band.gather(full)
-    mag = np.abs(full - band.scatter(inside))
-    at = np.unravel_index(np.argmax(mag), mag.shape)
-    if mag[at] > 1e-12 * float(np.max(np.abs(full), initial=0.0)):
-        modes = tuple(int(np.rint(k[i] / PI))
-                      for k, i in zip(grid.wavenumbers, at[1:]))
-        raise CompatibilityError(
-            f"state has content outside the 2/3 dealias band: |c| = "
-            f"{mag[at]:.3e} in component {at[0]} at mode {modes}", float(mag[at])
+def _warn_off_plane(s: VelocityState, what: str) -> None:
+    """NS2D steps the kz=0 plane of (v1, v2), their vertical average, and
+    drops the rest of a state: one RuntimeWarning, naming the share of the
+    energy dropped, when that is more than rounding (1e-12 of the largest
+    coefficient)."""
+    U = np.stack([f.coeffs for f in s.components()])
+    off = U.copy()
+    off[:2, ..., 0] = 0.0
+    if np.max(np.abs(off)) > 1e-12 * np.max(np.abs(U)):
+        share = _raw_inner(s.grid, off, off) / _raw_inner(s.grid, U, U)
+        warnings.warn(
+            f"{what} has {100 * share:.3g}% of its energy off the kz=0 plane of "
+            f"(v1, v2); NS2D steps only that plane, the vertical average of the "
+            f"data, and drops the rest", RuntimeWarning,
         )
-    return inside
 
 
 def _pack(s: VelocityState) -> np.ndarray:
@@ -402,6 +401,7 @@ SYSTEMS = {
         ),
         lambda g, B: (*_raw_embed_plane(g, g.plane.scatter(B)),
                       np.zeros(g.spec_shape, np.complex128)),
+        _warn_off_plane,
     ),
     "StokesScaled": System(
         lambda g, eps, delta, dt: StokesScaledStepper(g, delta, dt), _pack, _with_w,
@@ -556,7 +556,7 @@ def run_simulation(cfg: SimConfig) -> TrajectoryRecord:
     grid = make_grid(cfg.nx, cfg.ny, cfg.nz)
     data = generate_initial_data(cfg.recipe, cfg.seed, grid)
     lane = system_lane(cfg.system, data, cfg.eps, cfg.delta, observe=record)
-    system.require(lane.U, f"recipe {cfg.recipe!r} data")
+    system.check(data, f"recipe {cfg.recipe!r} data")
     run_lanes([lane], [(cfg.dt, cfg.n_steps)], grid.kmax, cfg.record_every)
     if isinstance(lane.failure, BlowupDetected):
         rec.blowup_flag = True

@@ -51,7 +51,7 @@ Vertical parity (even/odd in z) is a structural property of every velocity
 component here and is tracked on each field.  Data enter the class by
 orthogonal projection (_raw_parity_project), and the steppers keep their
 states in it exactly: the nonlinear term comes back projected
-(fields._raw_advect_div), and every other operation of a step keeps the
+(fields._raw_advect), and every other operation of a step keeps the
 class bit for bit.
 """
 from __future__ import annotations
@@ -61,11 +61,11 @@ import math
 import operator
 from dataclasses import dataclass, field
 from functools import cached_property, reduce
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import InvalidGrid, InvalidParameter, ShapeError
+from .errors import CompatibilityError, InvalidGrid, InvalidParameter, ShapeError
 
 EVEN = "even"
 ODD = "odd"
@@ -193,7 +193,7 @@ class Workspace:
     real holds WORKSPACE_FIELDS lattice fields: a stepper's inverse transform
     writes its velocities into the top slots (on a 3D band the pair
     (v1 + w, v2), split into v1 and w in the two slots below) and
-    fields._raw_advect_div forms its products from the first slot up.
+    fields._raw_advect forms its products from the first slot up.
     stages holds the arrays that the band's inverse runs its passes in,
     WORKSPACE_BATCH fields at a time: one per leading axis (_Plan.inverse),
     the last of which, cplx, is the half spectrum of the lattice, where the
@@ -325,6 +325,27 @@ def _workspace(grid: Grid | Band) -> Workspace | None:
     """The transform workspace of a Band; None on a Grid, whose transforms
     allocate their arrays."""
     return grid.workspace if isinstance(grid, Band) else None
+
+
+def _to_band(grid: Grid, band: Band, comps: Sequence[np.ndarray]) -> np.ndarray:
+    """The coefficients on band, grid.band or grid.plane, of a stack of
+    components in the band's parent layout.
+
+    Content outside the band would be dropped without a word by whatever
+    runs on the band (a stepper, the forcings of fields), so more than
+    rounding there (1e-12 of the largest coefficient) is an error."""
+    full = np.stack(comps)
+    inside = band.gather(full)
+    mag = np.abs(full - band.scatter(inside))
+    at = np.unravel_index(np.argmax(mag), mag.shape)
+    if mag[at] > 1e-12 * float(np.max(np.abs(full), initial=0.0)):
+        modes = tuple(int(np.rint(k[i] / PI))
+                      for k, i in zip(grid.wavenumbers, at[1:]))
+        raise CompatibilityError(
+            f"state has content outside the 2/3 dealias band: |c| = "
+            f"{mag[at]:.3e} in component {at[0]} at mode {modes}", float(mag[at])
+        )
+    return inside
 
 
 def make_grid(nx: int, ny: int, nz: int) -> Grid:

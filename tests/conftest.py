@@ -61,3 +61,18 @@ def full_phase(grid):
     """(-1)^(mx+my+mz) on the full cube."""
     m = sum(np.rint(k / np.pi).astype(int) for k in full_wavenumbers(grid))
     return np.where(m % 2 == 0, 1.0, -1.0)
+
+
+def convective_advect(grid, u_phys, T):
+    """Convective derivative sum_j u_j d_j T_i of a stack of targets T on a
+    grid, dealiased, in spectral space; u_phys has 2 (horizontal transport)
+    or 3 physical components.  Test reference: the library advects in
+    divergence form only (fields._raw_advect), which equals this for a
+    divergence-free u."""
+    from hydrostat.spectral import _deriv_mult, _raw_to_phys, _raw_to_spec
+
+    iks = [_deriv_mult(grid, j, 1) for j in range(len(u_phys))]
+    dT = np.stack([[ik * Ti for ik in iks] for Ti in T])
+    dTp = _raw_to_phys(grid, dT)
+    acc = np.stack([sum(u * d for u, d in zip(u_phys, dTi)) for dTi in dTp])
+    return _raw_to_spec(grid, acc) * grid.dealias_mask

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from hydrostat.errors import CompatibilityError, ShapeError
 from hydrostat.fields import (
-    _raw_advect_div,
+    _raw_advect,
     _raw_div_eps_defect,
     _raw_project_eps,
     _raw_project_hydro,
@@ -31,7 +31,7 @@ from hydrostat.spectral import (
     zero_field,
 )
 
-from conftest import full_phase, full_wavenumbers, random_band_field
+from conftest import convective_advect, full_phase, full_wavenumbers, random_band_field
 
 PI = np.pi
 
@@ -251,27 +251,40 @@ class TestDiffRhs:
         (fh1, fh2), _ = diff_rhs_F(
             zero_pair, zero_field(grid16, ODD), V, W, eps, 0.0
         )
-        from hydrostat.fields import _raw_advect
-        from hydrostat.spectral import _raw_to_phys
-
         b = [
             _raw_to_phys(grid16, c)
             for c in (V[0].coeffs, V[1].coeffs, _raw_w_from_v(
                 grid16, np.stack((V[0].coeffs, V[1].coeffs))))
         ]
-        adv = _raw_advect(grid16, b, np.stack((V[0].coeffs, V[1].coeffs)))
+        adv = convective_advect(grid16, b, np.stack((V[0].coeffs, V[1].coeffs)))
         assert np.max(np.abs(fh1.coeffs + adv[0])) < 1e-13
         assert np.max(np.abs(fh2.coeffs + adv[1])) < 1e-13
 
     def test_advective_and_divergence_forms_agree(self, grid16):
-        eps = 0.3
-        v, w, V, W = self._limit_and_difference(grid16, eps)
-        a = diff_rhs_F(v, w, V, W, eps, 0.2, form="advective")
-        d = diff_rhs_F(v, w, V, W, eps, 0.2, form="divergence")
+        """diff_rhs_F, in divergence form on the band, against its forcings
+        in convective form on the grid: the transports of (v, eps w) by
+        (V, w(V)) and of (V, W) by (v, w) and (V, w(V)), delta d_zz v, and
+        the eps-residual with the PE_H time derivative of v."""
+        g, eps, delta = grid16, 0.3, 0.2
+        v, w, V, W = self._limit_and_difference(g, eps)
+        vc, Vc, wc = _stack(v), _stack(V), w.coeffs
+        u = _raw_to_phys(g, np.concatenate((vc, [wc])))
+        b = _raw_to_phys(g, np.concatenate((Vc, [_raw_w_from_v(g, Vc)])))
+        vw, VW = np.concatenate((vc, [eps * wc])), np.concatenate((Vc, [W.coeffs]))
+        total = -(convective_advect(g, b, vw) + convective_advect(g, u, VW)
+                  + convective_advect(g, b, VW))
+        dt_v = _lap_delta_mult(g, 0.0) * vc - _raw_project_hydro(
+            g, convective_advect(g, u, vc))
+        dt_w = _raw_w_from_v(g, dt_v) + convective_advect(g, u, wc[None])[0]
+        mask = g.dealias_mask
+        Fh = total[:2] + delta * (1j * g.kz3) ** 2 * vc * mask
+        Fz = total[2] - eps * (dt_w - _lap_delta_mult(g, delta) * wc) * mask
+        a = ((Fh[0], Fh[1]), Fz)
+        d = diff_rhs_F(v, w, V, W, eps, delta)
         gap = max(
-            np.max(np.abs(a[0][0].coeffs - d[0][0].coeffs)),
-            np.max(np.abs(a[0][1].coeffs - d[0][1].coeffs)),
-            np.max(np.abs(a[1].coeffs - d[1].coeffs)),
+            np.max(np.abs(a[0][0] - d[0][0].coeffs)),
+            np.max(np.abs(a[0][1] - d[0][1].coeffs)),
+            np.max(np.abs(a[1] - d[1].coeffs)),
         )
         assert gap < 1e-10
 
@@ -318,6 +331,28 @@ class TestDiffRhs:
         )
         assert np.max(np.abs(lhs - F)) < 1e-12
 
+    @pytest.mark.parametrize("bad, match", [
+        ("w is 1.01 w(v)", "limit velocity"),
+        ("V has div_H of its vertical average", "difference velocity"),
+        ("v has content outside the band", "outside the 2/3 dealias band"),
+    ])
+    def test_divergence_free_and_band_preconditions(self, grid16, bad, match):
+        """The divergence form is the convective one only for
+        divergence-free advecting velocities, and the band holds no more."""
+        eps = 0.5
+        v, w, V, W = self._limit_and_difference(grid16, eps)
+        if bad.startswith("w "):
+            w = w * 1.01
+        elif bad.startswith("V "):
+            V = _pair(grid16, (45, 46))  # not hydrostatically projected
+            W = SpectralField(grid16, eps * _w(V).coeffs, ODD)
+        else:  # mode (0, 6, 0): 3 * 6 >= 16
+            far = field_from_function(grid16, lambda x, y, z: 1e-3 * np.cos(6 * PI * y),
+                                      EVEN)
+            v = (v[0] + far, v[1])
+        with pytest.raises(CompatibilityError, match=match):
+            diff_rhs_F(v, w, V, W, eps, 0.1)
+
     def test_grid_mismatch(self, grid8, grid16):
         v = (zero_field(grid8, EVEN), zero_field(grid8, EVEN))
         with pytest.raises(ShapeError):
@@ -348,11 +383,10 @@ class TestBaroclinicRhs:
         ut = (s.vtilde1, s.vtilde2, s.w)
         fbar, ft1, _ = baroclinic_rhs(zero_bar, ut)
         # Fbar = -avg(ut . grad vt) and Ftilde1 = -(ut . grad vt) + avg(...)
-        from hydrostat.fields import _raw_advect, _raw_zaverage_plane
-        from hydrostat.spectral import _raw_to_phys
+        from hydrostat.fields import _raw_zaverage_plane
 
         up = [_raw_to_phys(grid16, c.coeffs) for c in ut]
-        adv = _raw_advect(
+        adv = convective_advect(
             grid16, up, np.stack((s.vtilde1.coeffs, s.vtilde2.coeffs))
         )
         avg = np.stack([_raw_zaverage_plane(a) for a in adv])
@@ -375,6 +409,26 @@ class TestBaroclinicRhs:
                 (bad, zero_field(grid16, EVEN), zero_field(grid16, ODD)),
             )
 
+    @pytest.mark.parametrize("bad, match", [
+        ("vbar has div_H != 0", "vbar is not divergence-free"),
+        ("w is 1.01 w(vtilde)", "utilde is not divergence-free"),
+        ("vbar has content outside the band", "outside the 2/3 dealias band"),
+    ])
+    def test_divergence_free_and_band_preconditions(self, grid16, bad, match):
+        s = self._split_state(grid16, (56, 57))
+        vbar, ut = (s.vbar1, s.vbar2), (s.vtilde1, s.vtilde2, s.w)
+        if bad.startswith("vbar has div"):
+            sin = field_from_function(grid16, lambda x, y, z: np.sin(PI * x), EVEN)
+            vbar = (sin, s.vbar2)
+        elif bad.startswith("w "):
+            ut = (s.vtilde1, s.vtilde2, s.w * 1.01)
+        else:  # z-independent and div_H-free, at mode (0, 6, 0): 3 * 6 >= 16
+            far = field_from_function(grid16, lambda x, y, z: 1e-3 * np.cos(6 * PI * y),
+                                      EVEN)
+            vbar = (s.vbar1 + far, s.vbar2)
+        with pytest.raises(CompatibilityError, match=match):
+            baroclinic_rhs(vbar, ut)
+
 
 class TestAdvectionForms:
     """The divergence-form self-advection against the convective form.
@@ -388,12 +442,11 @@ class TestAdvectionForms:
 
     @staticmethod
     def _check(g, U, scale):
-        from hydrostat.fields import _raw_advect, _raw_advect_div
-        from hydrostat.spectral import _deriv_mult, _raw_to_phys, _raw_to_spec
+        from hydrostat.spectral import _deriv_mult
 
         up = _raw_to_phys(g, U)
-        div = _raw_advect_div(g, up, scale)
-        conv = _raw_advect(g, up, U[: len(scale)])
+        div = g.band.scatter(_raw_advect(g.band, up, scale))
+        conv = convective_advect(g, up, U[: len(scale)])
         div_u = _raw_to_phys(g, sum(_deriv_mult(g, j, 1) * c for j, c in enumerate(U)))
         t_div_u = _raw_to_spec(g, up[: len(scale)] * div_u) * g.dealias_mask
         s = np.reshape(scale, (-1,) + (1,) * len(g.shape))
@@ -470,4 +523,4 @@ class TestHalfLayoutEquivalence:
             )
             for i in range(3)
         ])
-        self._assert_half_of(g, _raw_advect_div(g, u, scale), full)
+        self._assert_half_of(g, g.band.scatter(_raw_advect(g.band, u, scale)), full)

@@ -761,6 +761,8 @@ class TestBenchmarkTracer:
         # counted, so every call must have counted some
         calls = [s for s in t.spans if s[3] in ("spectral.to_phys", "spectral.to_spec")]
         assert calls and all(s[7] is not None and s[7][0] > 0 for s in calls)
+        # the steppers' advection is the kernel the tracer wraps
+        assert metrics["fields.advect.calls"] > 0
 
 
 class TestCli:

@@ -10,7 +10,7 @@ from hydrostat.errors import CompatibilityError, InvalidParameter
 from hydrostat.fields import (
     VELOCITY_PARITIES,
     VelocityState,
-    _raw_advect_div,
+    _raw_advect,
     _raw_div_eps_defect,
     _raw_project_eps,
     _raw_w_from_v,
@@ -37,6 +37,8 @@ from hydrostat.spectral import (
     make_grid,
     zero_field,
 )
+
+from conftest import convective_advect
 
 PI = np.pi
 
@@ -220,7 +222,7 @@ def _nonlinear_cases(grid, eps=0.3):
     sliced at kz=0); state and term are given on the stepper's band.  The
     NS term is the horizontal part of the scaled projection of the
     convective term of (v, eps w)."""
-    from hydrostat.fields import _raw_advect, _raw_project_hydro
+    from hydrostat.fields import _raw_project_hydro
 
     data = generate_initial_data("bandlimited_random", 7, grid)
     V = np.stack((data.v1.coeffs, data.v2.coeffs))
@@ -228,14 +230,15 @@ def _nonlinear_cases(grid, eps=0.3):
     up = _raw_to_phys(grid, np.concatenate((V, _raw_w_from_v(grid, V)[None])))
     B = _raw_embed_plane(grid, V[..., 0])
     band, plane = grid.band, grid.plane
+    conv = convective_advect
     return {
         "NS": (NavierStokesStepper(grid, eps, 0.1, 1e-3), band.gather(V),
-               band.gather(_raw_project_eps(grid, -_raw_advect(grid, up, U), eps)[:2])),
+               band.gather(_raw_project_eps(grid, -conv(grid, up, U), eps)[:2])),
         "PE": (PrimitiveStepper(grid, 0.0, 1e-3), band.gather(V),
-               band.gather(_raw_project_hydro(grid, -_raw_advect(grid, up, V)))),
+               band.gather(_raw_project_hydro(grid, -conv(grid, up, V)))),
         "NS2D": (NavierStokes2DStepper(grid, 1e-3), plane.gather(B[..., 0]),
                  plane.gather(_raw_project_hydro(
-                     grid, -_raw_advect(grid, _raw_to_phys(grid, B), B))[..., 0])),
+                     grid, -conv(grid, _raw_to_phys(grid, B), B))[..., 0])),
     }
 
 
@@ -337,8 +340,8 @@ class _NSThreeComponents(_ExpAB2):
         self.eps = eps
 
     def nonlinear(self, U):
-        N = -_raw_advect_div(self.grid, self._phys(U[:2]), (1.0, 1.0, self.eps),
-                             VELOCITY_PARITIES)
+        N = -_raw_advect(self.grid, self._phys(U[:2]), (1.0, 1.0, self.eps),
+                         VELOCITY_PARITIES)
         return _raw_project_eps(self.grid, N, self.eps)
 
     def constrain(self, U):
@@ -584,6 +587,27 @@ class TestRunSimulation:
         for f in st.components():
             assert np.all(f.coeffs[:, :, 1:] == 0.0)
         assert np.max(np.abs(st.v1.coeffs[:, :, 0])) > 0.0
+
+    @pytest.mark.parametrize("recipe", ["bandlimited_random", "taylor_green_3d"])
+    def test_ns2d_reports_the_energy_it_drops(self, recipe):
+        """NS2D steps the vertical average of 3D data: one warning names
+        the share of the energy it drops, and z-independent data get none."""
+        cfg = SimConfig("NS2D", 16, 16, 8, 1e-3, 0.005, recipe=recipe, seed=2)
+        data = generate_initial_data(recipe, 2, make_grid(16, 16, 8))
+        U = np.stack([f.coeffs for f in data.components()])
+        off = U.copy()
+        off[:2, :, :, 0] = 0.0
+        share = np.sum(np.abs(off) ** 2 * data.grid.parseval_weight) / np.sum(
+            np.abs(U) ** 2 * data.grid.parseval_weight)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            run_simulation(cfg)
+        dropped = [str(w.message) for w in caught if "kz=0 plane" in str(w.message)]
+        if recipe == "taylor_green_3d":
+            assert dropped == [] and share < 1e-24
+        else:
+            assert len(dropped) == 1
+            assert f"has {100 * share:.3g}% of its energy" in dropped[0]
 
     def test_cfl_warning_reports_maximum_through_ns2d(self):
         """The plane stepper sets last_umax, so an NS2D run past the limit

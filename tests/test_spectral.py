@@ -23,7 +23,13 @@ from hydrostat.spectral import (
     zero_field,
 )
 
-from conftest import full_cube, full_phase, full_wavenumbers, random_band_field
+from conftest import (
+    convective_advect,
+    full_cube,
+    full_phase,
+    full_wavenumbers,
+    random_band_field,
+)
 
 PI = np.pi
 
@@ -438,14 +444,13 @@ class TestDealias:
 
     def test_skew_symmetry_restored(self, grid16):
         # discrete <u.grad u + (div u) u / 2, u> vanishes for dealiased u
-        from hydrostat.fields import _raw_advect
         from hydrostat.spectral import _raw_deriv, _raw_inner, _raw_to_phys, _raw_to_spec
 
         g = grid16
         comps = [random_band_field(g, s).coeffs for s in (6, 7, 8)]
         U = np.stack(comps)
         up = [_raw_to_phys(g, c) for c in comps]
-        adv = _raw_advect(g, up, U)
+        adv = convective_advect(g, up, U)
         div_u = sum(
             _raw_deriv(g, comps[j], ax) for j, ax in enumerate("xyz")
         )
