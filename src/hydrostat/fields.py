@@ -126,19 +126,33 @@ def _raw_project_eps(grid: Grid | Band, U: np.ndarray, eps: float) -> np.ndarray
     return np.stack((U[0] - t[0] * s, U[1] - t[1] * s, U[2] - t[2] * s))
 
 
-def _raw_project_hydro_plane(grid: Grid | Band, P: np.ndarray) -> np.ndarray:
+def _hproj_tables(grid: Grid | Band) -> np.ndarray:
+    """kx, ky and |k_H|^2 (1 at k_H = 0) on the kz=0 plane, complex: a
+    product or quotient with a real table converts it to complex on every
+    call, and the converted values give the same results bit for bit."""
+    def build():
+        kx, ky = np.meshgrid(grid.kx, grid.ky, indexing="ij")
+        k2 = kx**2 + ky**2
+        return np.stack((kx, ky, np.where(k2 == 0.0, 1.0, k2))).astype(np.complex128)
+
+    return grid.cached(("hproj",), build)
+
+
+def _raw_project_hydro_plane(grid: Grid | Band, P: np.ndarray,
+                             out: np.ndarray | None = None) -> np.ndarray:
     """2D Leray projection of a pair of kz=0 coefficient planes, shape
     (2, *grid.spec_shape[:2]): removes the horizontal gradient driven by
-    their divergence."""
-    kx = grid.kx[:, None]
-    ky = grid.ky[None, :]
-
-    def build():
-        k2 = kx**2 + ky**2
-        return np.where(k2 == 0.0, 1.0, k2)
-
-    s = (kx * P[0] + ky * P[1]) / grid.cached(("hproj_k2",), build)
-    return np.stack((P[0] - kx * s, P[1] - ky * s))
+    their divergence.  Writes into out, which may be P itself (a new array
+    when None)."""
+    kx, ky, k2 = _hproj_tables(grid)
+    s = kx * P[0]
+    s += ky * P[1]
+    s /= k2
+    if out is None:
+        out = np.empty(P.shape, np.complex128)
+    np.subtract(P[0], kx * s, out=out[0])
+    np.subtract(P[1], ky * s, out=out[1])
+    return out
 
 
 def _raw_project_hydro(grid: Grid | Band, V: np.ndarray) -> np.ndarray:

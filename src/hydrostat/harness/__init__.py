@@ -1,21 +1,18 @@
-"""Orchestration layer: initial data, matched pairs, sweeps, persistence, CLI."""
+"""Orchestration layer: initial data, matched pairs, sweeps, persistence, CLI.
 
-from .initial_data import RECIPES, generate_initial_data
-from .pairs import NormRow, run_matched_family, run_matched_pair
-from .snapshots import load_snapshot, save_snapshot
-from .sweep import SweepConfig, SweepResult, fit_rate, format_csv, run_sweep
+The namespace is lazy, as hydrostat's is: each exported name, and each
+submodule, resolves on first read by importing the submodule it comes from,
+and nothing is cached here.
+"""
 
-__all__ = [
-    "RECIPES",
-    "generate_initial_data",
-    "NormRow",
-    "run_matched_family",
-    "run_matched_pair",
-    "load_snapshot",
-    "save_snapshot",
-    "SweepConfig",
-    "SweepResult",
-    "fit_rate",
-    "format_csv",
-    "run_sweep",
-]
+from .. import _lazy
+
+# submodule -> the names the package exports from it
+_EXPORTS = {
+    "initial_data": ("RECIPES", "generate_initial_data"),
+    "pairs": ("NormRow", "run_matched_family", "run_matched_pair"),
+    "snapshots": ("load_snapshot", "save_snapshot"),
+    "sweep": ("SweepConfig", "SweepResult", "fit_rate", "format_csv", "run_sweep"),
+}
+__getattr__, __dir__, __all__ = _lazy(
+    __name__, _EXPORTS, ("cli", "config", "plots", "verify"))

@@ -7,7 +7,6 @@ from __future__ import annotations
 
 from ..errors import ConfigError
 from ..solvers import SimConfig
-from .sweep import SweepConfig
 
 _SIM_KEYS = {
     "system": str,
@@ -80,6 +79,8 @@ def sim_config_from_dict(d: dict) -> SimConfig:
 
 
 def sweep_config_from_dict(d: dict) -> SweepConfig:
+    from .sweep import SweepConfig  # here, so that `run` loads no sweep
+
     if "mode" not in d:
         raise ConfigError("sweep config needs a mode")
     sim = {k: v for k, v in d.items() if k in _SIM_KEYS}

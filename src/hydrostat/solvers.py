@@ -218,7 +218,9 @@ class _ExpAB2:
         return self.constrain(self.propagator * B)
 
     def constrain(self, V: np.ndarray) -> np.ndarray:
-        return _raw_project_hydro(self.grid, V)
+        """Project the step's fresh array V in place."""
+        _raw_project_hydro_plane(self.grid, V[..., 0], out=V[..., 0])
+        return V
 
     def step(self, U: np.ndarray) -> np.ndarray:
         return self.advance(U, self.nonlinear(U))
@@ -298,12 +300,12 @@ class NavierStokes2DStepper(_ExpAB2):
         super().__init__(plane, -plane.k2h, dt)
 
     def nonlinear(self, V: np.ndarray) -> np.ndarray:
-        return _raw_project_hydro_plane(
-            self.grid, -_raw_advect(self.grid, self._phys(V), (1.0, 1.0))
-        )
+        N = _raw_advect(self.grid, self._phys(V), (1.0, 1.0))
+        np.negative(N, out=N)
+        return _raw_project_hydro_plane(self.grid, N, out=N)
 
     def constrain(self, V: np.ndarray) -> np.ndarray:
-        return _raw_project_hydro_plane(self.grid, V)
+        return _raw_project_hydro_plane(self.grid, V, out=V)
 
 
 class StokesScaledStepper(_ExpAB2):

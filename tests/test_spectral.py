@@ -549,25 +549,97 @@ def test_field_arithmetic_and_immutability(grid8):
         SpectralField(grid8, np.full(grid8.spec_shape, np.nan, dtype=complex))
 
 
-def test_the_runtime_imports_no_scipy():
-    """scipy is a test dependency only: importing the CLI, building a grid
-    and drawing initial data, the set-up of every run, import none of it."""
+def test_the_runtime_imports_no_scipy(tmp_path):
+    """scipy is a test dependency only: building a grid and drawing initial
+    data (the set-up of every run), a one-step `hydrostat run` and importing
+    the CLI import none of it.  The set-up and the run load only the
+    hydrostat modules they use."""
+    import ast
     import os
     import subprocess
     import sys
 
     import hydrostat
 
+    config = tmp_path / "run.cfg"
+    config.write_text("system = NS_eps_delta\nnx = 8\nny = 8\nnz = 8\ndt = 0.001\n"
+                      "t_end = 0.001\nrecipe = bandlimited_random\nseed = 1\n")
     code = (
         "import sys\n"
-        "import hydrostat.harness.cli\n"
+        "loaded = lambda p: sorted(m for m in sys.modules if m.partition('.')[0] == p)\n"
         "from hydrostat.harness.initial_data import generate_initial_data\n"
         "from hydrostat.spectral import make_grid\n"
         "generate_initial_data('bandlimited_random', 42, make_grid(32, 32, 32))\n"
-        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))\n"
+        "print(loaded('hydrostat'))\n"
+        "from hydrostat.harness.cli import main\n"
+        f"assert main(['run', '--config', {str(config)!r}]) == 0\n"
+        "print(loaded('hydrostat'))\n"
+        "print(loaded('scipy'))\n"
     )
     src = os.path.dirname(os.path.dirname(hydrostat.__file__))
     env = {**os.environ, "PYTHONPATH": src}
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, timeout=120, check=True)
-    assert done.stdout.strip() == "[]"
+    lines = done.stdout.splitlines()
+    setup, run, scipy_modules = (set(ast.literal_eval(line))
+                                 for line in (lines[0], lines[-2], lines[-1]))
+    harness = lambda *names: {f"hydrostat.harness.{n}" for n in names}
+    assert not setup & {"hydrostat.bootstrap", "hydrostat.solvers",
+                        *harness("pairs", "sweep", "snapshots", "verify", "cli",
+                                 "config", "plots")}
+    assert not run & {"hydrostat.bootstrap", *harness("pairs", "sweep", "verify")}
+    assert scipy_modules == set()
+
+
+# The names each package namespace exported when it became lazy, by the
+# submodule each comes from (README's quick start imports from both).
+_EXPORTED = {
+    "hydrostat": {
+        "bootstrap": "BootstrapCertificate BudgetFunctions SampledFunction "
+                     "certify_bootstrap_family certify_exp_quadratic_bound "
+                     "certify_quadratic_bound continuation_schedule",
+        "errors": "BlowupDetected CompatibilityError ConfigError FormatError "
+                  "HydrostatError InsufficientData InvalidGrid InvalidParameter "
+                  "OrderingError ScheduleInfeasible ShapeError",
+        "fields": "SplitState VelocityState barotropic_split baroclinic_rhs diff_rhs_F",
+        "norms": "NormAccumulator accumulate finalize norm_aniso norm_sobolev",
+        "solvers": "SimConfig TrajectoryRecord run_simulation",
+        "spectral": "EVEN NONE ODD Grid PhysicalField SpectralField dealias "
+                    "enforce_parity field_from_function forward_transform inner_l2 "
+                    "inverse_transform laplacian_delta make_grid spectral_derivative",
+        "harness": "",
+    },
+    "hydrostat.harness": {
+        "initial_data": "RECIPES generate_initial_data",
+        "pairs": "NormRow run_matched_family run_matched_pair",
+        "snapshots": "load_snapshot save_snapshot",
+        "sweep": "SweepConfig SweepResult fit_rate format_csv run_sweep",
+    },
+}
+
+
+@pytest.mark.parametrize("package", sorted(_EXPORTED))
+def test_the_lazy_namespaces_export_the_submodules_objects(package):
+    """Every exported name reads as its submodule's own object, uncached, and
+    is listed by dir() and __all__; each submodule named here reads through
+    __getattr__; an unknown name is an AttributeError."""
+    import importlib
+
+    pkg = importlib.import_module(package)
+    exported = []
+    for sub, names in _EXPORTED[package].items():
+        module = importlib.import_module(f"{package}.{sub}")
+        assert pkg.__getattr__(sub) is module and sub in dir(pkg)
+        for name in names.split():
+            assert getattr(pkg, name) is getattr(module, name)
+            assert name not in vars(pkg)
+            assert name in dir(pkg)
+            exported.append(name)
+    assert sorted(pkg.__all__) == sorted(exported)
+    star = {}
+    exec(f"from {package} import *", star)
+    assert set(exported) <= set(star)
+    with pytest.raises(AttributeError):
+        pkg.no_such_name
+    assert not hasattr(pkg, "no_such_name")
+
