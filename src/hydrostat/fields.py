@@ -102,28 +102,31 @@ class SplitState:
 # ---------------------------------------------------------------------------
 
 def _peps_tables(grid: Grid | Band, eps: float):
+    """kz/eps and the reciprocal 1/(|k_H|^2 + (kz/eps)^2) (1 where that is
+    0); kx and ky are the grid's own broadcast views."""
+    kz = grid.cached(("kz/eps", float(eps)), lambda: grid.kz3 / eps)
+
     def build():
-        kz = grid.kz3 / eps
         norm2 = grid.k2h + kz**2
-        inv = 1.0 / np.where(norm2 == 0.0, 1.0, norm2)
-        return np.stack(
-            (
-                np.broadcast_to(grid.kx3, grid.spec_shape),
-                np.broadcast_to(grid.ky3, grid.spec_shape),
-                np.broadcast_to(kz, grid.spec_shape),
-                inv,
-            )
-        )
+        return 1.0 / np.where(norm2 == 0.0, 1.0, norm2)
 
-    return grid.cached(("peps", float(eps)), build)
+    return kz, grid.cached(("peps", float(eps)), build)
 
 
-def _raw_project_eps(grid: Grid | Band, U: np.ndarray, eps: float) -> np.ndarray:
+def _raw_project_eps(grid: Grid | Band, U: np.ndarray, eps: float,
+                     out: np.ndarray | None = None) -> np.ndarray:
     """Leray projection with the scaled wavevector (kx, ky, kz/eps); the
-    NS stepper applies it to its nonlinear term, never to a state."""
-    t = _peps_tables(grid, eps)
-    s = (t[0] * U[0] + t[1] * U[1] + t[2] * U[2]) * t[3]
-    return np.stack((U[0] - t[0] * s, U[1] - t[1] * s, U[2] - t[2] * s))
+    NS stepper applies it to its nonlinear term, never to a state.  Writes
+    the first len(out) components into out (all three in a new array when
+    None)."""
+    kz, inv = _peps_tables(grid, eps)
+    k = (grid.kx3, grid.ky3, kz)
+    s = (k[0] * U[0] + k[1] * U[1] + k[2] * U[2]) * inv
+    if out is None:
+        out = np.empty(U.shape, s.dtype)
+    for i in range(len(out)):
+        np.subtract(U[i], k[i] * s, out=out[i])
+    return out
 
 
 def _hproj_tables(grid: Grid | Band) -> np.ndarray:
@@ -231,10 +234,13 @@ def _raw_advect(
 
     The fields are formed in the band's workspace, field k in slot k, the
     paired ones first, when they fit (the products of a larger cross form
-    get an array of their own).  u_phys may lie in the workspace's upper
-    slots, where _ExpAB2._phys puts it: a paired field needs a slot that
-    holds no component, and any other overwrites only a component that no
-    later field reads.  The targets of a cross form lie outside it.
+    get an array of their own).  u_phys may lie in the workspace where
+    _ExpAB2._phys puts it, (v1, v2, w) in slots 3, 2 and 4 on a cube's band
+    (slot 1 holds v1 + w, which no product reads), or in the top two slots
+    on the NS2D plane.  So the paired fields go into slots 0-1, v1 v2 over
+    v2 (slot 2) and w w over v1 (slot 3): each field overwrites only a
+    component that no later field reads.  The targets of a cross form lie
+    outside the workspace.
     """
     m, n = len(scale), len(u_phys)
     if targets is None:

@@ -32,7 +32,7 @@ from dataclasses import dataclass, replace
 from functools import partial
 
 from ..errors import BlowupDetected, ConfigError, InsufficientData, InvalidParameter
-from ..fields import _raw_with_w
+from ..fields import _raw_w_from_v, _raw_with_w
 from ..norms import Energies, NormAccumulator, accumulate, finalize
 from ..solvers import Lane, SimConfig, run_lanes, system_lane, warn_cfl
 from ..spectral import _raw_embed_plane, make_grid
@@ -245,6 +245,7 @@ def _run_family(points, base: SimConfig, mode: str, lanes: list) -> list:
                                  [m for m in outcomes if isinstance(m, _Member)])
     except Exception as exc:  # fails every valid point
         return [exc if isinstance(m, _Member) else m for m in outcomes]
+    del data  # the lanes hold band arrays and the grid
     lanes += family
     run_lanes(family, schedule, grid.kmax, base.record_every)
     wall = int(1000 * (_time.perf_counter() - t0))
@@ -264,8 +265,9 @@ def _pe_h_lanes(data, base: SimConfig, key, members: list[_Member]):
         # every norm of the point reads the difference (d, eps w(d)) of the
         # pairs and of their time derivatives through one Energies
         V, rhs_pe = ref["now"]
-        sample = Energies.of(st.grid, _raw_with_w(st.grid, U - V, eps),
-                             _raw_with_w(st.grid, st.rhs(U, N) - rhs_pe, eps))
+        d, dr = U - V, st.rhs(U, N) - rhs_pe
+        sample = Energies.of(st.grid, (*d, eps * _raw_w_from_v(st.grid, d)),
+                             (*dr, eps * _raw_w_from_v(st.grid, dr)))
         for name in norms:
             norms.fold(name, t, sample)
 

@@ -1,8 +1,10 @@
 """Sweep orchestration over (eps, delta) or gamma, rate regression, CSV output.
 
-A sweep runs one family of pairs.families per task of the --jobs pool: all
-points in the hydrostatic modes, the points at one delta in delta_to_infty
-(see run_matched_family).  Rows are then sorted deterministically, so
+A sweep runs the families of pairs.families (see run_matched_family): all
+points in the hydrostatic modes, the points at one delta in delta_to_infty.
+A sweep of more than one family runs one per task of a pool of up to --jobs
+threads; a single family, as every hydrostatic sweep is, runs in the
+calling thread.  Rows are then sorted deterministically, so
 repeated sweeps from the same configuration produce byte-identical CSV files.
 Wall-clock timings are reported as zero unless explicitly requested, to keep
 the output bytes reproducible.  Next to results.csv, failures.json lists
@@ -167,8 +169,9 @@ def run_sweep(cfg: SweepConfig, write_plots: bool = False) -> SweepResult:
     def one(group):
         return run_matched_family([pts[i] for i in group], cfg.base, cfg.mode)
 
-    if cfg.jobs > 1:
-        with ThreadPoolExecutor(max_workers=cfg.jobs) as ex:
+    jobs = min(cfg.jobs, len(groups))
+    if jobs > 1:
+        with ThreadPoolExecutor(max_workers=jobs) as ex:
             outcomes = list(ex.map(one, groups))
     else:
         outcomes = [one(group) for group in groups]

@@ -33,7 +33,8 @@ nonlinear evaluation live in the band's workspace (spectral.Workspace), on
 the band of a cube and on the NS2D plane (Grid.plane) alike; every stepper
 on a band shares it, so the steppers of one band run on one thread.  What
 a step returns (the nonlinear term, the new state, the AB2 history) is a
-new band-size array, never a view of the workspace.
+new band-size array that holds only the state's components: never a view
+of the workspace, nor of a larger array.
 
 Every 3D stepper steps the horizontal pair (v1, v2): w, the odd
 antiderivative of -div_H v (fields._raw_w_from_v), is diagnostic and is
@@ -231,16 +232,18 @@ class _ExpAB2:
         becomes their max |u|.
 
         With parities the velocity is (v1, v2, w(v)), v even and w odd in
-        z.  One transform carries h = v1 + w into the top slots with v2, and
-        h splits exactly on the lattice into its even and odd parts,
-        (h + Rh)/2 and (h - Rh)/2, in the two slots below: R, the
-        reflection z -> -z, maps plane j to plane (nz - j) mod nz.
+        z.  One transform carries h = v1 + w into slot 1 and v2 into slot 2,
+        and h splits exactly on the lattice into its even and odd parts,
+        (h + Rh)/2 and (h - Rh)/2, in slots 3 and 4: R, the reflection
+        z -> -z, maps plane j to plane (nz - j) mod nz.  Without parities
+        the components fill the top slots.  _raw_advect forms its products
+        around them.
         """
         ws = self.grid.workspace
         if self.parities:
             w = _raw_w_from_v(self.grid, V)
-            h, u1 = _raw_to_phys(self.grid, np.stack((V[0] + w, V[1])), out=ws.real[-2:])
-            u0, u2 = ws.real[-4:-2]
+            h, u1 = _raw_to_phys(self.grid, np.stack((V[0] + w, V[1])), out=ws.real[1:3])
+            u0, u2 = ws.real[3:5]
             u2[..., 0], u2[..., 1:] = h[..., 0], h[..., :0:-1]  # Rh
             np.add(h, u2, out=u0)
             np.subtract(h, u2, out=u2)
@@ -269,9 +272,10 @@ class NavierStokesStepper(_ExpAB2):
         self.eps = self.w_scale = eps
 
     def nonlinear(self, V: np.ndarray) -> np.ndarray:
-        N = -_raw_advect(self.grid, self._phys(V), (1.0, 1.0, self.eps),
-                         VELOCITY_PARITIES)
-        return _raw_project_eps(self.grid, N, self.eps)[:2]
+        N = _raw_advect(self.grid, self._phys(V), (1.0, 1.0, self.eps),
+                        VELOCITY_PARITIES)
+        np.negative(N, out=N)
+        return _raw_project_eps(self.grid, N, self.eps, out=np.empty_like(N[:2]))
 
 
 class PrimitiveStepper(_ExpAB2):
@@ -559,6 +563,7 @@ def run_simulation(cfg: SimConfig) -> TrajectoryRecord:
     data = generate_initial_data(cfg.recipe, cfg.seed, grid)
     lane = system_lane(cfg.system, data, cfg.eps, cfg.delta, observe=record)
     system.check(data, f"recipe {cfg.recipe!r} data")
+    del data  # the lane holds a band array and the grid
     run_lanes([lane], [(cfg.dt, cfg.n_steps)], grid.kmax, cfg.record_every)
     if isinstance(lane.failure, BlowupDetected):
         rec.blowup_flag = True

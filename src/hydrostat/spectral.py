@@ -191,9 +191,10 @@ class Workspace:
     """Lattice-size scratch arrays of the nonlinear evaluations on one Band.
 
     real holds WORKSPACE_FIELDS lattice fields: a stepper's inverse transform
-    writes its velocities into the top slots (on a 3D band the pair
-    (v1 + w, v2), split into v1 and w in the two slots below) and
-    fields._raw_advect forms its products from the first slot up.
+    writes its velocities into them (on a 3D band the pair (v1 + w, v2)
+    into slots 1-2 and its split into v1 and w into slots 3-4, on the NS2D
+    plane the pair into the top two slots) and fields._raw_advect forms its
+    products from the first slot up.
     stages holds the arrays that the band's inverse runs its passes in,
     WORKSPACE_BATCH fields at a time: one per leading axis (_Plan.inverse),
     the last of which, cplx, is the half spectrum of the lattice, where the
@@ -210,10 +211,11 @@ class Workspace:
     cplx = property(lambda self: self.stages[-1])
 
 
-# the four lattice fields of a paired inverse (_ExpAB2._phys: v1 + w, v2 and
-# the split v1, w) above the two paired products u_i (u_i + w), which need
-# slots of their own; the other products overwrite fields no longer read
-WORKSPACE_FIELDS = 6
+# the four lattice fields of a paired inverse (_ExpAB2._phys: v1 + w and v2
+# in slots 1-2, the split v1 and w in slots 3-4) above slot 0, where the
+# first paired product goes; each later product overwrites a field that no
+# later product reads (fields._raw_advect)
+WORKSPACE_FIELDS = 5
 WORKSPACE_BATCH = 3
 
 
@@ -284,7 +286,7 @@ class Band:
     def workspace(self) -> Workspace:
         """The transform workspace of this band: WORKSPACE_FIELDS real
         lattice fields and the stages of WORKSPACE_BATCH fields, about
-        2.9 MB at 32^3 and 0.37 MB on the plane of a 64x64 grid.  The
+        2.7 MB at 32^3 and 0.33 MB on the plane of a 64x64 grid.  The
         forward's stage shares its memory with the inverse's stages before
         the half, which no forward uses."""
         plan = self.plan

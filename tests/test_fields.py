@@ -75,6 +75,10 @@ class TestScaledProjection:
         twice = _raw_project_eps(grid16, once, eps)
         assert np.max(np.abs(once - twice)) < 1e-13
         assert _raw_div_eps_defect(grid16, once, eps) < 1e-12
+        # into a given array: the first len(out) components, bit for bit
+        pair = np.empty((2, *grid16.spec_shape), complex)
+        assert _raw_project_eps(grid16, u, eps, out=pair) is pair
+        assert np.array_equal(pair, once[:2])
 
     def test_single_mode_example(self, grid16):
         u = np.zeros((3, *grid16.spec_shape), dtype=complex)

@@ -379,11 +379,29 @@ class TestSweep:
         assert json.loads((tmp_path / "failures.json").read_text()) == []
 
     @pytest.mark.parametrize("mode", ["eps_delta_to_zero", "delta_to_infty"])
-    def test_csv_deterministic_across_jobs(self, tmp_path, mode):
-        """delta_to_infty covers a pool that runs one family per delta."""
+    def test_csv_deterministic_across_jobs(self, tmp_path, mode, monkeypatch):
+        """delta_to_infty covers a pool that runs one family per delta; a
+        sweep of one family, as every hydrostatic sweep is, runs in the
+        calling thread at any --jobs."""
+        import threading
+
+        from hydrostat.harness import sweep
+
+        threads = []
+
+        def spy(*args):
+            threads.append(threading.current_thread())
+            return run_matched_family(*args)
+
+        monkeypatch.setattr(sweep, "run_matched_family", spy)
         d1, d2 = tmp_path / "a", tmp_path / "b"
         run_sweep(_tiny_sweep_cfg(str(d1), jobs=1, mode=mode))
+        assert threads == [threading.current_thread()] * len(threads)
+        threads.clear()
         run_sweep(_tiny_sweep_cfg(str(d2), jobs=2, mode=mode))
+        pooled = [t is not threading.current_thread() for t in threads]
+        assert pooled == {"eps_delta_to_zero": [False],
+                          "delta_to_infty": [True, True]}[mode]
         for name in ("results.csv", "failures.json"):
             assert (d1 / name).read_bytes() == (d2 / name).read_bytes()
 
@@ -555,6 +573,34 @@ class TestMatchedFamily:
             assert gc.collect() == 0
         finally:
             gc.enable()
+
+    def test_family_releases_its_initial_data(self, monkeypatch):
+        """The lanes hold band arrays and the grid: by its first observer
+        call a family holds its Grid-layout initial data no more."""
+        import weakref
+
+        from hydrostat.harness import pairs
+        from hydrostat.norms import Energies
+
+        refs, released = [], []
+
+        def generate(*args):
+            state = generate_initial_data(*args)
+            refs.append(weakref.ref(state))
+            return state
+
+        of = Energies.of
+
+        def probe(cls, *args):
+            released.append(refs[-1]() is None)
+            return of(*args)
+
+        monkeypatch.setattr(pairs, "generate_initial_data", generate)
+        monkeypatch.setattr(Energies, "of", classmethod(probe))
+        base = SimConfig("NS_eps_delta", 8, 8, 8, 2e-3, 0.02, seed=5)
+        mode = "gamma_scan"
+        run_matched_family(_family_points(mode), base, mode)
+        assert len(refs) == 1 and released and all(released)
 
     def test_reference_blowup_stops_every_member(self, monkeypatch):
         _fault(monkeypatch, PrimitiveStepper, "nonlinear", lambda st, N: N * np.nan)

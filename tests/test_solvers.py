@@ -138,6 +138,19 @@ class TestAnisotropicStepper:
         assert _raw_div_eps_defect(grid16, np.stack(out), 1.0) == 0.0
 
 
+    def test_nonlinear_term_owns_exactly_its_pair(self, grid16):
+        """N and the AB2 history are new (2, band) arrays: no view of a
+        three-component projection keeps its third component alive."""
+        stepper = NavierStokesStepper(grid16, 0.3, 0.09, 1e-3)
+        U = SYSTEMS["NS_eps_delta"].pack(
+            generate_initial_data("bandlimited_random", 3, grid16))
+        N = stepper.nonlinear(U)
+        stepper.advance(U, N)
+        for a in (N, stepper._n_prev):
+            assert a.shape == (2, *grid16.band.spec_shape)
+            assert a.base is None
+
+
 class TestPrimitiveStepper:
     def test_stationary_solution_horizontal_viscosity(self, grid16):
         out = _steps("PE_H", _heat_state(grid16, "PE_H"), 50)

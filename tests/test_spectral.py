@@ -343,7 +343,7 @@ class TestBandWorkspace:
             for buf in (ws2.real, ws2.cplx):
                 assert not np.shares_memory(r, buf)
         # the one opt-in: an inverse into a given array
-        top = ws.real[3:]
+        top = ws.real[2:]
         assert _raw_to_phys(band, U, out=top) is top
 
     def test_a_dropped_grid_is_freed_without_the_collector(self):
