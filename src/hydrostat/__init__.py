@@ -65,24 +65,16 @@ _EXPORTS = {
         "baroclinic_rhs",
         "diff_rhs_F",
     ),
-    "norms": ("NormAccumulator", "accumulate", "finalize", "norm_aniso", "norm_sobolev"),
+    "norms": ("NormAccumulator", "accumulate", "finalize", "norm_sobolev"),
     "solvers": ("SimConfig", "TrajectoryRecord", "run_simulation"),
     "spectral": (
         "EVEN",
         "NONE",
         "ODD",
         "Grid",
-        "PhysicalField",
         "SpectralField",
-        "dealias",
-        "enforce_parity",
         "field_from_function",
-        "forward_transform",
-        "inner_l2",
-        "inverse_transform",
-        "laplacian_delta",
         "make_grid",
-        "spectral_derivative",
     ),
 }
 __getattr__, __dir__, __all__ = _lazy(__name__, _EXPORTS, ("harness",))

@@ -22,7 +22,7 @@ conditioned for eps << 1.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -48,17 +48,18 @@ VELOCITY_PARITIES = (EVEN, EVEN, ODD)
 
 @dataclass(frozen=True)
 class VelocityState:
-    """Velocity triple (v1, v2, w): v even in z, w odd in z.
+    """Velocity triple (v1, v2, w) at a time: v even in z, w odd in z.
 
     For the difference states of the convergence experiments the third slot
     holds the scaled difference of vertical velocities; the components are
-    always interpreted verbatim by the operators below.
+    always interpreted verbatim by the operators below.  time is the
+    instant the state stands at: 0 for initial data, t_end for the final
+    state of a run, and what a snapshot recorded.
     """
 
     v1: SpectralField
     v2: SpectralField
     w: SpectralField
-    system_tag: str = "generic"
     time: float = 0.0
 
     def __post_init__(self):
@@ -76,9 +77,6 @@ class VelocityState:
 
     def horizontal(self) -> tuple[SpectralField, SpectralField]:
         return (self.v1, self.v2)
-
-    def with_time(self, t: float) -> "VelocityState":
-        return replace(self, time=t)
 
 
 @dataclass(frozen=True)

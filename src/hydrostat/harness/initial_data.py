@@ -19,23 +19,18 @@ from ..norms import norm_sobolev
 from ..spectral import (
     EVEN,
     ODD,
+    PI,
     Grid,
     SpectralField,
     _raw_parity_project,
     _raw_to_spec,
+    field_from_function,
 )
 
 RECIPES = ("bandlimited_random", "taylor_green_3d", "heat_mode")
 
 
-def _lattice(grid: Grid):
-    x = -1.0 + 2.0 * np.arange(grid.nx) / grid.nx
-    y = -1.0 + 2.0 * np.arange(grid.ny) / grid.ny
-    z = -1.0 + 2.0 * np.arange(grid.nz) / grid.nz
-    return np.meshgrid(x, y, z, indexing="ij")
-
-
-def _normalized_state(grid: Grid, v1c, v2c, seed_tag: str) -> VelocityState:
+def _normalized_state(grid: Grid, v1c, v2c) -> VelocityState:
     v1c = _raw_parity_project(grid, v1c, EVEN)
     v2c = _raw_parity_project(grid, v2c, EVEN)
     wc = _raw_w_from_v(grid, np.stack((v1c, v2c)))
@@ -48,7 +43,7 @@ def _normalized_state(grid: Grid, v1c, v2c, seed_tag: str) -> VelocityState:
     if h1 == 0.0:
         raise InvalidParameter("recipe produced the zero field")
     comps = [f * (1.0 / h1) for f in comps]
-    return VelocityState(comps[0], comps[1], comps[2], seed_tag, 0.0)
+    return VelocityState(*comps)
 
 
 def generate_initial_data(recipe: str, seed: int, grid: Grid) -> VelocityState:
@@ -76,18 +71,16 @@ def generate_initial_data(recipe: str, seed: int, grid: Grid) -> VelocityState:
             c = raw * band * decay
             comps.append(_raw_parity_project(grid, c, EVEN))
         V = _raw_project_hydro(grid, np.stack(comps)) * grid.dealias_mask
-        return _normalized_state(grid, V[0], V[1], recipe)
+        return _normalized_state(grid, V[0], V[1])
 
     if recipe == "taylor_green_3d":
-        X, Y, _ = _lattice(grid)
-        v1 = _raw_to_spec(grid, np.sin(np.pi * X) * np.cos(np.pi * Y))
-        v2 = _raw_to_spec(grid, -np.cos(np.pi * X) * np.sin(np.pi * Y))
-        return _normalized_state(grid, v1, v2, recipe)
+        v1 = field_from_function(grid, lambda x, y, z: np.sin(PI * x) * np.cos(PI * y))
+        v2 = field_from_function(grid, lambda x, y, z: -np.cos(PI * x) * np.sin(PI * y))
+        return _normalized_state(grid, v1.coeffs, v2.coeffs)
 
     if recipe == "heat_mode":
-        _, _, Z = _lattice(grid)
-        v1 = _raw_to_spec(grid, np.cos(np.pi * Z))
+        v1 = field_from_function(grid, lambda x, y, z: np.cos(PI * z))
         v2 = np.zeros(grid.spec_shape, dtype=np.complex128)
-        return _normalized_state(grid, v1, v2, recipe)
+        return _normalized_state(grid, v1.coeffs, v2)
 
     raise InvalidParameter(f"unknown initial-data recipe {recipe!r}")

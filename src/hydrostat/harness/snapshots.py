@@ -137,4 +137,4 @@ def load_snapshot(path: str) -> VelocityState:
     for required in ("v1", "v2", "w"):
         if required not in fields:
             raise FormatError(f"missing field {required!r}", off)
-    return VelocityState(fields["v1"], fields["v2"], fields["w"], "snapshot", time)
+    return VelocityState(fields["v1"], fields["v2"], fields["w"], time)

@@ -56,13 +56,6 @@ def norm_sobolev(F: SpectralField, s: float) -> float:
     return float(np.sqrt(_sq((F,), _sobolev_mult(F.grid, s))))
 
 
-def norm_aniso(F: SpectralField, r: int, s: int) -> float:
-    """Mixed-regularity norm H^r in z, H^s in the horizontal (q = p = 2)."""
-    if r not in (0, 1, 2, 3) or s not in (0, 1):
-        raise InvalidParameter(f"unsupported anisotropic exponents (r={r}, s={s})")
-    return float(np.sqrt(_sq((F,), _aniso_mult(F.grid, r, s))))
-
-
 def norm_l2_barotropic(F: SpectralField) -> float:
     """L2 norm over the horizontal square of the vertical-average plane."""
     plane = F.coeffs[:, :, 0]

@@ -338,7 +338,8 @@ class StokesScaledStepper(_ExpAB2):
 @dataclass(frozen=True)
 class System:
     """How one system is stepped: stepper(grid, eps, delta, dt) builds its
-    stepper, pack(state) its state array on the stepper's band,
+    stepper, pack(state) its state array on the stepper's band (an array
+    of its own, C-contiguous, of the stepped components only),
     unpack(grid, U) the (v1, v2, w) coefficients of a state array in the
     kz >= 0 layout of grid; check(state, what) checks the data of a run
     (run_simulation): it raises for a broken precondition and warns of
@@ -377,15 +378,22 @@ def _warn_off_plane(s: VelocityState, what: str) -> None:
 
 
 def _pack(s: VelocityState) -> np.ndarray:
-    """The horizontal pair of a 3D state on its grid's band.  Its w would
-    be replaced by w(v), so a w that differs from w(v) by more than
-    rounding (1e-12 of the largest coefficient) is an error."""
+    """The horizontal pair of a 3D state on its grid's band, an array of its
+    own.  Its w would be replaced by w(v), so a w that differs from w(v) by
+    more than rounding (1e-12 of the largest coefficient) is an error."""
     U = _to_band(s.grid, s.grid.band, (s.v1.coeffs, s.v2.coeffs, s.w.coeffs))
     gap = float(np.max(np.abs(U[2] - _raw_w_from_v(s.grid.band, U[:2])), initial=0.0))
     if gap > 1e-12 * float(np.max(np.abs(U), initial=0.0)):
         raise CompatibilityError(f"state's w is not the w(v) of its horizontal "
                                  f"pair: |w - w(v)| = {gap:.3e}", gap)
-    return U[:2]
+    return U[:2].copy()
+
+
+def _pack_plane(s: VelocityState) -> np.ndarray:
+    """The kz=0 planes of (v1, v2) on the grid's plane, an array of its own
+    (a gather leaves its result a view of a larger array)."""
+    planes = (s.v1.coeffs[:, :, 0], s.v2.coeffs[:, :, 0])
+    return _to_band(s.grid, s.grid.plane, planes).copy()
 
 
 def _with_w(g: Grid, V: np.ndarray) -> tuple:
@@ -402,9 +410,7 @@ SYSTEMS = {
     "PE_H": _PE,
     "NS2D": System(
         lambda g, eps, delta, dt: NavierStokes2DStepper(g, dt),
-        lambda s: _to_band(
-            s.grid, s.grid.plane, (s.v1.coeffs[:, :, 0], s.v2.coeffs[:, :, 0])
-        ),
+        _pack_plane,
         lambda g, B: (*_raw_embed_plane(g, g.plane.scatter(B)),
                       np.zeros(g.spec_shape, np.complex128)),
         _warn_off_plane,
@@ -575,7 +581,7 @@ def run_simulation(cfg: SimConfig) -> TrajectoryRecord:
         comps = system.unpack(grid, lane.U)
         rec.final_state = VelocityState(
             *(SpectralField(grid, c, p) for c, p in zip(comps, VELOCITY_PARITIES)),
-            cfg.system, cfg.n_steps * cfg.dt,
+            time=cfg.n_steps * cfg.dt,
         )
     warn_cfl([lane])
     return rec

@@ -47,6 +47,14 @@ forward those whose earlier axes are kept.  The lines left out hold zeros,
 or outputs the layout drops, so its modes stay bit for bit those of the
 full transforms.  On a Band the passes run in its workspace.
 
+The fields of the public API are SpectralFields on a Grid: one scalar
+field's kz >= 0 half and its parity tag, sampled by field_from_function or
+zero.  Every operation on them runs as a raw-array kernel on stacks of
+coefficient arrays (_raw_to_phys, _raw_to_spec, _raw_parity_project,
+_raw_inner) or as a product with a cached multiplier (_deriv_mult,
+_lap_delta_mult, Grid.dealias_mask); the package has no operator layer of
+its own on fields.
+
 Vertical parity (even/odd in z) is a structural property of every velocity
 component here and is tracked on each field.  Data enter the class by
 orthogonal projection (_raw_parity_project), and the steppers keep their
@@ -382,25 +390,6 @@ def make_grid(nx: int, ny: int, nz: int) -> Grid:
 
 
 @dataclass(frozen=True)
-class PhysicalField:
-    """Real samples on the collocation lattice x_i = -1 + 2 i / n per axis."""
-
-    grid: Grid
-    values: np.ndarray
-
-    def __post_init__(self):
-        if self.values.shape != self.grid.shape:
-            raise ShapeError(
-                f"values shape {self.values.shape} != grid shape {self.grid.shape}"
-            )
-        if not np.all(np.isfinite(self.values)):
-            raise InvalidParameter("physical field contains NaN/Inf")
-        v = np.asarray(self.values, dtype=np.float64)
-        v.setflags(write=False)
-        object.__setattr__(self, "values", v)
-
-
-@dataclass(frozen=True)
 class SpectralField:
     """Complex Fourier coefficients of a real scalar field with z-parity tag.
 
@@ -428,25 +417,11 @@ class SpectralField:
         c.setflags(write=False)
         object.__setattr__(self, "coeffs", c)
 
-    # light arithmetic used by tests and the harness
-    def __add__(self, other: "SpectralField") -> "SpectralField":
-        self._check_same_grid(other)
-        parity = self.parity if self.parity == other.parity else NONE
-        return SpectralField(self.grid, self.coeffs + other.coeffs, parity)
-
-    def __sub__(self, other: "SpectralField") -> "SpectralField":
-        self._check_same_grid(other)
-        parity = self.parity if self.parity == other.parity else NONE
-        return SpectralField(self.grid, self.coeffs - other.coeffs, parity)
-
+    # scaling, the one arithmetic: the recipes normalize their data with it
     def __mul__(self, a: float) -> "SpectralField":
         return SpectralField(self.grid, self.coeffs * a, self.parity)
 
     __rmul__ = __mul__
-
-    def _check_same_grid(self, other: "SpectralField") -> None:
-        if other.grid.shape != self.grid.shape:
-            raise ShapeError("fields live on different grids")
 
 
 def zero_field(grid: Grid, parity: str = NONE) -> SpectralField:
@@ -619,9 +594,6 @@ def _raw_embed_plane(grid: Grid | Band, P: np.ndarray) -> np.ndarray:
     return out
 
 
-_AXIS_INDEX = {"x": 0, "y": 1, "z": 2}
-
-
 def _is_nyquist(grid: Grid | Band, axis: int) -> np.ndarray:
     """Which stored modes of an axis are its Nyquist mode |m| = n/2: index
     n//2 of kx and ky, the last plane of the half-length kz; none on a Band."""
@@ -646,10 +618,6 @@ def _deriv_mult(grid: Grid | Band, axis: int, order: int) -> np.ndarray:
         return (1j * k.reshape(shape)) ** order
 
     return grid.cached(("deriv", axis, order), build)
-
-
-def _raw_deriv(grid: Grid, c: np.ndarray, axis: str, order: int = 1) -> np.ndarray:
-    return c * _deriv_mult(grid, _AXIS_INDEX[axis], order)
 
 
 def _raw_hflip(grid: Grid | Band, c: np.ndarray) -> np.ndarray:
@@ -708,22 +676,12 @@ def _lap_delta_mult(grid: Grid | Band, delta: float) -> np.ndarray:
 
 # --- public operations ------------------------------------------------------
 
-def forward_transform(f: PhysicalField) -> SpectralField:
-    """Collocation values -> coefficients; the constant field 1 maps to
-    coeff[0,0,0] = 1."""
-    return SpectralField(f.grid, _raw_to_spec(f.grid, f.values), NONE)
-
-
-def inverse_transform(F: SpectralField) -> PhysicalField:
-    """Coefficients -> collocation values."""
-    return PhysicalField(F.grid, _raw_to_phys(F.grid, F.coeffs))
-
-
 def field_from_function(
     grid: Grid, fn: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray],
     parity: str = NONE,
 ) -> SpectralField:
-    """Sample fn(x, y, z) on the lattice and transform.  Test/recipe helper."""
+    """Sample fn(x, y, z) on the lattice and transform: the sampler of the
+    recipes (harness.initial_data) and of the verify suites."""
     x = -1.0 + 2.0 * np.arange(grid.nx) / grid.nx
     y = -1.0 + 2.0 * np.arange(grid.ny) / grid.ny
     z = -1.0 + 2.0 * np.arange(grid.nz) / grid.nz
@@ -732,54 +690,3 @@ def field_from_function(
     if vals.shape != grid.shape:
         vals = np.broadcast_to(vals, grid.shape).copy()
     return SpectralField(grid, _raw_to_spec(grid, vals), parity)
-
-
-def spectral_derivative(F: SpectralField, axis: str, order: int = 1) -> SpectralField:
-    """Exact derivative: multiply by (i k_axis)^order.
-
-    Odd-order z-derivatives flip even <-> odd parity.
-    """
-    if axis not in _AXIS_INDEX:
-        raise InvalidParameter(f"axis must be one of x/y/z, got {axis!r}")
-    if not isinstance(order, (int, np.integer)) or order < 1:
-        raise InvalidParameter(f"derivative order must be an integer >= 1, got {order}")
-    parity = F.parity
-    if axis == "z" and order % 2 == 1 and parity in (EVEN, ODD):
-        parity = ODD if parity == EVEN else EVEN
-    return SpectralField(F.grid, _raw_deriv(F.grid, F.coeffs, axis, order), parity)
-
-
-def dealias(F: SpectralField) -> SpectralField:
-    """Zero every mode outside the 2/3-rule mask."""
-    return SpectralField(F.grid, F.coeffs * F.grid.dealias_mask, F.parity)
-
-
-def enforce_parity(F: SpectralField, parity: str) -> SpectralField:
-    """Orthogonal projection onto the declared z-parity subspace.
-
-    Odd parity zeroes the kz=0 and Nyquist planes exactly.
-    """
-    if parity not in (EVEN, ODD):
-        raise InvalidParameter(f"parity must be even or odd, got {parity!r}")
-    return SpectralField(F.grid, _raw_parity_project(F.grid, F.coeffs, parity), parity)
-
-
-def laplacian_delta(F: SpectralField, delta: float) -> SpectralField:
-    """Anisotropic Laplacian: per-mode multiplication by -(kx^2+ky^2) - delta kz^2."""
-    if delta < 0:
-        raise InvalidParameter(f"delta must be >= 0, got {delta}")
-    return SpectralField(F.grid, F.coeffs * _lap_delta_mult(F.grid, delta), F.parity)
-
-
-def inner_l2(a: SpectralField, b: SpectralField) -> float:
-    """Discrete L2(Omega) inner product (volume-weighted Parseval)."""
-    a._check_same_grid(b)
-    return _raw_inner(a.grid, a.coeffs, b.coeffs)
-
-
-def parity_defect(F: SpectralField) -> float:
-    """Max-norm distance of the coefficients from the declared parity class."""
-    if F.parity == NONE:
-        return 0.0
-    proj = _raw_parity_project(F.grid, F.coeffs, F.parity)
-    return float(np.max(np.abs(F.coeffs - proj)))

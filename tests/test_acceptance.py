@@ -5,6 +5,7 @@ tests is shown in the -rA summary.  Criterion 3 is split per gamma value so
 a failure localizes.
 """
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -240,7 +241,7 @@ def test_criterion_7_determinism_and_persistence(tmp_path):
     identical = csv_a == csv_b
 
     grid = make_grid(16, 16, 16)
-    st = generate_initial_data("bandlimited_random", SEED, grid).with_time(1.5)
+    st = replace(generate_initial_data("bandlimited_random", SEED, grid), time=1.5)
     p1 = tmp_path / "s1.hsn"
     save_snapshot(st, str(p1))
     back = load_snapshot(str(p1))

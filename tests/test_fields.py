@@ -353,7 +353,7 @@ class TestDiffRhs:
         else:  # mode (0, 6, 0): 3 * 6 >= 16
             far = field_from_function(grid16, lambda x, y, z: 1e-3 * np.cos(6 * PI * y),
                                       EVEN)
-            v = (v[0] + far, v[1])
+            v = (SpectralField(grid16, v[0].coeffs + far.coeffs, EVEN), v[1])
         with pytest.raises(CompatibilityError, match=match):
             diff_rhs_F(v, w, V, W, eps, 0.1)
 
@@ -429,7 +429,7 @@ class TestBaroclinicRhs:
         else:  # z-independent and div_H-free, at mode (0, 6, 0): 3 * 6 >= 16
             far = field_from_function(grid16, lambda x, y, z: 1e-3 * np.cos(6 * PI * y),
                                       EVEN)
-            vbar = (s.vbar1 + far, s.vbar2)
+            vbar = (SpectralField(grid16, s.vbar1.coeffs + far.coeffs, EVEN), s.vbar2)
         with pytest.raises(CompatibilityError, match=match):
             baroclinic_rhs(vbar, ut)
 

@@ -1,4 +1,7 @@
-"""Spectral core: grids, transforms, derivatives, dealiasing, parity."""
+"""Spectral core: grids and their bands, the transform kernels against
+scipy.fft, the derivative, Laplacian and dealias multipliers, the parity
+projection, and the package namespaces: their lazy exports, and no code
+without a caller."""
 import numpy as np
 import pytest
 import scipy.fft
@@ -9,17 +12,16 @@ from hydrostat.errors import InvalidGrid, InvalidParameter, ShapeError
 from hydrostat.spectral import (
     EVEN,
     ODD,
-    PhysicalField,
     SpectralField,
-    dealias,
-    enforce_parity,
+    _deriv_mult,
+    _lap_delta_mult,
+    _lattice_phase,
+    _raw_inner,
+    _raw_parity_project,
+    _raw_to_phys,
+    _raw_to_spec,
     field_from_function,
-    forward_transform,
-    inner_l2,
-    inverse_transform,
-    laplacian_delta,
     make_grid,
-    spectral_derivative,
     zero_field,
 )
 
@@ -54,8 +56,6 @@ class TestMakeGrid:
         which |m| <= n // 3 would keep; for n a multiple of 3 the square of
         mode n/3 aliases onto -n/3, so that rule is off by 0.25 there.
         Both are compared as full cubes, so the z line has its kz < 0 modes."""
-        from hydrostat.spectral import _raw_to_phys, _raw_to_spec
-
         q = n // 3
         rng = np.random.default_rng(n)
         a, b = rng.standard_normal((2, q + 1))
@@ -115,9 +115,8 @@ class TestTransforms:
     @settings(max_examples=25, deadline=None)
     def test_round_trip_band_limited(self, seed, shape):
         g = make_grid(*shape)
-        f = random_band_field(g, seed)
-        back = forward_transform(inverse_transform(f))
-        assert np.max(np.abs(back.coeffs - f.coeffs)) < 1e-12
+        c = random_band_field(g, seed).coeffs
+        assert np.max(np.abs(_raw_to_spec(g, _raw_to_phys(g, c)) - c)) < 1e-12
 
     @pytest.mark.parametrize("shape", [(8, 8, 8), (16, 16, 8), (64, 64, 4), (6, 4, 10)])
     @pytest.mark.parametrize("on_plane", [False, True])
@@ -126,8 +125,6 @@ class TestTransforms:
         of its ky >= 0 modes); on the coefficients of real fields, Nyquist
         planes included, it equals the real part of the full complex inverse
         of their full cube (of the band scattered into the full plane)."""
-        from hydrostat.spectral import _lattice_phase, _raw_to_phys, _raw_to_spec
-
         grid = make_grid(*shape)
         g = grid.plane if on_plane else grid
         rng = np.random.default_rng(11)
@@ -155,8 +152,6 @@ class TestTransforms:
         are not powers of two catch a wrong 1/N, the 24x24 plane a wrong
         fill, and 48x30x6, whose axes keep different numbers of modes, a
         prefix or a run taken from the wrong axis."""
-        from hydrostat.spectral import _lattice_phase, _raw_to_phys, _raw_to_spec
-
         grid = make_grid(*shape)
         # plane.band: grid.plane, the band of the kz=0 plane
         g = {"grid": grid, "plane.band": grid.plane, "band": grid.band}[layout]
@@ -179,14 +174,14 @@ class TestTransforms:
 
     def test_shape_mismatch(self, grid8, grid16):
         with pytest.raises(ShapeError):
-            PhysicalField(grid8, np.zeros(grid16.shape))
+            SpectralField(grid8, np.zeros(grid16.spec_shape, dtype=complex))
 
     def test_conjugate_symmetry_of_real_fields(self, grid16):
         """A real field's coefficient at -k is the conjugate of the one at k:
         its stored kz >= 0 half, completed by that rule, is the full complex
         transform of its values."""
         f = random_band_field(grid16, 3)
-        p = inverse_transform(f).values
+        p = _raw_to_phys(grid16, f.coeffs)
         fft = scipy.fft.fftn(p, norm="forward") * full_phase(grid16)
         assert np.max(np.abs(full_cube(grid16, f.coeffs) - fft)) <= 1e-12
 
@@ -225,8 +220,6 @@ class TestBand:
         """The inverse pads the band into its parent's half spectrum and the
         forward gathers the band from its parent's transform, so neither
         changes a bit of what the parent layout gives on masked data."""
-        from hydrostat.spectral import _raw_to_phys, _raw_to_spec
-
         grid = make_grid(*shape)
         band = grid.band
         rng = np.random.default_rng(5)
@@ -261,8 +254,6 @@ class TestBand:
         last kz plane (a Nyquist plane only on the grid), and an odd-order
         derivative keeps every kept kx and ky (index n//2 of the grid's
         axis is a kept mode of the band's)."""
-        from hydrostat.spectral import _deriv_mult, _raw_parity_project
-
         grid = make_grid(*shape)
         band = grid.band
         c = random_band_field(grid, 8).coeffs
@@ -291,8 +282,6 @@ class TestBandWorkspace:
         """Bit for bit the band's modes of rfftn and the irfftn of the band
         padded into the half spectrum, at every size: the staged passes
         are the same arithmetic on the planes that are kept."""
-        from hydrostat.spectral import _lattice_phase, _raw_to_phys, _raw_to_spec
-
         grid = make_grid(*shape)
         band = grid.band
         phase = _lattice_phase(grid)
@@ -316,8 +305,6 @@ class TestBandWorkspace:
         from hydrostat.solvers import (
             NavierStokes2DStepper, NavierStokesStepper, PrimitiveStepper,
         )
-        from hydrostat.spectral import _raw_to_phys, _raw_to_spec
-
         grid = make_grid(16, 16, 16)
         band, plane = grid.band, grid.plane
         ws, ws2 = band.workspace, plane.workspace
@@ -372,33 +359,38 @@ class TestBandWorkspace:
 
 
 class TestDerivative:
+    """The derivative multipliers (i k)^order of _deriv_mult, axis 0, 1, 2
+    for x, y, z."""
+
     def test_analytic_x_derivative(self, grid16):
         f = field_from_function(grid16, lambda x, y, z: np.sin(PI * x))
-        d = spectral_derivative(f, "x")
+        d = f.coeffs * _deriv_mult(grid16, 0, 1)
         exact = field_from_function(grid16, lambda x, y, z: PI * np.cos(PI * x))
-        assert np.max(np.abs(inverse_transform(d).values - inverse_transform(exact).values)) < 1e-12
+        gap = _raw_to_phys(grid16, d) - _raw_to_phys(grid16, exact.coeffs)
+        assert np.max(np.abs(gap)) < 1e-12
 
     def test_z_derivative_of_constant(self, grid8):
         f = field_from_function(grid8, lambda x, y, z: np.ones_like(x), EVEN)
-        d = spectral_derivative(f, "z")
-        assert np.max(np.abs(d.coeffs)) == 0.0
-        assert d.parity == ODD
+        assert np.max(np.abs(f.coeffs * _deriv_mult(grid8, 2, 1))) == 0.0
 
     def test_parity_flip_rule(self, grid16):
+        """An odd-order z derivative of an even field is odd; an even order,
+        or a horizontal derivative, keeps it even."""
         f = field_from_function(grid16, lambda x, y, z: np.cos(PI * z), EVEN)
-        d = spectral_derivative(f, "z")
-        assert d.parity == ODD
+        d = f.coeffs * _deriv_mult(grid16, 2, 1)
         exact = field_from_function(grid16, lambda x, y, z: -PI * np.sin(PI * z))
-        assert np.max(np.abs(d.coeffs - exact.coeffs)) < 1e-12
-        # even z-order keeps parity
-        assert spectral_derivative(f, "z", 2).parity == EVEN
-        assert spectral_derivative(f, "x").parity == EVEN
+        assert np.max(np.abs(d - exact.coeffs)) < 1e-12
+        assert np.max(np.abs(_raw_parity_project(grid16, d, ODD) - d)) < 1e-14
+        for axis, order in ((2, 2), (0, 1)):
+            e = f.coeffs * _deriv_mult(grid16, axis, order)
+            assert np.max(np.abs(_raw_parity_project(grid16, e, EVEN) - e)) < 1e-13
 
     def test_commutes_with_parity_projection(self, grid16):
-        f = random_band_field(grid16, 9)
-        a = spectral_derivative(enforce_parity(f, EVEN), "z")
-        b = enforce_parity(spectral_derivative(f, "z"), ODD)
-        assert np.max(np.abs(a.coeffs - b.coeffs)) < 1e-14
+        c = random_band_field(grid16, 9).coeffs
+        dz = _deriv_mult(grid16, 2, 1)
+        a = _raw_parity_project(grid16, c, EVEN) * dz
+        b = _raw_parity_project(grid16, c * dz, ODD)
+        assert np.max(np.abs(a - b)) < 1e-14
 
     @pytest.mark.parametrize("shape", [(6, 4, 10), (16, 16, 8)])
     @pytest.mark.parametrize("order", [1, 2, 3])
@@ -407,53 +399,45 @@ class TestDerivative:
         """Odd orders drop the Nyquist mode of their axis, where (i k) c is
         the coefficient of no real field: the lattice values equal the real
         part of the full complex inverse of (i k)^order c."""
-        from hydrostat.spectral import _lattice_phase
-
         g = make_grid(*shape)
         f = random_band_field(g, 12, band=np.ones(g.spec_shape, dtype=bool))
         k = full_wavenumbers(g)["xyz".index(axis)]
         full = scipy.fft.ifftn(
             (1j * k) ** order * full_cube(g, f.coeffs * _lattice_phase(g))
         ).real * g.size
-        got = inverse_transform(spectral_derivative(f, axis, order)).values
+        got = _raw_to_phys(g, f.coeffs * _deriv_mult(g, "xyz".index(axis), order))
         assert np.max(np.abs(got - full)) <= 1e-13 * np.max(np.abs(full))
-
-    @pytest.mark.parametrize("axis,order", [("q", 1), ("x", 0), ("x", -2)])
-    def test_invalid_arguments(self, grid8, axis, order):
-        f = zero_field(grid8)
-        with pytest.raises(InvalidParameter):
-            spectral_derivative(f, axis, order)
 
 
 class TestDealias:
+    """The 2/3 rule as the product with grid.dealias_mask."""
+
     def test_mask_examples(self):
         g = make_grid(8, 8, 8)
         c = np.zeros(g.spec_shape, dtype=complex)
         c[3, 0, 0] = 1.0  # mode m=(3,0,0): outside the kept band
         c[1, 1, 1] = 2.0
-        out = dealias(SpectralField(g, c))
-        assert out.coeffs[3, 0, 0] == 0.0
-        assert out.coeffs[1, 1, 1] == 2.0
+        out = c * g.dealias_mask
+        assert out[3, 0, 0] == 0.0
+        assert out[1, 1, 1] == 2.0
 
     def test_idempotent_and_self_adjoint(self, grid16):
-        a = random_band_field(grid16, 4, band=np.ones(grid16.spec_shape, dtype=bool))
-        b = random_band_field(grid16, 5, band=np.ones(grid16.spec_shape, dtype=bool))
-        da = dealias(a)
-        assert np.array_equal(dealias(da).coeffs, da.coeffs)
-        assert inner_l2(dealias(a), b) == pytest.approx(inner_l2(a, dealias(b)), rel=1e-12)
+        every = np.ones(grid16.spec_shape, dtype=bool)
+        a = random_band_field(grid16, 4, band=every).coeffs
+        b = random_band_field(grid16, 5, band=every).coeffs
+        mask = grid16.dealias_mask
+        assert np.array_equal(a * mask * mask, a * mask)
+        assert _raw_inner(grid16, a * mask, b) == pytest.approx(
+            _raw_inner(grid16, a, b * mask), rel=1e-12)
 
     def test_skew_symmetry_restored(self, grid16):
         # discrete <u.grad u + (div u) u / 2, u> vanishes for dealiased u
-        from hydrostat.spectral import _raw_deriv, _raw_inner, _raw_to_phys, _raw_to_spec
-
         g = grid16
         comps = [random_band_field(g, s).coeffs for s in (6, 7, 8)]
         U = np.stack(comps)
         up = [_raw_to_phys(g, c) for c in comps]
         adv = convective_advect(g, up, U)
-        div_u = sum(
-            _raw_deriv(g, comps[j], ax) for j, ax in enumerate("xyz")
-        )
+        div_u = sum(comps[j] * _deriv_mult(g, j, 1) for j in range(3))
         div_phys = _raw_to_phys(g, div_u)
         corr = np.stack(
             [_raw_to_spec(g, 0.5 * div_phys * up[i]) * g.dealias_mask for i in range(3)]
@@ -463,66 +447,74 @@ class TestDealias:
 
 
 class TestParity:
+    """The orthogonal projections onto the even and the odd functions of z
+    (_raw_parity_project)."""
+
     def test_even_projection_fixed_point(self, grid16):
-        f = field_from_function(grid16, lambda x, y, z: np.cos(PI * z))
-        assert np.max(np.abs(enforce_parity(f, EVEN).coeffs - f.coeffs)) < 1e-15
+        c = field_from_function(grid16, lambda x, y, z: np.cos(PI * z)).coeffs
+        assert np.max(np.abs(_raw_parity_project(grid16, c, EVEN) - c)) < 1e-15
 
     def test_odd_projection_annihilates_even(self, grid16):
-        f = field_from_function(grid16, lambda x, y, z: np.cos(PI * z))
-        assert np.max(np.abs(enforce_parity(f, ODD).coeffs)) < 1e-15
+        c = field_from_function(grid16, lambda x, y, z: np.cos(PI * z)).coeffs
+        assert np.max(np.abs(_raw_parity_project(grid16, c, ODD))) < 1e-15
 
     def test_mixed_field_splits(self, grid16):
         f = field_from_function(
             grid16, lambda x, y, z: np.sin(PI * z) + np.cos(PI * z)
         )
-        odd = enforce_parity(f, ODD)
+        odd = _raw_parity_project(grid16, f.coeffs, ODD)
         exact = field_from_function(grid16, lambda x, y, z: np.sin(PI * z))
-        assert np.max(np.abs(odd.coeffs - exact.coeffs)) < 1e-14
+        assert np.max(np.abs(odd - exact.coeffs)) < 1e-14
 
     @given(seed=st.integers(0, 10_000))
     @settings(max_examples=25, deadline=None)
     def test_projections_idempotent_and_annihilating(self, seed):
         g = make_grid(8, 8, 8)
-        f = random_band_field(g, seed)
-        even = enforce_parity(f, EVEN)
-        odd = enforce_parity(f, ODD)
-        assert np.max(np.abs(enforce_parity(even, EVEN).coeffs - even.coeffs)) < 1e-15
-        assert np.max(np.abs(enforce_parity(even, ODD).coeffs)) < 1e-15
-        assert np.max(np.abs(enforce_parity(odd, EVEN).coeffs)) < 1e-15
+        c = random_band_field(g, seed).coeffs
+        even = _raw_parity_project(g, c, EVEN)
+        odd = _raw_parity_project(g, c, ODD)
+        assert np.max(np.abs(_raw_parity_project(g, even, EVEN) - even)) < 1e-15
+        assert np.max(np.abs(_raw_parity_project(g, even, ODD))) < 1e-15
+        assert np.max(np.abs(_raw_parity_project(g, odd, EVEN))) < 1e-15
         # decomposition is exact
-        assert np.max(np.abs(even.coeffs + odd.coeffs - f.coeffs)) < 1e-15
+        assert np.max(np.abs(even + odd - c)) < 1e-15
 
     def test_odd_kz0_plane_zero(self, grid16):
-        f = random_band_field(grid16, 12)
-        odd = enforce_parity(f, ODD)
-        assert np.max(np.abs(odd.coeffs[:, :, 0])) == 0.0
+        c = random_band_field(grid16, 12).coeffs
+        odd = _raw_parity_project(grid16, c, ODD)
+        assert np.max(np.abs(odd[:, :, 0])) == 0.0
 
 
 class TestLaplacianDelta:
+    """The anisotropic Laplacian, the multiplier -(|k_H|^2 + delta kz^2) of
+    _lap_delta_mult."""
+
     def test_single_mode_multipliers(self, grid16):
         c = np.zeros(grid16.spec_shape, dtype=complex)
         c[1, 0, 2] = 1.0  # mode (pi, 0, 2 pi)
-        f = SpectralField(grid16, c)
-        out = laplacian_delta(f, 1.0)
-        assert out.coeffs[1, 0, 2] == pytest.approx(-5 * PI**2)
-        out0 = laplacian_delta(f, 0.0)
-        assert out0.coeffs[1, 0, 2] == pytest.approx(-(PI**2))
+        out = c * _lap_delta_mult(grid16, 1.0)
+        assert out[1, 0, 2] == pytest.approx(-5 * PI**2)
+        out0 = c * _lap_delta_mult(grid16, 0.0)
+        assert out0[1, 0, 2] == pytest.approx(-(PI**2))
 
     def test_zero_field_and_errors(self, grid8):
+        """The zero field maps to zero; a negative delta is rejected where the
+        package takes one for this operator, the EHdelta norm."""
+        from hydrostat.norms import NormAccumulator
+
         z = zero_field(grid8)
-        assert np.max(np.abs(laplacian_delta(z, 2.0).coeffs)) == 0.0
+        assert np.max(np.abs(z.coeffs * _lap_delta_mult(grid8, 2.0))) == 0.0
         with pytest.raises(InvalidParameter):
-            laplacian_delta(z, -0.1)
+            NormAccumulator("EHdelta", delta=-0.1)
 
     def test_negative_semidefinite_with_trivial_kernel(self, grid16):
-        f = random_band_field(grid16, 20)
+        c = random_band_field(grid16, 20).coeffs
         for delta in (0.5, 2.0):
-            q = inner_l2(laplacian_delta(f, delta), f)
+            q = _raw_inner(grid16, c * _lap_delta_mult(grid16, delta), c)
             assert q <= 1e-12
         # kernel for delta > 0 is exactly the constant mode
-        mult = np.abs(laplacian_delta(
-            SpectralField(grid16, np.ones(grid16.spec_shape, dtype=complex)), 1.0
-        ).coeffs)
+        mult = np.abs(_lap_delta_mult(grid16, 1.0))
+        assert mult.shape == grid16.spec_shape
         assert mult[0, 0, 0] == 0.0
         mult[0, 0, 0] = 1.0
         assert np.min(mult) > 0.0
@@ -532,17 +524,16 @@ def test_parseval_against_physical_quadrature(grid16):
     from hydrostat.norms import norm_sobolev
 
     f = random_band_field(grid16, 33)
-    phys = inverse_transform(f).values
+    phys = _raw_to_phys(grid16, f.coeffs)
     quad = np.sum(phys**2) * 8.0 / grid16.size
     assert norm_sobolev(f, 0.0) ** 2 == pytest.approx(quad, rel=1e-10)
 
 
 def test_field_arithmetic_and_immutability(grid8):
     a = random_band_field(grid8, 1, EVEN)
-    b = random_band_field(grid8, 2, EVEN)
-    s = a + b
-    assert s.parity == EVEN
-    assert np.allclose(s.coeffs, a.coeffs + b.coeffs)
+    s = 2.5 * a
+    assert s.parity == EVEN and s.grid is grid8
+    assert np.array_equal(s.coeffs, a.coeffs * 2.5)
     with pytest.raises(ValueError):
         a.coeffs[0, 0, 0] = 1.0
     with pytest.raises(InvalidParameter):
@@ -591,8 +582,50 @@ def test_the_runtime_imports_no_scipy(tmp_path):
     assert scipy_modules == set()
 
 
-# The names each package namespace exported when it became lazy, by the
-# submodule each comes from (README's quick start imports from both).
+# Definitions with no caller in src/ that stay on purpose, each until the
+# ROADMAP item named gives it a caller or deletes it.
+_NO_CALLER_YET = {
+    # the difference-system forcings: the subject of TestDiffRhs, the proof
+    # of criterion 3's forcing orders; production runs are to check them
+    # (item 8)
+    "diff_rhs_F", "baroclinic_rhs",
+    # the certification of a measured family by the bootstrap inequality
+    # and its report (item 6)
+    "certify_bootstrap_family", "all_certified",
+    "render_certificate_report", "parse_certificate_report",
+}
+
+
+def test_every_definition_has_a_caller_in_src():
+    """Every function, method and class under src/hydrostat, dunders aside,
+    is named as a whole word somewhere in src/ beyond its own definitions:
+    code with no caller is deleted, with its tests.  A package's export
+    table (_EXPORTS in its __init__.py) is no use."""
+    import ast
+    import collections
+    import pathlib
+    import re
+
+    import hydrostat
+
+    defined, words = collections.Counter(), collections.Counter()
+    for path in sorted(pathlib.Path(hydrostat.__file__).parent.rglob("*.py")):
+        lines = path.read_text().splitlines()
+        tree = ast.parse("\n".join(lines))
+        for node in ast.walk(tree):
+            if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+                    and not node.name.startswith("__")):
+                defined[node.name] += 1
+            elif (isinstance(node, ast.Assign) and path.name == "__init__.py"
+                    and [ast.unparse(t) for t in node.targets] == ["_EXPORTS"]):
+                lines[node.lineno - 1 : node.end_lineno] = []
+        words.update(re.findall(r"\w+", "\n".join(lines)))
+    unused = {name for name, n in defined.items() if words[name] <= n}
+    assert unused == _NO_CALLER_YET
+
+
+# The names each package namespace exports, by the submodule each comes
+# from (README's quick start imports from both).
 _EXPORTED = {
     "hydrostat": {
         "bootstrap": "BootstrapCertificate BudgetFunctions SampledFunction "
@@ -602,11 +635,9 @@ _EXPORTED = {
                   "HydrostatError InsufficientData InvalidGrid InvalidParameter "
                   "OrderingError ScheduleInfeasible ShapeError",
         "fields": "SplitState VelocityState barotropic_split baroclinic_rhs diff_rhs_F",
-        "norms": "NormAccumulator accumulate finalize norm_aniso norm_sobolev",
+        "norms": "NormAccumulator accumulate finalize norm_sobolev",
         "solvers": "SimConfig TrajectoryRecord run_simulation",
-        "spectral": "EVEN NONE ODD Grid PhysicalField SpectralField dealias "
-                    "enforce_parity field_from_function forward_transform inner_l2 "
-                    "inverse_transform laplacian_delta make_grid spectral_derivative",
+        "spectral": "EVEN NONE ODD Grid SpectralField field_from_function make_grid",
         "harness": "",
     },
     "hydrostat.harness": {
