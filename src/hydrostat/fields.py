@@ -1,8 +1,9 @@
 """Velocity-field assembly on the periodic box.
 
-Provides the three divergence-eliminating projections (scaled, hydrostatic,
-2D), recovery of the diagnostic vertical velocity from the horizontal pair,
-the barotropic/baroclinic splitting, and the difference-system right-hand
+Provides the two divergence-eliminating projections (scaled, and
+hydrostatic: the 2D projection of a pair of kz=0 planes, in place),
+recovery of the diagnostic vertical velocity from the horizontal pair, the
+barotropic/baroclinic splitting, and the difference-system right-hand
 sides used to validate that two primal trajectories actually satisfy the
 equation their difference is supposed to solve.
 
@@ -36,6 +37,7 @@ from .spectral import (
     SpectralField,
     _deriv_mult,
     _lap_delta_mult,
+    _raw_embed_plane,
     _raw_parity_project,
     _raw_to_phys,
     _raw_to_spec,
@@ -139,29 +141,19 @@ def _hproj_tables(grid: Grid | Band) -> np.ndarray:
     return grid.cached(("hproj",), build)
 
 
-def _raw_project_hydro_plane(grid: Grid | Band, P: np.ndarray,
-                             out: np.ndarray | None = None) -> np.ndarray:
-    """2D Leray projection of a pair of kz=0 coefficient planes, shape
-    (2, *grid.spec_shape[:2]): removes the horizontal gradient driven by
-    their divergence.  Writes into out, which may be P itself (a new array
-    when None)."""
+def _raw_project_hydro(grid: Grid | Band, P: np.ndarray) -> np.ndarray:
+    """The hydrostatic projection, in place: the 2D Leray projection of a
+    pair of kz=0 coefficient planes P, shape (2, *grid.spec_shape[:2]),
+    which removes the horizontal gradient driven by their divergence.  P is
+    the [..., 0] view of a stack (the vertical average of a 3D pair) or the
+    NS2D plane's state.  Returns P."""
     kx, ky, k2 = _hproj_tables(grid)
     s = kx * P[0]
     s += ky * P[1]
     s /= k2
-    if out is None:
-        out = np.empty(P.shape, np.complex128)
-    np.subtract(P[0], kx * s, out=out[0])
-    np.subtract(P[1], ky * s, out=out[1])
-    return out
-
-
-def _raw_project_hydro(grid: Grid | Band, V: np.ndarray) -> np.ndarray:
-    """Remove the z-independent horizontal gradient driven by div of the
-    vertical average; acts only on the kz=0 coefficient plane."""
-    out = V.copy()
-    out[..., 0] = _raw_project_hydro_plane(grid, V[..., 0])
-    return out
+    P[0] -= kx * s
+    P[1] -= ky * s
+    return P
 
 
 def _raw_w_from_v(grid: Grid | Band, V: np.ndarray) -> np.ndarray:
@@ -277,13 +269,6 @@ def _raw_advect(
     return out
 
 
-def _raw_zaverage_plane(c: np.ndarray) -> np.ndarray:
-    """Project onto the z-independent (kz=0) coefficient plane."""
-    out = np.zeros_like(c)
-    out[..., 0] = c[..., 0]
-    return out
-
-
 # ---------------------------------------------------------------------------
 # public operations
 # ---------------------------------------------------------------------------
@@ -297,7 +282,7 @@ def barotropic_split(
     bars = []
     tildes = []
     for comp in (v1, v2):
-        bar = _raw_zaverage_plane(comp.coeffs)
+        bar = _raw_embed_plane(grid, comp.coeffs[..., 0])
         bars.append(SpectralField(grid, bar, comp.parity))
         tildes.append(SpectralField(grid, comp.coeffs - bar, comp.parity))
     return SplitState(bars[0], bars[1], tildes[0], tildes[1], w)
@@ -367,7 +352,6 @@ def diff_rhs_F(
 def baroclinic_rhs(
     vbar: Sequence[SpectralField],
     utilde: Sequence[SpectralField],
-    tol: float = 1e-10,
 ):
     """Forcings of the barotropic/baroclinic reformulation.
 
@@ -382,7 +366,8 @@ def baroclinic_rhs(
     velocities are divergence-free: vbar (div_H vbar = 0) and utilde
     (w = w(vtilde)); and utilde . grad vbar = div(vbar (x) utilde) since
     d_z vbar = 0.  Inputs for which this fails raise CompatibilityError,
-    as do inputs with content outside the band.
+    as do inputs with content outside the band, and a vtilde whose vertical
+    mean, or a vbar whose kz != 0 coefficients, exceed 1e-10.
     """
     vb1, vb2 = vbar
     vt1, vt2, wt = utilde
@@ -392,11 +377,11 @@ def baroclinic_rhs(
             raise ShapeError("all fields must share one grid")
     for fld, name in ((vt1, "vtilde1"), (vt2, "vtilde2")):
         m = float(np.max(np.abs(fld.coeffs[:, :, 0])))
-        if m > tol:
+        if m > 1e-10:
             raise CompatibilityError(f"{name} is not mean-free: {m:.3e}", m)
     for fld, name in ((vb1, "vbar1"), (vb2, "vbar2")):
         m = float(np.max(np.abs(fld.coeffs[:, :, 1:])))
-        if m > tol:
+        if m > 1e-10:
             raise CompatibilityError(f"{name} is not z-independent: {m:.3e}", m)
     band = grid.band
     vb = _to_band(grid, band, (vb1.coeffs, vb2.coeffs))
@@ -407,7 +392,7 @@ def baroclinic_rhs(
     vb_phys, ut_phys = _raw_to_phys(band, vb), _raw_to_phys(band, ut)
     # utilde . grad (vtilde, w)
     adv = _raw_advect(band, ut_phys, (1.0, 1.0, 1.0), VELOCITY_PARITIES)
-    avg = _raw_zaverage_plane(adv[:2])
+    avg = _raw_embed_plane(band, adv[:2, ..., 0])
     # vbar . grad_H (vtilde, w)
     by_bar = _raw_advect(band, vb_phys, (1.0, 1.0, 1.0), targets=ut_phys)
     # utilde . grad vbar = vtilde . grad_H vbar

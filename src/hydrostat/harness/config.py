@@ -83,9 +83,12 @@ def sweep_config_from_dict(d: dict) -> SweepConfig:
 
     if "mode" not in d:
         raise ConfigError("sweep config needs a mode")
+    for key in ("eps", "delta", "gamma"):
+        if key in d:
+            raise ConfigError(f"a sweep sets {key} per point; give {key}_values, "
+                              f"not {key}")
     sim = {k: v for k, v in d.items() if k in _SIM_KEYS}
     sim.setdefault("system", "NS_eps_delta")
-    sim.pop("gamma", None)  # per-point for gamma scans
     missing = {"nx", "ny", "nz", "dt", "t_end"} - set(sim)
     if missing:
         raise ConfigError(f"missing required keys: {sorted(missing)}")

@@ -70,7 +70,9 @@ def generate_initial_data(recipe: str, seed: int, grid: Grid) -> VelocityState:
             raw = _raw_to_spec(grid, rng.standard_normal(grid.shape))
             c = raw * band * decay
             comps.append(_raw_parity_project(grid, c, EVEN))
-        V = _raw_project_hydro(grid, np.stack(comps)) * grid.dealias_mask
+        V = np.stack(comps)
+        _raw_project_hydro(grid, V[..., 0])
+        V *= grid.dealias_mask
         return _normalized_state(grid, V[0], V[1])
 
     if recipe == "taylor_green_3d":

@@ -32,7 +32,7 @@ from dataclasses import dataclass, replace
 from functools import partial
 
 from ..errors import BlowupDetected, ConfigError, InsufficientData, InvalidParameter
-from ..fields import _raw_w_from_v, _raw_with_w
+from ..fields import _raw_with_w
 from ..norms import Energies, NormAccumulator, accumulate, finalize
 from ..solvers import Lane, SimConfig, run_lanes, system_lane, warn_cfl
 from ..spectral import _raw_embed_plane, make_grid
@@ -266,8 +266,8 @@ def _pe_h_lanes(data, base: SimConfig, key, members: list[_Member]):
         # pairs and of their time derivatives through one Energies
         V, rhs_pe = ref["now"]
         d, dr = U - V, st.rhs(U, N) - rhs_pe
-        sample = Energies.of(st.grid, (*d, eps * _raw_w_from_v(st.grid, d)),
-                             (*dr, eps * _raw_w_from_v(st.grid, dr)))
+        sample = Energies.of(st.grid, _raw_with_w(st.grid, d, eps),
+                             _raw_with_w(st.grid, dr, eps))
         for name in norms:
             norms.fold(name, t, sample)
 

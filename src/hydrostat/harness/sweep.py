@@ -32,7 +32,10 @@ CSV_HEADER = "mode,eps,delta,gamma,norm_name,value,blowup,wall_ms"
 
 @dataclass(frozen=True)
 class SweepConfig:
-    """Sweep setup: mode, parameter lists, shared simulation template."""
+    """Sweep setup: mode, parameter lists, shared simulation template.
+
+    The template is an NS_eps_delta setup; each point sets its own eps,
+    delta and gamma."""
 
     mode: str
     base: SimConfig
@@ -46,6 +49,9 @@ class SweepConfig:
     def __post_init__(self):
         if self.mode not in MODES:
             raise ConfigError(f"unknown sweep mode {self.mode!r}")
+        if self.base.system != "NS_eps_delta":
+            raise ConfigError(f"a sweep runs NS_eps_delta against its limits, "
+                              f"not system = {self.base.system}")
         if self.jobs < 1:
             raise ConfigError(f"jobs must be >= 1, got {self.jobs}")
         if not self.eps_values:
@@ -63,8 +69,6 @@ class SweepConfig:
         if self.mode == "gamma_scan":
             if not self.gamma_values:
                 raise ConfigError("gamma_scan needs gamma_values")
-            if any(g <= 0 for g in self.gamma_values):
-                raise ConfigError("gamma values must be > 0")
             for g in self.gamma_values:
                 check_gamma_scan(g)
         if self.mode == "eps_delta_to_zero" and self.delta_values and len(

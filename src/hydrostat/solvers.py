@@ -39,11 +39,14 @@ of the workspace, nor of a larger array.
 Every 3D stepper steps the horizontal pair (v1, v2): w, the odd
 antiderivative of -div_H v (fields._raw_w_from_v), is diagnostic and is
 recovered where it is read (fields._raw_with_w lifts a pair to (v, s*w)).
-NS applies its scaled Leray projection (fields._raw_project_eps) to its
-nonlinear term only.  Every step ends with the projection of the kz=0
-plane that holds div_H of the vertical average at zero (_ExpAB2.constrain),
-a Fourier-diagonal projection that commutes with the propagator, so it
-only removes rounding drift.
+There is one hydrostatic projection, fields._raw_project_hydro, applied in
+place to the kz=0 plane of a fresh array (_ExpAB2.constrain): it holds
+div_H of the vertical average (and of the NS2D plane) at zero.  Every step
+ends with it, a Fourier-diagonal projection that commutes with the
+propagator, so it only removes rounding drift.  The base class's nonlinear
+term, the advection negated and constrained, is that of PE and NS2D; NS
+applies its scaled Leray projection (fields._raw_project_eps) to its
+nonlinear term instead.
 
 Parity needs no pass: a stepper that declares parities transforms its
 velocity in parity pairs (_ExpAB2._phys) and gets its nonlinear term back
@@ -77,7 +80,6 @@ from .fields import (
     _raw_advect,
     _raw_project_eps,
     _raw_project_hydro,
-    _raw_project_hydro_plane,
     _raw_w_from_v,
     _raw_with_w,
 )
@@ -185,12 +187,14 @@ def _check_blowup(grid: Grid | Band, U: np.ndarray, t: float) -> None:
 class _ExpAB2:
     """Integrating-factor stepper with AB2 extrapolation of the nonlinearity.
 
-    Subclasses provide nonlinear(U), the projected nonlinear term.
-    self.grid is the Band the state lives on.  A 3D stepper's state is the
-    horizontal pair on grid.band, of parities, and w_scale the weight of
-    its w(v) in the state's norms (None: the pair alone); advance ends with
-    constrain, the projection of the kz=0 plane.  The 2D stepper on
-    Grid.plane declares no parities and projects its whole plane.
+    nonlinear(V) is the projected nonlinear term: the advection of the
+    state's velocity, negated and constrained in place.  NS overrides it
+    with its scaled projection, Stokes with zero.  self.grid is the Band
+    the state lives on.  A 3D stepper's state is the horizontal pair on
+    grid.band, of parities, and w_scale the weight of its w(v) in the
+    state's norms (None: the pair alone); advance ends with constrain, the
+    projection of the kz=0 plane.  The 2D stepper on Grid.plane declares no
+    parities and projects its whole plane.
     """
 
     parities: tuple[str, ...] = VELOCITY_PARITIES[:2]
@@ -218,9 +222,15 @@ class _ExpAB2:
         self._n_prev = N
         return self.constrain(self.propagator * B)
 
+    def nonlinear(self, V: np.ndarray) -> np.ndarray:
+        N = _raw_advect(self.grid, self._phys(V), (1.0, 1.0),
+                        VELOCITY_PARITIES if self.parities else None)
+        np.negative(N, out=N)
+        return self.constrain(N)
+
     def constrain(self, V: np.ndarray) -> np.ndarray:
-        """Project the step's fresh array V in place."""
-        _raw_project_hydro_plane(self.grid, V[..., 0], out=V[..., 0])
+        """Project the fresh array V (a state or a term) in place."""
+        _raw_project_hydro(self.grid, V[..., 0])
         return V
 
     def step(self, U: np.ndarray) -> np.ndarray:
@@ -285,10 +295,6 @@ class PrimitiveStepper(_ExpAB2):
         band = grid.band
         super().__init__(band, _lap_delta_mult(band, delta), dt)
 
-    def nonlinear(self, V: np.ndarray) -> np.ndarray:
-        return _raw_project_hydro(self.grid, -_raw_advect(
-            self.grid, self._phys(V), (1.0, 1.0), VELOCITY_PARITIES))
-
 
 class NavierStokes2DStepper(_ExpAB2):
     """2D Navier-Stokes on the kz=0 coefficient plane of a grid.
@@ -303,13 +309,8 @@ class NavierStokes2DStepper(_ExpAB2):
         plane = grid.plane
         super().__init__(plane, -plane.k2h, dt)
 
-    def nonlinear(self, V: np.ndarray) -> np.ndarray:
-        N = _raw_advect(self.grid, self._phys(V), (1.0, 1.0))
-        np.negative(N, out=N)
-        return _raw_project_hydro_plane(self.grid, N, out=N)
-
     def constrain(self, V: np.ndarray) -> np.ndarray:
-        return _raw_project_hydro_plane(self.grid, V, out=V)
+        return _raw_project_hydro(self.grid, V)
 
 
 class StokesScaledStepper(_ExpAB2):
@@ -354,9 +355,9 @@ class System:
     check: Callable[[VelocityState, str], None] = lambda s, what: None
 
 
-def _require_mean_free(s: VelocityState, what: str, tol: float = 1e-12) -> None:
+def _require_mean_free(s: VelocityState, what: str) -> None:
     m = float(np.max(np.abs(np.stack((s.v1.coeffs, s.v2.coeffs))[..., 0])))
-    if m > tol:
+    if m > 1e-12:
         raise CompatibilityError(f"{what} is not vertically mean-free: {m:.3e}", m)
 
 

@@ -76,3 +76,13 @@ def convective_advect(grid, u_phys, T):
     dTp = _raw_to_phys(grid, dT)
     acc = np.stack([sum(u * d for u, d in zip(u_phys, dTi)) for dTi in dTp])
     return _raw_to_spec(grid, acc) * grid.dealias_mask
+
+
+def hydro_projected(grid, V):
+    """A copy of the stack V whose kz=0 plane fields._raw_project_hydro has
+    projected (in place, on the copy); test helper."""
+    from hydrostat.fields import _raw_project_hydro
+
+    out = V.copy()
+    _raw_project_hydro(grid, out[..., 0])
+    return out

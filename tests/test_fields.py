@@ -22,6 +22,7 @@ from hydrostat.spectral import (
     ODD,
     SpectralField,
     _lap_delta_mult,
+    _raw_embed_plane,
     _raw_inner,
     _raw_parity_project,
     _raw_to_phys,
@@ -31,7 +32,13 @@ from hydrostat.spectral import (
     zero_field,
 )
 
-from conftest import convective_advect, full_phase, full_wavenumbers, random_band_field
+from conftest import (
+    convective_advect,
+    full_phase,
+    full_wavenumbers,
+    hydro_projected,
+    random_band_field,
+)
 
 PI = np.pi
 
@@ -46,7 +53,7 @@ def _pair(grid, seeds):
 
 def _constrained_pair(grid, seeds):
     """Random even pair satisfying the vertical-average constraint."""
-    V = _raw_project_hydro(grid, _stack(_pair(grid, seeds)))
+    V = hydro_projected(grid, _stack(_pair(grid, seeds)))
     return tuple(SpectralField(grid, c, EVEN) for c in V)
 
 
@@ -109,21 +116,34 @@ class TestHydrostaticProjection:
         bar = np.zeros(grid16.spec_shape, dtype=complex)
         bar[:, :, 0] = phi.coeffs[:, :, 0]
         grad = np.stack((1j * grid16.kx3 * bar, 1j * grid16.ky3 * bar))
-        out = _raw_project_hydro(grid16, grad)
+        out = hydro_projected(grid16, grad)
         assert np.max(np.abs(out)) < 1e-13
 
     def test_idempotent_on_range(self, grid16):
         f = _stack(_constrained_pair(grid16, (22, 23)))
-        again = _raw_project_hydro(grid16, f)
+        again = hydro_projected(grid16, f)
         assert np.max(np.abs(f - again)) < 1e-14
 
     def test_single_mode_example(self, grid16):
         f1 = field_from_function(grid16, lambda x, y, z: np.sin(PI * x), EVEN)
-        out = _raw_project_hydro(grid16, _stack((f1, zero_field(grid16, EVEN))))
+        out = hydro_projected(grid16, _stack((f1, zero_field(grid16, EVEN))))
         assert np.max(np.abs(out)) < 1e-13
 
+    def test_in_place_on_a_strided_plane(self, grid16):
+        """On the strided [..., 0] view of a stack the projection writes, bit
+        for bit, what it gives for a contiguous copy of that plane, and it
+        leaves the kz != 0 planes untouched."""
+        V = _stack(_pair(grid16, (26, 27)))
+        before = V.copy()
+        plane = np.ascontiguousarray(V[..., 0])
+        out = _raw_project_hydro(grid16, V[..., 0])
+        assert np.shares_memory(out, V)
+        assert V[..., 0].tobytes() == _raw_project_hydro(grid16, plane).tobytes()
+        assert not np.array_equal(V[..., 0], before[..., 0])
+        assert V[..., 1:].tobytes() == before[..., 1:].tobytes()
+
     def test_average_divergence_free(self, grid16):
-        out = _raw_project_hydro(grid16, _stack(_pair(grid16, (24, 25))))
+        out = hydro_projected(grid16, _stack(_pair(grid16, (24, 25))))
         d = (
             grid16.kx[:, None] * out[0, :, :, 0]
             + grid16.ky[None, :] * out[1, :, :, 0]
@@ -154,7 +174,7 @@ class TestVerticalVelocity:
     @settings(max_examples=20, deadline=None)
     def test_defining_relations(self, seed):
         grid = make_grid(16, 16, 16)
-        v = _raw_project_hydro(grid, _stack(_pair(grid, (seed, seed + 1))))
+        v = hydro_projected(grid, _stack(_pair(grid, (seed, seed + 1))))
         w = _raw_w_from_v(grid, v)
         dzw = 1j * grid.kz3 * w
         divh = 1j * (grid.kx3 * v[0] + grid.ky3 * v[1])
@@ -277,7 +297,7 @@ class TestDiffRhs:
         vw, VW = np.concatenate((vc, [eps * wc])), np.concatenate((Vc, [W.coeffs]))
         total = -(convective_advect(g, b, vw) + convective_advect(g, u, VW)
                   + convective_advect(g, b, VW))
-        dt_v = _lap_delta_mult(g, 0.0) * vc - _raw_project_hydro(
+        dt_v = _lap_delta_mult(g, 0.0) * vc - hydro_projected(
             g, convective_advect(g, u, vc))
         dt_w = _raw_w_from_v(g, dt_v) + convective_advect(g, u, wc[None])[0]
         mask = g.dealias_mask
@@ -387,13 +407,11 @@ class TestBaroclinicRhs:
         ut = (s.vtilde1, s.vtilde2, s.w)
         fbar, ft1, _ = baroclinic_rhs(zero_bar, ut)
         # Fbar = -avg(ut . grad vt) and Ftilde1 = -(ut . grad vt) + avg(...)
-        from hydrostat.fields import _raw_zaverage_plane
-
         up = [_raw_to_phys(grid16, c.coeffs) for c in ut]
         adv = convective_advect(
             grid16, up, np.stack((s.vtilde1.coeffs, s.vtilde2.coeffs))
         )
-        avg = np.stack([_raw_zaverage_plane(a) for a in adv])
+        avg = _raw_embed_plane(grid16, adv[..., 0])
         assert np.max(np.abs(fbar[0].coeffs + avg[0])) < 1e-13
         assert np.max(np.abs(ft1[0].coeffs + adv[0] - avg[0])) < 1e-13
 

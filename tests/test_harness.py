@@ -226,6 +226,9 @@ recipe = heat_mode
 seed = 4
 """
 
+# a sweep's template: the system it runs, without a point's eps, delta or gamma
+SWEEP_SIM = GOOD_SIM.replace("system = PE_H", "system = NS_eps_delta")
+
 
 class TestConfig:
     def test_parse_and_build(self):
@@ -251,7 +254,7 @@ class TestConfig:
             sim_config_from_dict(parse_config_text("system = PE_H\n"))
 
     def test_sweep_config(self):
-        text = GOOD_SIM + "mode = eps_delta_to_zero\neps_values = 0.2, 0.1, 0.05\n"
+        text = SWEEP_SIM + "mode = eps_delta_to_zero\neps_values = 0.2, 0.1, 0.05\n"
         d = parse_config_text(text)
         cfg = sweep_config_from_dict(d)
         assert cfg.mode == "eps_delta_to_zero"
@@ -260,7 +263,7 @@ class TestConfig:
 
     @pytest.mark.parametrize("jobs", [0, -1])
     def test_jobs_below_one_rejected(self, jobs):
-        text = GOOD_SIM + f"mode = eps_delta_to_zero\neps_values = 0.2\njobs = {jobs}\n"
+        text = SWEEP_SIM + f"mode = eps_delta_to_zero\neps_values = 0.2\njobs = {jobs}\n"
         with pytest.raises(ConfigError, match="jobs"):
             sweep_config_from_dict(parse_config_text(text))
 
@@ -305,11 +308,30 @@ class TestConfig:
         (2.0, "primitive equations with full viscosity"),
         (1.5, "2D Navier-Stokes"),
         (0.5, "2D Navier-Stokes"),
+        (0.0, "2D Navier-Stokes"),
+        (-1.0, "2D Navier-Stokes"),
     ])
     def test_gamma_scan_rejects_gamma_at_most_two(self, gamma, regime):
         """gamma_scan compares with PE_H, the limit for gamma > 2 only."""
-        text = GOOD_SIM + f"mode = gamma_scan\neps_values = 0.2\ngamma_values = 3, {gamma}\n"
+        text = SWEEP_SIM + f"mode = gamma_scan\neps_values = 0.2\ngamma_values = 3, {gamma}\n"
         with pytest.raises(ConfigError, match=f"gamma = {gamma:g} .*{regime}"):
+            sweep_config_from_dict(parse_config_text(text))
+
+    @pytest.mark.parametrize("line, match", [
+        ("system = PE_H", "not system = PE_H"),
+        ("system = NS2D", "not system = NS2D"),
+        ("eps = 0.1", "give eps_values"),
+        ("delta = 0.1", "give delta_values"),
+        ("gamma = 3", "give gamma_values"),
+    ])
+    def test_sweep_rejects_what_it_would_reinterpret(self, line, match):
+        """A sweep runs NS_eps_delta and sets eps, delta and gamma per point:
+        before, system = PE_H failed every point, system = NS2D was ignored,
+        gamma was dropped and eps and delta were overwritten."""
+        sim = (SWEEP_SIM.replace("system = NS_eps_delta", line)
+               if line.startswith("system") else SWEEP_SIM + line + "\n")
+        text = sim + "mode = gamma_scan\neps_values = 0.2, 0.1\ngamma_values = 3\n"
+        with pytest.raises(ConfigError, match=match):
             sweep_config_from_dict(parse_config_text(text))
 
 
@@ -811,6 +833,32 @@ class TestBenchmarkTracer:
         # the steppers' advection is the kernel the tracer wraps
         assert metrics["fields.advect.calls"] > 0
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("system, recipe, per_step, by_recipe", [
+        ("PE_H", "bandlimited_random", 2, 1),
+        ("NS_eps_delta", "bandlimited_random", 1, 1),
+        ("NS2D", "bandlimited_random", 2, 1),
+        ("StokesScaled", "heat_mode", 1, 0),
+    ])
+    def test_every_hydrostatic_projection_is_traced(self, system, recipe, per_step,
+                                                   by_recipe):
+        """fields._raw_project_hydro is the one hydrostatic projection, so a
+        traced run opens a fields.project_hydro span for each: one per step
+        in constrain, one more per step in the nonlinear term of PE and
+        NS2D, and one in the bandlimited_random recipe."""
+        from hydrostat import solvers
+
+        n = 5
+        t = _load_tracer().Tracer()
+        t.install()
+        try:
+            solvers.run_simulation(SimConfig(system, 8, 8, 8, 1e-3, n * 1e-3,
+                                             recipe=recipe, seed=3))
+        finally:
+            t.uninstall()
+        spans = [s for s in t.spans if s[3] == "fields.project_hydro"]
+        assert len(spans) == per_step * n + by_recipe
+
 
 class TestCli:
     def test_verify_bootstrap_suite(self, capsys):
@@ -884,7 +932,7 @@ class TestCli:
         from hydrostat.harness.cli import main
 
         cfg = tmp_path / "sweep.cfg"
-        cfg.write_text(GOOD_SIM + "mode = eps_delta_to_zero\neps_values = 0.2\n"
+        cfg.write_text(SWEEP_SIM + "mode = eps_delta_to_zero\neps_values = 0.2\n"
                        "jobs = 2\ntiming = false\n")
         seen = []
         monkeypatch.setattr(sweep, "run_sweep",
@@ -897,7 +945,7 @@ class TestCli:
         from hydrostat.harness.cli import main
 
         cfg = tmp_path / "sweep.cfg"
-        cfg.write_text(GOOD_SIM + "mode = eps_delta_to_zero\neps_values = 0.2\n")
+        cfg.write_text(SWEEP_SIM + "mode = eps_delta_to_zero\neps_values = 0.2\n")
         assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path),
                      "--jobs", "0"]) == 2
         assert "jobs must be >= 1" in capsys.readouterr().err

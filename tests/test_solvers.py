@@ -38,7 +38,7 @@ from hydrostat.spectral import (
     zero_field,
 )
 
-from conftest import convective_advect
+from conftest import convective_advect, hydro_projected
 
 PI = np.pi
 
@@ -233,8 +233,6 @@ def _nonlinear_cases(grid, eps=0.3):
     sliced at kz=0); state and term are given on the stepper's band.  The
     NS term is the horizontal part of the scaled projection of the
     convective term of (v, eps w)."""
-    from hydrostat.fields import _raw_project_hydro
-
     data = generate_initial_data("bandlimited_random", 7, grid)
     V = np.stack((data.v1.coeffs, data.v2.coeffs))
     U = np.concatenate((V, eps * data.w.coeffs[None]))
@@ -246,9 +244,9 @@ def _nonlinear_cases(grid, eps=0.3):
         "NS": (NavierStokesStepper(grid, eps, 0.1, 1e-3), band.gather(V),
                band.gather(_raw_project_eps(grid, -conv(grid, up, U), eps)[:2])),
         "PE": (PrimitiveStepper(grid, 0.0, 1e-3), band.gather(V),
-               band.gather(_raw_project_hydro(grid, -conv(grid, up, V)))),
+               band.gather(hydro_projected(grid, -conv(grid, up, V)))),
         "NS2D": (NavierStokes2DStepper(grid, 1e-3), plane.gather(B[..., 0]),
-                 plane.gather(_raw_project_hydro(
+                 plane.gather(hydro_projected(
                      grid, -conv(grid, _raw_to_phys(grid, B), B))[..., 0])),
     }
 
@@ -682,7 +680,6 @@ class TestSchemeOrder:
         """Nonlinearly active 2D flow: halving dt shrinks the error ~4x."""
         grid = make_grid(16, 16, 4)
         rng = np.random.default_rng(3)
-        from hydrostat.fields import _raw_project_hydro
         from hydrostat.spectral import _raw_to_spec
 
         c1 = _raw_to_spec(grid, rng.standard_normal(grid.shape))
@@ -692,7 +689,7 @@ class TestSchemeOrder:
         keep[-3:, :4, :1] = True
         keep[:4, -3:, :1] = True
         keep[-3:, -3:, :1] = True
-        V0 = _raw_project_hydro(grid, np.stack((c1 * keep, c2 * keep)))[..., 0]
+        V0 = hydro_projected(grid, np.stack((c1 * keep, c2 * keep)))[..., 0]
         V0 = grid.plane.gather(2.0 * V0 / np.sqrt(np.sum(np.abs(V0) ** 2) * 8.0))
 
         def advance(dt, T=0.1):
