@@ -47,7 +47,8 @@ class BlowupDetected(HydrostatError):
 
 
 class FormatError(HydrostatError):
-    """Snapshot file is malformed; ``offset`` is the failing byte position."""
+    """A snapshot file or a sweep CSV is malformed; ``offset`` is the failing
+    byte position of a snapshot."""
 
     def __init__(self, message: str, offset: int = -1):
         super().__init__(message)

@@ -5,14 +5,15 @@
     hydrostat verify --suite {oracles|invariants|bootstrap|all}
     hydrostat fit    --csv FILE --norm NAME
 
-Exit status is nonzero when a verify suite fails or a config is invalid.
+Exit status is 1 when a verify suite fails, and 2, after an "error: ..."
+line, when an input is missing or invalid.
 """
 from __future__ import annotations
 
 import argparse
 import sys
 
-from ..errors import HydrostatError
+from ..errors import HydrostatError, InsufficientData
 from ..solvers import run_simulation
 
 
@@ -70,20 +71,18 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_fit(args) -> int:
-    import csv as _csv
+    from .sweep import fit_rate, parse_csv, rate_groups
 
-    from .sweep import abscissa, fit_rate
-
-    points = []
-    with open(args.csv, newline="", encoding="utf-8") as fh:
-        for row in _csv.DictReader(fh):
-            if row["norm_name"] != args.norm or row["blowup"] == "1":
-                continue
-            h = abscissa(row["mode"], float(row["eps"]), float(row["delta"]))
-            points.append((h, float(row["value"])))
-    slope, intercept, r2 = fit_rate(points)
-    print(f"slope={slope:.6f} intercept={intercept:.6f} r2={r2:.6f} "
-          f"n={len(points)}")
+    with open(args.csv, encoding="utf-8", newline="") as fh:
+        rows = parse_csv(fh.read())
+    groups = rate_groups(r for r in rows if r.norm_name == args.norm)
+    if not groups:
+        raise InsufficientData(f"no rows of norm {args.norm!r} to fit")
+    for key, points in sorted(groups.items(), key=str):
+        slope, intercept, r2 = fit_rate(points)
+        gamma = "" if isinstance(key, str) else f"gamma={key[0]:g} "
+        print(f"{gamma}slope={slope:.6f} intercept={intercept:.6f} r2={r2:.6f} "
+              f"n={len(points)}")
     return 0
 
 
@@ -122,7 +121,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except HydrostatError as exc:
+    except (HydrostatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

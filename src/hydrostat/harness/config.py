@@ -87,17 +87,8 @@ def sweep_config_from_dict(d: dict) -> SweepConfig:
         if key in d:
             raise ConfigError(f"a sweep sets {key} per point; give {key}_values, "
                               f"not {key}")
-    sim = {k: v for k, v in d.items() if k in _SIM_KEYS}
-    sim.setdefault("system", "NS_eps_delta")
-    missing = {"nx", "ny", "nz", "dt", "t_end"} - set(sim)
-    if missing:
-        raise ConfigError(f"missing required keys: {sorted(missing)}")
-    base = SimConfig(**sim)
-    kwargs = {k: v for k, v in d.items() if k in _SWEEP_KEYS}
-    try:
-        return SweepConfig(base=base, **kwargs)
-    except TypeError as exc:
-        raise ConfigError(str(exc))
+    base = sim_config_from_dict({"system": "NS_eps_delta", **d})
+    return SweepConfig(base=base, **{k: v for k, v in d.items() if k in _SWEEP_KEYS})
 
 
 def load_config(path: str) -> dict:

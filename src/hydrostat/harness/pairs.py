@@ -15,7 +15,8 @@ system (PE_H) has neither eps nor delta, so all points share one PE_H
 reference.  In mode delta_to_infty the barotropic plane is compared with
 NS2D and the baroclinic part with the exact Stokes flow on the schedule of
 _stiff_segments, none of which depends on eps: the points at one delta share
-both comparison runs.
+both comparison runs.  Every rule that depends on the mode, from the lists a
+sweep reads to the norms its total sums, is the mode's entry of MODES.
 
 The lanes run in solvers.run_lanes, the time loop of run_simulation too;
 the observers here fold the sampled differences into the norms on the band
@@ -28,6 +29,7 @@ from __future__ import annotations
 
 import math
 import time as _time
+from collections.abc import Callable
 from dataclasses import dataclass, replace
 from functools import partial
 
@@ -55,16 +57,14 @@ class NormRow:
     error: tuple[str, str] | None = None
 
 
-def check_gamma_scan(gamma: float | None) -> None:
-    """Reject a gamma_scan point without gamma, or whose limit is not PE_H.
+def check_gamma_scan(gamma: float) -> None:
+    """Reject a gamma_scan gamma whose limit is not PE_H.
 
     With nu_z = eps^gamma the anisotropic system tends to PE_H only for
     gamma > 2; gamma = 2 tends to the primitive equations with full
     viscosity and gamma < 2 to 2D Navier-Stokes, so a comparison with PE_H
     there measures a difference that does not vanish.
     """
-    if gamma is None:
-        raise ConfigError("a gamma_scan point needs its gamma")
     if gamma > 2.0:
         return
     regime = ("the primitive equations with full viscosity" if gamma == 2.0
@@ -132,12 +132,11 @@ def run_matched_family(
 
 def families(points, mode: str) -> list[list[int]]:
     """Indices of the points grouped by the reference lanes they share, in order."""
-    if mode not in _LIMITS:
+    if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}")
-    key = _LIMITS[mode][1]
     groups: dict = {}
     for i, pt in enumerate(points):
-        groups.setdefault(key(pt), []).append(i)
+        groups.setdefault(MODES[mode].key(pt), []).append(i)
     return list(groups.values())
 
 
@@ -152,26 +151,31 @@ def _run_points(points, base: SimConfig, mode: str) -> list:
     return [out[i] for i in range(len(points))]
 
 
-def check_value(name: str, value: float, mode: str) -> None:
+def check_value(name: str, value: float | None, mode: str) -> None:
     """Raise ConfigError naming a value that no point of the mode can run
-    with: one that is not finite, an eps <= 0, or a delta <= 0 in
-    delta_to_infty, whose rate is fitted against log delta."""
+    with: a missing value the mode needs, one that is not finite, one of
+    the mode's positive values that is not > 0, or a gamma outside the
+    mode's regime (MODES)."""
+    spec = MODES[mode]
+    if value is None:
+        raise ConfigError(f"a {mode} point needs its {name}")
     if not math.isfinite(value):
         raise ConfigError(f"{name}={value!r} is not finite")
-    if (name == "eps" or (name, mode) == ("delta", "delta_to_infty")) and not value > 0:
+    if name in spec.positive and not value > 0:
         raise ConfigError(f"{name}={value!r} must be > 0 in {mode}")
+    if name == "gamma" and spec.gamma is not None:
+        spec.gamma(value)
 
 
 def _check_point(point, base: SimConfig, mode: str) -> None:
     """Raise unless the point, with its gamma, is valid on its own."""
     eps, delta, gamma = point
+    spec = MODES[mode]
     for name, value in zip(("eps", "delta", "gamma"), point):
-        if value is not None:
+        if value is not None or name in spec.needs:
             check_value(name, value, mode)
-    if mode == "gamma_scan":
-        check_gamma_scan(gamma)
-    if mode == "delta_to_infty" and base.record_every != 1:
-        raise InvalidParameter(f"delta_to_infty samples every step; record_every="
+    if spec.every_step and base.record_every != 1:
+        raise InvalidParameter(f"{mode} samples every step; record_every="
                                f"{base.record_every} would be ignored")
     replace(base, eps=eps, delta=delta, gamma=gamma)
 
@@ -213,22 +217,20 @@ class _Member:
             return failure
         row = partial(NormRow, mode, *self.point, blowup=failure is not None,
                       wall_ms=wall_ms)
-        rows, total = [], 0.0
+        rows, values = [], {}
         for name, (acc, _) in self.norms.items():
             try:
-                val, error = finalize(acc), None
+                values[name], error = finalize(acc), None
             except InsufficientData as exc:
-                val, error = float("nan"), (type(exc).__name__, str(exc))
-            if name in ("EHdelta", "Ez", "E1_bar_diff", "L4H32_tilde"):
-                total += val
-            rows.append(row(name, val, error=error))
-        return rows + [row("total", total)]
+                values[name], error = float("nan"), (type(exc).__name__, str(exc))
+            rows.append(row(name, values[name], error=error))
+        return rows + [row("total", sum(values[name] for name in MODES[mode].total))]
 
 
 def _run_family(points, base: SimConfig, mode: str, lanes: list) -> list:
     """The outcome of every point of one family; adds its lanes to lanes."""
     t0 = _time.perf_counter()
-    build, key = _LIMITS[mode]
+    spec = MODES[mode]
     outcomes = []
     for pt in points:
         try:
@@ -241,7 +243,7 @@ def _run_family(points, base: SimConfig, mode: str, lanes: list) -> list:
     try:
         grid = make_grid(base.nx, base.ny, base.nz)
         data = generate_initial_data(base.recipe, base.seed, grid)
-        family, schedule = build(data, base, key(points[0]),
+        family, schedule = spec.lanes(data, base, spec.key(points[0]),
                                  [m for m in outcomes if isinstance(m, _Member)])
     except Exception as exc:  # fails every valid point
         return [exc if isinstance(m, _Member) else m for m in outcomes]
@@ -325,11 +327,61 @@ def _large_delta_lanes(data, base: SimConfig, delta: float, members: list[_Membe
             _stiff_segments(base.t_end, base.dt, delta))
 
 
-# mode -> (the builder of a family's lanes, the key its points share)
-_LIMITS = {
-    "eps_delta_to_zero": (_pe_h_lanes, lambda pt: None),
-    "gamma_scan": (_pe_h_lanes, lambda pt: None),
-    "delta_to_infty": (_large_delta_lanes, lambda pt: pt[1]),
+@dataclass(frozen=True)
+class Mode:
+    """Everything that depends on a sweep mode.
+
+    lanes(data, base, key, members) builds a family's lanes and schedule;
+    key(point) is what the points of one family share (families).  A sweep
+    reads the *_values lists named in lists, needs those in needs, and
+    makes its points with points(eps_values, delta_values, gamma_values).
+    Its rates are fitted against abscissa(eps, delta).  A point's values
+    named in positive must be > 0, gamma(g) raises for a gamma outside the
+    mode's regime, and every_step asks for record_every == 1 (_check_point).
+    A point's "total" row sums the norms named in total, in that order.
+    """
+
+    lanes: Callable
+    key: Callable
+    lists: tuple[str, ...]
+    needs: tuple[str, ...]
+    points: Callable
+    abscissa: Callable
+    positive: tuple[str, ...]
+    total: tuple[str, ...]
+    gamma: Callable | None = None
+    every_step: bool = False
+
+
+def _paired(eps_values, delta_values, gamma_values):
+    """eps_delta_to_zero's points: eps paired with delta, delta = eps by default."""
+    if delta_values and len(delta_values) != len(eps_values):
+        raise ConfigError("eps_delta_to_zero pairs eps with delta; lists must match")
+    return [(e, d, None) for e, d in zip(eps_values, delta_values or eps_values)]
+
+
+MODES = {
+    # eps -> 0 with delta paired to it, against PE_H
+    "eps_delta_to_zero": Mode(
+        lanes=_pe_h_lanes, key=lambda pt: None,
+        lists=("eps", "delta"), needs=("eps",), points=_paired,
+        abscissa=lambda eps, delta: eps + delta, positive=("eps",),
+        total=("EHdelta", "Ez")),
+    # delta -> inf, against NS2D and the Stokes flow; its rates are fitted
+    # against log delta, so delta > 0
+    "delta_to_infty": Mode(
+        lanes=_large_delta_lanes, key=lambda pt: pt[1],
+        lists=("eps", "delta"), needs=("eps", "delta"),
+        points=lambda E, D, G: [(e, d, None) for e in E for d in D],
+        abscissa=lambda eps, delta: delta, positive=("eps", "delta"),
+        total=("E1_bar_diff", "L4H32_tilde"), every_step=True),
+    # eps -> 0 with delta = eps^(gamma-2), gamma > 2, against PE_H
+    "gamma_scan": Mode(
+        lanes=_pe_h_lanes, key=lambda pt: None,
+        lists=("eps", "gamma"), needs=("eps", "gamma"),
+        points=lambda E, D, G: [(e, e ** (g - 2.0), g) for g in G for e in E],
+        abscissa=lambda eps, delta: eps, positive=("eps",),
+        total=("EHdelta", "Ez"), gamma=check_gamma_scan),
 }
 
 

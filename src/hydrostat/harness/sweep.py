@@ -21,11 +21,9 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from ..errors import ConfigError, InsufficientData
+from ..errors import ConfigError, FormatError, InsufficientData, InvalidParameter
 from ..solvers import SimConfig
-from .pairs import NormRow, check_gamma_scan, check_value, families, run_matched_family
-
-MODES = ("eps_delta_to_zero", "delta_to_infty", "gamma_scan")
+from .pairs import MODES, NormRow, _check_point, check_value, families, run_matched_family
 
 CSV_HEADER = "mode,eps,delta,gamma,norm_name,value,blowup,wall_ms"
 
@@ -35,7 +33,9 @@ class SweepConfig:
     """Sweep setup: mode, parameter lists, shared simulation template.
 
     The template is an NS_eps_delta setup; each point sets its own eps,
-    delta and gamma."""
+    delta and gamma.  The mode (pairs.MODES) names the lists it reads and
+    needs and makes the points, each checked as run_matched_family checks
+    it; a list that the mode does not read is an error."""
 
     mode: str
     base: SimConfig
@@ -54,39 +54,25 @@ class SweepConfig:
                               f"not system = {self.base.system}")
         if self.jobs < 1:
             raise ConfigError(f"jobs must be >= 1, got {self.jobs}")
-        if not self.eps_values:
-            raise ConfigError("eps_values must be nonempty")
-        for name, values in (("eps", self.eps_values), ("delta", self.delta_values),
-                             ("gamma", self.gamma_values)):
-            for value in values:
+        spec = MODES[self.mode]
+        for name in ("eps", "delta", "gamma"):
+            values = getattr(self, f"{name}_values")
+            if values and name not in spec.lists:
+                raise ConfigError(f"{self.mode} reads no {name}_values, got {values}")
+            if not values and name in spec.needs:
+                raise ConfigError(f"{self.mode} needs {name}_values")
+            for value in values:  # before any point is made from it
                 check_value(name, value, self.mode)
-        if self.mode == "delta_to_infty" and not self.delta_values:
-            raise ConfigError("delta_to_infty needs delta_values")
-        if self.mode == "delta_to_infty" and self.base.record_every != 1:
-            raise ConfigError(
-                "delta_to_infty samples every step; record_every must be 1"
-            )
-        if self.mode == "gamma_scan":
-            if not self.gamma_values:
-                raise ConfigError("gamma_scan needs gamma_values")
-            for g in self.gamma_values:
-                check_gamma_scan(g)
-        if self.mode == "eps_delta_to_zero" and self.delta_values and len(
-            self.delta_values
-        ) != len(self.eps_values):
-            raise ConfigError(
-                "eps_delta_to_zero pairs eps with delta; lists must match"
-            )
+        for point in self.points():
+            try:
+                _check_point(point, self.base, self.mode)
+            except InvalidParameter as exc:
+                raise ConfigError(str(exc)) from None
 
     def points(self) -> list[tuple[float, float, float | None]]:
         """(eps, delta, gamma) tuples for every sweep point."""
-        if self.mode == "eps_delta_to_zero":
-            deltas = self.delta_values or self.eps_values
-            return [(e, d, None) for e, d in zip(self.eps_values, deltas)]
-        if self.mode == "delta_to_infty":
-            return [(e, d, None) for e in self.eps_values for d in self.delta_values]
-        return [(e, e ** (g - 2.0), g)
-                for g in self.gamma_values for e in self.eps_values]
+        return MODES[self.mode].points(self.eps_values, self.delta_values,
+                                       self.gamma_values)
 
 
 @dataclass
@@ -119,13 +105,18 @@ def fit_rate(points: list[tuple[float, float]]) -> tuple[float, float, float]:
     return slope, float(intercept), float(r2)
 
 
-def abscissa(mode: str, eps: float, delta: float) -> float:
-    """The parameter a rate is fitted against in each sweep mode."""
-    if mode == "gamma_scan":
-        return eps
-    if mode == "delta_to_infty":
-        return delta
-    return eps + delta
+def rate_groups(rows) -> dict:
+    """The (abscissa, value) points of every rate that rows of one mode give:
+    by norm name, or by (gamma, norm name) for rows with a gamma, against
+    the mode's abscissa (pairs.MODES).  FAILED and blown-up rows are left out."""
+    groups: dict = {}
+    for r in rows:
+        if r.norm_name == "FAILED" or r.blowup:
+            continue
+        key = r.norm_name if r.gamma is None else (r.gamma, r.norm_name)
+        groups.setdefault(key, []).append((MODES[r.mode].abscissa(r.eps, r.delta),
+                                           r.value))
+    return groups
 
 
 def _row_order(r: NormRow):
@@ -134,24 +125,12 @@ def _row_order(r: NormRow):
 
 def format_csv(rows: list[NormRow]) -> str:
     """Deterministic CSV text: sorted rows, '.' decimals, LF endings."""
-    lines = [CSV_HEADER]
-    for r in sorted(rows, key=_row_order):
-        gamma = "" if r.gamma is None else format(r.gamma, ".17g")
-        lines.append(
-            ",".join(
-                (
-                    r.mode,
-                    format(r.eps, ".17g"),
-                    format(r.delta, ".17g"),
-                    gamma,
-                    r.norm_name,
-                    format(r.value, ".17g"),
-                    "1" if r.blowup else "0",
-                    str(r.wall_ms),
-                )
-            )
-        )
-    return "\n".join(lines) + "\n"
+    num = lambda x: "" if x is None else format(x, ".17g")
+    return "\n".join([CSV_HEADER] + [
+        ",".join((r.mode, num(r.eps), num(r.delta), num(r.gamma), r.norm_name,
+                  num(r.value), "1" if r.blowup else "0", str(r.wall_ms)))
+        for r in sorted(rows, key=_row_order)
+    ]) + "\n"
 
 
 def format_failures(rows: list[NormRow]) -> str:
@@ -163,6 +142,30 @@ def format_failures(rows: list[NormRow]) -> str:
         for r in sorted(rows, key=_row_order) if r.error is not None
     ]
     return json.dumps(failures, indent=2) + "\n"
+
+
+def parse_csv(text: str) -> list[NormRow]:
+    """The rows of results.csv text (format_csv), without their errors.
+
+    FormatError for text without the sweep's header, a row that does not
+    parse, or rows of an unknown mode or of more than one mode."""
+    lines = text.splitlines()
+    if not lines or lines[0] != CSV_HEADER:
+        raise FormatError(f"not a sweep CSV: its header is not {CSV_HEADER}")
+    rows = []
+    for n, line in enumerate(lines[1:], start=2):
+        try:
+            mode, eps, delta, gamma, name, value, blowup, wall_ms = line.split(",")
+            if mode not in MODES:
+                raise ValueError(f"unknown mode {mode!r}")
+            rows.append(NormRow(mode, float(eps), float(delta),
+                                float(gamma) if gamma else None, name, float(value),
+                                blowup == "1", int(wall_ms)))
+        except ValueError as exc:
+            raise FormatError(f"line {n}: {exc}") from None
+    if len({r.mode for r in rows}) > 1:
+        raise FormatError(f"rows of more than one mode: {sorted({r.mode for r in rows})}")
+    return rows
 
 
 def run_sweep(cfg: SweepConfig, write_plots: bool = False) -> SweepResult:
@@ -191,20 +194,11 @@ def run_sweep(cfg: SweepConfig, write_plots: bool = False) -> SweepResult:
     if blowups:
         result.blowup_threshold = min(e + d for e, d in blowups)
 
-    # least-squares rates per norm (and per gamma for the scan)
-    by_key: dict = {}
-    for r in result.rows:
-        if r.norm_name == "FAILED" or r.blowup:
-            continue
-        key = (r.gamma, r.norm_name) if cfg.mode == "gamma_scan" else r.norm_name
-        h = abscissa(cfg.mode, r.eps, r.delta)
-        by_key.setdefault(key, []).append((h, r.value))
-    for key, pts_v in by_key.items():
-        if len(pts_v) >= 3:
-            try:
-                result.fits[key] = fit_rate(pts_v)
-            except InsufficientData:
-                pass
+    for key, points in rate_groups(result.rows).items():
+        try:
+            result.fits[key] = fit_rate(points)
+        except InsufficientData:
+            pass
 
     if cfg.out_dir is not None:
         os.makedirs(cfg.out_dir, exist_ok=True)
@@ -222,7 +216,7 @@ def run_sweep(cfg: SweepConfig, write_plots: bool = False) -> SweepResult:
                     continue
                 label = r.norm_name + ("" if r.gamma is None else f"[g={r.gamma:g}]")
                 series.setdefault(label, []).append(
-                    (abscissa(cfg.mode, r.eps, r.delta), r.value))
+                    (MODES[cfg.mode].abscissa(r.eps, r.delta), r.value))
             write_loglog_svg(os.path.join(cfg.out_dir, "rates.svg"), series,
                              title=cfg.mode)
     return result

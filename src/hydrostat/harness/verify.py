@@ -89,12 +89,9 @@ def check_taylor_green_2d(nxy: int = 64, dt: float = 1e-4, T: float = 0.1) -> Ch
     n = int(round(T / dt))
     V = _run("NS2D", VelocityState(v1, v2, zero_field(grid)), dt, n)
     amp = math.exp(-2 * math.pi**2 * n * dt)
-    diff = V - amp * V0
-    diff = _raw_embed_plane(grid, diff)
+    diff = _raw_embed_plane(grid, V - amp * V0)
     err = math.sqrt(_raw_inner(grid, diff, diff))
-    return CheckResult(
-        "taylor_green_2d", err < 1e-8, f"L2 error {err:.3e} (tol 1e-8)"
-    )
+    return CheckResult("taylor_green_2d", err < 1e-8, f"L2 error {err:.3e} (tol 1e-8)")
 
 
 def check_heat_mode_decay(system: str, delta: float, eps: float = 0.5,
@@ -109,11 +106,8 @@ def check_heat_mode_decay(system: str, delta: float, eps: float = 0.5,
     diff = U[0] - amp * v1.coeffs
     err = math.sqrt(_raw_inner(grid, diff[None], diff[None]))
     rel = err / (amp * norm_sobolev(v1, 0.0))
-    return CheckResult(
-        f"heat_mode_{system}_delta{delta:g}",
-        rel < 1e-6,
-        f"relative L2 error {rel:.3e} (tol 1e-6)",
-    )
+    return CheckResult(f"heat_mode_{system}_delta{delta:g}", rel < 1e-6,
+                       f"relative L2 error {rel:.3e} (tol 1e-6)")
 
 
 def check_pe_h_stationary(dt: float = 1e-3, steps: int = 100) -> CheckResult:
@@ -125,9 +119,7 @@ def check_pe_h_stationary(dt: float = 1e-3, steps: int = 100) -> CheckResult:
     U = _run("PE_H", VelocityState(v1, zero, zero), dt, steps)
     diff = np.stack((U[0] - v1.coeffs, U[1]))
     err = math.sqrt(_raw_inner(grid, diff, diff))
-    return CheckResult(
-        "pe_h_stationary", err < 1e-12, f"L2 drift {err:.3e} (tol 1e-12)"
-    )
+    return CheckResult("pe_h_stationary", err < 1e-12, f"L2 drift {err:.3e} (tol 1e-12)")
 
 
 def check_shear_2d(dt: float = 1e-3, T: float = 0.1) -> CheckResult:
@@ -137,8 +129,7 @@ def check_shear_2d(dt: float = 1e-3, T: float = 0.1) -> CheckResult:
     n = int(round(T / dt))
     V = _run("NS2D", VelocityState(v1, zero, zero), dt, n)
     amp = math.exp(-math.pi**2 * n * dt)
-    diff = np.stack((V[0] - amp * v1.coeffs[:, :, 0], V[1]))
-    diff = _raw_embed_plane(grid, diff)
+    diff = _raw_embed_plane(grid, np.stack((V[0] - amp * v1.coeffs[:, :, 0], V[1])))
     err = math.sqrt(_raw_inner(grid, diff, diff))
     return CheckResult("shear_2d", err < 1e-10, f"L2 error {err:.3e} (tol 1e-10)")
 
@@ -163,9 +154,8 @@ def check_stokes_exact(delta: float = 4.0) -> CheckResult:
         exact = U0 * np.exp(lam * n * dt)
         # the error of (v, w), the scaled Stokes state
         worst = max(worst, float(np.max(np.abs(_raw_with_w(band, U - exact)))))
-    return CheckResult(
-        "stokes_exact", worst < 1e-12, f"max coeff error {worst:.3e} (tol 1e-12)"
-    )
+    return CheckResult("stokes_exact", worst < 1e-12,
+                       f"max coeff error {worst:.3e} (tol 1e-12)")
 
 
 def oracle_suite() -> list[CheckResult]:
@@ -192,6 +182,7 @@ def _run_ns_with_audit(nx=32, steps=50, eps=0.5, delta=0.5, dt=1e-3, seed=7):
     st = NavierStokesStepper(data.grid, eps, delta, dt)
     grid = st.grid
     V = SYSTEMS["NS_eps_delta"].pack(data)
+    del data  # the stepper holds the grid; V is the band state
     lift = lambda X: _raw_with_w(grid, X, eps)
     U = lift(V)
     div_defects, parity_defects, neutrality, energy_resid = [], [], [], []
@@ -255,9 +246,8 @@ def check_stokes_energy_balance(delta: float = 2.0) -> CheckResult:
         dE = _raw_inner(grid, U1, U1) - _raw_inner(grid, U, U)
         D = _raw_wsum(grid, (1.0 - np.exp(2.0 * st.lam * dt)) * np.abs(U) ** 2)
         worst = max(worst, abs(dE + D) / max(_raw_inner(grid, U, U), 1e-300))
-    return CheckResult(
-        "stokes_energy_balance", worst < 1e-12, f"max residual {worst:.3e} (tol 1e-12)"
-    )
+    return CheckResult("stokes_energy_balance", worst < 1e-12,
+                       f"max residual {worst:.3e} (tol 1e-12)")
 
 
 def check_embedding_ordering() -> CheckResult:
@@ -266,17 +256,12 @@ def check_embedding_ordering() -> CheckResult:
     from .pairs import run_matched_pair
     from ..solvers import SimConfig
 
-    base = SimConfig(
-        system="NS_eps_delta", nx=16, ny=16, nz=16, dt=2e-3, t_end=0.05,
-        eps=0.3, delta=0.4, recipe="bandlimited_random", seed=3,
-    )
+    base = SimConfig(system="NS_eps_delta", nx=16, ny=16, nz=16, dt=2e-3, t_end=0.05,
+                     eps=0.3, delta=0.4, recipe="bandlimited_random", seed=3)
     rows = run_matched_pair((0.3, 0.4), base, "eps_delta_to_zero")
     vals = {r.norm_name: r.value for r in rows}
-    ok = vals["EH"] <= vals["EHdelta"] + 1e-12
-    return CheckResult(
-        "norm_embedding_ordering", ok,
-        f"EH {vals['EH']:.6e} <= EHdelta {vals['EHdelta']:.6e}",
-    )
+    return CheckResult("norm_embedding_ordering", vals["EH"] <= vals["EHdelta"] + 1e-12,
+                       f"EH {vals['EH']:.6e} <= EHdelta {vals['EHdelta']:.6e}")
 
 
 def check_barotropic_parseval(seed: int = 11) -> CheckResult:
@@ -285,16 +270,13 @@ def check_barotropic_parseval(seed: int = 11) -> CheckResult:
     data = generate_initial_data("bandlimited_random", seed, grid)
     split = barotropic_split(data.horizontal())
     worst = 0.0
-    for full, bar, tilde in (
-        (data.v1, split.vbar1, split.vtilde1),
-        (data.v2, split.vbar2, split.vtilde2),
-    ):
+    for full, bar, tilde in ((data.v1, split.vbar1, split.vtilde1),
+                             (data.v2, split.vbar2, split.vtilde2)):
         lhs = norm_sobolev(full, 0.0) ** 2
         rhs = 2.0 * norm_l2_barotropic(bar) ** 2 + norm_sobolev(tilde, 0.0) ** 2
         worst = max(worst, abs(lhs - rhs) / max(lhs, 1e-300))
-    return CheckResult(
-        "barotropic_parseval", worst < 1e-10, f"max relative gap {worst:.3e}"
-    )
+    return CheckResult("barotropic_parseval", worst < 1e-10,
+                       f"max relative gap {worst:.3e}")
 
 
 def check_2d_embedding(steps: int = 100) -> CheckResult:
@@ -305,26 +287,17 @@ def check_2d_embedding(steps: int = 100) -> CheckResult:
     U, V, B = (_run(system, state, 1e-3, steps, 0.7, 0.3)
                for system in ("NS_eps_delta", "PE_delta", "NS2D"))
     B = _raw_embed_plane(grid, B)
-    pairs = {
-        "ns_vs_pe": np.stack((U[0] - V[0], U[1] - V[1])),
-        "ns_vs_2d": np.stack((U[0] - B[0], U[1] - B[1])),
-        "pe_vs_2d": V - B,
-    }
-    worst = max(
-        math.sqrt(_raw_inner(grid, d, d)) for d in pairs.values()
-    )
-    return CheckResult(
-        "embedding_2d", worst < 1e-10, f"max pairwise L2 distance {worst:.3e}"
-    )
+    # NS against PE, NS against 2D, PE against 2D
+    worst = max(math.sqrt(_raw_inner(grid, d, d)) for d in (
+        np.stack((U[0] - V[0], U[1] - V[1])), np.stack((U[0] - B[0], U[1] - B[1])),
+        V - B))
+    return CheckResult("embedding_2d", worst < 1e-10,
+                       f"max pairwise L2 distance {worst:.3e}")
 
 
 def invariant_suite() -> list[CheckResult]:
-    out = check_ns_structural()
-    out.append(check_stokes_energy_balance())
-    out.append(check_embedding_ordering())
-    out.append(check_barotropic_parseval())
-    out.append(check_2d_embedding())
-    return out
+    return [*check_ns_structural(), check_stokes_energy_balance(),
+            check_embedding_ordering(), check_barotropic_parseval(), check_2d_embedding()]
 
 
 # ---------------------------------------------------------------------------
@@ -424,23 +397,16 @@ def check_schedule_example() -> CheckResult:
     )
     sched = continuation_schedule(budgets, 2.0)
     expected = (0.5, 1.0, 1.5, 2.0)
-    ok = (
-        abs(sched.t_star - 1.0) < 1e-9
-        and sched.n_windows == 4
-        and len(sched.t_points) == 4
-        and all(abs(a - b) < 1e-9 for a, b in zip(sched.t_points, expected))
-    )
-    return CheckResult(
-        "bootstrap_schedule_linear", ok,
-        f"T*={sched.t_star:.9f} N={sched.n_windows} T_n={sched.t_points}",
-    )
+    ok = (abs(sched.t_star - 1.0) < 1e-9 and sched.n_windows == 4
+          and len(sched.t_points) == 4
+          and all(abs(a - b) < 1e-9 for a, b in zip(sched.t_points, expected)))
+    return CheckResult("bootstrap_schedule_linear", ok,
+                       f"T*={sched.t_star:.9f} N={sched.n_windows} T_n={sched.t_points}")
 
 
 def bootstrap_suite() -> list[CheckResult]:
-    out = check_bootstrap_examples()
-    out.extend(check_bootstrap_randomized())
-    out.append(check_schedule_example())
-    return out
+    return [*check_bootstrap_examples(), *check_bootstrap_randomized(),
+            check_schedule_example()]
 
 
 SUITES = {
@@ -451,11 +417,6 @@ SUITES = {
 
 
 def run_suite(name: str) -> list[CheckResult]:
-    if name == "all":
-        out = []
-        for fn in SUITES.values():
-            out.extend(fn())
-        return out
-    if name not in SUITES:
+    if name != "all" and name not in SUITES:
         raise ValueError(f"unknown suite {name!r}; pick from {list(SUITES)} or 'all'")
-    return SUITES[name]()
+    return [r for key, fn in SUITES.items() if name in (key, "all") for r in fn()]

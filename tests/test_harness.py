@@ -334,6 +334,50 @@ class TestConfig:
         with pytest.raises(ConfigError, match=match):
             sweep_config_from_dict(parse_config_text(text))
 
+    @pytest.mark.parametrize("mode, lists, unread", [
+        ("gamma_scan", dict(gamma_values=(3.0,), delta_values=(5.0, 7.0)), "delta_values"),
+        ("eps_delta_to_zero", dict(gamma_values=(3.0,)), "gamma_values"),
+        ("delta_to_infty", dict(delta_values=(4.0,), gamma_values=(3.0,)), "gamma_values"),
+    ])
+    def test_sweep_rejects_a_list_its_mode_does_not_read(self, mode, lists, unread):
+        """Before, points() ignored such a list: a gamma_scan with
+        delta_values = 5, 7 ran delta = eps**(gamma-2), and the other modes
+        ran no gamma."""
+        with pytest.raises(ConfigError, match=f"{mode} reads no {unread}"):
+            SweepConfig(mode=mode, base=SimConfig("NS_eps_delta", 8, 8, 8, 1e-3, 0.01),
+                        eps_values=(0.2, 0.1), **lists)
+
+    @pytest.mark.parametrize("mode, lists, points", [
+        ("gamma_scan", "eps_values = 0.2, 0.1, 0.05\ngamma_values = 3.0, 4.0\n", 6),
+        ("eps_delta_to_zero", "eps_values = 0.2, 0.1\ngamma_values = \n", 2),
+    ])
+    def test_sweep_accepts_the_lists_it_reads_and_empty_ones(self, mode, lists, points):
+        """The benchmark's gamma-sweep-32 config gives eps and gamma lists
+        only; an empty list counts as not given."""
+        cfg = sweep_config_from_dict(parse_config_text(
+            SWEEP_SIM + f"mode = {mode}\n" + lists))
+        assert len(cfg.points()) == points
+
+    @pytest.mark.parametrize("old, new, match", [
+        ("t_end = 0.01", "t_end = 0.0105", "whole number"),
+        ("dt = 1e-3", "dt = -1e-3", "dt"),
+        ("seed = 4", "seed = 4\nrecord_every = 0", "record_every"),
+    ])
+    def test_sweep_bad_simulation_value_is_a_config_error(self, old, new, match):
+        """As in sim_config_from_dict; before, the template's InvalidParameter
+        escaped."""
+        text = SWEEP_SIM.replace(old, new) + "mode = eps_delta_to_zero\neps_values = 0.2\n"
+        with pytest.raises(ConfigError, match=match):
+            sweep_config_from_dict(parse_config_text(text))
+
+    def test_sweep_rejects_a_point_that_cannot_run(self):
+        """Every point is checked as run_matched_family checks it: before, a
+        negative delta passed the config and failed its point at run time."""
+        with pytest.raises(ConfigError, match="delta must be >= 0"):
+            SweepConfig(mode="eps_delta_to_zero",
+                        base=SimConfig("NS_eps_delta", 8, 8, 8, 1e-3, 0.01),
+                        eps_values=(0.2, 0.1), delta_values=(0.2, -1.0))
+
 
 def _tiny_sweep_cfg(out_dir=None, jobs=1, mode="eps_delta_to_zero"):
     values = (dict(eps_values=(0.5, 0.25), delta_values=(16.0, 64.0))
@@ -956,6 +1000,54 @@ class TestCli:
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("bogus_key = 1\n")
         assert main(["run", "--config", str(cfg)]) == 2
+
+    def test_fit_per_gamma_equals_the_sweeps_fits(self, tmp_path, capsys):
+        """fit of a gamma_scan CSV fits each gamma on its own, as the sweep
+        does: before, it fitted both gammas as one line."""
+        from hydrostat.harness.cli import main
+
+        res = run_sweep(SweepConfig(
+            mode="gamma_scan", base=SimConfig("NS_eps_delta", 8, 8, 8, 2e-3, 0.02, seed=5),
+            eps_values=(0.2, 0.1, 0.05), gamma_values=(3.0, 4.0), out_dir=str(tmp_path)))
+        assert main(["fit", "--csv", str(tmp_path / "results.csv"), "--norm", "total"]) == 0
+        assert capsys.readouterr().out.splitlines() == [
+            f"gamma={key[0]:g} slope={s:.6f} intercept={i:.6f} r2={r2:.6f} n=3"
+            for key, (s, i, r2) in sorted(res.fits.items(), key=str)
+            if key[1] == "total"
+        ]
+
+    def test_fit_rejects_a_row_of_an_unknown_mode(self, tmp_path, capsys):
+        """Before, such rows were fitted against eps + delta."""
+        from hydrostat.harness.cli import main
+        from hydrostat.harness.sweep import CSV_HEADER, parse_csv
+
+        text = CSV_HEADER + "\n" + "".join(
+            f"bogus,{e},{e},,total,{e},0,0\n" for e in (0.2, 0.1, 0.05))
+        with pytest.raises(FormatError, match="line 2: unknown mode 'bogus'"):
+            parse_csv(text)
+        (tmp_path / "results.csv").write_text(text)
+        assert main(["fit", "--csv", str(tmp_path / "results.csv"), "--norm", "total"]) == 2
+        assert "unknown mode 'bogus'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, message", [
+        (["run", "--config", "missing.cfg"], "No such file"),
+        (["sweep", "--config", "missing.cfg", "--out", "out"], "No such file"),
+        (["fit", "--csv", "missing.csv", "--norm", "total"], "No such file"),
+        (["fit", "--csv", "other.csv", "--norm", "total"],
+         "not a sweep CSV: its header is not mode,eps,delta"),
+    ])
+    def test_missing_or_foreign_input_is_an_error_line(self, tmp_path, monkeypatch,
+                                                       capsys, argv, message):
+        """A missing file or a CSV without the sweep's columns exits with
+        status 2 and an error line, as an invalid config does; before, each
+        ended in a traceback."""
+        from hydrostat.harness.cli import main
+
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "other.csv").write_text("a,b\n1,2\n")
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
 
     def test_wall_ms_zero_by_default(self, tmp_path):
         run_sweep(_tiny_sweep_cfg(str(tmp_path)))

@@ -717,6 +717,31 @@ class TestStructure:
         for r in results:
             assert r.passed, r.line()
 
+    def test_ns_audit_releases_its_initial_data(self, monkeypatch):
+        """The audit steps the band state: by its first step it holds its
+        Grid-layout initial data no more."""
+        import weakref
+
+        from hydrostat.harness import verify
+
+        refs, released = [], []
+
+        def generate(*args):
+            state = generate_initial_data(*args)
+            refs.append(weakref.ref(state))
+            return state
+
+        nonlinear = NavierStokesStepper.nonlinear
+
+        def probe(st, V):
+            released.append(refs[-1]() is None)
+            return nonlinear(st, V)
+
+        monkeypatch.setattr(verify, "generate_initial_data", generate)
+        monkeypatch.setattr(NavierStokesStepper, "nonlinear", probe)
+        verify._run_ns_with_audit(nx=8, steps=3)
+        assert len(refs) == 1 and released == [True] * 3
+
     def test_embedding_all_three_solvers(self):
         from hydrostat.harness.verify import check_2d_embedding
 

@@ -624,6 +624,26 @@ def test_every_definition_has_a_caller_in_src():
     assert unused == _NO_CALLER_YET
 
 
+def test_only_the_mode_table_names_a_mode():
+    """No comparison under src/hydrostat names a sweep mode: every rule that
+    depends on the mode is an entry of pairs.MODES, so a new mode is one
+    entry there."""
+    import ast
+    import pathlib
+
+    import hydrostat
+    from hydrostat.harness.pairs import MODES
+
+    found = []
+    for path in sorted(pathlib.Path(hydrostat.__file__).parent.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.Compare, ast.MatchValue)) and any(
+                    isinstance(c, ast.Constant) and c.value in MODES
+                    for c in ast.walk(node)):
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []
+
+
 # The names each package namespace exports, by the submodule each comes
 # from (README's quick start imports from both).
 _EXPORTED = {
