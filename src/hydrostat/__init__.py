@@ -65,7 +65,7 @@ _EXPORTS = {
         "baroclinic_rhs",
         "diff_rhs_F",
     ),
-    "norms": ("NormAccumulator", "accumulate", "finalize", "norm_sobolev"),
+    "norms": ("Energies", "NormAccumulator", "accumulate", "finalize", "norm_sobolev"),
     "solvers": ("SimConfig", "TrajectoryRecord", "run_simulation"),
     "spectral": (
         "EVEN",

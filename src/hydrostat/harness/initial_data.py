@@ -72,7 +72,6 @@ def generate_initial_data(recipe: str, seed: int, grid: Grid) -> VelocityState:
             comps.append(_raw_parity_project(grid, c, EVEN))
         V = np.stack(comps)
         _raw_project_hydro(grid, V[..., 0])
-        V *= grid.dealias_mask
         return _normalized_state(grid, V[0], V[1])
 
     if recipe == "taylor_green_3d":

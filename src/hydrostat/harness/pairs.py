@@ -36,7 +36,7 @@ from functools import partial
 from ..errors import BlowupDetected, ConfigError, InsufficientData, InvalidParameter
 from ..fields import _raw_with_w
 from ..norms import Energies, NormAccumulator, accumulate, finalize
-from ..solvers import Lane, SimConfig, run_lanes, system_lane, warn_cfl
+from ..solvers import Lane, SimConfig, run_lanes, system_lane, tied_delta, warn_cfl
 from ..spectral import _raw_embed_plane, make_grid
 from .initial_data import generate_initial_data
 
@@ -181,12 +181,10 @@ def _check_point(point, base: SimConfig, mode: str) -> None:
 
 
 class _Norms(dict):
-    """A point's norm accumulators by name, each with its last sample time."""
+    """A point's norm accumulators by name."""
 
     def fold(self, name: str, t: float, sample: Energies) -> None:
-        acc, t_prev = self[name]
-        inc = None if t_prev is None else t - t_prev
-        self[name] = (accumulate(acc, sample, None, inc), t)
+        self[name] = accumulate(self[name], sample, t)
 
 
 @dataclass(eq=False)
@@ -202,7 +200,7 @@ class _Member:
         samples.  The observer holds the norms, not the member, so no
         reference cycle keeps the family's arrays alive after its run."""
         eps, delta, _ = self.point
-        self.norms = _Norms((name, (acc, None)) for name, acc in accs.items())
+        self.norms = _Norms(accs)
         self.lane = system_lane("NS_eps_delta", data, eps, delta,
                                 observe=partial(observe, self.norms),
                                 label=f"eps={eps:g}, delta={delta:g}")
@@ -218,7 +216,7 @@ class _Member:
         row = partial(NormRow, mode, *self.point, blowup=failure is not None,
                       wall_ms=wall_ms)
         rows, values = [], {}
-        for name, (acc, _) in self.norms.items():
+        for name, acc in self.norms.items():
             try:
                 values[name], error = finalize(acc), None
             except InsufficientData as exc:
@@ -379,7 +377,7 @@ MODES = {
     "gamma_scan": Mode(
         lanes=_pe_h_lanes, key=lambda pt: None,
         lists=("eps", "gamma"), needs=("eps", "gamma"),
-        points=lambda E, D, G: [(e, e ** (g - 2.0), g) for g in G for e in E],
+        points=lambda E, D, G: [(e, tied_delta(e, g), g) for g in G for e in E],
         abscissa=lambda eps, delta: eps, positive=("eps",),
         total=("EHdelta", "Ez"), gamma=check_gamma_scan),
 }

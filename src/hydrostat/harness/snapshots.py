@@ -47,9 +47,7 @@ TIME_FIELD = "time"
 
 def _encode_field(name: str, parity: str, coeffs: np.ndarray) -> bytes:
     nb = name.encode("utf-8")
-    arr = np.ascontiguousarray(coeffs, dtype=np.complex128)
-    if not arr.dtype.isnative:  # pragma: no cover - exotic platforms only
-        arr = arr.astype("<c16")
+    arr = np.ascontiguousarray(coeffs, dtype="<c16")
     return (
         struct.pack("<I", len(nb))
         + nb

@@ -63,11 +63,11 @@ class SweepConfig:
                 raise ConfigError(f"{self.mode} needs {name}_values")
             for value in values:  # before any point is made from it
                 check_value(name, value, self.mode)
-        for point in self.points():
-            try:
+        try:
+            for point in self.points():
                 _check_point(point, self.base, self.mode)
-            except InvalidParameter as exc:
-                raise ConfigError(str(exc)) from None
+        except InvalidParameter as exc:
+            raise ConfigError(str(exc)) from None
 
     def points(self) -> list[tuple[float, float, float | None]]:
         """(eps, delta, gamma) tuples for every sweep point."""

@@ -187,13 +187,14 @@ def _run_ns_with_audit(nx=32, steps=50, eps=0.5, delta=0.5, dt=1e-3, seed=7):
     U = lift(V)
     div_defects, parity_defects, neutrality, energy_resid = [], [], [], []
     two_lam = 1.0 - np.exp(2.0 * st.lam * dt)
+    N_prev = None  # the AB2 step's previous nonlinear term
     for _ in range(steps):
         N = st.nonlinear(V)
         # skew-symmetry of the dealiased advection against the state
         neutrality.append(abs(_raw_inner(grid, lift(N), U)))
-        W = lift(N if st._n_prev is None else 1.5 * N - 0.5 * st.propagator * st._n_prev)
+        W = lift(N if N_prev is None else 1.5 * N - 0.5 * st.propagator * N_prev)
         B = U + dt * W
-        V = st.advance(V, N)
+        V, N_prev = st.advance(V, N), N
         U1 = lift(V)
         dE = _raw_wsum(grid, np.abs(U1) ** 2 - np.abs(U) ** 2)
         D_lin = _raw_wsum(grid, two_lam * np.abs(B) ** 2)

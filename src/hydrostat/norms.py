@@ -4,17 +4,20 @@ Spatial norms are Fourier-multiplier sums over the stored kz >= 0 half of
 the coefficients with the grid's Parseval weight (the volume 8 of the box,
 doubled on the planes that stand for their kz < 0 mirror), so analytic
 values of simple trigonometric fields are reproduced exactly; every cached
-multiplier here carries that weight.  Space-time norms are accumulated along
-a trajectory with trapezoidal quadrature on the solver's own samples; the
-supremum parts track running maxima over the sampled instants.  A sample
-enters every kind through two per-mode arrays only (Energies): the sum over
-its components of |u_i|^2 and of |du_i/dt|^2, so one sample folded into
-several accumulators is reduced once.  The sums may be on a grid or on the
-Band a stepper holds its state on.
+multiplier here carries that weight.
+
+Space-time norms are accumulated along a trajectory, one sample at a time
+(accumulate), with trapezoidal quadrature on the solver's own samples; the
+supremum parts track running maxima over the sampled instants.  A sample is
+an Energies, the one type every kind reads: the sums over its components of
+|u_i|^2 and of |du_i/dt|^2 per mode, so one sample folded into several
+accumulators is reduced once.  The sums may be on a grid or on the Band a
+stepper holds its state on.  Each sample comes with the time it was taken
+at; the accumulator keeps the time of its last sample, so the clock of a
+norm is the accumulator itself.
 
 Accumulator kinds
 -----------------
-E0       sqrt of the time integral of the squared L2 norm
 EHdelta  maximal-regularity norm: L2-in-time of u, of du/dt, and of the
          anisotropic Laplacian of u (three terms, summed after square roots);
          the vertical diffusion weight delta is part of the kind
@@ -30,10 +33,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import InsufficientData, InvalidParameter, OrderingError
+from .errors import InsufficientData, InvalidParameter, OrderingError, ShapeError
 from .spectral import SpectralField, _lap_delta_mult
 
-KINDS = ("E0", "EHdelta", "Ez", "L4H32")
+KINDS = ("EHdelta", "Ez", "L4H32")
 
 
 def _sobolev_mult(g, s: float) -> np.ndarray:
@@ -67,16 +70,6 @@ def _sq(fields: Sequence[SpectralField], mult: np.ndarray) -> float:
     return float(sum(np.sum(mult * np.abs(f.coeffs) ** 2) for f in fields))
 
 
-def _components(u) -> tuple[SpectralField, ...]:
-    if u is None:
-        return ()
-    if hasattr(u, "components"):
-        return tuple(u.components())
-    if isinstance(u, SpectralField):
-        return (u,)
-    return tuple(u)
-
-
 def _mode_sum(comps) -> np.ndarray:
     """sum_i |c_i|^2 per mode of a sequence (or stack) of coefficient arrays."""
     e = np.square(comps[0].real)
@@ -100,10 +93,14 @@ class Energies:
 
     @classmethod
     def of(cls, grid, u, dudt=None) -> "Energies":
-        """From the coefficient arrays (or a stack) of u and of du/dt; a
-        dudt that does not match u is no time derivative of it."""
-        matched = dudt is not None and len(dudt) == len(u)
-        return cls(grid, _mode_sum(u), _mode_sum(dudt) if matched else None)
+        """From the coefficient arrays (or a stack) of u and of du/dt;
+        raises ShapeError for a dudt that does not match u."""
+        if dudt is None:
+            return cls(grid, _mode_sum(u))
+        if len(dudt) != len(u) or dudt[0].shape != u[0].shape:
+            raise ShapeError(f"du/dt ({len(dudt)} x {dudt[0].shape}) does not "
+                             f"match u ({len(u)} x {u[0].shape})")
+        return cls(grid, _mode_sum(u), _mode_sum(dudt))
 
 
 def _wsum(mult: np.ndarray, e: np.ndarray) -> float:
@@ -121,6 +118,7 @@ class NormAccumulator:
     integrals: tuple[float, ...] = ()
     running_max: float = 0.0
     sample_count: int = 0
+    t_last: float = 0.0  # the time of the last sample
     _last: tuple[float, ...] = ()
 
     def __post_init__(self):
@@ -132,8 +130,6 @@ class NormAccumulator:
 
 def _integrands(acc: NormAccumulator, s: Energies) -> tuple[float, ...]:
     g = s.grid
-    if acc.kind == "E0":
-        return (_wsum(g.parseval_weight, s.e),)
     if acc.kind == "EHdelta":
         if s.de is None:
             raise InvalidParameter("EHdelta accumulation needs du/dt samples")
@@ -149,52 +145,36 @@ def _integrands(acc: NormAccumulator, s: Energies) -> tuple[float, ...]:
     return (_wsum(_sobolev_mult(g, 1.5), s.e) ** 2,)
 
 
-def accumulate(
-    acc: NormAccumulator,
-    u,
-    dudt=None,
-    dt_since_last: float | None = None,
-) -> NormAccumulator:
-    """Fold one trajectory sample into the accumulator (trapezoidal in time).
+def accumulate(acc: NormAccumulator, sample: Energies, t: float) -> NormAccumulator:
+    """Fold the sample taken at time t into the accumulator.
 
-    The first call records the initial instant (dt ignored); later calls
-    require the positive time increment since the previous sample.  u is
-    the sample's fields, or its Energies, which then carry du/dt too; dudt
-    is the semi-discrete right-hand side at the same instant and is only
-    needed by the EHdelta kind.
+    The first sample records its instant; each later one must come after the
+    last, and adds the trapezoid between the two to the time integrals.  Only
+    the EHdelta kind reads the sample's du/dt.
     """
-    if isinstance(u, Energies):
-        s = u
-    else:
-        uc, dc = _components(u), _components(dudt)
-        s = Energies.of(uc[0].grid, [f.coeffs for f in uc], [f.coeffs for f in dc])
-    vals = _integrands(acc, s)
+    vals = _integrands(acc, sample)
     new_max = acc.running_max
     if acc.kind == "Ez":
-        new_max = max(new_max, float(np.sqrt(_wsum(_aniso_mult(s.grid, 1, 0), s.e))))
+        h1z = _wsum(_aniso_mult(sample.grid, 1, 0), sample.e)
+        new_max = max(new_max, float(np.sqrt(h1z)))
 
     if acc.sample_count == 0:
-        return replace(
-            acc,
-            integrals=tuple(0.0 for _ in vals),
-            running_max=new_max,
-            sample_count=1,
-            _last=vals,
+        integrals = tuple(0.0 for _ in vals)
+    else:
+        dt = t - acc.t_last
+        if not dt > 0:
+            raise OrderingError(
+                f"a sample at t={t} does not follow the last one, at t={acc.t_last}"
+            )
+        integrals = tuple(
+            I + 0.5 * dt * (a + b) for I, a, b in zip(acc.integrals, acc._last, vals)
         )
-
-    if dt_since_last is None or dt_since_last <= 0:
-        raise OrderingError(
-            f"time increment must be positive after the first sample, got {dt_since_last}"
-        )
-    new_int = tuple(
-        I + 0.5 * dt_since_last * (a + b)
-        for I, a, b in zip(acc.integrals, acc._last, vals)
-    )
     return replace(
         acc,
-        integrals=new_int,
+        integrals=integrals,
         running_max=new_max,
         sample_count=acc.sample_count + 1,
+        t_last=t,
         _last=vals,
     )
 
@@ -205,8 +185,6 @@ def finalize(acc: NormAccumulator) -> float:
         raise InsufficientData(
             f"need at least 2 samples to finalize, have {acc.sample_count}"
         )
-    if acc.kind == "E0":
-        return float(np.sqrt(acc.integrals[0]))
     if acc.kind == "EHdelta":
         return float(sum(np.sqrt(I) for I in acc.integrals))
     if acc.kind == "Ez":

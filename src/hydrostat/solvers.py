@@ -100,6 +100,22 @@ BLOWUP_NORM_LIMIT = 1e8
 CFL_LIMIT = 0.5
 
 
+def tied_delta(eps: float, gamma: float) -> float:
+    """delta = eps**(gamma - 2) > 0, the vertical-viscosity ratio that gamma
+    ties to eps > 0; InvalidParameter, naming both, when it overflows or
+    underflows to 0."""
+    try:
+        delta = eps ** (gamma - 2.0)
+    except OverflowError:
+        delta = np.inf
+    if not 0.0 < delta < np.inf:
+        raise InvalidParameter(
+            f"delta = eps**(gamma-2) leaves the float range at eps={eps:g}, "
+            f"gamma={gamma:g}"
+        )
+    return delta
+
+
 @dataclass(frozen=True)
 class SimConfig:
     """Simulation setup: system selector, grid, parameters, time stepping.
@@ -144,7 +160,7 @@ class SimConfig:
         if self.gamma is not None:
             if self.gamma <= 0:
                 raise InvalidParameter(f"gamma must be > 0, got {self.gamma}")
-            derived = self.eps ** (self.gamma - 2.0)
+            derived = tied_delta(self.eps, self.gamma)
             if delta is None:
                 delta = derived
             elif abs(delta - derived) > 1e-12 * max(1.0, derived):

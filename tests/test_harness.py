@@ -207,6 +207,42 @@ class TestSnapshots:
             assert np.array_equal(f.coeffs, cube[..., : nz // 2 + 1])
         assert back.time == 0.25
 
+    def test_save_writes_the_documented_layout(self, tmp_path):
+        """The writer-side twin of the test above: save_snapshot's bytes are
+        the documented layout built by hand, little-endian on any host,
+        with the kz < 0 planes the conjugates of their mirrors."""
+        import struct
+        import zlib
+
+        from hydrostat.fields import VelocityState
+        from hydrostat.spectral import NONE, SpectralField
+
+        nx, ny, nz = 6, 4, 10
+        g = make_grid(nx, ny, nz)
+        rng = np.random.default_rng(6)
+        halves = [np.fft.rfftn(rng.standard_normal((nx, ny, nz))) / (nx * ny * nz)
+                  for _ in range(3)]
+        path = tmp_path / "saved.hsn"
+        save_snapshot(VelocityState(*(SpectralField(g, c, NONE) for c in halves),
+                                    time=0.25), str(path))
+        ix, iy = (-np.arange(nx)) % nx, (-np.arange(ny)) % ny
+
+        def full(half):
+            cube = np.zeros((nx, ny, nz), dtype=np.complex128)
+            cube[..., : nz // 2 + 1] = half
+            for kz in range(1, nz // 2):  # mode -kz is conj(c[-kx, -ky, kz])
+                cube[..., nz - kz] = np.conj(half[ix][:, iy, kz])
+            return cube
+
+        t = np.zeros((nx, ny, nz), dtype=np.complex128)
+        t[0, 0, 0] = 0.25
+        payload = struct.pack("<IIIII", 1, nx, ny, nz, 4)
+        for name, cube in zip(("v1", "v2", "w", "time"), [*map(full, halves), t]):
+            payload += struct.pack("<I", len(name)) + name.encode()
+            payload += struct.pack("<B", 2) + cube.astype("<c16").tobytes()
+        assert path.read_bytes() == (
+            b"HSN1" + payload + struct.pack("<I", zlib.crc32(payload)))
+
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "junk.hsn"
         path.write_bytes(b"NOPE" + b"\x00" * 64)
@@ -378,6 +414,19 @@ class TestConfig:
                         base=SimConfig("NS_eps_delta", 8, 8, 8, 1e-3, 0.01),
                         eps_values=(0.2, 0.1), delta_values=(0.2, -1.0))
 
+
+    @pytest.mark.parametrize("eps", [1e200, 1e-200])
+    def test_a_delta_out_of_the_float_range_names_eps_and_gamma(self, eps):
+        """delta = eps**(gamma-2) beyond the float range: before, an
+        OverflowError escaped SimConfig and the gamma_scan points, and an
+        underflow ran the point at delta = 0."""
+        base = SimConfig("NS_eps_delta", 8, 8, 8, 1e-3, 0.01)
+        match = re.escape(f"float range at eps={eps:g}, gamma=4")
+        with pytest.raises(InvalidParameter, match=match):
+            replace(base, eps=eps, gamma=4.0)
+        with pytest.raises(ConfigError, match=match):
+            SweepConfig(mode="gamma_scan", base=base, eps_values=(eps,),
+                        gamma_values=(4.0,))
 
 def _tiny_sweep_cfg(out_dir=None, jobs=1, mode="eps_delta_to_zero"):
     values = (dict(eps_values=(0.5, 0.25), delta_values=(16.0, 64.0))
@@ -775,6 +824,14 @@ class TestLockstepRuns:
         assert rows[0].error[0] == "InvalidParameter"
         assert "inconsistent with eps**(gamma-2)" in rows[0].error[1]
 
+    def test_gamma_scan_point_whose_delta_overflows_is_rejected(self):
+        """A point whose eps**(gamma-2) leaves the float range gets a FAILED
+        row that names eps and gamma, not an OverflowError."""
+        (rows,) = run_matched_family([(1e200, 1.0, 4.0)], self.BASE, "gamma_scan")
+        assert [r.norm_name for r in rows] == ["FAILED"]
+        assert rows[0].error[0] == "InvalidParameter"
+        assert "eps=1e+200, gamma=4" in rows[0].error[1]
+
     def test_invalid_delta_to_infty_points_fail_alone(self):
         """A point at delta = inf, 0 or NaN gets a FAILED row whose
         ConfigError names the value; a valid point of the same call runs
@@ -993,6 +1050,18 @@ class TestCli:
         assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path),
                      "--jobs", "0"]) == 2
         assert "jobs must be >= 1" in capsys.readouterr().err
+
+    def test_sweep_whose_delta_overflows_is_an_error_line(self, tmp_path, capsys):
+        """Before, the OverflowError of eps**(gamma-2) ended in a traceback."""
+        from hydrostat.harness.cli import main
+
+        cfg = tmp_path / "sweep.cfg"
+        cfg.write_text(SWEEP_SIM + "mode = gamma_scan\neps_values = 1e200\n"
+                       "gamma_values = 4\n")
+        assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == (
+            "error: delta = eps**(gamma-2) leaves the float range at eps=1e+200, "
+            "gamma=4\n")
 
     def test_bad_config_exit_code(self, tmp_path):
         from hydrostat.harness.cli import main

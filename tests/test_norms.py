@@ -2,8 +2,9 @@
 import numpy as np
 import pytest
 
-from hydrostat.errors import InsufficientData, InvalidParameter, OrderingError
+from hydrostat.errors import InsufficientData, InvalidParameter, OrderingError, ShapeError
 from hydrostat.norms import (
+    Energies,
     NormAccumulator,
     _aniso_mult,
     accumulate,
@@ -81,29 +82,20 @@ class TestSpatialNorms:
         assert _aniso(2.5 * f, 1, 1) == pytest.approx(2.5 * _aniso(f, 1, 1))
 
 
+def _sample(fields, dfields=None) -> Energies:
+    """The Energies of a sample's fields and of their time derivatives."""
+    du = None if dfields is None else [f.coeffs for f in dfields]
+    return Energies.of(fields[0].grid, [f.coeffs for f in fields], du)
+
+
 def _march(acc, samples, dt, dsamples=None):
     for i, u in enumerate(samples):
         du = None if dsamples is None else dsamples[i]
-        acc = accumulate(acc, u, du, None if i == 0 else dt)
+        acc = accumulate(acc, _sample(u, du), i * dt)
     return acc
 
 
 class TestAccumulators:
-    def test_e0_constant_sample(self, grid16):
-        g = field_from_function(grid16, lambda x, y, z: np.sin(PI * x))
-        acc = _march(NormAccumulator("E0"), [(g,), (g,)], 1.0)
-        assert finalize(acc) == pytest.approx(norm_sobolev(g, 0.0))
-
-    def test_e0_exponential_decay(self, grid16):
-        g = field_from_function(grid16, lambda x, y, z: np.sin(PI * x))
-        dt = 1e-3
-        ts = np.arange(0, 1 + dt / 2, dt)
-        acc = NormAccumulator("E0")
-        for i, t in enumerate(ts):
-            acc = accumulate(acc, (g * float(np.exp(-t)),), None, None if i == 0 else dt)
-        expected = norm_sobolev(g, 0.0) * np.sqrt((1 - np.exp(-2)) / 2)
-        assert finalize(acc) == pytest.approx(expected, rel=1e-6)
-
     def test_ez_z_independent_collapses(self, grid16):
         g = field_from_function(grid16, lambda x, y, z: np.sin(PI * x), EVEN)
         acc = _march(NormAccumulator("Ez"), [(g,), (g,)], 2.0)
@@ -135,24 +127,24 @@ class TestAccumulators:
         acc = NormAccumulator("L4H32")
         n = int(round(20.0 / dt))
         for i in range(n + 1):
-            acc = accumulate(acc, (g * float(np.exp(-i * dt)),), None, None if i == 0 else dt)
+            acc = accumulate(acc, _sample((g * float(np.exp(-i * dt)),)), i * dt)
         expected = norm_sobolev(g, 1.5) * 0.25**0.25
         assert finalize(acc) == pytest.approx(expected, rel=1e-4)
 
     def test_ordering_and_insufficient_errors(self, grid16):
         g = field_from_function(grid16, lambda x, y, z: np.sin(PI * x))
-        acc = accumulate(NormAccumulator("E0"), (g,))
+        acc = accumulate(NormAccumulator("L4H32"), _sample((g,)), 1.0)
         with pytest.raises(InsufficientData):
             finalize(acc)
         with pytest.raises(OrderingError):
-            accumulate(acc, (g,), None, -1e-3)
+            accumulate(acc, _sample((g,)), 1.0 - 1e-3)
         with pytest.raises(OrderingError):
-            accumulate(acc, (g,), None, 0.0)
+            accumulate(acc, _sample((g,)), 1.0)
 
     def test_ehdelta_requires_dudt(self, grid16):
         g = field_from_function(grid16, lambda x, y, z: np.sin(PI * x))
         with pytest.raises(InvalidParameter):
-            accumulate(NormAccumulator("EHdelta", delta=1.0), (g,), None)
+            accumulate(NormAccumulator("EHdelta", delta=1.0), _sample((g,)), 0.0)
 
     def test_unknown_kind(self):
         with pytest.raises(InvalidParameter):
@@ -160,15 +152,15 @@ class TestAccumulators:
 
     def test_monotone_in_horizon_and_homogeneous(self, grid16):
         g = random_band_field(grid16, 17)
-        acc = NormAccumulator("E0")
+        acc = NormAccumulator("L4H32")
         vals = []
         for i in range(4):
-            acc = accumulate(acc, (g,), None, None if i == 0 else 0.5)
+            acc = accumulate(acc, _sample((g,)), i * 0.5)
             if i >= 1:
                 vals.append(finalize(acc))
         assert vals == sorted(vals)
-        acc2 = _march(NormAccumulator("E0"), [(3.0 * g,), (3.0 * g,)], 0.5)
-        acc1 = _march(NormAccumulator("E0"), [(g,), (g,)], 0.5)
+        acc2 = _march(NormAccumulator("L4H32"), [(3.0 * g,), (3.0 * g,)], 0.5)
+        acc1 = _march(NormAccumulator("L4H32"), [(g,), (g,)], 0.5)
         assert finalize(acc2) == pytest.approx(3 * finalize(acc1))
 
     def test_embedding_ordering_same_samples(self, grid16):
@@ -186,10 +178,8 @@ class TestAccumulators:
     def test_fused_sums_equal_per_field_sums(self, grid16, on_band):
         """One Energies per sample gives every kind the values of the
         per-field weighted sums, to rounding: EHdelta at delta and 0, Ez
-        with its running max, E0 and L4H32."""
-        from hydrostat.norms import (
-            Energies, _aniso_mult, _integrands, _sobolev_mult, _sq,
-        )
+        with its running max, and L4H32."""
+        from hydrostat.norms import _integrands, _sobolev_mult, _sq
         from hydrostat.spectral import _lap_delta_mult
 
         g = grid16.band if on_band else grid16
@@ -202,7 +192,6 @@ class TestAccumulators:
         sample = Energies.of(g, [f.coeffs for f in u], [f.coeffs for f in du])
         w = g.parseval_weight
         expected = {
-            "E0": (_sq(u, w),),
             "Ez": (_sq(u, _aniso_mult(g, 1, 1)),),
             "L4H32": (_sq(u, _sobolev_mult(g, 1.5)) ** 2,),
         }
@@ -215,10 +204,29 @@ class TestAccumulators:
         for kind, want in expected.items():
             got = _integrands(NormAccumulator(kind), sample)
             assert got[0] == pytest.approx(want[0], rel=1e-14)
-        # the running max of Ez, through accumulate, from the sample and
-        # from the fields
-        acc = accumulate(NormAccumulator("Ez"), sample)
+        # the running max of Ez, through accumulate
+        acc = accumulate(NormAccumulator("Ez"), sample, 0.0)
         assert acc.running_max == pytest.approx(
             np.sqrt(_sq(u, _aniso_mult(g, 1, 0))), rel=1e-14
         )
-        assert acc == accumulate(NormAccumulator("Ez"), u)
+
+    def test_the_samples_times_set_the_trapezoids(self, grid16):
+        """Unevenly spaced samples: each trapezoid spans the time since the
+        last sample, so a constant sample over [0, 1] integrates to its
+        value whatever the spacing."""
+        g = field_from_function(grid16, lambda x, y, z: np.sin(PI * x))
+        acc = NormAccumulator("L4H32")
+        for t in (0.0, 0.125, 0.5, 1.0):
+            acc = accumulate(acc, _sample((g,)), t)
+        assert acc.t_last == 1.0
+        assert finalize(acc) == pytest.approx(norm_sobolev(g, 1.5), rel=1e-13)
+
+    def test_a_dudt_that_does_not_match_u_is_an_error(self, grid16):
+        """A 2-component du/dt of a 3-component u, or one on another
+        layout, is no time derivative of it: a ShapeError, not a sample
+        without du/dt."""
+        u = [random_band_field(grid16, s).coeffs for s in (1, 2, 3)]
+        with pytest.raises(ShapeError):
+            Energies.of(grid16, u, u[:2])
+        with pytest.raises(ShapeError):
+            Energies.of(grid16, u, [grid16.band.gather(c) for c in u])

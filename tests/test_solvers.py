@@ -409,7 +409,7 @@ class TestStokesStepper:
     def test_quarter_power_bound_in_delta(self, grid16):
         """Exact trajectories: the L4-in-time H^{3/2} norm decays at least
         like delta^{-1/4} for fixed mean-free data."""
-        from hydrostat.norms import NormAccumulator, accumulate, finalize
+        from hydrostat.norms import Energies, NormAccumulator, accumulate, finalize
         from hydrostat.solvers import StokesScaledStepper
 
         v1 = field_from_function(
@@ -425,15 +425,12 @@ class TestStokesStepper:
             U = grid16.band.gather(U0)
             t, t_end = 0.0, 0.2
             # the state (v1, v2) stands for (v1, v2, w(v))
-            fields = lambda V: tuple(
-                SpectralField(grid16, c, p) for c, p in zip(
-                    grid16.band.scatter(_raw_with_w(grid16.band, V)), (EVEN, EVEN, ODD))
-            )
-            acc = accumulate(acc, fields(U))
+            sample = lambda V: Energies.of(grid16.band, _raw_with_w(grid16.band, V))
+            acc = accumulate(acc, sample(U), t)
             while t < t_end - dt / 2:
                 U = stepper.advance(U)
                 t += dt
-                acc = accumulate(acc, fields(U), None, dt)
+                acc = accumulate(acc, sample(U), t)
             scaled[delta] = finalize(acc) * delta**0.25
         vals = [scaled[d] for d in sorted(scaled)]
         assert max(vals) <= 2.0 * vals[0]

@@ -644,6 +644,25 @@ def test_only_the_mode_table_names_a_mode():
     assert found == []
 
 
+def test_every_norm_kind_is_built_by_a_lane_builder():
+    """Every kind of norms.KINDS is an accumulator that a mode's lane
+    builder in harness/pairs.py constructs: a kind that no sweep folds has
+    no caller."""
+    import ast
+    import inspect
+
+    from hydrostat.harness import pairs
+    from hydrostat.norms import KINDS
+
+    built = set()
+    for builder in {spec.lanes for spec in pairs.MODES.values()}:
+        for node in ast.walk(ast.parse(inspect.getsource(builder))):
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                    and node.func.id == "NormAccumulator"):
+                built.add(node.args[0].value)
+    assert sorted(built) == sorted(KINDS)
+
+
 # The names each package namespace exports, by the submodule each comes
 # from (README's quick start imports from both).
 _EXPORTED = {
@@ -655,7 +674,7 @@ _EXPORTED = {
                   "HydrostatError InsufficientData InvalidGrid InvalidParameter "
                   "OrderingError ScheduleInfeasible ShapeError",
         "fields": "SplitState VelocityState barotropic_split baroclinic_rhs diff_rhs_F",
-        "norms": "NormAccumulator accumulate finalize norm_sobolev",
+        "norms": "Energies NormAccumulator accumulate finalize norm_sobolev",
         "solvers": "SimConfig TrajectoryRecord run_simulation",
         "spectral": "EVEN NONE ODD Grid SpectralField field_from_function make_grid",
         "harness": "",
