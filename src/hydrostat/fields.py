@@ -338,7 +338,7 @@ def diff_rhs_F(
 
     # forcing terms that vanish with delta and eps; PE_H gives d_t v
     F[:2] += delta * _deriv_mult(band, 2, 2) * u[:2]
-    dt_w = _raw_w_from_v(band, PrimitiveStepper(grid, 0.0, 1.0).rhs(u[:2]))
+    dt_w = _raw_w_from_v(band, PrimitiveStepper(grid, 1.0, 0.0, 1.0).rhs(u[:2]))
     F[2] -= eps * (dt_w - _lap_delta_mult(band, delta) * u[2])
 
     Fh = band.scatter(_raw_parity_project(band, F[:2], EVEN))

@@ -55,7 +55,8 @@ def _cmd_sweep(args) -> int:
     for key, (slope, intercept, r2) in sorted(result.fits.items(), key=str):
         print(f"fit {key}: slope={slope:.4f} intercept={intercept:.4f} r2={r2:.5f}")
     if result.blowup_threshold != float("inf"):
-        print(f"observed blowup threshold eps+delta >= {result.blowup_threshold:g}")
+        print(f"observed blowup threshold: fit abscissa >= "
+              f"{result.blowup_threshold:g}")
     return 0
 
 

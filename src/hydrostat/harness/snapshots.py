@@ -19,7 +19,8 @@ nz//2 + 1 kz planes.
 
 The simulation time rides along as an extra field named "time" (parity
 "none") whose first coefficient holds the value, so the stated layout covers
-the whole state.
+the whole state.  The fields are v1, v2, w and time, each at most once; a
+name that is not UTF-8, not one of these, or repeated is a FormatError.
 """
 from __future__ import annotations
 
@@ -43,6 +44,7 @@ from ..spectral import (
 MAGIC = b"HSN1"
 VERSION = 1
 TIME_FIELD = "time"
+FIELD_NAMES = ("v1", "v2", "w", TIME_FIELD)
 
 
 def _encode_field(name: str, parity: str, coeffs: np.ndarray) -> bytes:
@@ -111,12 +113,17 @@ def load_snapshot(path: str) -> VelocityState:
         raise FormatError(f"bad grid sizes ({nx}, {ny}, {nz}): {exc}", 8)
     n_coeff = nx * ny * nz
 
-    fields: dict[str, SpectralField] = {}
-    time = 0.0
+    fields: dict[str, SpectralField | float] = {}  # the time as a float
     for _ in range(count):
         (name_len,) = struct.unpack("<I", _need(buf, off, 4))
         off += 4
-        name = _need(buf, off, name_len).decode("utf-8")
+        try:
+            name = _need(buf, off, name_len).decode("utf-8")
+        except UnicodeDecodeError:
+            raise FormatError("field name is not UTF-8", off) from None
+        if name not in FIELD_NAMES or name in fields:
+            what = "duplicate" if name in fields else "unknown"
+            raise FormatError(f"{what} field {name!r}", off)
         off += name_len
         (pcode,) = struct.unpack("<B", _need(buf, off, 1))
         off += 1
@@ -126,7 +133,7 @@ def load_snapshot(path: str) -> VelocityState:
         off += 16 * n_coeff
         coeffs = np.frombuffer(raw, dtype="<c16").reshape(nx, ny, nz)
         if name == TIME_FIELD:
-            time = float(coeffs.flat[0].real)
+            fields[name] = float(coeffs.flat[0].real)
         else:
             half = coeffs[..., : nz // 2 + 1].copy()
             fields[name] = SpectralField(grid, half, _PARITY_FROM_CODE[pcode])
@@ -135,4 +142,5 @@ def load_snapshot(path: str) -> VelocityState:
     for required in ("v1", "v2", "w"):
         if required not in fields:
             raise FormatError(f"missing field {required!r}", off)
-    return VelocityState(fields["v1"], fields["v2"], fields["w"], time)
+    return VelocityState(fields["v1"], fields["v2"], fields["w"],
+                         fields.get(TIME_FIELD, 0.0))

@@ -86,13 +86,16 @@ def fit_rate(points: list[tuple[float, float]]) -> tuple[float, float, float]:
     """Ordinary least squares on (log h, log value): (slope, intercept, r2).
 
     Natural logarithms.  Non-finite or non-positive values count as blown-up
-    points and are dropped; at least three usable points are required.
+    points and are dropped; at least three usable points, at two or more
+    abscissae, are required.
     """
     usable = [(h, v) for h, v in points
               if math.isfinite(v) and v > 0 and math.isfinite(h) and h > 0]
     if len(usable) < 3:
         raise InsufficientData(f"need >= 3 finite positive points, have {len(usable)}")
     x = np.log([h for h, _ in usable])
+    if np.all(x == x[0]):  # not sxx == 0: the rounded mean can leave it tiny
+        raise InsufficientData(f"all {len(usable)} points are at one abscissa")
     y = np.log([v for _, v in usable])
     xm, ym = x.mean(), y.mean()
     sxx = float(np.sum((x - xm) ** 2))
@@ -189,12 +192,13 @@ def run_sweep(cfg: SweepConfig, write_plots: bool = False) -> SweepResult:
     if not cfg.timing:
         result.rows = [replace(r, wall_ms=0) for r in result.rows]
 
-    # observed blowup threshold: smallest eps+delta among blown-up points
+    # observed blowup threshold: smallest fit abscissa among blown-up points
     blowups = {(r.eps, r.delta) for r in result.rows if r.blowup}
     if blowups:
-        result.blowup_threshold = min(e + d for e, d in blowups)
+        result.blowup_threshold = min(MODES[cfg.mode].abscissa(*p) for p in blowups)
 
-    for key, points in rate_groups(result.rows).items():
+    groups = rate_groups(result.rows)
+    for key, points in groups.items():
         try:
             result.fits[key] = fit_rate(points)
         except InsufficientData:
@@ -210,13 +214,8 @@ def run_sweep(cfg: SweepConfig, write_plots: bool = False) -> SweepResult:
         if write_plots:
             from .plots import write_loglog_svg
 
-            series = {}
-            for r in result.rows:
-                if r.norm_name == "FAILED" or not math.isfinite(r.value):
-                    continue
-                label = r.norm_name + ("" if r.gamma is None else f"[g={r.gamma:g}]")
-                series.setdefault(label, []).append(
-                    (MODES[cfg.mode].abscissa(r.eps, r.delta), r.value))
+            series = {key if isinstance(key, str) else f"{key[1]}[g={key[0]:g}]":
+                      points for key, points in groups.items()}
             write_loglog_svg(os.path.join(cfg.out_dir, "rates.svg"), series,
                              title=cfg.mode)
     return result

@@ -59,9 +59,8 @@ def _run(system, state, dt, n, eps=1.0, delta=0.0):
     The oracles check the stepper alone, so they step it directly: the
     per-step blowup check and CFL tracking of solvers.run_lanes would add
     5-15% to the cost of these small steps."""
-    entry = SYSTEMS[system]
-    stepper = entry.stepper(state.grid, eps, delta, dt)
-    U = entry.pack(state)
+    stepper = SYSTEMS[system](state.grid, eps, delta, dt)
+    U = stepper.pack(state)
     for _ in range(n):
         U = stepper.step(U)
     return stepper.grid.scatter(U)
@@ -145,7 +144,7 @@ def check_stokes_exact(delta: float = 4.0) -> CheckResult:
     band = grid.band
     U0 = band.gather(np.stack((v1.coeffs, v2.coeffs)))
     dt = 0.02
-    stepper = StokesScaledStepper(grid, delta, dt)
+    stepper = StokesScaledStepper(grid, 1.0, delta, dt)
     U = U0.copy()
     worst = 0.0
     lam = -(band.k2h + delta * band.kz3**2)
@@ -181,7 +180,7 @@ def _run_ns_with_audit(nx=32, steps=50, eps=0.5, delta=0.5, dt=1e-3, seed=7):
     data = generate_initial_data("bandlimited_random", seed, make_grid(nx, nx, nx))
     st = NavierStokesStepper(data.grid, eps, delta, dt)
     grid = st.grid
-    V = SYSTEMS["NS_eps_delta"].pack(data)
+    V = st.pack(data)
     del data  # the stepper holds the grid; V is the band state
     lift = lambda X: _raw_with_w(grid, X, eps)
     U = lift(V)
@@ -236,9 +235,9 @@ def check_stokes_energy_balance(delta: float = 2.0) -> CheckResult:
     integrated dissipation to 1e-12 per step."""
     data = generate_initial_data("heat_mode", 0, make_grid(16, 16, 16))
     dt = 1e-2
-    st = StokesScaledStepper(data.grid, delta, dt)
+    st = StokesScaledStepper(data.grid, 1.0, delta, dt)
     grid = st.grid
-    V = SYSTEMS["StokesScaled"].pack(data)
+    V = st.pack(data)
     worst = 0.0
     for _ in range(20):
         # the energy of (v, w(v)), the scaled Stokes state

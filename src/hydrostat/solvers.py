@@ -55,9 +55,10 @@ step (the propagator and the other real multipliers, even in (kx, ky), the
 AB2 sums and the constraint projections) keeps that class bit for bit.
 The kz=0 plane of the 2D stepper is even in z by construction.
 
-SYSTEMS maps each system name to its stepper and to the packing of a
-VelocityState into the stepper's state array and back: the one place where
-the band layout of the steppers meets the kz >= 0 layout of the fields.
+SYSTEMS maps each system name to its stepper class, which also packs a
+VelocityState into the stepper's state array and back (_ExpAB2.pack and
+unpack): the one place where the band layout of the steppers meets the
+kz >= 0 layout of the fields.
 run_lanes is the one time loop: it advances a set of lanes (a state and its
 stepper) in lockstep through a step schedule, samples them through observers
 and checks each for blowup.  run_simulation drives it with one lane; the
@@ -200,27 +201,105 @@ def _check_blowup(grid: Grid | Band, U: np.ndarray, t: float) -> None:
         raise BlowupDetected(t, f"L2 norm {l2:.3e} exceeds {BLOWUP_NORM_LIMIT:.0e}")
 
 
+def _pack(s: VelocityState) -> np.ndarray:
+    """The horizontal pair of a 3D state on its grid's band, an array of its
+    own.  Its w would be replaced by w(v), so a w that differs from w(v) by
+    more than rounding (1e-12 of the largest coefficient) is an error."""
+    U = _to_band(s.grid, s.grid.band, (s.v1.coeffs, s.v2.coeffs, s.w.coeffs))
+    gap = float(np.max(np.abs(U[2] - _raw_w_from_v(s.grid.band, U[:2])), initial=0.0))
+    if gap > 1e-12 * float(np.max(np.abs(U), initial=0.0)):
+        raise CompatibilityError(f"state's w is not the w(v) of its horizontal "
+                                 f"pair: |w - w(v)| = {gap:.3e}", gap)
+    return U[:2].copy()
+
+
+def _with_w(g: Grid, V: np.ndarray) -> tuple:
+    """(v1, v2, w) on g of a horizontal pair on its band, w recovered from
+    incompressibility."""
+    return tuple(g.band.scatter(_raw_with_w(g.band, V)))
+
+
+def _pack_plane(s: VelocityState) -> np.ndarray:
+    """The kz=0 planes of (v1, v2) on the grid's plane, an array of its own
+    (a gather leaves its result a view of a larger array)."""
+    planes = (s.v1.coeffs[:, :, 0], s.v2.coeffs[:, :, 0])
+    return _to_band(s.grid, s.grid.plane, planes).copy()
+
+
+def _unpack_plane(g: Grid, B: np.ndarray) -> tuple:
+    """(v1, v2, w) on g of a pair on its plane: z-independent, w = 0."""
+    return (*_raw_embed_plane(g, g.plane.scatter(B)),
+            np.zeros(g.spec_shape, np.complex128))
+
+
+def _require_mean_free(s: VelocityState, what: str) -> None:
+    m = float(np.max(np.abs(np.stack((s.v1.coeffs, s.v2.coeffs))[..., 0])))
+    if m > 1e-12:
+        raise CompatibilityError(f"{what} is not vertically mean-free: {m:.3e}", m)
+
+
+def _warn_off_plane(s: VelocityState, what: str) -> None:
+    """NS2D steps the kz=0 plane of (v1, v2), their vertical average, and
+    drops the rest of a state: one RuntimeWarning, naming the share of the
+    energy dropped, when that is more than rounding (1e-12 of the largest
+    coefficient)."""
+    U = np.stack([f.coeffs for f in s.components()])
+    off = U.copy()
+    off[:2, ..., 0] = 0.0
+    if np.max(np.abs(off)) > 1e-12 * np.max(np.abs(U)):
+        share = _raw_inner(s.grid, off, off) / _raw_inner(s.grid, U, U)
+        warnings.warn(
+            f"{what} has {100 * share:.3g}% of its energy off the kz=0 plane of "
+            f"(v1, v2); NS2D steps only that plane, the vertical average of the "
+            f"data, and drops the rest", RuntimeWarning,
+        )
+
+
 class _ExpAB2:
     """Integrating-factor stepper with AB2 extrapolation of the nonlinearity.
 
+    Each subclass is one system, an entry of SYSTEMS, built as
+    cls(grid, eps, delta, dt); eps is read by NS alone.  What differs
+    between the systems is in class attributes:
+
+    layout(grid)              the Band of the state, self.grid: grid.band
+                              (grid.plane for NS2D)
+    eigenvalues(band, delta)  the diagonal linear part on it, self.lam
+    pack(state)               the state array of a VelocityState: an array
+                              of its own, C-contiguous, of the stepped
+                              components only; CompatibilityError for a
+                              state the stepper could not hold (content
+                              outside the band, or in 3D a w that is not w(v))
+    unpack(grid, U)           the (v1, v2, w) coefficients of a state array
+                              in the kz >= 0 layout of grid
+    check(state, what)        checks the data of a run (run_simulation): it
+                              raises for a broken precondition and warns of
+                              data that the system reads only in part
+    parities                  of the state's components; NS2D declares none
+    w_scale                   the weight of a 3D state's w(v) in its norms
+                              (None: the pair alone)
+
+    A 3D stepper's state is the horizontal pair (v1, v2) on grid.band.
     nonlinear(V) is the projected nonlinear term: the advection of the
     state's velocity, negated and constrained in place.  NS overrides it
-    with its scaled projection, Stokes with zero.  self.grid is the Band
-    the state lives on.  A 3D stepper's state is the horizontal pair on
-    grid.band, of parities, and w_scale the weight of its w(v) in the
-    state's norms (None: the pair alone); advance ends with constrain, the
-    projection of the kz=0 plane.  The 2D stepper on Grid.plane declares no
-    parities and projects its whole plane.
+    with its scaled projection, Stokes with zero.  advance ends with
+    constrain, the projection of the kz=0 plane (for NS2D, of its plane).
     """
 
+    layout = staticmethod(lambda grid: grid.band)
+    eigenvalues = staticmethod(_lap_delta_mult)
+    pack = staticmethod(_pack)
+    unpack = staticmethod(_with_w)
+    check = staticmethod(lambda state, what: None)
     parities: tuple[str, ...] = VELOCITY_PARITIES[:2]
     w_scale: float | None = None
 
-    def __init__(self, grid: Band, lam: np.ndarray, dt: float):
-        self.grid = grid
+    def __init__(self, grid: Grid, eps: float, delta: float, dt: float):
+        self.grid = band = self.layout(grid)
+        self.eps = eps
         self.dt = dt
-        self.lam = lam
-        self.propagator = np.exp(lam * dt)
+        self.lam = self.eigenvalues(band, delta)
+        self.propagator = np.exp(self.lam * dt)
         self._n_prev: np.ndarray | None = None
         self.last_umax = 0.0
 
@@ -292,10 +371,7 @@ class NavierStokesStepper(_ExpAB2):
     projection of -(div(v (x) u), eps div(w u)), u = (v, w(v)).
     """
 
-    def __init__(self, grid: Grid, eps: float, delta: float, dt: float):
-        band = grid.band
-        super().__init__(band, _lap_delta_mult(band, delta), dt)
-        self.eps = self.w_scale = eps
+    w_scale = property(lambda self: self.eps)
 
     def nonlinear(self, V: np.ndarray) -> np.ndarray:
         N = _raw_advect(self.grid, self._phys(V), (1.0, 1.0, self.eps),
@@ -307,23 +383,21 @@ class NavierStokesStepper(_ExpAB2):
 class PrimitiveStepper(_ExpAB2):
     """Hydrostatic limit systems: prognostic horizontal pair, diagnostic w."""
 
-    def __init__(self, grid: Grid, delta: float, dt: float):
-        band = grid.band
-        super().__init__(band, _lap_delta_mult(band, delta), dt)
-
 
 class NavierStokes2DStepper(_ExpAB2):
     """2D Navier-Stokes on the kz=0 coefficient plane of a grid.
 
     The state is the horizontal pair on grid.plane, the kz=0 plane of the
-    grid's band, shape (2, 2K+1, 2K+1); self.grid is that 2D Band.
+    grid's band, shape (2, 2K+1, 2K+1); self.grid is that 2D Band.  It has
+    no vertical viscosity, so it reads no delta.
     """
 
+    layout = staticmethod(lambda grid: grid.plane)
+    eigenvalues = staticmethod(lambda plane, delta: -plane.k2h)
+    pack = staticmethod(_pack_plane)
+    unpack = staticmethod(_unpack_plane)
+    check = staticmethod(_warn_off_plane)
     parities = ()
-
-    def __init__(self, grid: Grid, dt: float):
-        plane = grid.plane
-        super().__init__(plane, -plane.k2h, dt)
 
     def constrain(self, V: np.ndarray) -> np.ndarray:
         return _raw_project_hydro(self.grid, V)
@@ -335,11 +409,8 @@ class StokesScaledStepper(_ExpAB2):
     The propagator is one scalar per mode, so the w(v) of the flowed pair
     is the flowed w: the state (v1, v2) stands for (v, w(v))."""
 
+    check = staticmethod(_require_mean_free)
     w_scale = 1.0
-
-    def __init__(self, grid: Grid, delta: float, dt: float):
-        band = grid.band
-        super().__init__(band, _lap_delta_mult(band, delta), dt)
 
     def nonlinear(self, V: np.ndarray) -> np.ndarray:
         return np.zeros_like(V)
@@ -348,94 +419,12 @@ class StokesScaledStepper(_ExpAB2):
         return self.constrain(self.propagator * V)
 
 
-# ---------------------------------------------------------------------------
-# the system table
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class System:
-    """How one system is stepped: stepper(grid, eps, delta, dt) builds its
-    stepper, pack(state) its state array on the stepper's band (an array
-    of its own, C-contiguous, of the stepped components only),
-    unpack(grid, U) the (v1, v2, w) coefficients of a state array in the
-    kz >= 0 layout of grid; check(state, what) checks the data of a run
-    (run_simulation): it raises for a broken precondition and warns of
-    data that the system reads only in part.
-
-    pack raises CompatibilityError for a state the stepper could not hold:
-    content outside the band, or in 3D a w that is not w(v)."""
-
-    stepper: Callable[[Grid, float, float, float], _ExpAB2]
-    pack: Callable[[VelocityState], np.ndarray]
-    unpack: Callable[[Grid, np.ndarray], tuple]
-    check: Callable[[VelocityState, str], None] = lambda s, what: None
-
-
-def _require_mean_free(s: VelocityState, what: str) -> None:
-    m = float(np.max(np.abs(np.stack((s.v1.coeffs, s.v2.coeffs))[..., 0])))
-    if m > 1e-12:
-        raise CompatibilityError(f"{what} is not vertically mean-free: {m:.3e}", m)
-
-
-def _warn_off_plane(s: VelocityState, what: str) -> None:
-    """NS2D steps the kz=0 plane of (v1, v2), their vertical average, and
-    drops the rest of a state: one RuntimeWarning, naming the share of the
-    energy dropped, when that is more than rounding (1e-12 of the largest
-    coefficient)."""
-    U = np.stack([f.coeffs for f in s.components()])
-    off = U.copy()
-    off[:2, ..., 0] = 0.0
-    if np.max(np.abs(off)) > 1e-12 * np.max(np.abs(U)):
-        share = _raw_inner(s.grid, off, off) / _raw_inner(s.grid, U, U)
-        warnings.warn(
-            f"{what} has {100 * share:.3g}% of its energy off the kz=0 plane of "
-            f"(v1, v2); NS2D steps only that plane, the vertical average of the "
-            f"data, and drops the rest", RuntimeWarning,
-        )
-
-
-def _pack(s: VelocityState) -> np.ndarray:
-    """The horizontal pair of a 3D state on its grid's band, an array of its
-    own.  Its w would be replaced by w(v), so a w that differs from w(v) by
-    more than rounding (1e-12 of the largest coefficient) is an error."""
-    U = _to_band(s.grid, s.grid.band, (s.v1.coeffs, s.v2.coeffs, s.w.coeffs))
-    gap = float(np.max(np.abs(U[2] - _raw_w_from_v(s.grid.band, U[:2])), initial=0.0))
-    if gap > 1e-12 * float(np.max(np.abs(U), initial=0.0)):
-        raise CompatibilityError(f"state's w is not the w(v) of its horizontal "
-                                 f"pair: |w - w(v)| = {gap:.3e}", gap)
-    return U[:2].copy()
-
-
-def _pack_plane(s: VelocityState) -> np.ndarray:
-    """The kz=0 planes of (v1, v2) on the grid's plane, an array of its own
-    (a gather leaves its result a view of a larger array)."""
-    planes = (s.v1.coeffs[:, :, 0], s.v2.coeffs[:, :, 0])
-    return _to_band(s.grid, s.grid.plane, planes).copy()
-
-
-def _with_w(g: Grid, V: np.ndarray) -> tuple:
-    """(v1, v2, w) on g of a horizontal pair on its band, w recovered from
-    incompressibility."""
-    return tuple(g.band.scatter(_raw_with_w(g.band, V)))
-
-
-_PE = System(lambda g, eps, delta, dt: PrimitiveStepper(g, delta, dt), _pack, _with_w)
-
-SYSTEMS = {
-    "NS_eps_delta": System(NavierStokesStepper, _pack, _with_w),
-    "PE_delta": _PE,
-    "PE_H": _PE,
-    "NS2D": System(
-        lambda g, eps, delta, dt: NavierStokes2DStepper(g, dt),
-        _pack_plane,
-        lambda g, B: (*_raw_embed_plane(g, g.plane.scatter(B)),
-                      np.zeros(g.spec_shape, np.complex128)),
-        _warn_off_plane,
-    ),
-    "StokesScaled": System(
-        lambda g, eps, delta, dt: StokesScaledStepper(g, delta, dt), _pack, _with_w,
-        _require_mean_free,
-    ),
+SYSTEMS: dict[str, type[_ExpAB2]] = {
+    "NS_eps_delta": NavierStokesStepper,
+    "PE_delta": PrimitiveStepper,
+    "PE_H": PrimitiveStepper,
+    "NS2D": NavierStokes2DStepper,
+    "StokesScaled": StokesScaledStepper,
 }
 
 
@@ -475,9 +464,8 @@ def system_lane(
     system: str, state: VelocityState, eps: float, delta: float, **kw
 ) -> Lane:
     """A lane of the named entry of SYSTEMS, starting from state."""
-    entry = SYSTEMS[system]
-    make = partial(entry.stepper, state.grid, eps, delta)
-    return Lane(make, entry.pack(state), **kw)
+    cls = SYSTEMS[system]
+    return Lane(partial(cls, state.grid, eps, delta), cls.pack(state), **kw)
 
 
 def _fail(lanes: list[Lane], lane: Lane, exc: Exception) -> None:

@@ -324,7 +324,7 @@ class TestDiffRhs:
 
         data = generate_initial_data("bandlimited_random", 5, grid)
         ns = NavierStokesStepper(grid, eps, delta, 1e-3)
-        pe = PrimitiveStepper(grid, 0.0, 1e-3)
+        pe = PrimitiveStepper(grid, 1.0, 0.0, 1e-3)
         # the steppers hold the band; the forcings are checked on the grid
         band = grid.band
         U = V = band.gather(np.stack((data.v1.coeffs, data.v2.coeffs)))

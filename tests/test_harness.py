@@ -120,6 +120,14 @@ class TestFitRate:
         with pytest.raises(InsufficientData):
             fit_rate([(0.1, 1.0), (0.05, float("nan")), (0.025, 0.2)])
 
+    @pytest.mark.parametrize("h", [0.1, 0.002])
+    def test_points_at_one_abscissa_are_insufficient(self, h):
+        """No line passes through points at one abscissa: before, this
+        divided by zero at h = 0.1 and gave a slope of rounding noise
+        (0.083, r2 = 0) at h = 0.002."""
+        with pytest.raises(InsufficientData, match="3 points are at one abscissa"):
+            fit_rate([(h, 1.0), (h, 2.0), (h, 3.0)])
+
     def test_drop_blowups_keeps_enough(self):
         pts = [(0.2, 0.6), (0.1, 0.3), (0.05, 0.15), (0.025, float("inf"))]
         slope, _, _ = fit_rate(pts)
@@ -181,9 +189,12 @@ class TestSnapshots:
             load_snapshot(str(path))
         assert "CRC" in str(exc.value)
 
-    def test_hand_built_full_cube_loads_its_kz_half(self, tmp_path):
-        """HSN1 bytes written from the documented layout, with the full
-        complex cube of a real field, load as that cube's kz >= 0 half."""
+    @staticmethod
+    def _hand_built(path, names=(b"v1", b"v2", b"w", b"time")):
+        """Write HSN1 bytes from the documented layout: the full complex
+        cubes of three real fields (6 x 4 x 10) and a time of 0.25, under
+        the given names.  Returns the cubes and the byte offset of each
+        name."""
         import struct
         import zlib
 
@@ -193,19 +204,39 @@ class TestSnapshots:
                  for _ in range(3)]
         t = np.zeros((nx, ny, nz), dtype=np.complex128)
         t[0, 0, 0] = 0.25
-        payload = struct.pack("<IIIII", 1, nx, ny, nz, 4)
-        for name, code, cube in (
-            ("v1", 2, cubes[0]), ("v2", 2, cubes[1]), ("w", 2, cubes[2]),
-            ("time", 2, t),
-        ):
-            payload += struct.pack("<I", len(name)) + name.encode()
-            payload += struct.pack("<B", code) + cube.astype("<c16").tobytes()
-        path = tmp_path / "hand.hsn"
+        payload = struct.pack("<IIIII", 1, nx, ny, nz, len(names))
+        offsets = []
+        for name, cube in zip(names, [*cubes, t]):
+            payload += struct.pack("<I", len(name))
+            offsets.append(4 + len(payload))
+            payload += name + struct.pack("<B", 2) + cube.astype("<c16").tobytes()
         path.write_bytes(b"HSN1" + payload + struct.pack("<I", zlib.crc32(payload)))
+        return cubes, offsets
+
+    def test_hand_built_full_cube_loads_its_kz_half(self, tmp_path):
+        """HSN1 bytes written from the documented layout, with the full
+        complex cube of a real field, load as that cube's kz >= 0 half."""
+        path = tmp_path / "hand.hsn"
+        cubes, _ = self._hand_built(path)
         back = load_snapshot(str(path))
         for f, cube in zip(back.components(), cubes):
-            assert np.array_equal(f.coeffs, cube[..., : nz // 2 + 1])
+            assert np.array_equal(f.coeffs, cube[..., : cube.shape[-1] // 2 + 1])
         assert back.time == 0.25
+
+    @pytest.mark.parametrize("names, k, match", [
+        ((b"v1", b"v1", b"w", b"time"), 1, "duplicate field 'v1'"),
+        ((b"v1", b"v2", b"u", b"time"), 2, "unknown field 'u'"),
+        ((b"v1", b"v2", b"w", b"\xfftime"), 3, "is not UTF-8"),
+    ], ids=["duplicate", "unknown", "not-utf8"])
+    def test_a_bad_field_name_is_a_format_error(self, tmp_path, names, k, match):
+        """A repeated, unknown or undecodable name is rejected at its offset:
+        before, a second v1 replaced the first, an unknown field was
+        ignored, and bytes that are not UTF-8 raised UnicodeDecodeError."""
+        path = tmp_path / "bad.hsn"
+        _, offsets = self._hand_built(path, names)
+        with pytest.raises(FormatError, match=match) as err:
+            load_snapshot(str(path))
+        assert err.value.offset == offsets[k]
 
     def test_save_writes_the_documented_layout(self, tmp_path):
         """The writer-side twin of the test above: save_snapshot's bytes are
@@ -547,6 +578,19 @@ class TestSweep:
         run_sweep(_tiny_sweep_cfg(str(tmp_path)), write_plots=True)
         svg = (tmp_path / "rates.svg").read_text()
         assert svg.startswith("<svg") and "polyline" in svg
+
+    def test_plots_draw_the_fitted_points(self, tmp_path, monkeypatch):
+        """rates.svg draws the points of rate_groups, those the fits read:
+        before, it also drew the finite norms of a blown-up point."""
+        from hydrostat.harness.sweep import rate_groups
+
+        _poison_point(monkeypatch, 0.1, 0.1)
+        res = run_sweep(_tiny_sweep_cfg(str(tmp_path)), write_plots=True)
+        assert any(r.blowup and math.isfinite(r.value) for r in res.rows)
+        svg = (tmp_path / "rates.svg").read_text()
+        groups = rate_groups(res.rows)
+        assert svg.count("<circle") == sum(len(pts) for pts in groups.values())
+        assert all(f">{name}</text>" in svg for name in groups)
 
     def test_blowup_threshold_reported(self, tmp_path, monkeypatch):
         clean = _values_except(run_sweep(_tiny_sweep_cfg()), eps=0.2)
@@ -1062,6 +1106,45 @@ class TestCli:
         assert capsys.readouterr().err == (
             "error: delta = eps**(gamma-2) leaves the float range at eps=1e+200, "
             "gamma=4\n")
+
+    @pytest.mark.parametrize("mode, lists, blown, threshold", [
+        ("gamma_scan", "eps_values = 0.2, 0.1, 0.05\ngamma_values = 3\n", 0.2, 0.2),
+        ("delta_to_infty", "eps_values = 0.5, 0.25\ndelta_values = 16, 64\n", 0.5, 16),
+    ], ids=["gamma_scan", "delta_to_infty"])
+    def test_blowup_threshold_is_on_the_fit_abscissa(
+        self, tmp_path, monkeypatch, capsys, mode, lists, blown, threshold
+    ):
+        """The threshold is the least fit abscissa (pairs.MODES) of the
+        blown-up points: eps for gamma_scan, delta for delta_to_infty.
+        Before, it was eps + delta in every mode."""
+        from hydrostat.harness.cli import main
+
+        _fault_nonlinear(monkeypatch, lambda eps, N: N * np.nan if eps == blown else N)
+        cfg = tmp_path / "sweep.cfg"
+        cfg.write_text(SWEEP_SIM + f"mode = {mode}\n{lists}")
+        assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+        assert capsys.readouterr().out.splitlines()[-1] == (
+            f"observed blowup threshold: fit abscissa >= {threshold:g}")
+
+    @pytest.mark.parametrize("mode, lists", [
+        ("gamma_scan", "eps_values = 0.2, 0.2, 0.2\ngamma_values = 3\n"),
+        ("delta_to_infty", "eps_values = 0.5, 0.25, 0.125\ndelta_values = 16\n"),
+    ], ids=["gamma_scan", "delta_to_infty"])
+    def test_a_rate_at_one_abscissa_is_skipped(self, tmp_path, capsys, mode, lists):
+        """A sweep whose points share their fit abscissa fits nothing and
+        writes its files, and fit of its CSV is an error line: before, both
+        ended in a ZeroDivisionError traceback."""
+        from hydrostat.harness.cli import main
+
+        cfg = tmp_path / "sweep.cfg"
+        cfg.write_text(SWEEP_SIM + f"mode = {mode}\n{lists}")
+        out_dir = tmp_path / "out"
+        assert main(["sweep", "--config", str(cfg), "--out", str(out_dir)]) == 0
+        assert capsys.readouterr().out == f"wrote {out_dir}/results.csv (12 rows)\n"
+        assert (out_dir / "failures.json").read_text() == "[]\n"
+        assert main(["fit", "--csv", str(out_dir / "results.csv"), "--norm", "total"]) == 2
+        assert capsys.readouterr().err.startswith(
+            "error: all 3 points are at one abscissa")
 
     def test_bad_config_exit_code(self, tmp_path):
         from hydrostat.harness.cli import main

@@ -30,7 +30,6 @@ from hydrostat.spectral import (
     EVEN,
     ODD,
     SpectralField,
-    _lap_delta_mult,
     _raw_embed_plane,
     _raw_to_phys,
     field_from_function,
@@ -57,19 +56,17 @@ def _tg_state(grid):
 def _step(system, state, eps=1.0, delta=0.0, dt=1e-3):
     """One step of a fresh stepper (an Euler step on the nonlinearity) from
     a VelocityState, through the system table; the (v1, v2, w) coefficients."""
-    entry = SYSTEMS[system]
-    stepper = entry.stepper(state.grid, eps, delta, dt)
-    return entry.unpack(state.grid, stepper.step(entry.pack(state)))
+    stepper = SYSTEMS[system](state.grid, eps, delta, dt)
+    return stepper.unpack(state.grid, stepper.step(stepper.pack(state)))
 
 
 def _steps(system, state, n, delta=0.0, dt=1e-3):
     """n steps of one stepper; the (v1, v2, w) coefficients."""
-    entry = SYSTEMS[system]
-    stepper = entry.stepper(state.grid, 1.0, delta, dt)
-    U = entry.pack(state)
+    stepper = SYSTEMS[system](state.grid, 1.0, delta, dt)
+    U = stepper.pack(state)
     for _ in range(n):
         U = stepper.step(U)
-    return entry.unpack(state.grid, U)
+    return stepper.unpack(state.grid, U)
 
 
 class TestSimConfig:
@@ -212,8 +209,8 @@ class TestNs2dStepper:
         B0 = plane.gather(np.stack((data.v1.coeffs[:, :, 0], data.v2.coeffs[:, :, 0])))
         U = V = _raw_embed_plane(band, B0)
         ns = NavierStokesStepper(grid, 0.7, 0.3, dt)
-        pe = PrimitiveStepper(grid, 0.3, dt)
-        n2 = NavierStokes2DStepper(grid, dt)
+        pe = PrimitiveStepper(grid, 1.0, 0.3, dt)
+        n2 = NavierStokes2DStepper(grid, 1.0, 0.0, dt)
         B = B0
         for _ in range(steps):
             U, V, B = ns.step(U), pe.step(V), n2.step(B)
@@ -243,9 +240,9 @@ def _nonlinear_cases(grid, eps=0.3):
     return {
         "NS": (NavierStokesStepper(grid, eps, 0.1, 1e-3), band.gather(V),
                band.gather(_raw_project_eps(grid, -conv(grid, up, U), eps)[:2])),
-        "PE": (PrimitiveStepper(grid, 0.0, 1e-3), band.gather(V),
+        "PE": (PrimitiveStepper(grid, 1.0, 0.0, 1e-3), band.gather(V),
                band.gather(hydro_projected(grid, -conv(grid, up, V)))),
-        "NS2D": (NavierStokes2DStepper(grid, 1e-3), plane.gather(B[..., 0]),
+        "NS2D": (NavierStokes2DStepper(grid, 1.0, 0.0, 1e-3), plane.gather(B[..., 0]),
                  plane.gather(hydro_projected(
                      grid, -conv(grid, _raw_to_phys(grid, B), B))[..., 0])),
     }
@@ -311,14 +308,13 @@ class TestParityPairing:
         from hydrostat.spectral import _raw_parity_project
 
         data = generate_initial_data("bandlimited_random", 4, grid16)
-        entry = SYSTEMS[system]
-        stepper = entry.stepper(grid16, 0.2, delta, 1e-3)
-        U = entry.pack(data)
+        stepper = SYSTEMS[system](grid16, 0.2, delta, 1e-3)
+        U = stepper.pack(data)
         for _ in range(20):
             U = stepper.step(U)
         for c, p in zip(U, stepper.parities):
             assert np.array_equal(_raw_parity_project(stepper.grid, c, p), c)
-        for c, p in zip(entry.unpack(grid16, U), (EVEN, EVEN, ODD)):
+        for c, p in zip(stepper.unpack(grid16, U), (EVEN, EVEN, ODD)):
             assert np.array_equal(_raw_parity_project(grid16, c, p), c)
 
     @pytest.mark.parametrize("system", ["NS", "PE"])
@@ -342,10 +338,6 @@ class _NSThreeComponents(_ExpAB2):
     stepped before w became diagnostic.  Its nonlinear term is the whole
     scaled projection of the term that advects (v, w(v)), and every step
     ends with the scaled projection of the state."""
-
-    def __init__(self, grid, eps, delta, dt):
-        super().__init__(grid.band, _lap_delta_mult(grid.band, delta), dt)
-        self.eps = eps
 
     def nonlinear(self, U):
         N = -_raw_advect(self.grid, self._phys(U[:2]), (1.0, 1.0, self.eps),
@@ -420,7 +412,7 @@ class TestStokesStepper:
         scaled = {}
         for delta in (4.0, 16.0, 64.0, 256.0):
             dt = min(1e-3, 0.1 / (4 * delta * PI**2))
-            stepper = StokesScaledStepper(grid16, delta, dt)
+            stepper = StokesScaledStepper(grid16, 1.0, delta, dt)
             acc = NormAccumulator("L4H32")
             U = grid16.band.gather(U0)
             t, t_end = 0.0, 0.2
@@ -500,7 +492,7 @@ class TestSharedWorkspace:
         """A family (PE_H reference and two NS members on one band, advanced
         in turn) gives bit for bit what each gives on a grid of its own."""
         def make(grid):
-            return [PrimitiveStepper(grid, 0.0, 1e-3),
+            return [PrimitiveStepper(grid, 1.0, 0.0, 1e-3),
                     NavierStokesStepper(grid, 0.2, 0.04, 1e-3),
                     NavierStokesStepper(grid, 0.1, 0.01, 1e-3)]
 
@@ -690,7 +682,7 @@ class TestSchemeOrder:
         V0 = grid.plane.gather(2.0 * V0 / np.sqrt(np.sum(np.abs(V0) ** 2) * 8.0))
 
         def advance(dt, T=0.1):
-            st = NavierStokes2DStepper(grid, dt)
+            st = NavierStokes2DStepper(grid, 1.0, 0.0, dt)
             V = V0.copy()
             for _ in range(int(round(T / dt))):
                 V = st.step(V)

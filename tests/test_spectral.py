@@ -316,14 +316,14 @@ class TestBandWorkspace:
         U = np.stack((b, b, np.zeros_like(b)))
         results = [_raw_to_phys(band, U), _raw_to_spec(band, ws.real[:4])]
         for stepper in (NavierStokesStepper(grid, 0.5, 0.2, 1e-3),
-                        PrimitiveStepper(grid, 0.2, 1e-3)):
+                        PrimitiveStepper(grid, 1.0, 0.2, 1e-3)):
             N = stepper.nonlinear(U[: len(stepper.parities)])
             results += [N, stepper.advance(U[: len(stepper.parities)], N),
                         stepper._n_prev]
         for r in results:
             for buf in (ws.real, ws.cplx):
                 assert not np.shares_memory(r, buf)
-        stepper = NavierStokes2DStepper(grid, 1e-3)
+        stepper = NavierStokes2DStepper(grid, 1.0, 0.0, 1e-3)
         V = np.stack((b[..., 0], b[..., 0]))
         N = stepper.nonlinear(V)
         for r in (N, stepper.advance(V, N), stepper._n_prev):
@@ -349,7 +349,7 @@ class TestBandWorkspace:
             data = random_band_field(grid, 2).coeffs
             U = grid.band.gather(np.stack((data, data)))
             NavierStokesStepper(grid, 0.5, 0.2, 1e-3).step(U)
-            NavierStokes2DStepper(grid, 1e-3).step(grid.plane.gather(
+            NavierStokes2DStepper(grid, 1.0, 0.0, 1e-3).step(grid.plane.gather(
                 np.stack((data[..., 0], data[..., 0]))))
             refs = [weakref.ref(o) for o in (grid, grid.band, grid.plane)]
             del grid
