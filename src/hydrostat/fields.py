@@ -8,7 +8,7 @@ sides used to validate that two primal trajectories actually satisfy the
 equation their difference is supposed to solve.
 
 There is one advection kernel, _raw_advect: the divergence form
-sum_j d_j (X_i u_j) on a Band, of a velocity u itself (the steppers'
+sum_j d_j (X_i u_j) on a band, of a velocity u itself (the steppers'
 self-advection) or of other fields X (the cross form).  It is the
 convective (u . grad) X only for a divergence-free u, which every caller
 has; the difference-system forcings check it of their inputs.  They run on
@@ -32,7 +32,6 @@ from .errors import CompatibilityError, InvalidParameter, ShapeError
 from .spectral import (
     EVEN,
     ODD,
-    Band,
     Grid,
     SpectralField,
     _deriv_mult,
@@ -101,7 +100,7 @@ class SplitState:
 # raw kernels on stacked coefficient arrays
 # ---------------------------------------------------------------------------
 
-def _peps_tables(grid: Grid | Band, eps: float):
+def _peps_tables(grid: Grid, eps: float):
     """kz/eps and the reciprocal 1/(|k_H|^2 + (kz/eps)^2) (1 where that is
     0); kx and ky are the grid's own broadcast views."""
     kz = grid.cached(("kz/eps", float(eps)), lambda: grid.kz3 / eps)
@@ -113,7 +112,7 @@ def _peps_tables(grid: Grid | Band, eps: float):
     return kz, grid.cached(("peps", float(eps)), build)
 
 
-def _raw_project_eps(grid: Grid | Band, U: np.ndarray, eps: float,
+def _raw_project_eps(grid: Grid, U: np.ndarray, eps: float,
                      out: np.ndarray | None = None) -> np.ndarray:
     """Leray projection with the scaled wavevector (kx, ky, kz/eps); the
     NS stepper applies it to its nonlinear term, never to a state.  Writes
@@ -129,7 +128,7 @@ def _raw_project_eps(grid: Grid | Band, U: np.ndarray, eps: float,
     return out
 
 
-def _hproj_tables(grid: Grid | Band) -> np.ndarray:
+def _hproj_tables(grid: Grid) -> np.ndarray:
     """kx, ky and |k_H|^2 (1 at k_H = 0) on the kz=0 plane, complex: a
     product or quotient with a real table converts it to complex on every
     call, and the converted values give the same results bit for bit."""
@@ -141,7 +140,7 @@ def _hproj_tables(grid: Grid | Band) -> np.ndarray:
     return grid.cached(("hproj",), build)
 
 
-def _raw_project_hydro(grid: Grid | Band, P: np.ndarray) -> np.ndarray:
+def _raw_project_hydro(grid: Grid, P: np.ndarray) -> np.ndarray:
     """The hydrostatic projection, in place: the 2D Leray projection of a
     pair of kz=0 coefficient planes P, shape (2, *grid.spec_shape[:2]),
     which removes the horizontal gradient driven by their divergence.  P is
@@ -156,7 +155,7 @@ def _raw_project_hydro(grid: Grid | Band, P: np.ndarray) -> np.ndarray:
     return P
 
 
-def _raw_w_from_v(grid: Grid | Band, V: np.ndarray) -> np.ndarray:
+def _raw_w_from_v(grid: Grid, V: np.ndarray) -> np.ndarray:
     """Vertical velocity from incompressibility: the odd antiderivative of
     -div_H v.  kz=0 plane is zero (oddness); kz != 0 modes are multiplied
     by -1/kz, which is bit for bit a division by kz (numpy divides a complex
@@ -174,18 +173,18 @@ def _raw_w_from_v(grid: Grid | Band, V: np.ndarray) -> np.ndarray:
     return w
 
 
-def _raw_with_w(grid: Grid | Band, V: np.ndarray, s: float = 1.0) -> np.ndarray:
+def _raw_with_w(grid: Grid, V: np.ndarray, s: float = 1.0) -> np.ndarray:
     """(V[0], V[1], s * w(V)): the velocity that a horizontal pair (or its
     time derivative) stands for, w weighted by s (eps in (v, eps*w))."""
     return np.concatenate((V, (s * _raw_w_from_v(grid, V))[None]))
 
 
-def _raw_div_eps_defect(grid: Grid | Band, U: np.ndarray, eps: float) -> float:
+def _raw_div_eps_defect(grid: Grid, U: np.ndarray, eps: float) -> float:
     d = grid.kx3 * U[0] + grid.ky3 * U[1] + (grid.kz3 / eps) * U[2]
     return float(np.max(np.abs(d)))
 
 
-def _raw_require_divergence_free(grid: Grid | Band, U: np.ndarray, what: str) -> None:
+def _raw_require_divergence_free(grid: Grid, U: np.ndarray, what: str) -> None:
     """CompatibilityError unless the velocity U, 2 or 3 components, is
     divergence-free to rounding (1e-12 of its largest term k_j U_j).  The
     divergence form of an advection by U is its convective form only then."""
@@ -196,7 +195,7 @@ def _raw_require_divergence_free(grid: Grid | Band, U: np.ndarray, what: str) ->
 
 
 def _raw_advect(
-    band: Band, u_phys: Sequence[np.ndarray], scale: Sequence[float],
+    band: Grid, u_phys: Sequence[np.ndarray], scale: Sequence[float],
     parities: Sequence[str] | None = None,
     targets: Sequence[np.ndarray] | None = None,
 ) -> np.ndarray:

@@ -11,10 +11,11 @@ Space-time norms are accumulated along a trajectory, one sample at a time
 supremum parts track running maxima over the sampled instants.  A sample is
 an Energies, the one type every kind reads: the sums over its components of
 |u_i|^2 and of |du_i/dt|^2 per mode, so one sample folded into several
-accumulators is reduced once.  The sums may be on a grid or on the Band a
-stepper holds its state on.  Each sample comes with the time it was taken
-at; the accumulator keeps the time of its last sample, so the clock of a
-norm is the accumulator itself.
+accumulators is reduced once.  The sums may be on any layout (a
+spectral.Grid): the grid, or the band or plane a stepper holds its state
+on.  Each sample comes with the time it was taken at; the accumulator
+keeps the time of its last sample, so the clock of a norm is the
+accumulator itself.
 
 Accumulator kinds
 -----------------

@@ -25,10 +25,11 @@ only because every stepper's advecting velocity is divergence-free: w is
 recovered from div_H v at kz != 0, and the projections hold div_H of the
 vertical average (and of the NS2D plane) at zero.
 
-Every stepper holds its state on the Band of its grid (spectral.Band): only
-the modes that the 2/3 dealias mask keeps, so the mask is structural and no
-step multiplies by it.  The nonlinear term comes back from the forward
-transform already restricted to the band.  The lattice-size arrays of a
+Every stepper holds its state on the band of its grid (Grid.band, a
+layout like every other, spectral.Grid): only the modes that the 2/3
+dealias mask keeps, so the mask is structural and no step multiplies by
+it.  The nonlinear term comes back from the forward transform already
+restricted to the band.  The lattice-size arrays of a
 nonlinear evaluation live in the band's workspace (spectral.Workspace), on
 the band of a cube and on the NS2D plane (Grid.plane) alike; every stepper
 on a band shares it, so the steppers of one band run on one thread.  What
@@ -85,7 +86,6 @@ from .fields import (
     _raw_with_w,
 )
 from .spectral import (
-    Band,
     Grid,
     SpectralField,
     _lap_delta_mult,
@@ -123,7 +123,9 @@ class SimConfig:
 
     When gamma is given the vertical-viscosity ratio is tied to eps through
     delta = eps**(gamma - 2); supplying an inconsistent explicit delta is an
-    error.
+    error.  So is a parameter that the system never reads: an eps other
+    than 1 for any system but NS_eps_delta, and a nonzero delta, given or
+    tied to eps, for PE_H and NS2D.
     """
 
     system: str
@@ -155,6 +157,9 @@ class SimConfig:
                 raise InvalidParameter(f"{name} must be finite, got {value}")
         if self.eps <= 0:
             raise InvalidParameter(f"eps must be > 0, got {self.eps}")
+        if self.eps != 1.0 and self.system != "NS_eps_delta":
+            raise InvalidParameter(f"{self.system} reads no eps; eps={self.eps} "
+                                   f"would be ignored")
         if self.record_every < 1:
             raise InvalidParameter("record_every must be >= 1")
         delta = self.delta
@@ -172,8 +177,9 @@ class SimConfig:
             delta = 0.0
         if delta < 0:
             raise InvalidParameter(f"delta must be >= 0, got {delta}")
-        if self.system == "PE_H" and delta != 0.0:
-            raise InvalidParameter("PE_H has no vertical viscosity; use PE_delta")
+        if self.system in ("PE_H", "NS2D") and delta != 0.0:
+            raise InvalidParameter(f"{self.system} has no vertical viscosity; "
+                                   f"delta={delta:g} would be ignored")
         object.__setattr__(self, "delta", float(delta))
 
     @property
@@ -193,7 +199,7 @@ class TrajectoryRecord:
     blowup_reason: str = ""
 
 
-def _check_blowup(grid: Grid | Band, U: np.ndarray, t: float) -> None:
+def _check_blowup(grid: Grid, U: np.ndarray, t: float) -> None:
     if not np.all(np.isfinite(U)):
         raise BlowupDetected(t, "non-finite coefficients")
     l2 = np.sqrt(_raw_inner(grid, U, U))
@@ -262,7 +268,7 @@ class _ExpAB2:
     cls(grid, eps, delta, dt); eps is read by NS alone.  What differs
     between the systems is in class attributes:
 
-    layout(grid)              the Band of the state, self.grid: grid.band
+    layout(grid)              the layout of the state, self.grid: grid.band
                               (grid.plane for NS2D)
     eigenvalues(band, delta)  the diagonal linear part on it, self.lam
     pack(state)               the state array of a VelocityState: an array
@@ -388,7 +394,7 @@ class NavierStokes2DStepper(_ExpAB2):
     """2D Navier-Stokes on the kz=0 coefficient plane of a grid.
 
     The state is the horizontal pair on grid.plane, the kz=0 plane of the
-    grid's band, shape (2, 2K+1, 2K+1); self.grid is that 2D Band.  It has
+    grid's band, shape (2, 2K+1, 2K+1); self.grid is that 2D layout.  It has
     no vertical viscosity, so it reads no delta.
     """
 
@@ -543,7 +549,7 @@ def warn_cfl(lanes: Sequence[Lane]) -> None:
 # full trajectories
 # ---------------------------------------------------------------------------
 
-def _l2_h1(grid: Grid | Band, U: np.ndarray) -> tuple[float, float]:
+def _l2_h1(grid: Grid, U: np.ndarray) -> tuple[float, float]:
     e = np.sum(np.abs(U) ** 2, axis=0)
     l2 = float(np.sqrt(_raw_wsum(grid, e)))
     h1 = float(np.sqrt(_raw_wsum(grid, (1.0 + grid.ksq) * e)))

@@ -7,7 +7,7 @@ convention the Parseval weight for integrals over the box is the domain
 volume 8.
 
 Every field is real, so its coefficients are conjugate-symmetric:
-c[-k] = conj(c[k]).  A field on a Grid therefore stores only the kz >= 0
+c[-k] = conj(c[k]).  A field on a grid therefore stores only the kz >= 0
 half, shape grid.spec_shape = (nx, ny, nz//2 + 1), Nyquist plane included,
 with kx and ky in numpy FFT order: the layout of an rfftn.  The
 kz < 0 half is the conjugate mirror c[kx, ky, -kz] = conj(c[-kx, -ky, kz]).
@@ -16,21 +16,25 @@ with 0 < kz < nz/2 counts twice (Grid.parseval_weight).  Odd-order
 derivatives zero the Nyquist modes of their axis, where (i k) c is not the
 coefficient of any real field.
 
-The time steppers hold a second layout, a Band: only the modes that the 2/3
-dealias mask keeps, |m| < n/3 on every axis.  That set is a tensor product,
-so a band is a grid-like layout of its own, shape (2K+1, 2K+1, K+1) on a
-cube with K = (n-1)//3, kx and ky in FFT order and no Nyquist mode.  The
-transforms, the multipliers and the sums below accept a Band in place of a
-Grid; Band.gather and Band.scatter convert between a band and its parent's
-layout.  The NS2D stepper holds its state on Grid.plane, the kz=0 plane of
-the grid's band: a 2D Band whose parent layout is the kz=0 slice c[:, :, 0]
-of the grid's coefficients.
+Every layout of coefficients is a Grid: a lattice, its parent's
+coefficient shape, and one index set per axis with those modes'
+wavenumbers.  make_grid builds the kz >= 0 half of a cube, its own
+parent.  The time steppers hold a restriction of it, built by the same
+constructor: grid.band, only the modes that the 2/3 dealias mask keeps,
+|m| < n/3 on every axis, shape (2K+1, 2K+1, K+1) on a cube with
+K = (n-1)//3, kx and ky in FFT order and no Nyquist mode; or grid.plane,
+its kz=0 plane, whose parent layout is the kz=0 slice c[:, :, 0] of the
+grid's coefficients (the NS2D layout).  The transforms, the multipliers
+and the sums below take any layout; gather and scatter convert between a
+band and its parent's layout.
 
-Every band owns one Workspace, built on first use: the lattice-size arrays
-of a nonlinear evaluation, reused by every step of every stepper on that
-band, so that stepping allocates nothing at lattice size.  A band is
-therefore stepped by one thread at a time; every run, matched family and
-sweep point builds its own grid, and with it its own bands.
+A layout that keeps its parent's whole array is a grid (Grid.whole), and
+its transforms allocate their own arrays.  Every other layout, a band,
+owns one Workspace, built on first use: the lattice-size arrays of a
+nonlinear evaluation, reused by every step of every stepper on that band,
+so that stepping allocates nothing at lattice size.  A band is therefore
+stepped by one thread at a time; every run, matched family and sweep point
+builds its own grid, and with it its own band and plane.
 
 Every transform is a sequence of one-dimensional numpy.fft passes, run in
 place on the half spectrum (the non-negative half of the last axis), in the
@@ -45,9 +49,9 @@ the layout builds once (_Plan).  Each complex pass runs only on the lines
 the layout keeps: in the inverse those whose later axes are kept, in the
 forward those whose earlier axes are kept.  The lines left out hold zeros,
 or outputs the layout drops, so its modes stay bit for bit those of the
-full transforms.  On a Band the passes run in its workspace.
+full transforms.  On a band the passes run in its workspace.
 
-The fields of the public API are SpectralFields on a Grid: one scalar
+The fields of the public API are SpectralFields on a grid: one scalar
 field's kz >= 0 half and its parity tag, sampled by field_from_function or
 zero.  Every operation on them runs as a raw-array kernel on stacks of
 coefficient arrays (_raw_to_phys, _raw_to_spec, _raw_parity_project,
@@ -96,107 +100,161 @@ def _kept(m: np.ndarray, n: int) -> np.ndarray:
     return 3 * np.abs(m) < n
 
 
-@dataclass(frozen=True)
-class Grid:
-    """Immutable spectral grid: sizes, wavenumber tables, dealias mask.
+def _readonly(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
 
-    shape is the physical lattice; coefficient arrays have spec_shape, the
-    kz >= 0 half.  kz holds only those nz//2 + 1 wavenumbers, so every table
-    built from kz3 has the coefficient shape.
+
+@dataclass(frozen=True, eq=False)
+class Grid:
+    """A coefficient layout, the one layout type (see the module docstring).
+
+    shape is the physical lattice, parent_spec_shape the shape of the
+    parent's coefficient arrays.  index[a] lists the positions along axis
+    a, in the parent's layout, of the modes kept, and wavenumbers[a] their
+    wavenumbers, so an array on the layout has shape spec_shape.
+    parseval_weight is the weight of each position of the last axis in a
+    sum over all modes.  A layout keeps its parent's sizes, not the parent,
+    so the band and plane that a grid caches make no reference cycle with
+    it.  Layouts compare and hash by identity.
     """
 
-    nx: int
-    ny: int
-    nz: int
-    kx: np.ndarray
-    ky: np.ndarray
-    kz: np.ndarray
-    dealias_mask: np.ndarray
-    # precomputed |k_H|^2 (nx, ny, 1) and |k|^2 (nx, ny, nz//2 + 1)
-    k2h: np.ndarray = field(repr=False, compare=False, default=None)
-    ksq: np.ndarray = field(repr=False, compare=False, default=None)
+    shape: tuple[int, ...]
+    parent_spec_shape: tuple[int, ...]
+    index: tuple[np.ndarray, ...] = field(repr=False)
+    wavenumbers: tuple[np.ndarray, ...] = field(repr=False)
+    parseval_weight: np.ndarray = field(repr=False)
     # scratch cache for derived multiplier arrays keyed by (tag, params)
-    _cache: dict = field(repr=False, compare=False, default_factory=dict)
+    _cache: dict = field(repr=False, default_factory=dict)
 
-    @property
-    def shape(self) -> tuple[int, int, int]:
-        return (self.nx, self.ny, self.nz)
+    def __post_init__(self):
+        for a in (*self.index, *self.wavenumbers, self.parseval_weight):
+            a.setflags(write=False)
 
-    @property
-    def spec_shape(self) -> tuple[int, int, int]:
-        return (self.nx, self.ny, self.nz // 2 + 1)
-
-    @property
-    def size(self) -> int:
-        return self.nx * self.ny * self.nz
+    nx = property(lambda self: self.shape[0])
+    ny = property(lambda self: self.shape[1])
+    nz = property(lambda self: self.shape[2])
+    size = property(lambda self: math.prod(self.shape))
+    spec_shape = property(lambda self: tuple(map(len, self.index)))
+    # whether the layout keeps its parent's whole coefficient array: a grid
+    whole = property(lambda self: self.spec_shape == self.parent_spec_shape)
+    kx = property(lambda self: self.wavenumbers[0])
+    ky = property(lambda self: self.wavenumbers[1])
+    kz = property(lambda self: self.wavenumbers[2])
+    # broadcastable wavenumber arrays
+    kx3 = property(lambda self: self.kx[:, None, None])
+    ky3 = property(lambda self: self.ky[None, :, None])
+    kz3 = property(lambda self: self.kz[None, None, :])
 
     @cached_property
-    def parseval_weight(self) -> np.ndarray:
-        """Per-kz-plane weight of a sum over the stored coefficients: the box
-        volume, doubled on the planes 0 < kz < nz/2 that also stand for
-        their kz < 0 mirror."""
-        w = np.full(self.nz // 2 + 1, 2.0 * DOMAIN_VOLUME)
-        w[0] = w[-1] = DOMAIN_VOLUME
-        w.setflags(write=False)
-        return w
+    def k2h(self) -> np.ndarray:
+        """|k_H|^2, broadcastable over the layout: (nx, ny, 1) on a cube."""
+        k2h = np.add.outer(self.kx**2, self.ky**2)
+        return _readonly(k2h.reshape(k2h.shape + (1,) * (len(self.shape) - 2)))
 
-    # broadcastable wavenumber arrays
-    @property
-    def kx3(self) -> np.ndarray:
-        return self.kx[:, None, None]
+    @cached_property
+    def ksq(self) -> np.ndarray:
+        """|k|^2 of every mode of the layout."""
+        return _readonly(reduce(np.add.outer, [k**2 for k in self.wavenumbers]))
 
-    @property
-    def ky3(self) -> np.ndarray:
-        return self.ky[None, :, None]
-
-    @property
-    def kz3(self) -> np.ndarray:
-        return self.kz[None, None, :]
-
-    @property
-    def wavenumbers(self) -> tuple[np.ndarray, ...]:
-        return (self.kx, self.ky, self.kz)
+    @cached_property
+    def dealias_mask(self) -> np.ndarray:
+        """The 2/3 rule as a table of the layout's modes: which of them the
+        band keeps, its independent reference."""
+        keeps = [_kept(np.rint(k / PI), n) for k, n in zip(self.wavenumbers, self.shape)]
+        return _readonly(reduce(np.logical_and.outer, keeps))
 
     @cached_property
     def kmax(self) -> float:
         """The largest wavenumber magnitude the dealias mask keeps."""
-        return max(float(np.max(np.abs(k) * self.dealias_mask))
-                   for k in (self.kx3, self.ky3, self.kz3))
+        return max(float(np.max(np.abs(k))) for k in self.band.wavenumbers)
 
     @cached_property
-    def band(self) -> "Band":
-        """The modes of this grid that the dealias mask keeps."""
-        return Band.of(self)
+    def band(self) -> Grid:
+        """The modes of this grid that the dealias mask keeps: mode m on an
+        axis of n points when 3|m| < n.  Quadratic products of such fields
+        are alias-free on the kept modes for every n: the sum of two kept
+        modes is below 2n/3 in size, and its alias, n away, is above n/3.
+
+        On kx and ky the kept positions are [0..K, -K..-1], which is itself
+        the FFT order of 2K+1 modes, and on kz the prefix [0..K]: shape
+        (2K+1, 2K+1, K+1) on a cube with K = (n-1)//3.  No kept mode is a
+        Nyquist mode, and the set is closed under k -> -k."""
+        index = tuple(np.flatnonzero(_kept(np.rint(k / PI), n))
+                      for k, n in zip(self.wavenumbers, self.shape))
+        return self._restrict(index, self.parseval_weight[index[-1]])
 
     @cached_property
-    def plane(self) -> "Band":
-        """The kz=0 plane of the band, a 2D Band: the NS2D layout.  Its
-        parent layout is the kz=0 slice c[:, :, 0] of this grid's
-        coefficients, and every mode weighs the box volume."""
-        b = self.band
-        weight = np.full(len(b.index[1]), DOMAIN_VOLUME)
-        weight.setflags(write=False)
-        k2h = b.k2h[..., 0]
-        return Band(self.shape[:2], self.spec_shape[:2], b.index[:2],
-                    b.wavenumbers[:2], k2h, k2h, weight)
+    def plane(self) -> Grid:
+        """The kz=0 plane of the band, a 2D layout: the NS2D layout.  Its
+        parent is the kz=0 slice c[:, :, 0] of this grid's coefficients, and
+        every mode weighs the box volume."""
+        index = self.band.index[:2]
+        return self._restrict(index, np.full(len(index[1]), DOMAIN_VOLUME))
+
+    def _restrict(self, index: tuple[np.ndarray, ...], weight: np.ndarray) -> Grid:
+        """The layout of the modes at index on the leading axes of this one,
+        each position of its last axis weighing weight in a sum."""
+        nd = len(index)
+        return Grid(self.shape[:nd], self.spec_shape[:nd], index,
+                    tuple(k[i] for k, i in zip(self.wavenumbers, index)), weight)
 
     @cached_property
-    def plan(self) -> "_Plan":
+    def plan(self) -> _Plan:
         """How the transforms run on this layout (_Plan)."""
         return _Plan.of(self)
+
+    @cached_property
+    def workspace(self) -> Workspace | None:
+        """The transform workspace of a band: WORKSPACE_FIELDS real lattice
+        fields and the stages of WORKSPACE_BATCH fields, about 2.7 MB at
+        32^3 and 0.33 MB on the plane of a 64x64 grid.  The forward's stage
+        shares its memory with the inverse's stages before the half, which
+        no forward uses.  None on a grid (whole), whose transforms allocate
+        their own arrays."""
+        if self.whole:
+            return None
+        plan = self.plan
+        *early, half = [(WORKSPACE_BATCH, *shape) for shape, _ in plan.inverse]
+        kept = (WORKSPACE_BATCH, *plan.half[:-1], plan.n)
+        shared = np.empty(max(map(math.prod, (kept, *early))), np.complex128)
+        view = lambda shape: shared[: math.prod(shape)].reshape(shape)
+        return Workspace(np.empty((WORKSPACE_FIELDS, *self.shape)), (
+            *map(view, early), np.empty(half, np.complex128)), view(kept))
+
+    @cached_property
+    def _where(self) -> tuple:
+        """Index of the layout in its parent's: the leading axes by their
+        positions, the last by a slice where it is a prefix (half the cost
+        of a third index array)."""
+        last = self.index[-1]
+        if np.array_equal(last, np.arange(len(last))):
+            return (Ellipsis, *np.ix_(*self.index[:-1]), slice(0, len(last)))
+        return (Ellipsis, *np.ix_(*self.index))
+
+    def gather(self, c: np.ndarray) -> np.ndarray:
+        """The layout's coefficients of (stacks of) parent-layout arrays c."""
+        return c[self._where]
+
+    def scatter(self, b: np.ndarray) -> np.ndarray:
+        """The parent-layout coefficients of (stacks of) arrays b on the
+        layout: zero outside it."""
+        nd = len(self.index)
+        out = np.zeros((*b.shape[:-nd], *self.parent_spec_shape), dtype=np.complex128)
+        out[self._where] = b
+        return out
 
     def cached(self, key, build):
         out = self._cache.get(key)
         if out is None:
-            out = build()
-            out.setflags(write=False)
+            out = _readonly(build())
             self._cache[key] = out
         return out
 
 
 @dataclass(frozen=True, eq=False)
 class Workspace:
-    """Lattice-size scratch arrays of the nonlinear evaluations on one Band.
+    """Lattice-size scratch arrays of the nonlinear evaluations on one band.
 
     real holds WORKSPACE_FIELDS lattice fields: a stepper's inverse transform
     writes its velocities into them (on a 3D band the pair (v1 + w, v2)
@@ -227,117 +285,7 @@ WORKSPACE_FIELDS = 5
 WORKSPACE_BATCH = 3
 
 
-@dataclass(frozen=True, eq=False)
-class Band:
-    """The modes of a Grid that the 2/3 dealias mask keeps, or their kz=0
-    plane (Grid.plane).
-
-    Mode m on an axis of n points is kept when 3|m| < n, so the kept set is
-    the tensor product of one index set per axis and needs no mask: a band
-    array holds exactly the kept coefficients, shape spec_shape.  index[a]
-    lists their positions in the parent's coefficient layout along axis a:
-    on kx and ky the modes [0..K, -K..-1], which is itself the FFT order of
-    2K+1 modes; on kz the prefix [0..K].  No kept
-    mode is a Nyquist mode, and the set is closed under k -> -k.
-
-    A band stands in for its parent wherever a grid-like object is read:
-    shape, nx, ny (nz on a cube) are the parent's physical sizes, so the
-    transforms map band coefficients to the full lattice and back, while the
-    wavenumbers, k2h, ksq, parseval_weight and the cached multipliers are
-    those of the kept modes.  It keeps the parent's sizes, not the parent,
-    so the band that a parent caches makes no reference cycle with it.
-
-    Every band owns the Workspace of its transforms (see the module
-    docstring).
-    """
-
-    shape: tuple[int, ...]
-    parent_spec_shape: tuple[int, ...]
-    index: tuple[np.ndarray, ...]
-    wavenumbers: tuple[np.ndarray, ...]
-    k2h: np.ndarray = field(repr=False)
-    ksq: np.ndarray = field(repr=False)
-    # the parent's weight on the kept planes of the last axis
-    parseval_weight: np.ndarray = field(repr=False)
-    _cache: dict = field(repr=False, default_factory=dict)
-
-    @classmethod
-    def of(cls, grid: Grid) -> "Band":
-        index = tuple(
-            np.flatnonzero(_kept(np.rint(k / PI), n))
-            for k, n in zip(grid.wavenumbers, grid.shape)
-        )
-        ks = tuple(k[i] for k, i in zip(grid.wavenumbers, index))
-        k2h = np.add.outer(ks[0] ** 2, ks[1] ** 2)[:, :, None]
-        ksq = k2h + ks[2][None, None, :] ** 2
-        weight = grid.parseval_weight[index[-1]]
-        for a in (*index, *ks, k2h, ksq, weight):
-            a.setflags(write=False)
-        return cls(grid.shape, grid.spec_shape, index, ks, k2h, ksq, weight)
-
-    nx = property(lambda self: self.shape[0])
-    ny = property(lambda self: self.shape[1])
-    nz = property(lambda self: self.shape[2])
-
-    @property
-    def spec_shape(self) -> tuple[int, ...]:
-        return tuple(len(i) for i in self.index)
-
-    kx = property(lambda self: self.wavenumbers[0])
-    ky = property(lambda self: self.wavenumbers[1])
-    kz = property(lambda self: self.wavenumbers[2])
-    kx3 = Grid.kx3
-    ky3 = Grid.ky3
-    kz3 = Grid.kz3
-
-    @cached_property
-    def workspace(self) -> Workspace:
-        """The transform workspace of this band: WORKSPACE_FIELDS real
-        lattice fields and the stages of WORKSPACE_BATCH fields, about
-        2.7 MB at 32^3 and 0.33 MB on the plane of a 64x64 grid.  The
-        forward's stage shares its memory with the inverse's stages before
-        the half, which no forward uses."""
-        plan = self.plan
-        *early, half = [(WORKSPACE_BATCH, *shape) for shape, _ in plan.inverse]
-        kept = (WORKSPACE_BATCH, *plan.half[:-1], plan.n)
-        shared = np.empty(max(map(math.prod, (kept, *early))), np.complex128)
-        view = lambda shape: shared[: math.prod(shape)].reshape(shape)
-        return Workspace(np.empty((WORKSPACE_FIELDS, *self.shape)), (
-            *map(view, early), np.empty(half, np.complex128)), view(kept))
-
-    @cached_property
-    def _where(self) -> tuple:
-        """Index of the band in the parent's coefficient layout: the leading
-        axes by their positions, the last by a slice where it is a prefix
-        (half the cost of a third index array)."""
-        last = self.index[-1]
-        if np.array_equal(last, np.arange(len(last))):
-            return (Ellipsis, *np.ix_(*self.index[:-1]), slice(0, len(last)))
-        return (Ellipsis, *np.ix_(*self.index))
-
-    def gather(self, c: np.ndarray) -> np.ndarray:
-        """The band's coefficients of (stacks of) parent-layout arrays c."""
-        return c[self._where]
-
-    def scatter(self, b: np.ndarray) -> np.ndarray:
-        """The parent-layout coefficients of (stacks of) band arrays b: zero
-        outside the band."""
-        nd = len(self.index)
-        out = np.zeros((*b.shape[:-nd], *self.parent_spec_shape), dtype=np.complex128)
-        out[self._where] = b
-        return out
-
-    plan = Grid.plan
-    cached = Grid.cached
-
-
-def _workspace(grid: Grid | Band) -> Workspace | None:
-    """The transform workspace of a Band; None on a Grid, whose transforms
-    allocate their arrays."""
-    return grid.workspace if isinstance(grid, Band) else None
-
-
-def _to_band(grid: Grid, band: Band, comps: Sequence[np.ndarray]) -> np.ndarray:
+def _to_band(grid: Grid, band: Grid, comps: Sequence[np.ndarray]) -> np.ndarray:
     """The coefficients on band, grid.band or grid.plane, of a stack of
     components in the band's parent layout.
 
@@ -360,15 +308,11 @@ def _to_band(grid: Grid, band: Band, comps: Sequence[np.ndarray]) -> np.ndarray:
 
 
 def make_grid(nx: int, ny: int, nz: int) -> Grid:
-    """Build a grid with pi-based wavenumbers and the symmetric 2/3-rule mask.
+    """The grid of an nx x ny x nz lattice: the kz >= 0 half of its modes,
+    with pi-based wavenumbers.
 
     kx and ky are in numpy FFT order; kz = pi * [0, 1, ..., nz/2], the
     non-negative half that indexes the stored coefficients.
-
-    The mask keeps mode m on an axis of size n exactly when 3|m| < n, so
-    quadratic products of masked fields are alias-free on the kept modes
-    for every n: the sum of two kept modes is below 2n/3 in size, and its
-    alias, n away, is above n/3.
     """
     for n in (nx, ny, nz):
         if not isinstance(n, (int, np.integer)):
@@ -376,17 +320,13 @@ def make_grid(nx: int, ny: int, nz: int) -> Grid:
         if n < 4 or n % 2 != 0:
             raise InvalidGrid(f"grid sizes must be even and >= 4, got {n}")
 
+    spec_shape = (nx, ny, nz // 2 + 1)
     modes = (_mode_numbers(nx), _mode_numbers(ny), np.arange(nz // 2 + 1.0))
-    axes = [PI * m for m in modes]
-    keeps = [_kept(m, n) for m, n in zip(modes, (nx, ny, nz))]
-    mask = keeps[0][:, None, None] & keeps[1][None, :, None] & keeps[2][None, None, :]
-
-    k2h = axes[0][:, None, None] ** 2 + axes[1][None, :, None] ** 2
-    ksq = k2h + axes[2][None, None, :] ** 2
-    arrays = [*axes, mask, k2h, ksq]
-    for a in arrays:
-        a.setflags(write=False)
-    return Grid(nx, ny, nz, axes[0], axes[1], axes[2], mask, k2h, ksq)
+    # a plane 0 < kz < nz/2 also stands for its kz < 0 mirror
+    weight = np.full(nz // 2 + 1, 2.0 * DOMAIN_VOLUME)
+    weight[0] = weight[-1] = DOMAIN_VOLUME
+    return Grid((nx, ny, nz), spec_shape, tuple(map(np.arange, spec_shape)),
+                tuple(PI * m for m in modes), weight)
 
 
 @dataclass(frozen=True)
@@ -432,7 +372,7 @@ def zero_field(grid: Grid, parity: str = NONE) -> SpectralField:
 # raw-array kernels (shared by fields/solvers; coefficient convention as above)
 # ---------------------------------------------------------------------------
 
-def _lattice_phase(grid: Grid | Band) -> np.ndarray:
+def _lattice_phase(grid: Grid) -> np.ndarray:
     """(-1)^(mx+my+mz): relates FFT output on the lattice starting at -1 to
     true Fourier coefficients with respect to exp(i k . x), in the shape of
     the stored coefficients.  On Grid.plane mz = 0, so its phase is the
@@ -461,14 +401,14 @@ class _Plan:
     and the moves that copy each run of axis a into the zeroed stage; None
     where the stage is the previous array.  The forward's complex passes
     run in place on the kept prefix of the half, shape (*half[:-1], n): on
-    a Band a contiguous stage of its own (Workspace.forward), on a Grid,
+    a band a contiguous stage of its own (Workspace.forward), on a grid,
     which keeps every plane, the half itself.  forward[a] indexes the views
     of it that the pass of leading axis a runs on: the lines whose earlier
     leading axes are kept.  source is the flat position in that prefix of
-    each coefficient of a Band, and conj whether it is that entry's
+    each coefficient of a band, and conj whether it is that entry's
     conjugate: Grid.plane, whose parent is a full plane, reads its ky < 0
     modes as pocketfft fills the fftn of a real plane.  Both are None on a
-    Grid, whose half is its layout.
+    grid (Grid.whole), whose half is its layout.
     """
 
     half: tuple[int, ...]
@@ -480,10 +420,9 @@ class _Plan:
     conj: np.ndarray | None
 
     @classmethod
-    def of(cls, grid: Grid | Band) -> "_Plan":
+    def of(cls, grid: Grid) -> _Plan:
         *lead, last = grid.shape
-        h, nd, band = last // 2 + 1, len(lead), isinstance(grid, Band)
-        at = grid.index if band else tuple(map(np.arange, grid.spec_shape))
+        h, nd, at = last // 2 + 1, len(lead), grid.index
         n = int(np.count_nonzero(at[-1] <= last // 2))
         every, kept = slice(None), slice(0, n)
         runs = []  # (layout, half) slices of each run of consecutive positions
@@ -510,7 +449,7 @@ class _Plan:
             conj = (ky > ny // 2) | edge
             source = np.where(conj, -kx % nx * n + -ky % ny, kx * n + ky).ravel()
             conj = conj.ravel()
-        elif band:
+        elif not grid.whole:
             source = np.ravel_multi_index(np.ix_(*at), (*lead, n)).ravel()
         # the forward's 1/N as pocketfft computes it: in long double, rounded once
         norm = float(1 / np.longdouble(math.prod(grid.shape)))
@@ -518,18 +457,18 @@ class _Plan:
 
 
 def _raw_to_phys(
-    grid: Grid | Band, c: np.ndarray, out: np.ndarray | None = None
+    grid: Grid, c: np.ndarray, out: np.ndarray | None = None
 ) -> np.ndarray:
     """Lattice values of (stacks of) real fields from their coefficients,
     written to out (C-contiguous; a new array when None).
 
-    An irfftn of the half spectrum: all of c on a Grid, and on a Band its
+    An irfftn of the half spectrum: all of c on a grid, and on a band its
     modes in its parent's half, zero elsewhere (on Grid.plane its ky >= 0
     modes, whose conjugate mirror the others must be).  The passes are those of
     the module docstring, each on the lines the layout keeps, in a stage of
-    its own (_Plan.inverse); on a Band the stages are its workspace's.
+    its own (_Plan.inverse); on a band the stages are its workspace's.
     """
-    plan, ws = grid.plan, _workspace(grid)
+    plan, ws = grid.plan, grid.workspace
     phase = _lattice_phase(grid)[..., : plan.n]
     cs = c.reshape(-1, *grid.spec_shape)
     if out is None:
@@ -540,7 +479,7 @@ def _raw_to_phys(
         part = cs[s : s + step]
         x = part[..., : plan.n] * phase
         for a, (_, moves) in enumerate(plan.inverse):
-            if moves:  # only a Band moves its runs into a stage
+            if moves:  # only a band moves its runs into a stage
                 stage = ws.stages[a][: len(part)]
                 stage.fill(0.0)
                 for to, at in moves:
@@ -553,17 +492,17 @@ def _raw_to_phys(
     return out
 
 
-def _raw_to_spec(grid: Grid | Band, p: np.ndarray) -> np.ndarray:
+def _raw_to_spec(grid: Grid, p: np.ndarray) -> np.ndarray:
     """Coefficients of (stacks of) real fields from their lattice values:
-    the kz >= 0 half on a Grid (an rfftn), and on a Band the kept modes of
+    the kz >= 0 half on a grid (an rfftn), and on a band the kept modes of
     its parent's (on Grid.plane, of the plane's fftn).  The passes are
     those of the module docstring: the real pass into the half spectrum,
     the scaling as the kept planes are copied into the stage of the
     complex passes, and those in place on the lines the layout keeps
-    (_Plan.forward).  On a Band they run in its workspace, and the
+    (_Plan.forward).  On a band they run in its workspace, and the
     coefficients are then read off the stage (_Plan.source).
     """
-    plan, ws = grid.plan, _workspace(grid)
+    plan, ws = grid.plan, grid.workspace
     ps = p.reshape(-1, *grid.shape)
     out = np.empty((len(ps), *grid.spec_shape), dtype=np.complex128)
     step = WORKSPACE_BATCH if ws else max(len(ps), 1)
@@ -587,21 +526,21 @@ def _raw_to_spec(grid: Grid | Band, p: np.ndarray) -> np.ndarray:
     return out.reshape(*p.shape[: p.ndim - len(grid.shape)], *grid.spec_shape)
 
 
-def _raw_embed_plane(grid: Grid | Band, P: np.ndarray) -> np.ndarray:
+def _raw_embed_plane(grid: Grid, P: np.ndarray) -> np.ndarray:
     """Coefficients of the z-independent fields whose kz=0 planes are P."""
     out = np.zeros((*P.shape[:-2], *grid.spec_shape), dtype=np.complex128)
     out[..., 0] = P
     return out
 
 
-def _is_nyquist(grid: Grid | Band, axis: int) -> np.ndarray:
+def _is_nyquist(grid: Grid, axis: int) -> np.ndarray:
     """Which stored modes of an axis are its Nyquist mode |m| = n/2: index
-    n//2 of kx and ky, the last plane of the half-length kz; none on a Band."""
+    n//2 of kx and ky, the last plane of the half-length kz; none on a band."""
     m = np.rint(grid.wavenumbers[axis] / PI)
     return 2 * np.abs(m) == grid.shape[axis]
 
 
-def _deriv_mult(grid: Grid | Band, axis: int, order: int) -> np.ndarray:
+def _deriv_mult(grid: Grid, axis: int, order: int) -> np.ndarray:
     """(i k)^order along one axis, broadcastable over the grid.
 
     For odd orders the Nyquist mode is zeroed: there -k is k itself, so
@@ -620,9 +559,9 @@ def _deriv_mult(grid: Grid | Band, axis: int, order: int) -> np.ndarray:
     return grid.cached(("deriv", axis, order), build)
 
 
-def _raw_hflip(grid: Grid | Band, c: np.ndarray) -> np.ndarray:
+def _raw_hflip(grid: Grid, c: np.ndarray) -> np.ndarray:
     """c[..., -kx, -ky, :], a new array.  kx and ky are in FFT order, on a
-    Band too, so -m sits at index (-i) mod (axis length)."""
+    band too, so -m sits at index (-i) mod (axis length)."""
     bx, by = grid.spec_shape[:2]
 
     def build():
@@ -635,11 +574,11 @@ def _raw_hflip(grid: Grid | Band, c: np.ndarray) -> np.ndarray:
     return out.reshape(c.shape)
 
 
-def _raw_parity_project(grid: Grid | Band, c: np.ndarray, parity: str) -> np.ndarray:
+def _raw_parity_project(grid: Grid, c: np.ndarray, parity: str) -> np.ndarray:
     """Orthogonal projection onto the even or odd functions of z.
 
     Reflecting z sends the coefficient at kz to the one at -kz, which this
-    layout stores as conj(c[-kx, -ky, kz]).  The kz=0 plane and, on a Grid,
+    layout stores as conj(c[-kx, -ky, kz]).  The kz=0 plane and, on a grid,
     the Nyquist plane are their own reflection, so an odd field vanishes
     there; they are written as exact zeros rather than as the rounding
     residue of that difference.
@@ -656,18 +595,18 @@ def _raw_parity_project(grid: Grid | Band, c: np.ndarray, parity: str) -> np.nda
     return out
 
 
-def _raw_wsum(grid: Grid | Band, x: np.ndarray) -> float:
+def _raw_wsum(grid: Grid, x: np.ndarray) -> float:
     """Integral over the box that a sum of x over all modes represents: the
     sum over the stored coefficients with grid.parseval_weight."""
     return float(np.sum(x @ grid.parseval_weight))
 
 
-def _raw_inner(grid: Grid | Band, a: np.ndarray, b: np.ndarray) -> float:
+def _raw_inner(grid: Grid, a: np.ndarray, b: np.ndarray) -> float:
     """L2(Omega) pairing of (stacks of) real fields from their coefficients."""
     return _raw_wsum(grid, (np.conj(a) * b).real)
 
 
-def _lap_delta_mult(grid: Grid | Band, delta: float) -> np.ndarray:
+def _lap_delta_mult(grid: Grid, delta: float) -> np.ndarray:
     return grid.cached(
         ("lap_delta", float(delta)),
         lambda: -(grid.k2h + delta * grid.kz3**2),

@@ -1027,7 +1027,7 @@ class TestCli:
         ("NS_eps_delta", "eps = 0.3\ndelta = 0.2\nrecipe = bandlimited_random\n",
          9.853311192e-01, 9.957410733e-01),
         ("PE_H", "recipe = bandlimited_random\n", 9.853381959e-01, 9.958087113e-01),
-        ("StokesScaled", "eps = 0.5\ndelta = 2.0\nrecipe = heat_mode\n",
+        ("StokesScaled", "recipe = heat_mode\ndelta = 2.0\n",
          2.489813608e-01, 8.208687174e-01),
     ])
     def test_run_prints_the_norms_of_the_state(self, tmp_path, capsys, system, extra,
@@ -1152,6 +1152,23 @@ class TestCli:
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("bogus_key = 1\n")
         assert main(["run", "--config", str(cfg)]) == 2
+
+    @pytest.mark.parametrize("system, extra, message", [
+        ("NS2D", "delta = 5.0", "NS2D has no vertical viscosity"),
+        ("PE_delta", "eps = 0.01\ndelta = 0.5", "PE_delta reads no eps"),
+    ])
+    def test_run_rejects_a_parameter_the_system_never_reads(self, tmp_path, capsys,
+                                                            system, extra, message):
+        """Before, each ran and printed the norms of a run at delta 0 (at
+        eps 1 for PE_delta)."""
+        from hydrostat.harness.cli import main
+
+        cfg = tmp_path / "sim.cfg"
+        cfg.write_text(f"system = {system}\nnx = 8\nny = 8\nnz = 8\ndt = 1e-3\n"
+                       f"t_end = 0.01\n{extra}\n")
+        assert main(["run", "--config", str(cfg)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: ") and message in err
 
     def test_fit_per_gamma_equals_the_sweeps_fits(self, tmp_path, capsys):
         """fit of a gamma_scan CSV fits each gamma on its own, as the sweep

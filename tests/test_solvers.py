@@ -107,6 +107,23 @@ class TestSimConfig:
         with pytest.raises(InvalidParameter, match=f"{name} must be finite"):
             SimConfig("NS_eps_delta", 8, 8, 8, 1e-3, 0.1, **{name: value})
 
+    @pytest.mark.parametrize("kw, message", [
+        (dict(system="NS2D", delta=5.0), "NS2D has no vertical viscosity"),
+        (dict(system="NS2D", gamma=3.0), "NS2D has no vertical viscosity"),
+        (dict(system="PE_H", gamma=3.0), "PE_H has no vertical viscosity"),
+        *((dict(system=s, eps=0.01), f"{s} reads no eps")
+          for s in ("PE_delta", "PE_H", "NS2D", "StokesScaled")),
+        (dict(system="NS2D", eps=0.5, gamma=3.0), "NS2D reads no eps"),
+    ])
+    def test_parameters_the_system_never_reads_are_rejected(self, kw, message):
+        """A delta for a system without vertical viscosity, given or tied to
+        eps by gamma, and an eps for any system but NS_eps_delta are
+        refused: before, NS2D at delta 5 and PE_delta at eps 0.01 ran as at
+        delta 0 and eps 1."""
+        base = dict(nx=8, ny=8, nz=8, dt=1e-3, t_end=0.01, **kw)
+        with pytest.raises(InvalidParameter, match=message):
+            SimConfig(**base)
+
 
 class TestAnisotropicStepper:
     def test_heat_mode_single_step(self, grid16):
@@ -537,7 +554,7 @@ class TestSharedWorkspace:
 class TestRunSimulation:
     def test_stokes_records_match_exponential(self):
         cfg = SimConfig(
-            "StokesScaled", 16, 16, 16, 1e-2, 1.0, eps=0.5, delta=2.0,
+            "StokesScaled", 16, 16, 16, 1e-2, 1.0, delta=2.0,
             recipe="heat_mode", record_every=10,
         )
         rec = run_simulation(cfg)

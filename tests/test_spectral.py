@@ -12,6 +12,7 @@ from hydrostat.errors import InvalidGrid, InvalidParameter, ShapeError
 from hydrostat.spectral import (
     EVEN,
     ODD,
+    Grid,
     SpectralField,
     _deriv_mult,
     _lap_delta_mult,
@@ -193,8 +194,8 @@ class TestTransforms:
 
 
 class TestBand:
-    """The stepper layout: the modes the 2/3 mask keeps, as a grid-like
-    object of its own."""
+    """The stepper layout, grid.band: the modes the 2/3 mask keeps, a layout
+    of its own."""
 
     @pytest.mark.parametrize(
         "shape, band", [((32, 32, 32), (21, 21, 11)), ((16, 16, 16), (11, 11, 6)),
@@ -268,6 +269,31 @@ class TestBand:
                 assert np.array_equal(
                     b * mult, band.gather(c * _deriv_mult(grid, axis, order))
                 )
+
+
+class TestOneLayoutType:
+    """The grid, its band and its plane are one class, Grid, built by one
+    constructor: the band's tables are the grid's on the kept modes."""
+
+    @pytest.mark.parametrize("shape", [(32, 32, 32), (16, 16, 8), (64, 64, 4), (6, 4, 10)])
+    def test_band_and_plane_are_grids(self, shape):
+        grid = make_grid(*shape)
+        band, plane = grid.band, grid.plane
+        assert type(grid) is Grid and type(band) is Grid and type(plane) is Grid
+        assert grid.whole and not band.whole and not plane.whole
+        assert grid.workspace is None
+        # bit for bit the grid's tables gathered onto the band
+        assert np.array_equal(band.k2h, band.gather(grid.k2h))
+        assert np.array_equal(band.ksq, band.gather(grid.ksq))
+        weight = np.broadcast_to(grid.parseval_weight, grid.spec_shape)
+        assert np.array_equal(band.parseval_weight, band.gather(weight)[0, 0])
+        assert grid.kmax == max(float(np.max(np.abs(k) * grid.dealias_mask))
+                                for k in (grid.kx3, grid.ky3, grid.kz3))
+
+    def test_layouts_compare_and_hash_by_identity(self):
+        a, b = make_grid(8, 8, 8), make_grid(8, 8, 8)
+        assert a == a and not (a == b) and a != b
+        assert len({a, b, a.band, a.plane}) == 4
 
 
 class TestBandWorkspace:
