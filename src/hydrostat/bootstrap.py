@@ -73,10 +73,6 @@ class SampledFunction:
         return np.interp(t, self.ts, self.xs)
 
     @property
-    def t0(self) -> float:
-        return float(self.ts[0])
-
-    @property
     def t1(self) -> float:
         return float(self.ts[-1])
 

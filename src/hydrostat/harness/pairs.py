@@ -8,8 +8,8 @@ from states sampled at identical times.  Time derivatives entering the
 maximal-regularity norms are the semi-discrete right-hand sides, not finite
 differences.
 
-Points that share their reference lanes form a family (families), which
-builds one grid and one set of initial data and runs the references and one
+Points that share their reference lanes form a family, which builds one
+grid and one set of initial data and runs the references and one
 anisotropic run per point in lockstep.  In the hydrostatic modes the limit
 system (PE_H) has neither eps nor delta, so all points share one PE_H
 reference.  In mode delta_to_infty the barotropic plane is compared with
@@ -17,12 +17,15 @@ NS2D and the baroclinic part with the exact Stokes flow on the schedule of
 _stiff_segments, none of which depends on eps: the points at one delta share
 both comparison runs.  Every rule that depends on the mode, from the lists a
 sweep reads to the norms its total sums, is the mode's entry of MODES.
+_run_points alone groups points into families; it runs distinct families on
+a pool of up to jobs threads (a single one in the calling thread), and warns
+once per call.
 
-The lanes run in solvers.run_lanes, the time loop of run_simulation too;
-the observers here fold the sampled differences into the norms on the band
-of the lane's stepper (st.grid), outside which every state is zero.  A
-comparison lane is a reference lane: its failure stops every run it serves,
-and only runs still running read or receive its samples, so a point's rows
+The lanes run in solvers.run_lanes, the time loop of run_simulation too.  In
+every mode a family's references step first and store their samples; each
+member's observer then folds its own norms on the band of its stepper
+(st.grid), outside which every state is zero.  A reference's failure stops
+every run it serves before they read that step's sample, so a point's rows
 equal those of its lone run.
 """
 from __future__ import annotations
@@ -93,7 +96,7 @@ def run_matched_pair(
     This is a family of one point (see run_matched_family); an error that
     stops the point, or makes it invalid, is raised.
     """
-    (out,) = _run_points([(point[0], point[1], gamma)], base, mode)
+    (out,) = _run_points([(point[0], point[1], gamma)], base, mode, 1)
     if isinstance(out, Exception):
         raise out
     return out
@@ -103,19 +106,21 @@ def run_matched_family(
     points: list[tuple[float, float, float | None]],
     base: SimConfig,
     mode: str,
+    jobs: int = 1,
 ) -> list[list[NormRow]]:
     """Norm rows of every (eps, delta, gamma) point, in the order given.
 
-    The points that share their reference lanes run as one family
-    (families), which steps each reference once per step, in the calling
-    thread: all points in the hydrostatic modes share one PE_H reference,
-    the points at one delta in mode "delta_to_infty" their NS2D and Stokes
-    runs.  A point's rows equal those of run_matched_pair at that point,
-    with the family's wall time as wall_ms.  A point that blows up stops
-    alone; a blowup of a reference stops every point of its family still
-    running, all flagged as blown up.  One RuntimeWarning names the largest
-    advective CFL number of any run above solvers.CFL_LIMIT, and its point
-    (or its reference's delta).
+    The points that share their reference lanes run as one family, which
+    steps its references once per step, before its members: all points in
+    the hydrostatic modes share one PE_H reference, the points at one delta
+    in mode "delta_to_infty" their NS2D and Stokes runs.  Distinct families
+    run one per task on a pool of up to jobs (>= 1, or ConfigError) threads,
+    a single one in the calling thread.  A point's rows equal those of
+    run_matched_pair at that point, with its family's wall time as wall_ms.
+    A point that blows up stops alone; a blowup of a reference stops every
+    point of its family still running, all flagged as blown up.  One
+    RuntimeWarning per call names the largest advective CFL number of any
+    run above solvers.CFL_LIMIT, and its point (or its reference's delta).
 
     A point stopped by an error gets a single FAILED row, which carries the
     exception's type and message, instead of raising, so one bad point does
@@ -126,28 +131,33 @@ def run_matched_family(
         [NormRow(mode, pt[0], pt[1], pt[2], "FAILED", float("nan"), True, 0,
                  (type(out).__name__, str(out)))]
         if isinstance(out, Exception) else out
-        for pt, out in zip(points, _run_points(points, base, mode))
+        for pt, out in zip(points, _run_points(points, base, mode, jobs))
     ]
 
 
-def families(points, mode: str) -> list[list[int]]:
-    """Indices of the points grouped by the reference lanes they share, in order."""
+def _run_points(points, base: SimConfig, mode: str, jobs: int) -> list:
+    """Each point's rows or the exception that stopped it.  The one place
+    that groups points into families (MODES[mode].key) and runs them on a
+    pool; warn_cfl sees the lanes of every family."""
+    if jobs < 1:
+        raise ConfigError(f"jobs must be >= 1, got {jobs}")
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}")
-    groups: dict = {}
+    families: dict = {}
     for i, pt in enumerate(points):
-        groups.setdefault(MODES[mode].key(pt), []).append(i)
-    return list(groups.values())
+        families.setdefault(MODES[mode].key(pt), []).append(i)
+    run = lambda family: _run_family([points[i] for i in family], base, mode)
+    jobs = min(jobs, len(families))
+    if jobs > 1:
+        from concurrent.futures import ThreadPoolExecutor
 
-
-def _run_points(points, base: SimConfig, mode: str) -> list:
-    """Each point's rows or the exception that stopped it; warns once (warn_cfl)."""
-    lanes: list[Lane] = []
-    out = {}
-    for family in families(points, mode):
-        got = _run_family([points[i] for i in family], base, mode, lanes)
-        out.update(zip(family, got))
-    warn_cfl(lanes)
+        with ThreadPoolExecutor(max_workers=jobs) as ex:
+            done = list(ex.map(run, families.values()))
+    else:
+        done = list(map(run, families.values()))
+    warn_cfl([lane for _, lanes in done for lane in lanes])
+    out = {i: got for family, (outcomes, _) in zip(families.values(), done)
+           for i, got in zip(family, outcomes)}
     return [out[i] for i in range(len(points))]
 
 
@@ -225,8 +235,8 @@ class _Member:
         return rows + [row("total", sum(values[name] for name in MODES[mode].total))]
 
 
-def _run_family(points, base: SimConfig, mode: str, lanes: list) -> list:
-    """The outcome of every point of one family; adds its lanes to lanes."""
+def _run_family(points, base: SimConfig, mode: str) -> tuple[list, list[Lane]]:
+    """The outcome of every point of one family, and the family's lanes."""
     t0 = _time.perf_counter()
     spec = MODES[mode]
     outcomes = []
@@ -237,20 +247,19 @@ def _run_family(points, base: SimConfig, mode: str, lanes: list) -> list:
         except Exception as exc:  # reported as this point's outcome
             outcomes.append(exc)
     if not any(isinstance(m, _Member) for m in outcomes):
-        return outcomes  # no valid point: no reference lane to run
+        return outcomes, []  # no valid point: no reference lane to run
     try:
         grid = make_grid(base.nx, base.ny, base.nz)
         data = generate_initial_data(base.recipe, base.seed, grid)
         family, schedule = spec.lanes(data, base, spec.key(points[0]),
                                  [m for m in outcomes if isinstance(m, _Member)])
     except Exception as exc:  # fails every valid point
-        return [exc if isinstance(m, _Member) else m for m in outcomes]
+        return [exc if isinstance(m, _Member) else m for m in outcomes], []
     del data  # the lanes hold band arrays and the grid
-    lanes += family
     run_lanes(family, schedule, grid.kmax, base.record_every)
     wall = int(1000 * (_time.perf_counter() - t0))
     return [m.outcome(mode, wall) if isinstance(m, _Member) else m
-            for m in outcomes]
+            for m in outcomes], family
 
 
 def _pe_h_lanes(data, base: SimConfig, key, members: list[_Member]):
@@ -282,36 +291,31 @@ def _pe_h_lanes(data, base: SimConfig, key, members: list[_Member]):
 
 def _large_delta_lanes(data, base: SimConfig, delta: float, members: list[_Member]):
     """A delta_to_infty family's lanes in stepping order, and its schedule:
-    the members, then the NS2D run of the barotropic plane and the Stokes
-    flow of the baroclinic part, which fold into every running member's norms."""
-    band = data.grid.band
-    bar = {}
+    the NS2D run of the barotropic plane and the Stokes flow of the
+    baroclinic part first, whose samples every member's observer reads."""
+    ref = {}
 
-    def sample_ns(k, norms, st, t, U, N):
+    def sample_2d(st, t, B, N):
+        # B is on grid.plane, the kz=0 plane of the band
+        ref["2d"] = (B, st.rhs(B, N))
+
+    def sample_stokes(st, t, S, N):
+        ref["stokes"] = Energies.of(st.grid, _raw_with_w(st.grid, S))
+
+    def sample_member(norms, st, t, U, N):
         # the barotropic planes of the state and its time derivative
-        bar[k] = (U[..., 0].copy(), st.rhs(U, N)[..., 0].copy())
+        B, rhs_2d = ref["2d"]
+        norms.fold("E1_bar_diff", t, Energies.of(
+            st.grid, _raw_embed_plane(st.grid, U[..., 0] - B),
+            _raw_embed_plane(st.grid, st.rhs(U, N)[..., 0] - rhs_2d)))
         tilde = U.copy()
         tilde[..., 0] = 0.0
         # (vtilde, w) with the physical w, which vtilde determines
         norms.fold("L4H32_tilde", t, Energies.of(st.grid, _raw_with_w(st.grid, tilde)))
+        norms.fold("L4H32_tilde_stokes", t, ref["stokes"])
 
-    def sample_2d(st, t, B, N):
-        # B is on grid.plane, the kz=0 plane of the band
-        rhs = st.rhs(B, N)
-        for k, m in enumerate(members):
-            if m.lane.running:
-                U_bar, rhs_bar = bar[k]
-                m.norms.fold("E1_bar_diff", t, Energies.of(
-                    band, _raw_embed_plane(band, U_bar - B),
-                    _raw_embed_plane(band, rhs_bar - rhs)))
-
-    def sample_stokes(st, t, S, N):
-        sample = Energies.of(st.grid, _raw_with_w(st.grid, S))
-        for m in filter(lambda m: m.lane.running, members):
-            m.norms.fold("L4H32_tilde_stokes", t, sample)
-
-    for k, m in enumerate(members):
-        m.start(data, partial(sample_ns, k),
+    for m in members:
+        m.start(data, sample_member,
                 E1_bar_diff=NormAccumulator("EHdelta", delta=1.0),
                 L4H32_tilde=NormAccumulator("L4H32"),
                 L4H32_tilde_stokes=NormAccumulator("L4H32"))
@@ -321,7 +325,7 @@ def _large_delta_lanes(data, base: SimConfig, delta: float, members: list[_Membe
     stokes = system_lane("StokesScaled", data, 1.0, delta, observe=sample_stokes,
                          reference=True, label=f"Stokes reference, delta={delta:g}")
     stokes.U[..., 0] = 0.0  # the baroclinic (vtilde, w(vtilde))
-    return ([*(m.lane for m in members), ns2d, stokes],
+    return ([ns2d, stokes, *(m.lane for m in members)],
             _stiff_segments(base.t_end, base.dt, delta))
 
 
@@ -330,7 +334,7 @@ class Mode:
     """Everything that depends on a sweep mode.
 
     lanes(data, base, key, members) builds a family's lanes and schedule;
-    key(point) is what the points of one family share (families).  A sweep
+    key(point) is what the points of one family share (_run_points).  A sweep
     reads the *_values lists named in lists, needs those in needs, and
     makes its points with points(eps_values, delta_values, gamma_values).
     Its rates are fitted against abscissa(eps, delta).  A point's values

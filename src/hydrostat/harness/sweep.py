@@ -1,11 +1,8 @@
 """Sweep orchestration over (eps, delta) or gamma, rate regression, CSV output.
 
-A sweep runs the families of pairs.families (see run_matched_family): all
-points in the hydrostatic modes, the points at one delta in delta_to_infty.
-A sweep of more than one family runs one per task of a pool of up to --jobs
-threads; a single family, as every hydrostatic sweep is, runs in the
-calling thread.  Rows are then sorted deterministically, so
-repeated sweeps from the same configuration produce byte-identical CSV files.
+A sweep is one run_matched_family call over its points, at its jobs.
+Rows are sorted deterministically, so repeated sweeps from the same
+configuration produce byte-identical CSV files, at any jobs.
 Wall-clock timings are reported as zero unless explicitly requested, to keep
 the output bytes reproducible.  Next to results.csv, failures.json lists
 every point that an exception stopped and every norm that could not be
@@ -16,14 +13,13 @@ from __future__ import annotations
 import json
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from ..errors import ConfigError, FormatError, InsufficientData, InvalidParameter
 from ..solvers import SimConfig
-from .pairs import MODES, NormRow, _check_point, check_value, families, run_matched_family
+from .pairs import MODES, NormRow, _check_point, check_value, run_matched_family
 
 CSV_HEADER = "mode,eps,delta,gamma,norm_name,value,blowup,wall_ms"
 
@@ -35,7 +31,8 @@ class SweepConfig:
     The template is an NS_eps_delta setup; each point sets its own eps,
     delta and gamma.  The mode (pairs.MODES) names the lists it reads and
     needs and makes the points, each checked as run_matched_family checks
-    it; a list that the mode does not read is an error."""
+    it; a list that the mode does not read, or a point made twice, is an
+    error."""
 
     mode: str
     base: SimConfig
@@ -64,8 +61,11 @@ class SweepConfig:
             for value in values:  # before any point is made from it
                 check_value(name, value, self.mode)
         try:
-            for point in self.points():
+            points = self.points()
+            for i, point in enumerate(points):
                 _check_point(point, self.base, self.mode)
+                if point in points[:i]:
+                    raise ConfigError(f"(eps, delta, gamma) = {point} is repeated")
         except InvalidParameter as exc:
             raise ConfigError(str(exc)) from None
 
@@ -173,21 +173,8 @@ def parse_csv(text: str) -> list[NormRow]:
 
 def run_sweep(cfg: SweepConfig, write_plots: bool = False) -> SweepResult:
     """Evaluate every sweep point, fit rates, and persist CSV (and SVG)."""
-    pts = cfg.points()
-    groups = families(pts, cfg.mode)
-
-    def one(group):
-        return run_matched_family([pts[i] for i in group], cfg.base, cfg.mode)
-
-    jobs = min(cfg.jobs, len(groups))
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as ex:
-            outcomes = list(ex.map(one, groups))
-    else:
-        outcomes = [one(group) for group in groups]
-    rows_of = dict(zip((i for g in groups for i in g),
-                       (rows for family in outcomes for rows in family)))
-    result = SweepResult(rows=[row for i in sorted(rows_of) for row in rows_of[i]])
+    family = run_matched_family(cfg.points(), cfg.base, cfg.mode, cfg.jobs)
+    result = SweepResult(rows=[row for rows in family for row in rows])
 
     if not cfg.timing:
         result.rows = [replace(r, wall_ms=0) for r in result.rows]

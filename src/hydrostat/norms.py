@@ -112,7 +112,8 @@ def _wsum(mult: np.ndarray, e: np.ndarray) -> float:
 
 @dataclass(frozen=True)
 class NormAccumulator:
-    """Running state of one space-time norm along a trajectory."""
+    """Running state of one space-time norm along a trajectory; only the
+    EHdelta kind reads delta, so another kind rejects a nonzero one."""
 
     kind: str
     delta: float = 0.0
@@ -127,6 +128,9 @@ class NormAccumulator:
             raise InvalidParameter(f"unknown accumulator kind {self.kind!r}")
         if self.kind == "EHdelta" and self.delta < 0:
             raise InvalidParameter("EHdelta accumulator needs delta >= 0")
+        if self.kind != "EHdelta" and self.delta != 0:
+            raise InvalidParameter(f"a {self.kind} accumulator reads no delta, "
+                                   f"got delta={self.delta!r}")
 
 
 def _integrands(acc: NormAccumulator, s: Energies) -> tuple[float, ...]:

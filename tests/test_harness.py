@@ -445,6 +445,22 @@ class TestConfig:
                         base=SimConfig("NS_eps_delta", 8, 8, 8, 1e-3, 0.01),
                         eps_values=(0.2, 0.1), delta_values=(0.2, -1.0))
 
+    @pytest.mark.parametrize("mode, lists, point", [
+        ("gamma_scan", dict(eps_values=(0.2, 0.1, 0.2), gamma_values=(3.0,)),
+         (0.2, 0.2, 3.0)),
+        ("eps_delta_to_zero", dict(eps_values=(0.2, 0.2)), (0.2, 0.2, None)),
+        ("delta_to_infty", dict(eps_values=(0.5,), delta_values=(4.0, 4.0)),
+         (0.5, 4.0, None)),
+    ], ids=["gamma_scan", "eps_delta_to_zero", "delta_to_infty"])
+    def test_sweep_rejects_a_repeated_point(self, mode, lists, point):
+        """Before, each repeat ran as a point of its own and wrote its rows
+        again; eps_delta_to_zero may still repeat an eps with another delta."""
+        base = SimConfig("NS_eps_delta", 8, 8, 8, 1e-3, 0.01)
+        match = re.escape(f"(eps, delta, gamma) = {point} is repeated")
+        with pytest.raises(ConfigError, match=match):
+            SweepConfig(mode=mode, base=base, **lists)
+        SweepConfig(mode="eps_delta_to_zero", base=base,
+                    eps_values=(0.2, 0.2), delta_values=(0.2, 0.1))
 
     @pytest.mark.parametrize("eps", [1e200, 1e-200])
     def test_a_delta_out_of_the_float_range_names_eps_and_gamma(self, eps):
@@ -532,15 +548,16 @@ class TestSweep:
         calling thread at any --jobs."""
         import threading
 
-        from hydrostat.harness import sweep
+        from hydrostat.harness import pairs
 
         threads = []
+        run_family = pairs._run_family
 
         def spy(*args):
             threads.append(threading.current_thread())
-            return run_matched_family(*args)
+            return run_family(*args)
 
-        monkeypatch.setattr(sweep, "run_matched_family", spy)
+        monkeypatch.setattr(pairs, "_run_family", spy)
         d1, d2 = tmp_path / "a", tmp_path / "b"
         run_sweep(_tiny_sweep_cfg(str(d1), jobs=1, mode=mode))
         assert threads == [threading.current_thread()] * len(threads)
@@ -625,7 +642,10 @@ class TestSweep:
         }
         for name in ("E1_bar_diff", "L4H32_tilde", "L4H32_tilde_stokes"):
             assert np.isnan(rows[name].value) and rows[name].blowup
-            assert rows[name].error[0] == "InsufficientData"
+            # the references step first, so every norm holds the one sample:
+            # before, the two comparison norms had none
+            assert rows[name].error == (
+                "InsufficientData", "need at least 2 samples to finalize, have 1")
 
     def test_self_difference_degenerate_split(self):
         """z-independent data: both slots of the large-delta comparison run
@@ -762,14 +782,41 @@ class TestMatchedFamily:
         run_matched_family(_family_points(mode), base, mode)
         assert len(refs) == 1 and released and all(released)
 
-    def test_reference_blowup_stops_every_member(self, monkeypatch):
-        _fault(monkeypatch, PrimitiveStepper, "nonlinear", lambda st, N: N * np.nan)
+    @pytest.mark.parametrize("mode", ["eps_delta_to_zero", "gamma_scan", "delta_to_infty"])
+    def test_reference_blowup_stops_every_member(self, monkeypatch, mode):
+        """A reference whose nonlinear term turns NaN mid-run, from the sixth
+        step of its stepper on, stops every member before it reads that
+        step's sample: every norm keeps the five or more samples before it,
+        finite and flagged as blown up.  Before, the delta_to_infty members
+        read the NaN step and their E1_bar_diff was NaN."""
+
+        def poison(st, N):
+            st.calls = getattr(st, "calls", 0) + 1
+            return N * np.nan if st.calls > 5 else N
+
+        cls = NavierStokes2DStepper if mode == "delta_to_infty" else PrimitiveStepper
+        _fault(monkeypatch, cls, "nonlinear", poison)
         base = SimConfig("NS_eps_delta", 8, 8, 8, 2e-3, 0.02, seed=5)
-        mode = "eps_delta_to_zero"
-        family = run_matched_family(_family_points(mode), base, mode)
+        points = _family_points(mode)
+        family = run_matched_family(points, base, mode)
         rows = [r for point_rows in family for r in point_rows]
-        assert len(family) == 3
+        assert len(family) == len(points)
         assert all(r.blowup and r.norm_name != "FAILED" for r in rows)
+        assert all(math.isfinite(r.value) for r in rows)
+
+    def test_rows_are_the_same_at_any_jobs(self):
+        """Two delta_to_infty families on a pool of two threads give the
+        cells of the same call in the calling thread, bit for bit."""
+        base = SimConfig("NS_eps_delta", 8, 8, 8, 2e-3, 0.02, seed=5)
+        points = _family_points("delta_to_infty")
+        pooled = run_matched_family(points, base, "delta_to_infty", jobs=2)
+        alone = run_matched_family(points, base, "delta_to_infty", jobs=1)
+        assert [_cells(rows) for rows in pooled] == [_cells(rows) for rows in alone]
+
+    def test_jobs_below_one_is_a_config_error(self):
+        base = SimConfig("NS_eps_delta", 8, 8, 8, 2e-3, 0.02, seed=5)
+        with pytest.raises(ConfigError, match="jobs must be >= 1, got 0"):
+            run_matched_family(_family_points("gamma_scan"), base, "gamma_scan", jobs=0)
 
 
 def _count_nonlinear(monkeypatch) -> dict:
@@ -915,6 +962,26 @@ class TestLockstepRuns:
         expected = self.BASE.dt * 1000.0 * 0.2 * make_grid(8, 8, 8).kmax
         assert len(cfl) == 1
         assert f"CFL number {expected:.2f} (at t=0, eps=0.2, delta=0.2)" in cfl[0]
+
+    def test_sweep_of_two_families_warns_once(self, monkeypatch):
+        """max |u| is faked to 1000 eps in every anisotropic run of a sweep
+        of two delta_to_infty families: one warning names the largest CFL
+        number, at delta = 64, whose schedule ends on the full dt.  Before,
+        each family warned."""
+
+        def fake_umax(st, N):
+            st.last_umax = 1000.0 * st.eps
+            return N
+
+        _fault(monkeypatch, NavierStokesStepper, "nonlinear", fake_umax)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            run_sweep(_tiny_sweep_cfg(mode="delta_to_infty"))
+        cfl = [str(w.message) for w in caught if "CFL" in str(w.message)]
+        expected = self.BASE.dt * 1000.0 * 0.5 * make_grid(8, 8, 8).kmax
+        assert len(cfl) == 1
+        assert f"CFL number {expected:.2f} (at t=" in cfl[0]
+        assert "eps=0.5, delta=64)" in cfl[0]
 
     def test_large_dt_family_warns_once(self):
         base = SimConfig("NS_eps_delta", 8, 8, 8, 0.5, 1.0, seed=5)
@@ -1127,9 +1194,10 @@ class TestCli:
             f"observed blowup threshold: fit abscissa >= {threshold:g}")
 
     @pytest.mark.parametrize("mode, lists", [
-        ("gamma_scan", "eps_values = 0.2, 0.2, 0.2\ngamma_values = 3\n"),
+        # eps + delta is exactly 0.4 at all three points
+        ("eps_delta_to_zero", "eps_values = 0.1, 0.2, 0.3\ndelta_values = 0.3, 0.2, 0.1\n"),
         ("delta_to_infty", "eps_values = 0.5, 0.25, 0.125\ndelta_values = 16\n"),
-    ], ids=["gamma_scan", "delta_to_infty"])
+    ], ids=["eps_delta_to_zero", "delta_to_infty"])
     def test_a_rate_at_one_abscissa_is_skipped(self, tmp_path, capsys, mode, lists):
         """A sweep whose points share their fit abscissa fits nothing and
         writes its files, and fit of its CSV is an error line: before, both
@@ -1145,6 +1213,19 @@ class TestCli:
         assert main(["fit", "--csv", str(out_dir / "results.csv"), "--norm", "total"]) == 2
         assert capsys.readouterr().err.startswith(
             "error: all 3 points are at one abscissa")
+
+    def test_sweep_of_a_repeated_point_is_an_error(self, tmp_path, capsys):
+        """Before, it ran three identical points and wrote 12 rows."""
+        from hydrostat.harness.cli import main
+
+        cfg = tmp_path / "sweep.cfg"
+        cfg.write_text(SWEEP_SIM + "mode = gamma_scan\neps_values = 0.2, 0.2, 0.2\n"
+                       "gamma_values = 3\n")
+        out_dir = tmp_path / "out"
+        assert main(["sweep", "--config", str(cfg), "--out", str(out_dir)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and not out_dir.exists()
+        assert err == "error: (eps, delta, gamma) = (0.2, 0.2, 3.0) is repeated\n"
 
     def test_bad_config_exit_code(self, tmp_path):
         from hydrostat.harness.cli import main

@@ -150,6 +150,13 @@ class TestAccumulators:
         with pytest.raises(InvalidParameter):
             NormAccumulator("E7")
 
+    @pytest.mark.parametrize("kind, delta", [("Ez", 5.0), ("L4H32", -3.0)])
+    def test_a_kind_that_reads_no_delta_rejects_one(self, kind, delta):
+        """Before, the delta was accepted and ignored."""
+        with pytest.raises(InvalidParameter, match=f"a {kind} accumulator reads no delta"):
+            NormAccumulator(kind, delta=delta)
+        assert NormAccumulator(kind, delta=0.0).delta == 0.0
+
     def test_monotone_in_horizon_and_homogeneous(self, grid16):
         g = random_band_field(grid16, 17)
         acc = NormAccumulator("L4H32")

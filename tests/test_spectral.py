@@ -650,6 +650,41 @@ def test_every_definition_has_a_caller_in_src():
     assert unused == _NO_CALLER_YET
 
 
+def test_every_class_member_is_read_in_src():
+    """Every method, property and class-level attribute given a value in a
+    class body under src/hydrostat, dunders aside, is named as .name
+    somewhere in src/, apart from the names of _NO_CALLER_YET.  The check
+    above misses a member whose name is also a local name elsewhere, as
+    SampledFunction.t0 was."""
+    import ast
+    import pathlib
+    import re
+
+    import hydrostat
+
+    members, read = [], set()
+    for path in sorted(pathlib.Path(hydrostat.__file__).parent.rglob("*.py")):
+        text = path.read_text()
+        read.update(re.findall(r"\.(\w+)", text))
+        for node in ast.walk(ast.parse(text)):
+            if not isinstance(node, ast.ClassDef):
+                continue
+            for item in node.body:
+                if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    names = [item.name]
+                elif isinstance(item, ast.Assign):
+                    names = [t.id for t in item.targets if isinstance(t, ast.Name)]
+                elif isinstance(item, ast.AnnAssign) and item.value is not None:
+                    names = [item.target.id]
+                else:
+                    names = []
+                members += [(node.name, name) for name in names
+                            if not name.startswith("__")]
+    unread = {f"{cls}.{name}" for cls, name in members
+              if name not in read and name not in _NO_CALLER_YET}
+    assert unread == set()
+
+
 def test_only_the_mode_table_names_a_mode():
     """No comparison under src/hydrostat names a sweep mode: every rule that
     depends on the mode is an entry of pairs.MODES, so a new mode is one
