@@ -252,7 +252,6 @@ class ContinuationSchedule:
     t_star: float
     n_windows: int
     t_points: tuple[float, ...]
-    T: float
 
 
 def continuation_schedule(budgets: BudgetFunctions, T: float) -> ContinuationSchedule:
@@ -298,7 +297,7 @@ def continuation_schedule(budgets: BudgetFunctions, T: float) -> ContinuationSch
         t_star = lo
     n = int(math.ceil(T / (t_star / 2.0) - 1e-9))
     pts = tuple(i * t_star / 2.0 for i in range(1, n)) + (T,)
-    return ContinuationSchedule(t_star, n, pts, T)
+    return ContinuationSchedule(t_star, n, pts)
 
 
 @dataclass(frozen=True)

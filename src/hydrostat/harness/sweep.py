@@ -179,8 +179,10 @@ def run_sweep(cfg: SweepConfig, write_plots: bool = False) -> SweepResult:
     if not cfg.timing:
         result.rows = [replace(r, wall_ms=0) for r in result.rows]
 
-    # observed blowup threshold: smallest fit abscissa among blown-up points
-    blowups = {(r.eps, r.delta) for r in result.rows if r.blowup}
+    # observed blowup threshold: smallest fit abscissa of the points that blew
+    # up; a FAILED row is flagged too, but an exception stopped its point
+    blowups = {(r.eps, r.delta) for r in result.rows
+               if r.blowup and r.norm_name != "FAILED"}
     if blowups:
         result.blowup_threshold = min(MODES[cfg.mode].abscissa(*p) for p in blowups)
 

@@ -3,7 +3,9 @@ invariants, and the quadratic-inequality certification checks.
 
 Each check returns a CheckResult; the CLI prints one line per check and the
 acceptance tests assert that whole suites pass.  Tolerances here are the
-acceptance tolerances, pinned once.
+acceptance tolerances, pinned once.  Every check that steps a system runs it
+through solvers.run_lanes (_run), the time loop of every run and sweep, and
+audits its steps in the lane's observer.
 """
 from __future__ import annotations
 
@@ -26,11 +28,10 @@ from ..fields import (
     barotropic_split,
 )
 from ..norms import norm_l2_barotropic, norm_sobolev
-from ..solvers import SYSTEMS, NavierStokesStepper, StokesScaledStepper
+from ..solvers import SYSTEMS, run_lanes, system_lane
 from ..spectral import (
     EVEN,
     ODD,
-    _raw_embed_plane,
     _raw_inner,
     _raw_parity_project,
     _raw_wsum,
@@ -51,19 +52,16 @@ class CheckResult:
         return f"[{'PASS' if self.passed else 'FAIL'}] {self.name}: {self.detail}"
 
 
-def _run(system, state, dt, n, eps=1.0, delta=0.0):
-    """The state array of system after n steps of one stepper from state,
-    scattered from the stepper's band to its parent layout: the grid's, or
-    for NS2D the kz=0 slice of the grid's.
-
-    The oracles check the stepper alone, so they step it directly: the
-    per-step blowup check and CFL tracking of solvers.run_lanes would add
-    5-15% to the cost of these small steps."""
-    stepper = SYSTEMS[system](state.grid, eps, delta, dt)
-    U = stepper.pack(state)
-    for _ in range(n):
-        U = stepper.step(U)
-    return stepper.grid.scatter(U)
+def _run(system, state, dt, n, eps=1.0, delta=0.0, **kw):
+    """The (v1, v2, w) coefficients on state's grid after n steps of system
+    from state, one lane (kw: its observe) of solvers.run_lanes; raises the
+    exception that stopped it."""
+    grid, lane = state.grid, system_lane(system, state, eps, delta, **kw)
+    del state  # the lane holds its band state and the grid
+    run_lanes([lane], [(dt, n)], grid.kmax)
+    if lane.failure is not None:
+        raise lane.failure
+    return SYSTEMS[system].unpack(grid, lane.U)
 
 
 def _taylor_green_pair(grid):
@@ -84,11 +82,10 @@ def check_taylor_green_2d(nxy: int = 64, dt: float = 1e-4, T: float = 0.1) -> Ch
     """2D Taylor-Green vortex decays exactly like exp(-2 pi^2 t)."""
     grid = make_grid(nxy, nxy, 4)
     v1, v2 = _taylor_green_pair(grid)
-    V0 = np.stack((v1.coeffs[:, :, 0], v2.coeffs[:, :, 0]))
     n = int(round(T / dt))
-    V = _run("NS2D", VelocityState(v1, v2, zero_field(grid)), dt, n)
+    U = _run("NS2D", VelocityState(v1, v2, zero_field(grid)), dt, n)
     amp = math.exp(-2 * math.pi**2 * n * dt)
-    diff = _raw_embed_plane(grid, V - amp * V0)
+    diff = np.stack((U[0] - amp * v1.coeffs, U[1] - amp * v2.coeffs))
     err = math.sqrt(_raw_inner(grid, diff, diff))
     return CheckResult("taylor_green_2d", err < 1e-8, f"L2 error {err:.3e} (tol 1e-8)")
 
@@ -126,9 +123,9 @@ def check_shear_2d(dt: float = 1e-3, T: float = 0.1) -> CheckResult:
     v1 = field_from_function(grid, lambda x, y, z: np.sin(np.pi * y), EVEN)
     zero = zero_field(grid)
     n = int(round(T / dt))
-    V = _run("NS2D", VelocityState(v1, zero, zero), dt, n)
+    U = _run("NS2D", VelocityState(v1, zero, zero), dt, n)
     amp = math.exp(-math.pi**2 * n * dt)
-    diff = _raw_embed_plane(grid, np.stack((V[0] - amp * v1.coeffs[:, :, 0], V[1])))
+    diff = np.stack((U[0] - amp * v1.coeffs, U[1]))
     err = math.sqrt(_raw_inner(grid, diff, diff))
     return CheckResult("shear_2d", err < 1e-10, f"L2 error {err:.3e} (tol 1e-10)")
 
@@ -141,18 +138,18 @@ def check_stokes_exact(delta: float = 4.0) -> CheckResult:
         grid, lambda x, y, z: np.cos(np.pi * z) * np.sin(np.pi * x), EVEN
     )
     v2 = field_from_function(grid, lambda x, y, z: np.cos(2 * np.pi * z), EVEN)
+    w = field_from_function(  # w(v), the odd antiderivative of -div_H v
+        grid, lambda x, y, z: -np.cos(np.pi * x) * np.sin(np.pi * z), ODD)
     band = grid.band
     U0 = band.gather(np.stack((v1.coeffs, v2.coeffs)))
     dt = 0.02
-    stepper = StokesScaledStepper(grid, 1.0, delta, dt)
-    U = U0.copy()
-    worst = 0.0
     lam = -(band.k2h + delta * band.kz3**2)
-    for n in range(1, 26):
-        U = stepper.advance(U)
-        exact = U0 * np.exp(lam * n * dt)
-        # the error of (v, w), the scaled Stokes state
-        worst = max(worst, float(np.max(np.abs(_raw_with_w(band, U - exact)))))
+    states = []  # (step, state)
+    _run("StokesScaled", VelocityState(v1, v2, w), dt, 25, 1.0, delta,
+         observe=lambda st, t, U, N: states.append((round(t / dt), U)))
+    # the error of (v, w), the scaled Stokes state
+    worst = max(float(np.max(np.abs(_raw_with_w(band, U - U0 * np.exp(lam * n * dt)))))
+                for n, U in states)
     return CheckResult("stokes_exact", worst < 1e-12,
                        f"max coeff error {worst:.3e} (tol 1e-12)")
 
@@ -173,79 +170,70 @@ def oracle_suite() -> list[CheckResult]:
 # invariant suite
 # ---------------------------------------------------------------------------
 
-def _run_ns_with_audit(nx=32, steps=50, eps=0.5, delta=0.5, dt=1e-3, seed=7):
-    """Drive the anisotropic stepper and collect per-step diagnostics, on
-    the band it holds its state on, lifted to (v, eps w(v)), the scaled
-    variables whose energy the advection conserves."""
-    data = generate_initial_data("bandlimited_random", seed, make_grid(nx, nx, nx))
-    st = NavierStokesStepper(data.grid, eps, delta, dt)
-    grid = st.grid
-    V = st.pack(data)
-    del data  # the stepper holds the grid; V is the band state
-    lift = lambda X: _raw_with_w(grid, X, eps)
-    U = lift(V)
-    div_defects, parity_defects, neutrality, energy_resid = [], [], [], []
-    two_lam = 1.0 - np.exp(2.0 * st.lam * dt)
-    N_prev = None  # the AB2 step's previous nonlinear term
-    for _ in range(steps):
-        N = st.nonlinear(V)
-        # skew-symmetry of the dealiased advection against the state
-        neutrality.append(abs(_raw_inner(grid, lift(N), U)))
-        W = lift(N if N_prev is None else 1.5 * N - 0.5 * st.propagator * N_prev)
-        B = U + dt * W
-        V, N_prev = st.advance(V, N), N
-        U1 = lift(V)
-        dE = _raw_wsum(grid, np.abs(U1) ** 2 - np.abs(U) ** 2)
-        D_lin = _raw_wsum(grid, two_lam * np.abs(B) ** 2)
-        work = 2 * dt * _raw_inner(grid, W, U) + dt**2 * _raw_inner(grid, W, W)
-        scale = max(abs(dE), D_lin, 1e-300)
-        energy_resid.append(abs(dE + D_lin - work) / scale)
-        U = U1
-        div_defects.append(_raw_div_eps_defect(grid, U, eps))
-        parity_defects.append(
-            max(
-                float(np.max(np.abs(U[i] - _raw_parity_project(grid, U[i], p))))
-                for i, p in enumerate((EVEN, EVEN, ODD))
-            )
-        )
-    return {
-        "div": max(div_defects),
-        "parity": max(parity_defects),
-        "neutrality": max(neutrality),
-        "energy": max(energy_resid),
-    }
-
-
 def check_ns_structural(nx: int = 32, steps: int = 50) -> list[CheckResult]:
-    d = _run_ns_with_audit(nx=nx, steps=steps)
+    """Audit every step of the anisotropic stepper, in its observer, on the
+    band it holds its state on, lifted to (v, eps w(v)), the scaled
+    variables whose energy the advection conserves: the energy neutrality
+    of each nonlinear term, and the energy balance, divergence defect and
+    parity defect of each new state.  The balance reconstructs the AB2
+    step on its own, the independent oracle that advance is checked
+    against."""
+    eps, delta, dt = 0.5, 0.5, 1e-3
+    div_defects, parity_defects, neutrality, energy_resid = [], [], [], []
+    U = W = N_prev = None  # the last sample's lifted state, AB2 term, nonlinear term
+
+    def audit(st, t, V, N):
+        nonlocal U, W, N_prev
+        band = st.grid
+        lift = lambda X: _raw_with_w(band, X, eps)
+        U1 = lift(V)
+        if U is not None:
+            B = U + dt * W
+            dE = _raw_wsum(band, np.abs(U1) ** 2 - np.abs(U) ** 2)
+            D_lin = _raw_wsum(band, (1.0 - np.exp(2.0 * st.lam * dt)) * np.abs(B) ** 2)
+            work = 2 * dt * _raw_inner(band, W, U) + dt**2 * _raw_inner(band, W, W)
+            scale = max(abs(dE), D_lin, 1e-300)
+            energy_resid.append(abs(dE + D_lin - work) / scale)
+            div_defects.append(_raw_div_eps_defect(band, U1, eps))
+            parity_defects.append(max(
+                float(np.max(np.abs(c - _raw_parity_project(band, c, p))))
+                for c, p in zip(U1, (EVEN, EVEN, ODD))))
+        if N is not None:
+            # skew-symmetry of the dealiased advection against the state
+            neutrality.append(abs(_raw_inner(band, lift(N), U1)))
+            W = lift(N if N_prev is None else 1.5 * N - 0.5 * st.propagator * N_prev)
+            U, N_prev = U1, N
+
+    grid = make_grid(nx, nx, nx)
+    # the data go straight into the run, which keeps only their band state
+    _run("NS_eps_delta", generate_initial_data("bandlimited_random", 7, grid), dt, steps,
+         eps, delta, observe=audit)
+    div, parity = max(div_defects), max(parity_defects)
+    neutral, energy = max(neutrality), max(energy_resid)
     return [
-        CheckResult("divergence_defect", d["div"] < 1e-11,
-                    f"max {d['div']:.3e} (tol 1e-11)"),
-        CheckResult("parity_exact", d["parity"] == 0.0,
-                    f"max parity defect {d['parity']:.3e} (must be 0)"),
-        CheckResult("advection_energy_neutrality", d["neutrality"] < 1e-11,
-                    f"max |<N,u>| {d['neutrality']:.3e} (tol 1e-11)"),
-        CheckResult("energy_balance_per_step", d["energy"] < 1e-9,
-                    f"max relative residual {d['energy']:.3e} (tol 1e-9)"),
+        CheckResult("divergence_defect", div < 1e-11, f"max {div:.3e} (tol 1e-11)"),
+        CheckResult("parity_exact", parity == 0.0,
+                    f"max parity defect {parity:.3e} (must be 0)"),
+        CheckResult("advection_energy_neutrality", neutral < 1e-11,
+                    f"max |<N,u>| {neutral:.3e} (tol 1e-11)"),
+        CheckResult("energy_balance_per_step", energy < 1e-9,
+                    f"max relative residual {energy:.3e} (tol 1e-9)"),
     ]
 
 
 def check_stokes_energy_balance(delta: float = 2.0) -> CheckResult:
     """Exact integrator satisfies the energy equality with the analytically
     integrated dissipation to 1e-12 per step."""
-    data = generate_initial_data("heat_mode", 0, make_grid(16, 16, 16))
     dt = 1e-2
-    st = StokesScaledStepper(data.grid, 1.0, delta, dt)
-    grid = st.grid
-    V = st.pack(data)
+    data = generate_initial_data("heat_mode", 0, make_grid(16, 16, 16))
+    samples = []  # (stepper, state): the energy is that of (v, w(v)), the Stokes state
+    _run("StokesScaled", data, dt, 20, 1.0, delta,
+         observe=lambda st, t, V, N: samples.append((st, _raw_with_w(st.grid, V))))
     worst = 0.0
-    for _ in range(20):
-        # the energy of (v, w(v)), the scaled Stokes state
-        U, V = _raw_with_w(grid, V), st.advance(V)
-        U1 = _raw_with_w(grid, V)
-        dE = _raw_inner(grid, U1, U1) - _raw_inner(grid, U, U)
-        D = _raw_wsum(grid, (1.0 - np.exp(2.0 * st.lam * dt)) * np.abs(U) ** 2)
-        worst = max(worst, abs(dE + D) / max(_raw_inner(grid, U, U), 1e-300))
+    for (st, U), (_, U1) in zip(samples, samples[1:]):
+        dE = _raw_inner(st.grid, U1, U1) - _raw_inner(st.grid, U, U)
+        D = _raw_wsum(st.grid, (1.0 - np.exp(2.0 * st.lam * dt)) * np.abs(U) ** 2)
+        worst = max(worst, abs(dE + D) / max(_raw_inner(st.grid, U, U), 1e-300))
     return CheckResult("stokes_energy_balance", worst < 1e-12,
                        f"max residual {worst:.3e} (tol 1e-12)")
 
@@ -284,13 +272,10 @@ def check_2d_embedding(steps: int = 100) -> CheckResult:
     hydrostatic-limit, and 2D steppers."""
     grid = make_grid(16, 16, 8)
     state = VelocityState(*_taylor_green_pair(grid), zero_field(grid))
-    U, V, B = (_run(system, state, 1e-3, steps, 0.7, 0.3)
+    U, V, B = (np.stack(_run(system, state, 1e-3, steps, 0.7, 0.3)[:2])
                for system in ("NS_eps_delta", "PE_delta", "NS2D"))
-    B = _raw_embed_plane(grid, B)
     # NS against PE, NS against 2D, PE against 2D
-    worst = max(math.sqrt(_raw_inner(grid, d, d)) for d in (
-        np.stack((U[0] - V[0], U[1] - V[1])), np.stack((U[0] - B[0], U[1] - B[1])),
-        V - B))
+    worst = max(math.sqrt(_raw_inner(grid, d, d)) for d in (U - V, U - B, V - B))
     return CheckResult("embedding_2d", worst < 1e-10,
                        f"max pairwise L2 distance {worst:.3e}")
 
@@ -417,6 +402,14 @@ SUITES = {
 
 
 def run_suite(name: str) -> list[CheckResult]:
+    """The named suite's results, or every suite's for "all"; a suite that an
+    exception stops gives one failed result naming its type and message."""
     if name != "all" and name not in SUITES:
         raise ValueError(f"unknown suite {name!r}; pick from {list(SUITES)} or 'all'")
-    return [r for key, fn in SUITES.items() if name in (key, "all") for r in fn()]
+    results = []
+    for key in SUITES if name == "all" else (name,):
+        try:
+            results += SUITES[key]()
+        except Exception as exc:  # a lane's failure, or a broken check
+            results.append(CheckResult(key, False, f"{type(exc).__name__}: {exc}"))
+    return results

@@ -86,3 +86,9 @@ def hydro_projected(grid, V):
     out = V.copy()
     _raw_project_hydro(grid, out[..., 0])
     return out
+
+
+def step(stepper, U):
+    """One step of stepper from the state U, as solvers.run_lanes takes it:
+    the nonlinear term at U, then advance."""
+    return stepper.advance(U, stepper.nonlinear(U))

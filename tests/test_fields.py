@@ -38,6 +38,7 @@ from conftest import (
     full_wavenumbers,
     hydro_projected,
     random_band_field,
+    step,
 )
 
 PI = np.pi
@@ -329,8 +330,8 @@ class TestDiffRhs:
         band = grid.band
         U = V = band.gather(np.stack((data.v1.coeffs, data.v2.coeffs)))
         for _ in range(40):
-            U = ns.step(U)
-            V = pe.step(V)
+            U = step(ns, U)
+            V = step(pe, V)
         rhs_ns, rhs_pe = band.scatter(ns.rhs(U)), band.scatter(pe.rhs(V))
         U, V = band.scatter(U), band.scatter(V)
         # NS steps (v1, v2); its third component in (v, eps*w) is eps w(v)

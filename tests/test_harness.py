@@ -591,6 +591,25 @@ class TestSweep:
         # the other members of the family are unaffected
         assert _values_except(res, eps=0.1) == clean
 
+    def test_a_failed_point_is_no_blowup(self, tmp_path, monkeypatch, capsys):
+        """A FAILED row is flagged blowup=1 in the CSV, but an exception, not
+        a blowup, stopped its point: it sets no blowup threshold, and the
+        CLI prints no threshold line.  Before, the threshold read 0.2."""
+        from hydrostat.harness.cli import main
+
+        def boom(eps, N):
+            raise RuntimeError("synthetic failure")
+
+        _fault_nonlinear(monkeypatch, boom)
+        res = run_sweep(_tiny_sweep_cfg(str(tmp_path / "api")))
+        assert {r.norm_name for r in res.rows} == {"FAILED"}
+        assert all(r.blowup for r in res.rows)
+        assert res.blowup_threshold == math.inf
+        cfg = tmp_path / "sweep.cfg"
+        cfg.write_text(SWEEP_SIM + "mode = eps_delta_to_zero\neps_values = 0.2, 0.1\n")
+        assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "cli")]) == 0
+        assert "threshold" not in capsys.readouterr().out
+
     def test_plots_written(self, tmp_path):
         run_sweep(_tiny_sweep_cfg(str(tmp_path)), write_plots=True)
         svg = (tmp_path / "rates.svg").read_text()
@@ -1079,6 +1098,47 @@ class TestCli:
         assert main(["verify", "--suite", "bootstrap"]) == 0
         out = capsys.readouterr().out
         assert "[PASS]" in out and "[FAIL]" not in out
+
+    def test_verify_names_the_exception_that_stopped_a_suite(self, monkeypatch, capsys):
+        """A NaN NS2D nonlinear term stops the oracle and the invariant
+        suites at their first NS2D check: each prints one FAIL line naming
+        the blowup, the bootstrap suite still runs, and verify exits 1.
+        Before, the check printed "L2 error nan", which gave no reason."""
+        from hydrostat.harness.cli import main
+
+        _fault(monkeypatch, NavierStokes2DStepper, "nonlinear",
+               lambda st, N: N * np.nan)
+        assert main(["verify", "--suite", "all"]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert [line for line in lines if line.startswith("[FAIL]")] == [
+            "[FAIL] oracles: BlowupDetected: blowup at t=0.0001: "
+            "non-finite coefficients",
+            "[FAIL] invariants: BlowupDetected: blowup at t=0.001: "
+            "non-finite coefficients",
+        ]
+        assert lines[-1] == "10/12 checks passed"
+
+    @pytest.mark.parametrize("command", ["run", "sweep"])
+    @pytest.mark.parametrize("line, message", [
+        ("seed = -1", "seed must be >= 0, got -1"),
+        ("recipe = nope", "unknown initial-data recipe 'nope'"),
+    ])
+    def test_data_that_cannot_be_drawn_are_an_error_line(self, tmp_path, capsys,
+                                                         command, line, message):
+        """Before, seed = -1 ended run in numpy's ValueError traceback, and a
+        sweep of either wrote only FAILED rows, printed a blowup threshold
+        and exited 0."""
+        from hydrostat.harness.cli import main
+
+        kept = [k for k in SWEEP_SIM.splitlines() if not k.startswith(line.split()[0])]
+        sweep = ["mode = eps_delta_to_zero", "eps_values = 0.2"] * (command == "sweep")
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text("\n".join(kept + [line] + sweep) + "\n")
+        argv = ["--out", str(tmp_path / "out")] if command == "sweep" else []
+        assert main([command, "--config", str(cfg)] + argv) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err == f"error: {message}\n"
+        assert not (tmp_path / "out").exists()
 
     def test_run_and_snapshot(self, tmp_path, capsys):
         from hydrostat.harness.cli import main

@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from hydrostat.errors import CompatibilityError, InvalidParameter
+from hydrostat.errors import BlowupDetected, CompatibilityError, InvalidParameter
 from hydrostat.fields import (
     VELOCITY_PARITIES,
     VelocityState,
@@ -18,7 +18,9 @@ from hydrostat.fields import (
 )
 from hydrostat.harness.initial_data import generate_initial_data
 from hydrostat.solvers import (
+    BLOWUP_NORM_LIMIT,
     SYSTEMS,
+    _check_blowup,
     _ExpAB2,
     NavierStokes2DStepper,
     NavierStokesStepper,
@@ -31,13 +33,14 @@ from hydrostat.spectral import (
     ODD,
     SpectralField,
     _raw_embed_plane,
+    _raw_inner,
     _raw_to_phys,
     field_from_function,
     make_grid,
     zero_field,
 )
 
-from conftest import convective_advect, hydro_projected
+from conftest import convective_advect, hydro_projected, step
 
 PI = np.pi
 
@@ -57,7 +60,7 @@ def _step(system, state, eps=1.0, delta=0.0, dt=1e-3):
     """One step of a fresh stepper (an Euler step on the nonlinearity) from
     a VelocityState, through the system table; the (v1, v2, w) coefficients."""
     stepper = SYSTEMS[system](state.grid, eps, delta, dt)
-    return stepper.unpack(state.grid, stepper.step(stepper.pack(state)))
+    return stepper.unpack(state.grid, step(stepper, stepper.pack(state)))
 
 
 def _steps(system, state, n, delta=0.0, dt=1e-3):
@@ -65,7 +68,7 @@ def _steps(system, state, n, delta=0.0, dt=1e-3):
     stepper = SYSTEMS[system](state.grid, 1.0, delta, dt)
     U = stepper.pack(state)
     for _ in range(n):
-        U = stepper.step(U)
+        U = step(stepper, U)
     return stepper.unpack(state.grid, U)
 
 
@@ -123,6 +126,16 @@ class TestSimConfig:
         base = dict(nx=8, ny=8, nz=8, dt=1e-3, t_end=0.01, **kw)
         with pytest.raises(InvalidParameter, match=message):
             SimConfig(**base)
+
+    @pytest.mark.parametrize("kw, message", [
+        (dict(recipe="nope"), "unknown initial-data recipe 'nope'"),
+        (dict(seed=-1), "seed must be >= 0, got -1"),
+    ])
+    def test_data_that_cannot_be_drawn_are_rejected(self, kw, message):
+        """Before, an unknown recipe or a negative seed was refused only
+        when the run drew its data, a negative seed by numpy's ValueError."""
+        with pytest.raises(InvalidParameter, match=message):
+            SimConfig("PE_H", 8, 8, 8, 1e-3, 0.01, **kw)
 
 
 class TestAnisotropicStepper:
@@ -230,7 +243,7 @@ class TestNs2dStepper:
         n2 = NavierStokes2DStepper(grid, 1.0, 0.0, dt)
         B = B0
         for _ in range(steps):
-            U, V, B = ns.step(U), pe.step(V), n2.step(B)
+            U, V, B = step(ns, U), step(pe, V), step(n2, B)
         B3 = _raw_embed_plane(band, B)
         assert np.max(np.abs(U - B3)) < 1e-12
         assert np.max(np.abs(0.7 * _raw_w_from_v(band, U))) < 1e-12
@@ -328,7 +341,7 @@ class TestParityPairing:
         stepper = SYSTEMS[system](grid16, 0.2, delta, 1e-3)
         U = stepper.pack(data)
         for _ in range(20):
-            U = stepper.step(U)
+            U = step(stepper, U)
         for c, p in zip(U, stepper.parities):
             assert np.array_equal(_raw_parity_project(stepper.grid, c, p), c)
         for c, p in zip(stepper.unpack(grid16, U), (EVEN, EVEN, ODD)):
@@ -379,7 +392,7 @@ class TestHorizontalPairState:
             np.stack((data.v1.coeffs, data.v2.coeffs, eps * data.w.coeffs)))
         V = SYSTEMS["NS_eps_delta"].pack(data)
         for _ in range(100):
-            U, V = ref.step(U), new.step(V)
+            U, V = step(ref, U), step(new, V)
         scale = np.max(np.abs(U))
         assert np.max(np.abs(U[:2] - V)) <= 1e-12 * scale
         assert np.max(np.abs(U[2] - eps * _raw_w_from_v(new.grid, V))) <= 1e-12 * scale
@@ -437,7 +450,7 @@ class TestStokesStepper:
             sample = lambda V: Energies.of(grid16.band, _raw_with_w(grid16.band, V))
             acc = accumulate(acc, sample(U), t)
             while t < t_end - dt / 2:
-                U = stepper.advance(U)
+                U = step(stepper, U)
                 t += dt
                 acc = accumulate(acc, sample(U), t)
             scaled[delta] = finalize(acc) * delta**0.25
@@ -522,12 +535,12 @@ class TestSharedWorkspace:
         grid = make_grid(16, 16, 16)
         family, states = make(grid), start(grid)
         for _ in range(4):
-            states = [st.step(U) for st, U in zip(family, states)]
+            states = [step(st, U) for st, U in zip(family, states)]
         for k in range(3):
             own = make_grid(16, 16, 16)
             st, U = make(own)[k], start(own)[k]
             for _ in range(4):
-                U = st.step(U)
+                U = step(st, U)
             assert np.array_equal(U, states[k])
 
     @pytest.mark.skipif(not sys.platform.startswith("linux"),
@@ -543,12 +556,49 @@ class TestSharedWorkspace:
         stepper = NavierStokesStepper(grid, 0.1, 0.01, 1e-3)
         U = SYSTEMS["NS_eps_delta"].pack(data)
         for _ in range(3):
-            U = stepper.step(U)
+            U = step(stepper, U)
         before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
         for _ in range(10):
-            U = stepper.step(U)
+            U = step(stepper, U)
         faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
         assert faults < 10 * 100
+
+
+class TestBlowupCheck:
+    @pytest.mark.parametrize("layout", ["band", "plane"])
+    def test_outcomes_are_those_of_the_exact_check(self, layout):
+        """The one-reduction bound of _check_blowup returns only where the
+        exact check (every coefficient finite, then the L2 norm against
+        BLOWUP_NORM_LIMIT) passes: both give the same outcome and reason on
+        states scaled across the limit, to within rounding of it, and on NaN
+        and inf coefficients.  On the plane every weight is the largest, so
+        the bound is tight there."""
+        grid = getattr(make_grid(16, 16, 8), layout)
+        rng = np.random.default_rng(0)
+        V = rng.standard_normal((2, *grid.spec_shape, 2)).view(np.complex128)[..., 0]
+        unit = V / np.sqrt(_raw_inner(grid, V, V))
+
+        def exact(U):
+            if not np.all(np.isfinite(U)):
+                return "non-finite coefficients"
+            l2 = np.sqrt(_raw_inner(grid, U, U))
+            return f"L2 norm {l2:.3e} exceeds 1e+08" if l2 > BLOWUP_NORM_LIMIT else None
+
+        scales = [*np.linspace(0.5, 1.5, 21), 1 - 1e-15, 1 + 1e-15, 1 + 1e-12]
+        states = [unit * (s * BLOWUP_NORM_LIMIT) for s in scales]
+        for bad in (np.nan, np.inf, -np.inf, complex(0.0, np.inf)):
+            states.append(unit.copy())
+            states[-1][1, 1, 1] = bad
+        outcomes = set()
+        for U in states:
+            try:
+                _check_blowup(grid, U, 0.5)
+                got = None
+            except BlowupDetected as exc:
+                got = exc.reason
+            assert got == exact(U)
+            outcomes.add(got is None)
+        assert outcomes == {True, False}
 
 
 class TestRunSimulation:
@@ -702,7 +752,7 @@ class TestSchemeOrder:
             st = NavierStokes2DStepper(grid, 1.0, 0.0, dt)
             V = V0.copy()
             for _ in range(int(round(T / dt))):
-                V = st.step(V)
+                V = step(st, V)
             return V
 
         ref = advance(1e-4 / 8)
@@ -724,8 +774,8 @@ class TestStructure:
             assert r.passed, r.line()
 
     def test_ns_audit_releases_its_initial_data(self, monkeypatch):
-        """The audit steps the band state: by its first step it holds its
-        Grid-layout initial data no more."""
+        """The audited lane steps the band state: by its first step the
+        check holds its Grid-layout initial data no more."""
         import weakref
 
         from hydrostat.harness import verify
@@ -745,7 +795,7 @@ class TestStructure:
 
         monkeypatch.setattr(verify, "generate_initial_data", generate)
         monkeypatch.setattr(NavierStokesStepper, "nonlinear", probe)
-        verify._run_ns_with_audit(nx=8, steps=3)
+        verify.check_ns_structural(nx=8, steps=3)
         assert len(refs) == 1 and released == [True] * 3
 
     def test_embedding_all_three_solvers(self):
