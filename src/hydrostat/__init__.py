@@ -40,7 +40,6 @@ _EXPORTS = {
         "BootstrapCertificate",
         "BudgetFunctions",
         "SampledFunction",
-        "certify_bootstrap_family",
         "certify_exp_quadratic_bound",
         "certify_quadratic_bound",
         "continuation_schedule",
@@ -62,8 +61,6 @@ _EXPORTS = {
         "SplitState",
         "VelocityState",
         "barotropic_split",
-        "baroclinic_rhs",
-        "diff_rhs_F",
     ),
     "norms": ("Energies", "NormAccumulator", "accumulate", "finalize", "norm_sobolev"),
     "solvers": ("SimConfig", "TrajectoryRecord", "run_simulation"),

@@ -13,13 +13,13 @@ from __future__ import annotations
 import argparse
 import sys
 
-from ..errors import HydrostatError, InsufficientData
+from ..errors import FormatError, HydrostatError, InsufficientData
 from ..solvers import run_simulation
 
 
 def _cmd_run(args) -> int:
     from .config import load_config, sim_config_from_dict
-    from .snapshots import save_snapshot
+    from .snapshots import load_snapshot, save_snapshot
 
     cfg = sim_config_from_dict(load_config(args.config))
     rec = run_simulation(cfg)
@@ -34,7 +34,17 @@ def _cmd_run(args) -> int:
         if rec.final_state is None:
             print("no final state to snapshot (blowup)", file=sys.stderr)
             return 1
-        save_snapshot(rec.final_state, args.snapshot_out)
+        state = rec.final_state
+        save_snapshot(state, args.snapshot_out)
+        back = load_snapshot(args.snapshot_out)
+        differ = [name for name, a, b in zip(("v1", "v2", "w"), state.components(),
+                                             back.components())
+                  if (a.parity, a.coeffs.tobytes()) != (b.parity, b.coeffs.tobytes())]
+        if back.time != state.time:
+            differ.append("time")
+        if differ:
+            raise FormatError(f"{args.snapshot_out} does not read back bit for bit "
+                              f"in {', '.join(differ)}")
         print(f"snapshot written to {args.snapshot_out}")
     return 0
 

@@ -1,7 +1,9 @@
 """Flat key = value configuration files for the CLI.
 
-Keys mirror the simulation and sweep setup; unknown keys are errors.  Lists
-are comma-separated.  Lines starting with '#' and blank lines are ignored.
+Keys mirror the simulation and sweep setup; unknown keys are errors, and
+so is a sweep key in the config of a run.  Lists are comma-separated, with
+no empty item; an empty list counts as not given.  Lines starting with '#'
+and blank lines are ignored.
 """
 from __future__ import annotations
 
@@ -27,7 +29,6 @@ _SWEEP_KEYS = {
     "eps_values": tuple,
     "delta_values": tuple,
     "gamma_values": tuple,
-    "out_dir": str,
     "jobs": int,
     "timing": bool,
 }
@@ -55,7 +56,11 @@ def parse_config_text(text: str) -> dict:
             raise ConfigError(f"line {lineno}: duplicate key {key!r}")
         try:
             if caster is tuple:
-                out[key] = tuple(float(v) for v in value.split(",") if v.strip())
+                # an empty list counts as not given; an empty item is a typo
+                items = [v.strip() for v in value.split(",")] if value else []
+                if "" in items:
+                    raise ValueError(f"empty item in the list {value!r}")
+                out[key] = tuple(float(v) for v in items)
             elif caster is bool:
                 if value.lower() not in ("true", "false", "0", "1"):
                     raise ValueError(value)
@@ -68,12 +73,14 @@ def parse_config_text(text: str) -> dict:
 
 
 def sim_config_from_dict(d: dict) -> SimConfig:
-    values = {k: v for k, v in d.items() if k in _SIM_KEYS}
-    missing = {"system", "nx", "ny", "nz", "dt", "t_end"} - set(values)
+    sweep_only = sorted(set(d) & set(_SWEEP_KEYS))
+    if sweep_only:
+        raise ConfigError(f"only a sweep reads {sweep_only}")
+    missing = {"system", "nx", "ny", "nz", "dt", "t_end"} - set(d)
     if missing:
         raise ConfigError(f"missing required keys: {sorted(missing)}")
     try:
-        return SimConfig(**values)
+        return SimConfig(**d)
     except Exception as exc:
         raise ConfigError(str(exc))
 
@@ -87,7 +94,8 @@ def sweep_config_from_dict(d: dict) -> SweepConfig:
         if key in d:
             raise ConfigError(f"a sweep sets {key} per point; give {key}_values, "
                               f"not {key}")
-    base = sim_config_from_dict({"system": "NS_eps_delta", **d})
+    base = sim_config_from_dict(
+        {"system": "NS_eps_delta", **{k: v for k, v in d.items() if k in _SIM_KEYS}})
     return SweepConfig(base=base, **{k: v for k, v in d.items() if k in _SWEEP_KEYS})
 
 

@@ -325,7 +325,8 @@ def check_bootstrap_examples() -> list[CheckResult]:
 
 def check_bootstrap_randomized(trials: int = 1000, seed: int = 0) -> list[CheckResult]:
     """Randomized conforming functions always certify with max below the
-    concluded bound; single hidden violations are always rejected."""
+    concluded bound; single hidden violations are always rejected, at the
+    sample that holds them."""
     rng = np.random.default_rng(seed)
     conform_ok = 0
     for _ in range(trials):
@@ -346,7 +347,8 @@ def check_bootstrap_randomized(trials: int = 1000, seed: int = 0) -> list[CheckR
             lower_root = (1 - math.sqrt(1 - 16 * C * eps)) / (4 * C)
             n = int(rng.integers(5, 30))
             xs = rng.uniform(0.0, lower_root, size=n)
-            xs[rng.integers(0, n)] = 1.0 / (4 * C)  # quadratic gap point
+            at = int(rng.integers(0, n))
+            xs[at] = 1.0 / (4 * C)  # quadratic gap point
             cert = certify_quadratic_bound(
                 SampledFunction(np.arange(n, dtype=float), xs), C, eps)
         else:
@@ -357,10 +359,11 @@ def check_bootstrap_randomized(trials: int = 1000, seed: int = 0) -> list[CheckR
             eps = float(rng.uniform(0.02, 0.4)) * min(cap, start_cap / 16)
             n = int(rng.integers(5, 30))
             xs = rng.uniform(0.0, eps, size=n)
-            xs[rng.integers(0, n)] = 16 * eps  # violates the weighted bound
+            at = int(rng.integers(0, n))
+            xs[at] = 16 * eps  # violates the weighted bound
             cert = certify_exp_quadratic_bound(
                 SampledFunction(np.arange(n, dtype=float), xs), C, K, eps)
-        if not cert.certified:
+        if not cert.certified and cert.failed_at == at:
             adversarial_ok += 1
     return [
         CheckResult("bootstrap_randomized_conforming", conform_ok == trials,
@@ -376,9 +379,6 @@ def check_schedule_example() -> CheckResult:
         G1=SampledFunction(ts, math.log(2.0) * ts),
         G2=SampledFunction(ts, ts / 8.0),
         G3=SampledFunction(ts, ts / 2.0),
-        f=SampledFunction(ts[1:], 1.0 / ts[1:]),
-        k=1.0,
-        K=1.0,
     )
     sched = continuation_schedule(budgets, 2.0)
     expected = (0.5, 1.0, 1.5, 2.0)

@@ -56,8 +56,9 @@ field's kz >= 0 half and its parity tag, sampled by field_from_function or
 zero.  Every operation on them runs as a raw-array kernel on stacks of
 coefficient arrays (_raw_to_phys, _raw_to_spec, _raw_parity_project,
 _raw_inner) or as a product with a cached multiplier (_deriv_mult,
-_lap_delta_mult, Grid.dealias_mask); the package has no operator layer of
-its own on fields.
+_lap_delta_mult); the package has no operator layer of its own on fields.
+Dealiasing is the move onto grid.band: what the 2/3 mask drops is not
+stored there.
 
 Vertical parity (even/odd in z) is a structural property of every velocity
 component here and is tracked on each field.  Data enter the class by
@@ -156,13 +157,6 @@ class Grid:
     def ksq(self) -> np.ndarray:
         """|k|^2 of every mode of the layout."""
         return _readonly(reduce(np.add.outer, [k**2 for k in self.wavenumbers]))
-
-    @cached_property
-    def dealias_mask(self) -> np.ndarray:
-        """The 2/3 rule as a table of the layout's modes: which of them the
-        band keeps, its independent reference."""
-        keeps = [_kept(np.rint(k / PI), n) for k, n in zip(self.wavenumbers, self.shape)]
-        return _readonly(reduce(np.logical_and.outer, keeps))
 
     @cached_property
     def kmax(self) -> float:
@@ -289,9 +283,9 @@ def _to_band(grid: Grid, band: Grid, comps: Sequence[np.ndarray]) -> np.ndarray:
     """The coefficients on band, grid.band or grid.plane, of a stack of
     components in the band's parent layout.
 
-    Content outside the band would be dropped without a word by whatever
-    runs on the band (a stepper, the forcings of fields), so more than
-    rounding there (1e-12 of the largest coefficient) is an error."""
+    Content outside the band would be dropped without a word by the
+    stepper that runs on the band, so more than rounding there (1e-12 of
+    the largest coefficient) is an error."""
     full = np.stack(comps)
     mag = np.abs(full)
     largest = float(np.max(mag, initial=0.0))

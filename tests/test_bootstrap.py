@@ -1,4 +1,4 @@
-"""Quadratic-inequality certification: single windows, schedules, families."""
+"""Quadratic-inequality certification: single windows and schedules."""
 import math
 
 import numpy as np
@@ -12,12 +12,9 @@ from hydrostat.bootstrap import (
     THRESHOLD_VIOLATED,
     BudgetFunctions,
     SampledFunction,
-    certify_bootstrap_family,
     certify_exp_quadratic_bound,
     certify_quadratic_bound,
     continuation_schedule,
-    parse_certificate_report,
-    render_certificate_report,
 )
 from hydrostat.errors import InvalidParameter, ScheduleInfeasible
 
@@ -40,12 +37,12 @@ class TestSampledFunction:
             SampledFunction(np.array([0.0, 1.0]), np.array([1.0, np.nan]))
 
     def test_restriction_and_interp(self):
+        """Between samples the function is their linear interpolant, the
+        values the continuation schedule compares at shifted times."""
         f = SampledFunction(np.array([0.0, 1.0, 2.0]), np.array([0.0, 2.0, 4.0]))
         assert f(0.5) == pytest.approx(1.0)
-        r = f.restricted(0.5, 1.5)
-        assert r.ts[0] == 0.5 and r.ts[-1] == 1.5
-        assert r.xs[0] == pytest.approx(1.0)
-        assert r.xs[-1] == pytest.approx(3.0)
+        assert np.allclose(f(np.array([0.5, 1.5])), [1.0, 3.0])
+        assert f(2.0) == 4.0
 
 
 class TestQuadraticCertifier:
@@ -137,16 +134,12 @@ class TestExpQuadraticCertifier:
         assert cert.verdict == THRESHOLD_VIOLATED
 
 
-def linear_budgets(T=2.0, k=1.0, K=1.0, f0=0.0):
+def linear_budgets(T=2.0):
     ts = np.linspace(0.0, T, 401)
-    fts = ts[1:]
     return BudgetFunctions(
         G1=SampledFunction(ts, math.log(2.0) * ts),
         G2=SampledFunction(ts, ts / 8.0),
         G3=SampledFunction(ts, ts / 2.0),
-        f=SampledFunction(fts, f0 + 0.0 * fts),
-        k=k,
-        K=K,
     )
 
 
@@ -163,8 +156,6 @@ class TestContinuationSchedule:
             G1=SampledFunction(ts, 0.0 * ts),
             G2=SampledFunction(ts, 0.0 * ts),
             G3=SampledFunction(ts, 0.0 * ts),
-            f=SampledFunction(ts[1:], 0.0 * ts[1:]),
-            k=1.0, K=1.0,
         )
         sched = continuation_schedule(budgets, 1.0)
         assert sched.t_star == pytest.approx(1.0)
@@ -178,8 +169,6 @@ class TestContinuationSchedule:
             G1=SampledFunction(ts, g1),
             G2=SampledFunction(ts, 0.0 * ts),
             G3=SampledFunction(ts, 0.0 * ts),
-            f=SampledFunction(ts[1:], 0.0 * ts[1:]),
-            k=1.0, K=1.0,
         )
         with pytest.raises(ScheduleInfeasible):
             continuation_schedule(budgets, 1.0)
@@ -191,8 +180,6 @@ class TestContinuationSchedule:
                 G1=SampledFunction(ts, np.array([0.0, 1.0, 0.5, 2.0, 3.0])),
                 G2=SampledFunction(ts, ts),
                 G3=SampledFunction(ts, ts),
-                f=SampledFunction(ts[1:], 1.0 - ts[1:]),
-                k=1.0, K=1.0,
             )
 
     def test_schedule_consistency(self):
@@ -202,83 +189,6 @@ class TestContinuationSchedule:
         assert pts[-1] == pytest.approx(1.7)
         widths = np.diff(np.concatenate(([0.0], pts)))
         assert np.all(widths <= sched.t_star + 1e-9)
-
-
-class TestFamilyCertification:
-    def _family(self, etas, T=2.0, shape=lambda t: 1.0 - np.exp(-t), tol=1e-9):
-        ts = np.linspace(0.0, T, 201)
-        return [
-            (eta, SampledFunction(ts, eta * shape(ts), tol)) for eta in etas
-        ]
-
-    def test_zero_family(self):
-        fam = self._family([1e-4, 1e-5], shape=lambda t: 0.0 * t)
-        res = certify_bootstrap_family(fam, linear_budgets(), 2.0)
-        assert res.all_certified
-        assert res.C_star >= 8.0
-
-    def test_synthetic_family_certifies(self):
-        etas = [1e-4, 3e-5, 1e-5]
-        res = certify_bootstrap_family(self._family(etas), linear_budgets(), 2.0)
-        assert res.all_certified
-        for eta, cert in res.per_eta:
-            assert cert.concluded_bound == pytest.approx(res.C_star * eta)
-            # measured maximum honors the certified bound
-            assert eta * (1 - math.exp(-2.0)) <= cert.concluded_bound
-
-    def test_eta_above_threshold_rejected(self):
-        res = certify_bootstrap_family(
-            self._family([0.9]), linear_budgets(), 2.0
-        )
-        (eta, cert), = res.per_eta
-        assert cert.verdict == THRESHOLD_VIOLATED
-        assert "eta_star" in cert.detail
-
-    def test_barrier_violation_located_in_window(self):
-        # one member jumps far above the barrier inside the second half
-        T = 2.0
-        ts = np.linspace(0.0, T, 201)
-        eta = 1e-5
-        xs = eta * (1 - np.exp(-ts))
-        xs[ts > 1.2] += 10.0  # far above ln(2)/K
-        fam = [(eta, SampledFunction(ts, np.maximum.accumulate(xs), 1e-9))]
-        res = certify_bootstrap_family(fam, linear_budgets(), T)
-        (_, cert), = res.per_eta
-        assert not cert.certified
-        assert cert.verdict in (HYPOTHESIS_FAILED, THRESHOLD_VIOLATED)
-        assert "window" in cert.detail
-
-    def test_early_stop_reported_as_gap(self):
-        T = 2.0
-        ts = np.linspace(0.0, 0.8, 81)  # stops before T
-        eta = 1e-5
-        fam = [(eta, SampledFunction(ts, eta * (1 - np.exp(-ts)), 1e-9))]
-        res = certify_bootstrap_family(fam, linear_budgets(), T)
-        (_, cert), = res.per_eta
-        assert cert.verdict == THRESHOLD_VIOLATED
-        assert "blowup" in cert.detail or "end" in cert.detail
-
-    def test_report_round_trip(self):
-        res = certify_bootstrap_family(
-            self._family([1e-4, 1e-5]), linear_budgets(), 2.0
-        )
-        text = render_certificate_report(res)
-        parsed = parse_certificate_report(text)
-        assert parsed["C_star"] == pytest.approx(res.C_star, rel=1e-5)
-        assert len(parsed["members"]) == 2
-        assert all(m["verdict"] == CERTIFIED for m in parsed["members"])
-
-    def test_carried_constants_recursion(self):
-        # with f = 0 every carried constant is 8
-        res = certify_bootstrap_family(self._family([1e-5]), linear_budgets(), 2.0)
-        assert all(c == pytest.approx(8.0) for c in res.constants)
-        # positive handoff cost compounds the constants
-        res2 = certify_bootstrap_family(
-            self._family([1e-6]), linear_budgets(f0=0.5), 2.0
-        )
-        assert res2.constants[0] == pytest.approx(8.0)
-        assert res2.constants[1] == pytest.approx(8.0 * (1 + 8.0 * 0.5))
-        assert res2.C_star > res.C_star
 
 
 def test_randomized_suites_small():

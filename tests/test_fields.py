@@ -7,26 +7,29 @@ from hypothesis import strategies as st
 
 from hydrostat.errors import CompatibilityError, ShapeError
 from hydrostat.fields import (
+    VELOCITY_PARITIES,
     _raw_advect,
     _raw_div_eps_defect,
     _raw_project_eps,
     _raw_project_hydro,
     _raw_w_from_v,
+    _raw_with_w,
     barotropic_split,
-    baroclinic_rhs,
-    diff_rhs_F,
 )
 from hydrostat.norms import norm_l2_barotropic, norm_sobolev
+from hydrostat.solvers import PrimitiveStepper
 from hydrostat.spectral import (
     EVEN,
     ODD,
     SpectralField,
+    _deriv_mult,
     _lap_delta_mult,
     _raw_embed_plane,
     _raw_inner,
     _raw_parity_project,
     _raw_to_phys,
     _raw_to_spec,
+    _to_band,
     field_from_function,
     make_grid,
     zero_field,
@@ -34,6 +37,7 @@ from hydrostat.spectral import (
 
 from conftest import (
     convective_advect,
+    dealias_mask,
     full_phase,
     full_wavenumbers,
     hydro_projected,
@@ -211,6 +215,139 @@ class TestBarotropicSplit:
             assert lhs == pytest.approx(rhs, rel=1e-12)
 
 
+# ---------------------------------------------------------------------------
+# the forcings of the difference systems, test oracles
+#
+# No production run computes these yet.  They prove criterion 3's forcing
+# orders and the residual identity of two primal trajectories below, and a
+# production forcing is to be checked against them.  They run on grid.band,
+# as the steppers do, every transport in divergence form: the steppers'
+# kernel (fields._raw_advect) for self-advection, and _cross_advect, in the
+# same arithmetic, for the transport of other fields.  That is the
+# convective form because every advecting velocity is divergence-free,
+# which _require_divergence_free checks of the inputs.
+# ---------------------------------------------------------------------------
+
+def _require_divergence_free(grid, U, what):
+    """CompatibilityError unless the velocity U, 2 or 3 components, is
+    divergence-free to rounding (1e-12 of its largest term k_j U_j)."""
+    terms = [k * c for k, c in zip((grid.kx3, grid.ky3, grid.kz3), U)]
+    gap = float(np.max(np.abs(sum(terms))))
+    if gap > 1e-12 * max(float(np.max(np.abs(t))) for t in terms):
+        raise CompatibilityError(f"{what} is not divergence-free: |div| = {gap:.3e}", gap)
+
+
+def _cross_advect(band, u_phys, targets):
+    """sum_j d_j (X_i u_j) on band for the physical fields X = targets,
+    transported by the physical velocity u_phys: one forward transform per
+    product X_i u_j, no inverse transform."""
+    m, n = len(targets), len(u_phys)
+    prod = np.empty((m * n, *band.shape))
+    for f, (i, j) in zip(prod, [(i, j) for i in range(m) for j in range(n)]):
+        np.multiply(targets[i], u_phys[j], out=f)
+    P = _raw_to_spec(band, prod).reshape(m, n, *band.spec_shape)
+    iks = [_deriv_mult(band, j, 1) for j in range(n)]
+    out = np.empty((m, *band.spec_shape), dtype=np.complex128)
+    tmp = np.empty(band.spec_shape, dtype=np.complex128)
+    for i in range(m):
+        np.multiply(iks[0], P[i, 0], out=out[i])
+        for j in range(1, n):
+            np.multiply(iks[j], P[i, j], out=tmp)
+            out[i] += tmp
+    return out
+
+
+def _same_grid(*fields):
+    if any(f.grid.shape != fields[0].grid.shape for f in fields):
+        raise ShapeError("all fields must share one grid")
+
+
+def diff_rhs_F(v, w, V, W, eps, delta):
+    """Right-hand sides of the difference system between the rescaled
+    anisotropic system and its horizontal-viscosity limit.
+
+    (v, w) is the limit solution, (V, W) the difference pair with the third
+    component carrying the eps-scaled vertical difference.  The 1/eps
+    advection weight is evaluated through w(V), the vertical integral of
+    -div_H V, so it stays finite as eps -> 0.  Both advecting velocities,
+    (v, w) and (V, w(V)), must be divergence-free, and every input must
+    lie in the band.  Returns ((F_H1, F_H2), F_z) in the grid's layout,
+    zero outside the band."""
+    _same_grid(*v, w, *V, W)
+    grid = v[0].grid
+    band = grid.band
+    u = _to_band(grid, band, [f.coeffs for f in (*v, w)])
+    D = _to_band(grid, band, [f.coeffs for f in (*V, W)])
+    b = _raw_with_w(band, D[:2])  # (V, W/eps) with W/eps = w(V)
+    _require_divergence_free(band, u, "the limit velocity (v, w)")
+    _require_divergence_free(band, b, "the difference velocity (V, w(V))")
+
+    # -(div(v (x) b) + div(V (x) (u + b))) horizontally, and vertically
+    # -div((eps w + W) (u + b)): the transports of (v, eps w) by b, of
+    # (V, W) by u and b, and the eps-residual's transport of eps w by u
+    u_phys, b_phys = _raw_to_phys(band, u), _raw_to_phys(band, b)
+    targets = (*b_phys[:2], _raw_to_phys(band, eps * u[2] + D[2]))
+    F = -_cross_advect(band, u_phys + b_phys, targets)
+    F[:2] -= _cross_advect(band, b_phys, u_phys[:2])
+
+    # forcing terms that vanish with delta and eps; PE_H gives d_t v
+    F[:2] += delta * _deriv_mult(band, 2, 2) * u[:2]
+    dt_w = _raw_w_from_v(band, PrimitiveStepper(grid, 1.0, 0.0, 1.0).rhs(u[:2]))
+    F[2] -= eps * (dt_w - _lap_delta_mult(band, delta) * u[2])
+
+    Fh = band.scatter(_raw_parity_project(band, F[:2], EVEN))
+    Fz = band.scatter(_raw_parity_project(band, F[2], ODD))
+    return (
+        (SpectralField(grid, Fh[0], EVEN), SpectralField(grid, Fh[1], EVEN)),
+        SpectralField(grid, Fz, ODD),
+    )
+
+
+def baroclinic_rhs(vbar, utilde):
+    """Forcings of the barotropic/baroclinic reformulation.
+
+    vbar is the z-independent horizontal average pair, utilde the mean-free
+    triple (vtilde1, vtilde2, w).  Returns (Fbar, Ftilde1, Ftilde2): Fbar
+    is z-independent, Ftilde1 has zero vertical mean by construction, and
+    Ftilde2 is the forcing of the vertical-velocity block; all in the
+    grid's layout, zero outside the band.  Both advecting velocities, vbar
+    and utilde, must be divergence-free, and utilde . grad vbar is
+    div(vbar (x) utilde) since d_z vbar = 0."""
+    vb1, vb2 = vbar
+    vt1, vt2, wt = utilde
+    _same_grid(vb1, vb2, vt1, vt2, wt)
+    grid = vb1.grid
+    for fld, name in ((vt1, "vtilde1"), (vt2, "vtilde2")):
+        m = float(np.max(np.abs(fld.coeffs[:, :, 0])))
+        if m > 1e-10:
+            raise CompatibilityError(f"{name} is not mean-free: {m:.3e}", m)
+    for fld, name in ((vb1, "vbar1"), (vb2, "vbar2")):
+        m = float(np.max(np.abs(fld.coeffs[:, :, 1:])))
+        if m > 1e-10:
+            raise CompatibilityError(f"{name} is not z-independent: {m:.3e}", m)
+    band = grid.band
+    vb = _to_band(grid, band, (vb1.coeffs, vb2.coeffs))
+    ut = _to_band(grid, band, (vt1.coeffs, vt2.coeffs, wt.coeffs))
+    _require_divergence_free(band, vb, "vbar")
+    _require_divergence_free(band, ut, "utilde")
+
+    vb_phys, ut_phys = _raw_to_phys(band, vb), _raw_to_phys(band, ut)
+    # utilde . grad (vtilde, w)
+    adv = _raw_advect(band, ut_phys, (1.0, 1.0, 1.0), VELOCITY_PARITIES)
+    avg = _raw_embed_plane(band, adv[:2, ..., 0])
+    # vbar . grad_H (vtilde, w)
+    by_bar = _cross_advect(band, vb_phys, ut_phys)
+    # utilde . grad vbar = vtilde . grad_H vbar
+    of_bar = _cross_advect(band, ut_phys, vb_phys)
+
+    fbar = band.scatter(-avg)
+    ft1 = band.scatter(-(of_bar + by_bar[:2] + adv[:2] - avg))
+    ft2 = band.scatter(-(by_bar[2] + adv[2]))
+    fbar_f = tuple(SpectralField(grid, fbar[i], EVEN) for i in range(2))
+    ft1_f = tuple(SpectralField(grid, ft1[i], EVEN) for i in range(2))
+    return fbar_f, ft1_f, SpectralField(grid, ft2, ODD)
+
+
 class TestDiffRhs:
     def _limit_and_difference(self, grid, eps):
         v = _constrained_pair(grid, (41, 42))
@@ -301,7 +438,7 @@ class TestDiffRhs:
         dt_v = _lap_delta_mult(g, 0.0) * vc - hydro_projected(
             g, convective_advect(g, u, vc))
         dt_w = _raw_w_from_v(g, dt_v) + convective_advect(g, u, wc[None])[0]
-        mask = g.dealias_mask
+        mask = dealias_mask(g)
         Fh = total[:2] + delta * (1j * g.kz3) ** 2 * vc * mask
         Fz = total[2] - eps * (dt_w - _lap_delta_mult(g, delta) * wc) * mask
         a = ((Fh[0], Fh[1]), Fz)
@@ -471,7 +608,7 @@ class TestAdvectionForms:
         div = g.band.scatter(_raw_advect(g.band, up, scale))
         conv = convective_advect(g, up, U[: len(scale)])
         div_u = _raw_to_phys(g, sum(_deriv_mult(g, j, 1) * c for j, c in enumerate(U)))
-        t_div_u = _raw_to_spec(g, up[: len(scale)] * div_u) * g.dealias_mask
+        t_div_u = _raw_to_spec(g, up[: len(scale)] * div_u) * dealias_mask(g)
         s = np.reshape(scale, (-1,) + (1,) * len(g.shape))
         gap = np.max(np.abs(div - s * (conv + t_div_u)))
         assert gap <= 1e-12 * np.max(np.abs(div))

@@ -17,7 +17,7 @@ from hydrostat.errors import (
     InsufficientData,
     InvalidParameter,
 )
-from hydrostat.fields import _raw_div_eps_defect
+from hydrostat.fields import VelocityState, _raw_div_eps_defect
 from hydrostat.harness.config import (
     load_config,
     parse_config_text,
@@ -41,7 +41,7 @@ from hydrostat.solvers import (
     StokesScaledStepper,
     run_simulation,
 )
-from hydrostat.spectral import _raw_parity_project, make_grid
+from hydrostat.spectral import EVEN, SpectralField, _raw_parity_project, make_grid
 
 PI = np.pi
 
@@ -245,8 +245,7 @@ class TestSnapshots:
         import struct
         import zlib
 
-        from hydrostat.fields import VelocityState
-        from hydrostat.spectral import NONE, SpectralField
+        from hydrostat.spectral import NONE
 
         nx, ny, nz = 6, 4, 10
         g = make_grid(nx, ny, nz)
@@ -319,6 +318,19 @@ class TestConfig:
     def test_missing_required(self):
         with pytest.raises(ConfigError):
             sim_config_from_dict(parse_config_text("system = PE_H\n"))
+
+    @pytest.mark.parametrize("value", ["0.1,,0.2", "0.1, 0.2,", ", 0.1"])
+    def test_empty_list_item_rejected(self, value):
+        """Before, 0.1,,0.2 read as (0.1, 0.2) without a word."""
+        with pytest.raises(ConfigError,
+                           match="line 2: bad value for eps_values: empty item"):
+            parse_config_text(f"mode = gamma_scan\neps_values = {value}\n")
+
+    def test_out_dir_is_no_config_key(self):
+        """A sweep writes to its --out flag; before, a config's out_dir was
+        accepted and then replaced by the flag."""
+        with pytest.raises(ConfigError, match="line 1: unknown key 'out_dir'"):
+            parse_config_text("out_dir = results\n")
 
     def test_sweep_config(self):
         text = SWEEP_SIM + "mode = eps_delta_to_zero\neps_values = 0.2, 0.1, 0.05\n"
@@ -1149,6 +1161,42 @@ class TestCli:
         assert main(["run", "--config", str(cfg), "--snapshot-out", str(snap)]) == 0
         st = load_snapshot(str(snap))
         assert st.time == pytest.approx(0.01)
+
+    def test_run_reads_its_snapshot_back(self, tmp_path, monkeypatch, capsys):
+        """run --snapshot-out reads the file back: a field that differs from
+        the final state by one bit is an error line and exit status 2.
+        Before, the run reported the snapshot as written and exited 0."""
+        from hydrostat.harness import snapshots
+        from hydrostat.harness.cli import main
+
+        save = snapshots.save_snapshot
+
+        def save_off_by_a_bit(state, path):
+            v1 = SpectralField(state.grid, state.v1.coeffs * (1 + 2**-52), EVEN)
+            save(VelocityState(v1, state.v2, state.w, state.time), path)
+
+        monkeypatch.setattr(snapshots, "save_snapshot", save_off_by_a_bit)
+        cfg = tmp_path / "sim.cfg"
+        cfg.write_text(GOOD_SIM)
+        snap = tmp_path / "final.hsn"
+        assert main(["run", "--config", str(cfg), "--snapshot-out", str(snap)]) == 2
+        out, err = capsys.readouterr()
+        assert "snapshot written" not in out
+        assert err == f"error: {snap} does not read back bit for bit in v1\n"
+
+    @pytest.mark.parametrize("line", ["mode = gamma_scan", "eps_values = 0.2, 0.1",
+                                      "delta_values = 1", "gamma_values = 3",
+                                      "jobs = 4", "timing = true"])
+    def test_run_rejects_a_key_only_a_sweep_reads(self, tmp_path, capsys, line):
+        """Before, run dropped such keys without a word and exited 0."""
+        from hydrostat.harness.cli import main
+
+        cfg = tmp_path / "sim.cfg"
+        cfg.write_text(GOOD_SIM + line + "\n")
+        assert main(["run", "--config", str(cfg)]) == 2
+        out, err = capsys.readouterr()
+        key = line.split()[0]
+        assert out == "" and err == f"error: only a sweep reads ['{key}']\n"
 
     @pytest.mark.parametrize("system, extra, l2, h1", [
         ("NS_eps_delta", "eps = 0.3\ndelta = 0.2\nrecipe = bandlimited_random\n",

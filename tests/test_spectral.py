@@ -28,6 +28,7 @@ from hydrostat.spectral import (
 
 from conftest import (
     convective_advect,
+    dealias_mask,
     full_cube,
     full_phase,
     full_wavenumbers,
@@ -48,8 +49,9 @@ class TestMakeGrid:
     def test_dealias_mask_two_thirds(self):
         g = make_grid(8, 8, 8)
         m = np.rint(g.kx / PI).astype(int)
-        kept = {int(mm) for mm, keep in zip(m, g.dealias_mask[:, 0, 0]) if keep}
+        kept = {int(mm) for mm, keep in zip(m, dealias_mask(g)[:, 0, 0]) if keep}
         assert kept == {-2, -1, 0, 1, 2}
+        assert set(np.rint(g.band.kx / PI).astype(int)) == kept
 
     @pytest.mark.parametrize("n", [6, 12, 24, 8, 16, 32])
     def test_dealiased_square_is_exact(self, n):
@@ -70,8 +72,8 @@ class TestMakeGrid:
                            [-1 if i == axis else 1 for i in range(3)])
             f = sum(a[m] * np.cos(PI * m * x) + b[m] * np.sin(PI * m * x)
                     for m in range(q + 1))
-            c = _raw_to_spec(g, np.broadcast_to(f, g.shape)) * g.dealias_mask
-            sq = _raw_to_spec(g, _raw_to_phys(g, c) ** 2) * g.dealias_mask
+            c = _raw_to_spec(g, np.broadcast_to(f, g.shape)) * dealias_mask(g)
+            sq = _raw_to_spec(g, _raw_to_phys(g, c) ** 2) * dealias_mask(g)
             c, sq = full_cube(g, c), full_cube(g, sq)
             # exact square: convolution of the centred mode vectors of c
             modes = np.arange(-q, q + 1)
@@ -91,7 +93,7 @@ class TestMakeGrid:
         with pytest.raises(ValueError):
             grid8.kx[0] = 1.0
         with pytest.raises(ValueError):
-            grid8.dealias_mask[0, 0, 0] = False
+            grid8.ksq[0, 0, 0] = 1.0
 
 
 class TestTransforms:
@@ -207,10 +209,10 @@ class TestBand:
         assert grid.band.spec_shape == band
         assert grid.plane.spec_shape == band[:2]
         assert grid.band.shape == grid.shape and grid.band.nz == grid.nz
-        assert int(grid.dealias_mask.sum()) == np.prod(band)
-        assert np.all(grid.band.gather(grid.dealias_mask))
+        assert int(dealias_mask(grid).sum()) == np.prod(band)
+        assert np.all(grid.band.gather(dealias_mask(grid)))
         c = random_band_field(grid, 1, band=np.ones(grid.spec_shape, bool)).coeffs
-        assert np.array_equal(grid.band.scatter(grid.band.gather(c)), c * grid.dealias_mask)
+        assert np.array_equal(grid.band.scatter(grid.band.gather(c)), c * dealias_mask(grid))
         # kx, ky in FFT order with no Nyquist mode; kz the prefix
         K = (shape[0] - 1) // 3
         m = np.rint(grid.band.kx / PI)
@@ -226,7 +228,7 @@ class TestBand:
         band = grid.band
         rng = np.random.default_rng(5)
         p = rng.standard_normal((3, *grid.shape))
-        c = _raw_to_spec(grid, p) * grid.dealias_mask
+        c = _raw_to_spec(grid, p) * dealias_mask(grid)
         assert np.array_equal(_raw_to_phys(band, band.gather(c)), _raw_to_phys(grid, c))
         assert np.array_equal(_raw_to_spec(band, p), band.gather(_raw_to_spec(grid, p)))
 
@@ -288,7 +290,7 @@ class TestOneLayoutType:
         assert np.array_equal(band.ksq, band.gather(grid.ksq))
         weight = np.broadcast_to(grid.parseval_weight, grid.spec_shape)
         assert np.array_equal(band.parseval_weight, band.gather(weight)[0, 0])
-        assert grid.kmax == max(float(np.max(np.abs(k) * grid.dealias_mask))
+        assert grid.kmax == max(float(np.max(np.abs(k) * dealias_mask(grid)))
                                 for k in (grid.kx3, grid.ky3, grid.kz3))
 
     def test_layouts_compare_and_hash_by_identity(self):
@@ -437,14 +439,14 @@ class TestDerivative:
 
 
 class TestDealias:
-    """The 2/3 rule as the product with grid.dealias_mask."""
+    """The 2/3 rule as the product with dealias_mask(grid)."""
 
     def test_mask_examples(self):
         g = make_grid(8, 8, 8)
         c = np.zeros(g.spec_shape, dtype=complex)
         c[3, 0, 0] = 1.0  # mode m=(3,0,0): outside the kept band
         c[1, 1, 1] = 2.0
-        out = c * g.dealias_mask
+        out = c * dealias_mask(g)
         assert out[3, 0, 0] == 0.0
         assert out[1, 1, 1] == 2.0
 
@@ -452,7 +454,7 @@ class TestDealias:
         every = np.ones(grid16.spec_shape, dtype=bool)
         a = random_band_field(grid16, 4, band=every).coeffs
         b = random_band_field(grid16, 5, band=every).coeffs
-        mask = grid16.dealias_mask
+        mask = dealias_mask(grid16)
         assert np.array_equal(a * mask * mask, a * mask)
         assert _raw_inner(grid16, a * mask, b) == pytest.approx(
             _raw_inner(grid16, a, b * mask), rel=1e-12)
@@ -467,7 +469,7 @@ class TestDealias:
         div_u = sum(comps[j] * _deriv_mult(g, j, 1) for j in range(3))
         div_phys = _raw_to_phys(g, div_u)
         corr = np.stack(
-            [_raw_to_spec(g, 0.5 * div_phys * up[i]) * g.dealias_mask for i in range(3)]
+            [_raw_to_spec(g, 0.5 * div_phys * up[i]) * dealias_mask(g) for i in range(3)]
         )
         pairing = _raw_inner(g, adv + corr, U)
         assert abs(pairing) < 1e-12
@@ -609,69 +611,51 @@ def test_the_runtime_imports_no_scipy(tmp_path):
     assert scipy_modules == set()
 
 
-# Definitions with no caller in src/ that stay on purpose, each until the
-# ROADMAP item named gives it a caller or deletes it.
-_NO_CALLER_YET = {
-    # the difference-system forcings: the subject of TestDiffRhs, the proof
-    # of criterion 3's forcing orders; production runs are to check them
-    # (item 8)
-    "diff_rhs_F", "baroclinic_rhs",
-    # the certification of a measured family by the bootstrap inequality
-    # and its report (item 6)
-    "certify_bootstrap_family", "all_certified",
-    "render_certificate_report", "parse_certificate_report",
-    # the carried constants C_n of a FamilyCertification, which only its
-    # tests read until the report of item 6 prints them
-    "constants",
-}
+def _src_trees():
+    """(path, parsed module) of every .py file under src/hydrostat."""
+    import ast
+    import pathlib
+
+    import hydrostat
+
+    return [(path, ast.parse(path.read_text()))
+            for path in sorted(pathlib.Path(hydrostat.__file__).parent.rglob("*.py"))]
 
 
 def test_every_definition_has_a_caller_in_src():
     """Every function, method and class under src/hydrostat, dunders aside,
-    is named as a whole word somewhere in src/ beyond its own definitions:
-    code with no caller is deleted, with its tests.  A package's export
-    table (_EXPORTS in its __init__.py) is no use."""
+    is read somewhere in src/ as a loaded name or attribute of the parsed
+    code: code with no caller is deleted, with its tests.  Docstrings,
+    comments and imports read nothing, and neither does a package's export
+    table (_EXPORTS in its __init__.py), whose names are strings."""
     import ast
-    import collections
-    import pathlib
-    import re
 
-    import hydrostat
-
-    defined, words = collections.Counter(), collections.Counter()
-    for path in sorted(pathlib.Path(hydrostat.__file__).parent.rglob("*.py")):
-        lines = path.read_text().splitlines()
-        tree = ast.parse("\n".join(lines))
+    defined, read = set(), set()
+    for _, tree in _src_trees():
         for node in ast.walk(tree):
             if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
                     and not node.name.startswith("__")):
-                defined[node.name] += 1
-            elif (isinstance(node, ast.Assign) and path.name == "__init__.py"
-                    and [ast.unparse(t) for t in node.targets] == ["_EXPORTS"]):
-                lines[node.lineno - 1 : node.end_lineno] = []
-        words.update(re.findall(r"\w+", "\n".join(lines)))
-    unused = {name for name, n in defined.items() if words[name] <= n}
-    assert unused == _NO_CALLER_YET & set(defined)
+                defined.add(node.name)
+            elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+    assert defined - read == set()
 
 
 def test_every_class_member_is_read_in_src():
     """Every method, property, class-level attribute and annotated
     (dataclass) field in a class body under src/hydrostat, dunders aside,
-    is named as .name somewhere in src/, apart from the names of
-    _NO_CALLER_YET.  The check above misses a member whose name is also a
-    local name elsewhere, as SampledFunction.t0 and ContinuationSchedule.T
-    were."""
+    is read as .name, a loaded attribute of the parsed code, somewhere in
+    src/.  The check above misses a member whose name is also a local name
+    elsewhere, as SampledFunction.t0 and ContinuationSchedule.T were."""
     import ast
-    import pathlib
-    import re
-
-    import hydrostat
 
     members, read = [], set()
-    for path in sorted(pathlib.Path(hydrostat.__file__).parent.rglob("*.py")):
-        text = path.read_text()
-        read.update(re.findall(r"\.(\w+)", text))
-        for node in ast.walk(ast.parse(text)):
+    for _, tree in _src_trees():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
             if not isinstance(node, ast.ClassDef):
                 continue
             for item in node.body:
@@ -685,8 +669,7 @@ def test_every_class_member_is_read_in_src():
                     names = []
                 members += [(node.name, name) for name in names
                             if not name.startswith("__")]
-    unread = {f"{cls}.{name}" for cls, name in members
-              if name not in read and name not in _NO_CALLER_YET}
+    unread = {f"{cls}.{name}" for cls, name in members if name not in read}
     assert unread == set()
 
 
@@ -760,12 +743,12 @@ def test_every_norm_kind_is_built_by_a_lane_builder():
 _EXPORTED = {
     "hydrostat": {
         "bootstrap": "BootstrapCertificate BudgetFunctions SampledFunction "
-                     "certify_bootstrap_family certify_exp_quadratic_bound "
-                     "certify_quadratic_bound continuation_schedule",
+                     "certify_exp_quadratic_bound certify_quadratic_bound "
+                     "continuation_schedule",
         "errors": "BlowupDetected CompatibilityError ConfigError FormatError "
                   "HydrostatError InsufficientData InvalidGrid InvalidParameter "
                   "OrderingError ScheduleInfeasible ShapeError",
-        "fields": "SplitState VelocityState barotropic_split baroclinic_rhs diff_rhs_F",
+        "fields": "SplitState VelocityState barotropic_split",
         "norms": "Energies NormAccumulator accumulate finalize norm_sobolev",
         "solvers": "SimConfig TrajectoryRecord run_simulation",
         "spectral": "EVEN NONE ODD Grid SpectralField field_from_function make_grid",
