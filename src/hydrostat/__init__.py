@@ -57,11 +57,7 @@ _EXPORTS = {
         "ScheduleInfeasible",
         "ShapeError",
     ),
-    "fields": (
-        "SplitState",
-        "VelocityState",
-        "barotropic_split",
-    ),
+    "fields": ("VelocityState",),
     "norms": ("Energies", "NormAccumulator", "accumulate", "finalize", "norm_sobolev"),
     "solvers": ("SimConfig", "TrajectoryRecord", "run_simulation"),
     "spectral": (

@@ -41,15 +41,11 @@ THRESHOLD_VIOLATED = "THRESHOLD_VIOLATED"
 
 @dataclass(frozen=True)
 class SampledFunction:
-    """Nonnegative function known at strictly increasing sample times.
-
-    continuity_tolerance is the slack granted between samples; it widens the
-    concluded bound of any certificate computed from this data.
-    """
+    """Nonnegative function known at strictly increasing sample times; a
+    certificate computed from it bounds its samples."""
 
     ts: np.ndarray
     xs: np.ndarray
-    continuity_tolerance: float = 0.0
 
     def __post_init__(self):
         ts = np.asarray(self.ts, dtype=np.float64)
@@ -60,8 +56,6 @@ class SampledFunction:
             raise InvalidParameter("sample times must be strictly increasing")
         if not (np.all(np.isfinite(xs)) and np.all(xs >= 0)):
             raise InvalidParameter("sample values must be finite and nonnegative")
-        if self.continuity_tolerance < 0:
-            raise InvalidParameter("continuity_tolerance must be >= 0")
         ts.setflags(write=False)
         xs.setflags(write=False)
         object.__setattr__(self, "ts", ts)
@@ -73,16 +67,15 @@ class SampledFunction:
 
 @dataclass(frozen=True)
 class BootstrapCertificate:
-    """Outcome of one certification run.
+    """Outcome of one certification run: failed_at is the sample time of
+    the first failed check (None for an inadmissible eps).
 
     The soundness invariant is enforced on construction paths, never assumed:
-    a CERTIFIED verdict always comes with
-    max(xs) <= concluded_bound + continuity_tolerance.
+    a CERTIFIED verdict always comes with max(xs) <= concluded_bound.
     """
 
     verdict: str
     concluded_bound: float
-    detail: str = ""
     failed_at: float | None = None
 
     @property
@@ -115,43 +108,18 @@ def _certify(
 ) -> BootstrapCertificate:
     """Shared certification skeleton: threshold checks, pointwise hypothesis,
     pointwise conclusion."""
-    tol = X.continuity_tolerance
     if not (0.0 < eps < eps_cap):
-        return BootstrapCertificate(
-            THRESHOLD_VIOLATED,
-            bound,
-            detail=f"eps={eps:.6g} outside (0, {eps_cap:.6g})",
-        )
+        return BootstrapCertificate(THRESHOLD_VIOLATED, bound)
     if X.xs[0] > start_cap:
-        return BootstrapCertificate(
-            THRESHOLD_VIOLATED,
-            bound,
-            detail=f"X(a)={X.xs[0]:.6g} > {start_cap:.6g}",
-            failed_at=float(X.ts[0]),
-        )
-    rhs = hyp_rhs(X.xs)
-    bad = np.nonzero(X.xs > rhs)[0]
+        return BootstrapCertificate(THRESHOLD_VIOLATED, bound, float(X.ts[0]))
+    bad = np.nonzero(X.xs > hyp_rhs(X.xs))[0]
     if bad.size:
-        i = int(bad[0])
-        return BootstrapCertificate(
-            HYPOTHESIS_FAILED,
-            bound,
-            detail=f"X({X.ts[i]:.6g})={X.xs[i]:.6g} > rhs={rhs[i]:.6g}",
-            failed_at=float(X.ts[i]),
-        )
-    over = np.nonzero(X.xs > bound + tol)[0]
+        return BootstrapCertificate(HYPOTHESIS_FAILED, bound, float(X.ts[bad[0]]))
+    # a sample on the large branch (a branch jump between samples)
+    over = np.nonzero(X.xs > bound)[0]
     if over.size:
-        i = int(over[0])
-        return BootstrapCertificate(
-            THRESHOLD_VIOLATED,
-            bound,
-            detail=(
-                "conclusion exceeded between samples (branch jump): "
-                f"X({X.ts[i]:.6g})={X.xs[i]:.6g} > {bound:.6g}+{tol:.3g}"
-            ),
-            failed_at=float(X.ts[i]),
-        )
-    assert float(np.max(X.xs)) <= bound + tol
+        return BootstrapCertificate(THRESHOLD_VIOLATED, bound, float(X.ts[over[0]]))
+    assert float(np.max(X.xs)) <= bound
     return BootstrapCertificate(CERTIFIED, bound)
 
 
@@ -206,7 +174,6 @@ class ContinuationSchedule:
     """Window partition of [0, T]: checkpoints T_n = n T*/2 and T_N = T."""
 
     t_star: float
-    n_windows: int
     t_points: tuple[float, ...]
 
 
@@ -253,4 +220,4 @@ def continuation_schedule(budgets: BudgetFunctions, T: float) -> ContinuationSch
         t_star = lo
     n = int(math.ceil(T / (t_star / 2.0) - 1e-9))
     pts = tuple(i * t_star / 2.0 for i in range(1, n)) + (T,)
-    return ContinuationSchedule(t_star, n, pts)
+    return ContinuationSchedule(t_star, pts)

@@ -2,8 +2,7 @@
 
 Provides the two divergence-eliminating projections (scaled, and
 hydrostatic: the 2D projection of a pair of kz=0 planes, in place),
-recovery of the diagnostic vertical velocity from the horizontal pair, and
-the barotropic/baroclinic splitting.
+and recovery of the diagnostic vertical velocity from the horizontal pair.
 
 There is one advection kernel, _raw_advect: the steppers' self-advection
 in divergence form, sum_j d_j (u_i u_j) on a band.  It is the convective
@@ -29,7 +28,6 @@ from .spectral import (
     Grid,
     SpectralField,
     _deriv_mult,
-    _raw_embed_plane,
     _raw_parity_project,
     _raw_to_phys,  # unused here; perfbench's self-test reads fields._raw_to_phys
     _raw_to_spec,
@@ -67,25 +65,6 @@ class VelocityState:
 
     def components(self) -> tuple[SpectralField, SpectralField, SpectralField]:
         return (self.v1, self.v2, self.w)
-
-    def horizontal(self) -> tuple[SpectralField, SpectralField]:
-        return (self.v1, self.v2)
-
-
-@dataclass(frozen=True)
-class SplitState:
-    """Barotropic/baroclinic decomposition of a horizontal pair.
-
-    vbar is the vertical average (the kz=0 coefficient plane), vtilde the
-    zero-vertical-mean remainder; vbar + vtilde reconstructs v exactly.  When
-    built from a full state, w rides along as part of the baroclinic mode.
-    """
-
-    vbar1: SpectralField
-    vbar2: SpectralField
-    vtilde1: SpectralField
-    vtilde2: SpectralField
-    w: SpectralField | None = None
 
 
 # ---------------------------------------------------------------------------
@@ -241,21 +220,3 @@ def _raw_advect(
             out[i] *= scale[i]
     return out
 
-
-# ---------------------------------------------------------------------------
-# public operations
-# ---------------------------------------------------------------------------
-
-def barotropic_split(
-    v: Sequence[SpectralField], w: SpectralField | None = None
-) -> SplitState:
-    """Split a horizontal pair into vertical average + zero-mean remainder."""
-    v1, v2 = v
-    grid = v1.grid
-    bars = []
-    tildes = []
-    for comp in (v1, v2):
-        bar = _raw_embed_plane(grid, comp.coeffs[..., 0])
-        bars.append(SpectralField(grid, bar, comp.parity))
-        tildes.append(SpectralField(grid, comp.coeffs - bar, comp.parity))
-    return SplitState(bars[0], bars[1], tildes[0], tildes[1], w)

@@ -21,17 +21,14 @@ from ..bootstrap import (
     certify_quadratic_bound,
     continuation_schedule,
 )
-from ..fields import (
-    VelocityState,
-    _raw_div_eps_defect,
-    _raw_with_w,
-    barotropic_split,
-)
-from ..norms import norm_l2_barotropic, norm_sobolev
+from ..fields import VelocityState, _raw_div_eps_defect, _raw_with_w
+from ..norms import norm_sobolev
 from ..solvers import SYSTEMS, run_lanes, system_lane
 from ..spectral import (
     EVEN,
     ODD,
+    SpectralField,
+    _raw_embed_plane,
     _raw_inner,
     _raw_parity_project,
     _raw_wsum,
@@ -78,11 +75,11 @@ def _taylor_green_pair(grid):
 # oracle suite
 # ---------------------------------------------------------------------------
 
-def check_taylor_green_2d(nxy: int = 64, dt: float = 1e-4, T: float = 0.1) -> CheckResult:
+def check_taylor_green_2d() -> CheckResult:
     """2D Taylor-Green vortex decays exactly like exp(-2 pi^2 t)."""
-    grid = make_grid(nxy, nxy, 4)
+    grid = make_grid(64, 64, 4)
     v1, v2 = _taylor_green_pair(grid)
-    n = int(round(T / dt))
+    dt, n = 1e-4, 1000
     U = _run("NS2D", VelocityState(v1, v2, zero_field(grid)), dt, n)
     amp = math.exp(-2 * math.pi**2 * n * dt)
     diff = np.stack((U[0] - amp * v1.coeffs, U[1] - amp * v2.coeffs))
@@ -90,14 +87,13 @@ def check_taylor_green_2d(nxy: int = 64, dt: float = 1e-4, T: float = 0.1) -> Ch
     return CheckResult("taylor_green_2d", err < 1e-8, f"L2 error {err:.3e} (tol 1e-8)")
 
 
-def check_heat_mode_decay(system: str, delta: float, eps: float = 0.5,
-                          dt: float = 1e-3, T: float = 0.1) -> CheckResult:
+def check_heat_mode_decay(system: str, delta: float) -> CheckResult:
     """Single vertical cosine mode decays like exp(-delta pi^2 t)."""
     grid = make_grid(16, 16, 16)
     v1 = field_from_function(grid, lambda x, y, z: np.cos(np.pi * z), EVEN)
     zero = zero_field(grid)
-    n = int(round(T / dt))
-    U = _run(system, VelocityState(v1, zero, zero), dt, n, eps, delta)
+    dt, n = 1e-3, 100
+    U = _run(system, VelocityState(v1, zero, zero), dt, n, 0.5, delta)
     amp = math.exp(-delta * math.pi**2 * n * dt)
     diff = U[0] - amp * v1.coeffs
     err = math.sqrt(_raw_inner(grid, diff[None], diff[None]))
@@ -106,23 +102,23 @@ def check_heat_mode_decay(system: str, delta: float, eps: float = 0.5,
                        f"relative L2 error {rel:.3e} (tol 1e-6)")
 
 
-def check_pe_h_stationary(dt: float = 1e-3, steps: int = 100) -> CheckResult:
+def check_pe_h_stationary() -> CheckResult:
     """cos(pi z) shear is a stationary solution of the horizontal-viscosity
     limit system."""
     grid = make_grid(16, 16, 16)
     v1 = field_from_function(grid, lambda x, y, z: np.cos(np.pi * z), EVEN)
     zero = zero_field(grid)
-    U = _run("PE_H", VelocityState(v1, zero, zero), dt, steps)
+    U = _run("PE_H", VelocityState(v1, zero, zero), 1e-3, 100)
     diff = np.stack((U[0] - v1.coeffs, U[1]))
     err = math.sqrt(_raw_inner(grid, diff, diff))
     return CheckResult("pe_h_stationary", err < 1e-12, f"L2 drift {err:.3e} (tol 1e-12)")
 
 
-def check_shear_2d(dt: float = 1e-3, T: float = 0.1) -> CheckResult:
+def check_shear_2d() -> CheckResult:
     grid = make_grid(32, 32, 4)
     v1 = field_from_function(grid, lambda x, y, z: np.sin(np.pi * y), EVEN)
     zero = zero_field(grid)
-    n = int(round(T / dt))
+    dt, n = 1e-3, 100
     U = _run("NS2D", VelocityState(v1, zero, zero), dt, n)
     amp = math.exp(-math.pi**2 * n * dt)
     diff = np.stack((U[0] - amp * v1.coeffs, U[1]))
@@ -130,7 +126,7 @@ def check_shear_2d(dt: float = 1e-3, T: float = 0.1) -> CheckResult:
     return CheckResult("shear_2d", err < 1e-10, f"L2 error {err:.3e} (tol 1e-10)")
 
 
-def check_stokes_exact(delta: float = 4.0) -> CheckResult:
+def check_stokes_exact() -> CheckResult:
     """Scaled Stokes integrator reproduces the analytic per-mode exponentials
     to 1e-12 along a whole trajectory."""
     grid = make_grid(16, 16, 16)
@@ -142,7 +138,7 @@ def check_stokes_exact(delta: float = 4.0) -> CheckResult:
         grid, lambda x, y, z: -np.cos(np.pi * x) * np.sin(np.pi * z), ODD)
     band = grid.band
     U0 = band.gather(np.stack((v1.coeffs, v2.coeffs)))
-    dt = 0.02
+    dt, delta = 0.02, 4.0
     lam = -(band.k2h + delta * band.kz3**2)
     states = []  # (step, state)
     _run("StokesScaled", VelocityState(v1, v2, w), dt, 25, 1.0, delta,
@@ -221,13 +217,13 @@ def check_ns_structural(nx: int = 32, steps: int = 50) -> list[CheckResult]:
     ]
 
 
-def check_stokes_energy_balance(delta: float = 2.0) -> CheckResult:
+def check_stokes_energy_balance() -> CheckResult:
     """Exact integrator satisfies the energy equality with the analytically
     integrated dissipation to 1e-12 per step."""
     dt = 1e-2
     data = generate_initial_data("heat_mode", 0, make_grid(16, 16, 16))
     samples = []  # (stepper, state): the energy is that of (v, w(v)), the Stokes state
-    _run("StokesScaled", data, dt, 20, 1.0, delta,
+    _run("StokesScaled", data, dt, 20, 1.0, 2.0,
          observe=lambda st, t, V, N: samples.append((st, _raw_with_w(st.grid, V))))
     worst = 0.0
     for (st, U), (_, U1) in zip(samples, samples[1:]):
@@ -252,16 +248,21 @@ def check_embedding_ordering() -> CheckResult:
                        f"EH {vals['EH']:.6e} <= EHdelta {vals['EHdelta']:.6e}")
 
 
-def check_barotropic_parseval(seed: int = 11) -> CheckResult:
-    """Orthogonal splitting: |v|^2 = 2 |vbar|^2_G + |vtilde|^2."""
+def check_barotropic_parseval() -> CheckResult:
+    """Orthogonal splitting of each horizontal component into its vertical
+    average vbar (the kz=0 plane) and the mean-free remainder vtilde:
+    |v|^2 = 2 |vbar|^2_G + |vtilde|^2, |vbar|_G the L2 norm over the
+    horizontal square."""
     grid = make_grid(16, 16, 16)
-    data = generate_initial_data("bandlimited_random", seed, grid)
-    split = barotropic_split(data.horizontal())
+    data = generate_initial_data("bandlimited_random", 11, grid)
     worst = 0.0
-    for full, bar, tilde in ((data.v1, split.vbar1, split.vtilde1),
-                             (data.v2, split.vbar2, split.vtilde2)):
+    for full in (data.v1, data.v2):
+        plane = full.coeffs[..., 0]
+        tilde = SpectralField(grid, full.coeffs - _raw_embed_plane(grid, plane),
+                              full.parity)
+        bar = float(np.sqrt(np.sum(np.abs(plane) ** 2) * 4.0))
         lhs = norm_sobolev(full, 0.0) ** 2
-        rhs = 2.0 * norm_l2_barotropic(bar) ** 2 + norm_sobolev(tilde, 0.0) ** 2
+        rhs = 2.0 * bar ** 2 + norm_sobolev(tilde, 0.0) ** 2
         worst = max(worst, abs(lhs - rhs) / max(lhs, 1e-300))
     return CheckResult("barotropic_parseval", worst < 1e-10,
                        f"max relative gap {worst:.3e}")
@@ -289,9 +290,8 @@ def invariant_suite() -> list[CheckResult]:
 # bootstrap suite
 # ---------------------------------------------------------------------------
 
-def _const(x: float, n: int = 5, T: float = 1.0) -> SampledFunction:
-    ts = np.linspace(0.0, T, n)
-    return SampledFunction(ts, np.full(n, x))
+def _const(x: float) -> SampledFunction:
+    return SampledFunction(np.linspace(0.0, 1.0, 5), np.full(5, x))
 
 
 def check_bootstrap_examples() -> list[CheckResult]:
@@ -328,29 +328,31 @@ def check_bootstrap_randomized(trials: int = 1000, seed: int = 0) -> list[CheckR
     concluded bound; single hidden violations are always rejected, at the
     sample that holds them."""
     rng = np.random.default_rng(seed)
-    conform_ok = 0
-    for _ in range(trials):
+
+    def conforming():
+        """C, an admissible eps, and 5-29 samples below the small root of
+        C X^2 - X/2 + eps, which certify_quadratic_bound must certify."""
         C = float(rng.uniform(0.5, 4.0))
         eps = float(rng.uniform(0.1, 0.9)) / (16 * C)
         lower_root = (1 - math.sqrt(1 - 16 * C * eps)) / (4 * C)
         n = int(rng.integers(5, 30))
-        xs = rng.uniform(0.0, lower_root, size=n)
-        X = SampledFunction(np.arange(n, dtype=float), xs)
-        cert = certify_quadratic_bound(X, C, eps)
+        return C, eps, rng.uniform(0.0, lower_root, size=n)
+
+    conform_ok = 0
+    for _ in range(trials):
+        C, eps, xs = conforming()
+        cert = certify_quadratic_bound(
+            SampledFunction(np.arange(len(xs), dtype=float), xs), C, eps)
         if cert.certified and xs.max() <= cert.concluded_bound:
             conform_ok += 1
     adversarial_ok = 0
     for _ in range(trials):
         if rng.random() < 0.5:
-            C = float(rng.uniform(0.5, 4.0))
-            eps = float(rng.uniform(0.1, 0.9)) / (16 * C)
-            lower_root = (1 - math.sqrt(1 - 16 * C * eps)) / (4 * C)
-            n = int(rng.integers(5, 30))
-            xs = rng.uniform(0.0, lower_root, size=n)
-            at = int(rng.integers(0, n))
+            C, eps, xs = conforming()
+            at = int(rng.integers(0, len(xs)))
             xs[at] = 1.0 / (4 * C)  # quadratic gap point
             cert = certify_quadratic_bound(
-                SampledFunction(np.arange(n, dtype=float), xs), C, eps)
+                SampledFunction(np.arange(len(xs), dtype=float), xs), C, eps)
         else:
             C = float(rng.uniform(0.5, 4.0))
             K = float(rng.uniform(0.5, 4.0))
@@ -382,11 +384,11 @@ def check_schedule_example() -> CheckResult:
     )
     sched = continuation_schedule(budgets, 2.0)
     expected = (0.5, 1.0, 1.5, 2.0)
-    ok = (abs(sched.t_star - 1.0) < 1e-9 and sched.n_windows == 4
-          and len(sched.t_points) == 4
+    ok = (abs(sched.t_star - 1.0) < 1e-9 and len(sched.t_points) == 4
           and all(abs(a - b) < 1e-9 for a, b in zip(sched.t_points, expected)))
-    return CheckResult("bootstrap_schedule_linear", ok,
-                       f"T*={sched.t_star:.9f} N={sched.n_windows} T_n={sched.t_points}")
+    return CheckResult(
+        "bootstrap_schedule_linear", ok,
+        f"T*={sched.t_star:.9f} N={len(sched.t_points)} T_n={sched.t_points}")
 
 
 def bootstrap_suite() -> list[CheckResult]:

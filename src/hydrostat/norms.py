@@ -60,12 +60,6 @@ def norm_sobolev(F: SpectralField, s: float) -> float:
     return float(np.sqrt(_sq((F,), _sobolev_mult(F.grid, s))))
 
 
-def norm_l2_barotropic(F: SpectralField) -> float:
-    """L2 norm over the horizontal square of the vertical-average plane."""
-    plane = F.coeffs[:, :, 0]
-    return float(np.sqrt(np.sum(np.abs(plane) ** 2) * 4.0))
-
-
 def _sq(fields: Sequence[SpectralField], mult: np.ndarray) -> float:
     """Sum of the squared mult-norms; mult carries the Parseval weight."""
     return float(sum(np.sum(mult * np.abs(f.coeffs) ** 2) for f in fields))

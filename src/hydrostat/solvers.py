@@ -96,6 +96,7 @@ from .spectral import (
     _raw_to_phys,
     _raw_wsum,
     _to_band,
+    check_grid_sizes,
     make_grid,
 )
 
@@ -127,7 +128,8 @@ class SimConfig:
     delta = eps**(gamma - 2); supplying an inconsistent explicit delta is an
     error.  So is a parameter that the system never reads: an eps other
     than 1 for any system but NS_eps_delta, and a nonzero delta, given or
-    tied to eps, for PE_H and NS2D.  So are an unknown recipe and a negative seed.
+    tied to eps, for PE_H and NS2D.  So are an unknown recipe, a negative
+    seed and grid sizes that make_grid rejects.
     """
 
     system: str
@@ -146,6 +148,7 @@ class SimConfig:
     def __post_init__(self):
         if self.system not in SYSTEMS:
             raise InvalidParameter(f"unknown system {self.system!r}")
+        check_grid_sizes(self.nx, self.ny, self.nz)
         if self.dt <= 0 or self.t_end <= 0 or self.dt > self.t_end:
             raise InvalidParameter("need 0 < dt <= t_end")
         steps = self.t_end / self.dt

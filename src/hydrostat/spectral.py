@@ -301,6 +301,16 @@ def _to_band(grid: Grid, band: Grid, comps: Sequence[np.ndarray]) -> np.ndarray:
     return band.gather(full)
 
 
+def check_grid_sizes(*sizes) -> None:
+    """Raise InvalidGrid unless every size is an even integer >= 4, the
+    lattice sizes make_grid (and so SimConfig) accepts."""
+    for n in sizes:
+        if not isinstance(n, (int, np.integer)):
+            raise InvalidGrid(f"grid sizes must be integers, got {n!r}")
+        if n < 4 or n % 2 != 0:
+            raise InvalidGrid(f"grid sizes must be even and >= 4, got {n}")
+
+
 def make_grid(nx: int, ny: int, nz: int) -> Grid:
     """The grid of an nx x ny x nz lattice: the kz >= 0 half of its modes,
     with pi-based wavenumbers.
@@ -308,12 +318,7 @@ def make_grid(nx: int, ny: int, nz: int) -> Grid:
     kx and ky are in numpy FFT order; kz = pi * [0, 1, ..., nz/2], the
     non-negative half that indexes the stored coefficients.
     """
-    for n in (nx, ny, nz):
-        if not isinstance(n, (int, np.integer)):
-            raise InvalidGrid(f"grid sizes must be integers, got {n!r}")
-        if n < 4 or n % 2 != 0:
-            raise InvalidGrid(f"grid sizes must be even and >= 4, got {n}")
-
+    check_grid_sizes(nx, ny, nz)
     spec_shape = (nx, ny, nz // 2 + 1)
     modes = (_mode_numbers(nx), _mode_numbers(ny), np.arange(nz // 2 + 1.0))
     # a plane 0 < kz < nz/2 also stands for its kz < 0 mirror

@@ -1,4 +1,4 @@
-"""Field assembly: projections, vertical velocity, splitting, difference RHS."""
+"""Field assembly: projections, vertical velocity, difference RHS."""
 import numpy as np
 import pytest
 import scipy.fft
@@ -14,9 +14,7 @@ from hydrostat.fields import (
     _raw_project_hydro,
     _raw_w_from_v,
     _raw_with_w,
-    barotropic_split,
 )
-from hydrostat.norms import norm_l2_barotropic, norm_sobolev
 from hydrostat.solvers import PrimitiveStepper
 from hydrostat.spectral import (
     EVEN,
@@ -189,32 +187,6 @@ class TestVerticalVelocity:
         assert np.max(np.abs(wphys[:, :, 0])) < 1e-12
 
 
-class TestBarotropicSplit:
-    def test_z_independent_field(self, grid16):
-        v = field_from_function(grid16, lambda x, y, z: np.sin(PI * x), EVEN)
-        s = barotropic_split((v, zero_field(grid16, EVEN)))
-        assert np.max(np.abs(s.vbar1.coeffs - v.coeffs)) < 1e-14
-        assert np.max(np.abs(s.vtilde1.coeffs)) < 1e-14
-
-    def test_zero_mean_mode(self, grid16):
-        v = field_from_function(
-            grid16, lambda x, y, z: np.sin(PI * x) * np.cos(PI * z), EVEN
-        )
-        s = barotropic_split((v, zero_field(grid16, EVEN)))
-        assert np.max(np.abs(s.vbar1.coeffs)) < 1e-14
-        assert np.max(np.abs(s.vtilde1.coeffs - v.coeffs)) < 1e-14
-
-    def test_exact_reconstruction_and_orthogonality(self, grid16):
-        v = _pair(grid16, (31, 32))
-        s = barotropic_split(v)
-        assert np.array_equal(s.vbar1.coeffs + s.vtilde1.coeffs, v[0].coeffs)
-        assert np.array_equal(s.vbar2.coeffs + s.vtilde2.coeffs, v[1].coeffs)
-        for full, bar, tilde in ((v[0], s.vbar1, s.vtilde1), (v[1], s.vbar2, s.vtilde2)):
-            lhs = norm_sobolev(full, 0.0) ** 2
-            rhs = 2 * norm_l2_barotropic(bar) ** 2 + norm_sobolev(tilde, 0.0) ** 2
-            assert lhs == pytest.approx(rhs, rel=1e-12)
-
-
 # ---------------------------------------------------------------------------
 # the forcings of the difference systems, test oracles
 #
@@ -381,7 +353,7 @@ class TestDiffRhs:
         from hydrostat.harness.initial_data import generate_initial_data
 
         data = generate_initial_data("bandlimited_random", 42, grid16)
-        v, w = data.horizontal(), data.w
+        v, w = (data.v1, data.v2), data.w
         zero_pair = (zero_field(grid16, EVEN), zero_field(grid16, EVEN))
         Wz = zero_field(grid16, ODD)
 
@@ -527,9 +499,16 @@ class TestDiffRhs:
 
 class TestBaroclinicRhs:
     def _split_state(self, grid, seeds):
+        """(vbar, utilde) of a constrained pair v: vbar its vertical average
+        (the kz=0 planes), utilde its mean-free remainder (kz=0 planes
+        zeroed) with w(v)."""
         v = _constrained_pair(grid, seeds)
-        s = barotropic_split(v, _w(v))
-        return s
+        V = _stack(v)
+        bar = _raw_embed_plane(grid, V[..., 0])
+        tilde = V.copy()
+        tilde[..., 0] = 0.0
+        field = lambda c: SpectralField(grid, c, EVEN)
+        return tuple(map(field, bar)), (*map(field, tilde), _w(v))
 
     def test_zero_baroclinic_part(self, grid16):
         v = field_from_function(grid16, lambda x, y, z: np.sin(PI * y), EVEN)
@@ -540,22 +519,18 @@ class TestBaroclinicRhs:
             assert np.max(np.abs(f.coeffs)) < 1e-14
 
     def test_zero_barotropic_part(self, grid16):
-        s = self._split_state(grid16, (51, 52))
+        _, ut = self._split_state(grid16, (51, 52))
         zero_bar = (zero_field(grid16, EVEN), zero_field(grid16, EVEN))
-        ut = (s.vtilde1, s.vtilde2, s.w)
         fbar, ft1, _ = baroclinic_rhs(zero_bar, ut)
         # Fbar = -avg(ut . grad vt) and Ftilde1 = -(ut . grad vt) + avg(...)
         up = [_raw_to_phys(grid16, c.coeffs) for c in ut]
-        adv = convective_advect(
-            grid16, up, np.stack((s.vtilde1.coeffs, s.vtilde2.coeffs))
-        )
+        adv = convective_advect(grid16, up, _stack(ut[:2]))
         avg = _raw_embed_plane(grid16, adv[..., 0])
         assert np.max(np.abs(fbar[0].coeffs + avg[0])) < 1e-13
         assert np.max(np.abs(ft1[0].coeffs + adv[0] - avg[0])) < 1e-13
 
     def test_mean_free_output(self, grid16):
-        s = self._split_state(grid16, (53, 54))
-        fbar, ft1, ft2 = baroclinic_rhs((s.vbar1, s.vbar2), (s.vtilde1, s.vtilde2, s.w))
+        fbar, ft1, ft2 = baroclinic_rhs(*self._split_state(grid16, (53, 54)))
         for f in ft1:
             assert np.max(np.abs(f.coeffs[:, :, 0])) < 1e-12
         for f in fbar:
@@ -575,17 +550,16 @@ class TestBaroclinicRhs:
         ("vbar has content outside the band", "outside the 2/3 dealias band"),
     ])
     def test_divergence_free_and_band_preconditions(self, grid16, bad, match):
-        s = self._split_state(grid16, (56, 57))
-        vbar, ut = (s.vbar1, s.vbar2), (s.vtilde1, s.vtilde2, s.w)
+        vbar, ut = self._split_state(grid16, (56, 57))
         if bad.startswith("vbar has div"):
             sin = field_from_function(grid16, lambda x, y, z: np.sin(PI * x), EVEN)
-            vbar = (sin, s.vbar2)
+            vbar = (sin, vbar[1])
         elif bad.startswith("w "):
-            ut = (s.vtilde1, s.vtilde2, s.w * 1.01)
+            ut = (*ut[:2], ut[2] * 1.01)
         else:  # z-independent and div_H-free, at mode (0, 6, 0): 3 * 6 >= 16
             far = field_from_function(grid16, lambda x, y, z: 1e-3 * np.cos(6 * PI * y),
                                       EVEN)
-            vbar = (SpectralField(grid16, s.vbar1.coeffs + far.coeffs, EVEN), s.vbar2)
+            vbar = (SpectralField(grid16, vbar[0].coeffs + far.coeffs, EVEN), vbar[1])
         with pytest.raises(CompatibilityError, match=match):
             baroclinic_rhs(vbar, ut)
 

@@ -1134,12 +1134,14 @@ class TestCli:
     @pytest.mark.parametrize("line, message", [
         ("seed = -1", "seed must be >= 0, got -1"),
         ("recipe = nope", "unknown initial-data recipe 'nope'"),
+        ("nz = 3", "grid sizes must be even and >= 4, got 3"),
     ])
     def test_data_that_cannot_be_drawn_are_an_error_line(self, tmp_path, capsys,
                                                          command, line, message):
         """Before, seed = -1 ended run in numpy's ValueError traceback, and a
-        sweep of either wrote only FAILED rows, printed a blowup threshold
-        and exited 0."""
+        sweep of any of the three wrote only FAILED rows, printed a blowup
+        threshold and exited 0.  make_grid and SimConfig share one size
+        check, so a sweep rejects the grid sizes that run rejects."""
         from hydrostat.harness.cli import main
 
         kept = [k for k in SWEEP_SIM.splitlines() if not k.startswith(line.split()[0])]
